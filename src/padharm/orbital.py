@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .cyclotomic import CyclotomicScalar, sqrt_rational_power
 from .errors import (
@@ -35,6 +36,7 @@ from .errors import (
     NotAdmissible,
     NotInDomain,
     NotRegularSemisimple,
+    PoleAtEvaluationPoint,
     ScaleExceeded,
 )
 from .padic import val_p
@@ -148,7 +150,7 @@ class OrbitalResult:
                     try:
                         qr.evaluate(t)
                         entry["orders"][(s0, sign)] = 0
-                    except Exception:
+                    except PoleAtEvaluationPoint:
                         den = qr.den
                         k = 0
                         while den.eval(t) == 0:
@@ -462,6 +464,9 @@ def orbital_rs(X, f, eta, budget=500000, slack=0):
     lo = (m0 + mu) + lo_adj - vdX  # h = delta_+(Y) adj(delta_+(X)) / Delta_+(X)
     a_max = max(max(t[2]) for t in f.terms)
     M = max(lo + 1, a_max + max(0, -2 * lo), max(det_window) + 1) + slack
+    # the certificate pass at M + 1 is the larger one: refuse before either
+    if p ** (4 * (M + 1 - lo)) > budget:
+        raise ScaleExceeded("rank-2 cell budget")
     first = _orbital_rs_cells(X, f, eta, lo, M, det_window, budget)
     second = _orbital_rs_cells(X, f, eta, lo, M + 1, det_window, budget)
     if not (first == second):
@@ -472,55 +477,98 @@ def orbital_rs(X, f, eta, budget=500000, slack=0):
 
 
 def _orbital_rs_cells(X, f, eta, lo, M, det_window, budget):
+    """One granularity pass of the rank-2 cell enumeration: the cells of h
+    are p^M M_2(O) cosets of h = p^lo J with J an integer matrix in
+    [0, p^(M - lo))^4, each weighted by eta(det h) |det h|^(-2) and
+    collected by v(det h) in det_window.
+
+    Integer model.  With X = Xi / D (D the positive common denominator of
+    the coordinates) and L = |lo|, every coordinate of
+    Y = diag(h, 1) X diag(h, 1)^(-1) is an integer N_t over the common
+    denominator Den = D det(J) p^L.  The coset test v(Y_t - c_t) >= a_t of
+    a packet term with center c_t = cn_t / cd_t becomes the divisibility
+    (N_t cd_t - cn_t Den) % p^k == 0 with k = a_t + v(cd_t) + v(Den), and
+    holds outright when k <= 0.  det(J), its valuation and the
+    det-window test are ints as well.  Only a cell on which some term
+    passes gets an exact value, psi of the pairing times eta(det h), from
+    f.evaluate and eta at the Fraction point.
+
+    The certificate is unchanged: the divisibility test is the coset
+    test itself, not an approximation of it, so each pass adds exactly the
+    nonzero cell values of an enumeration in Fraction arithmetic, in the
+    same cell order, and orbital_rs still compares the M and M + 1 passes
+    exactly."""
     p = f.space.F.p
     q = Fraction(p)
     side = p ** (M - lo)
     if side ** 4 > budget:
         raise ScaleExceeded("rank-2 cell budget")
     vol = f_space(f.space.F, f.space.psi, 4).vol_lattice((M,) * 4)
-    reps = [Fraction(j * p ** lo) for j in range(side)]
+    L = abs(lo)
+    D = lcm(*(x.denominator for x in X))
+    Xi = [x.numerator * (D // x.denominator) for x in X]
+    a00, a01, b0, a10, a11, b1, c0, c1, e = Xi
+    pL = p ** L
+    sb = p ** (lo + L)  # scale of the h X column
+    sc = p ** (L - lo)  # scale of the X diag(h)^(-1) row
+    vD = val_p(D, p)
+    # det(J) valuations that put v(det h) = 2 lo + v(det J) in the window,
+    # each with the precompiled coset tests of every term: (t, cd_t,
+    # cn_t D p^L, p^k), keeping the coordinates with k > 0
+    tests = {}
+    for w in det_window:
+        vj = w - 2 * lo
+        compiled = []
+        for _, center, exps, _ in f.terms:
+            checks = []
+            for t in range(9):
+                c = center[t]
+                k = exps[t] + val_p(c.denominator, p) + vD + vj + L
+                if k > 0:
+                    checks.append((t, c.denominator, c.numerator * D * pL,
+                                   p ** k))
+            compiled.append(checks)
+        tests[vj] = compiled
     pairs = {}
-    for h11, h12, h21, h22 in itertools.product(reps, repeat=4):
-        dh = h11 * h22 - h12 * h21
-        if dh == 0:
+    for j11, j12, j21, j22 in itertools.product(range(side), repeat=4):
+        dJ = j11 * j22 - j12 * j21
+        if dJ == 0:
             # v(det) >= 2M + 2 min(lo,0) - ... beyond the window by choice of M
             continue
-        vd = val_p(dh, p)
-        if vd not in det_window:
+        vj = val_p(dJ, p)
+        compiled = tests.get(vj)
+        if compiled is None:
             continue
-        # Y = h3 X h3^(-1) with h3 = diag(h, 1)
-        inv = [[h22 / dh, -h12 / dh], [-h21 / dh, h11 / dh]]
-        h = [[h11, h12], [h21, h22]]
-        Y = _conjugate_3x3(h, inv, X)
-        val = f.evaluate(Y)
+        # N_t for Y = diag(J,1) Xi diag(adj J,1) scaled to Den = D dJ p^L
+        r00 = j11 * a00 + j12 * a10
+        r01 = j11 * a01 + j12 * a11
+        r10 = j21 * a00 + j22 * a10
+        r11 = j21 * a01 + j22 * a11
+        N = (
+            pL * (r00 * j22 - r01 * j21),
+            pL * (r01 * j11 - r00 * j12),
+            sb * dJ * (j11 * b0 + j12 * b1),
+            pL * (r10 * j22 - r11 * j21),
+            pL * (r11 * j11 - r10 * j12),
+            sb * dJ * (j21 * b0 + j22 * b1),
+            sc * (c0 * j22 - c1 * j21),
+            sc * (c1 * j11 - c0 * j12),
+            pL * dJ * e,
+        )
+        if not any(all((N[t] * cd - cnD * dJ) % m == 0
+                       for t, cd, cnD, m in checks) for checks in compiled):
+            continue
+        Den = D * dJ * pL
+        val = f.evaluate(tuple(Fraction(n, Den) for n in N))
         if val.is_zero():
             continue
-        c = val * eta(dh) * q ** (2 * vd)
-        key = vd
-        pairs[key] = pairs.get(key, CyclotomicScalar.zero()) + c
+        vd = 2 * lo + vj
+        c = val * eta(dJ * q ** (2 * lo)) * q ** (2 * vd)
+        pairs[vd] = pairs.get(vd, CyclotomicScalar.zero()) + c
     out = []
     for vd, c in pairs.items():
         out.append((c * vol, QRational.monomial(1, vd)))
     return OrbitalResult(out, {"variable": "q^-s"})
-
-
-def _conjugate_3x3(h, hinv, X):
-    """Coordinates of diag(h,1) X diag(h,1)^(-1) for 2x2 h and 3x3 X."""
-    Xm = _mat2_from_coords(X)
-    top = [[h[i][0] * Xm[0][j] + h[i][1] * Xm[1][j] for j in range(3)]
-           for i in range(2)]
-    rows = top + [Xm[2]]
-    out = []
-    for i in range(3):
-        r = rows[i]
-        out.extend(
-            [
-                r[0] * hinv[0][0] + r[1] * hinv[1][0],
-                r[0] * hinv[0][1] + r[1] * hinv[1][1],
-                r[2],
-            ]
-        )
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

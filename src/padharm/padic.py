@@ -37,15 +37,17 @@ def _is_prime(n):
 
 def val_p(x, p):
     """p-adic valuation of a nonzero int or Fraction."""
-    x = Fraction(x)
-    if x == 0:
+    if isinstance(x, int):
+        n, d = x, 1
+    else:
+        x = Fraction(x)
+        n, d = x.numerator, x.denominator
+    if n == 0:
         raise ValueError("valuation of zero")
     v = 0
-    n = x.numerator
     while n % p == 0:
         n //= p
         v += 1
-    d = x.denominator
     while d % p == 0:
         d //= p
         v -= 1

@@ -1,0 +1,228 @@
+"""The rank-2 cell kernel of orbital_rs against the Fraction enumeration it
+replaced, a frozen value at the local-constancy base point, and the cell
+budget refusal."""
+
+import itertools
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from padharm import orbital
+from padharm.characters import AdditiveCharacter, eta_for_extension
+from padharm.cli import main
+from padharm.cyclotomic import CyclotomicScalar
+from padharm.errors import ScaleExceeded
+from padharm.matrices import FractionRing, section_sigma
+from padharm.orbital import OrbitalResult, _orbital_rs_cells, orbital_rs
+from padharm.padic import FieldContext, QuadExtContext, val_p
+from padharm.qrational import QRational
+from padharm.spaces import WavePacket, f_space, matrix_space_f
+
+P = 3
+F = FieldContext(P, 8)
+PSI = AdditiveCharacter(F, 0)
+SPACE = matrix_space_f(F, PSI, 3)
+ETA = {delta: eta_for_extension(QuadExtContext(F, delta)) for delta in (2, 3)}
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the enumeration in Fraction arithmetic
+
+
+def _conjugate_3x3(h, hinv, X):
+    """Coordinates of diag(h,1) X diag(h,1)^(-1) for 2x2 h and 3x3 X."""
+    Xm = [[X[0], X[1], X[2]], [X[3], X[4], X[5]], [X[6], X[7], X[8]]]
+    top = [[h[i][0] * Xm[0][j] + h[i][1] * Xm[1][j] for j in range(3)]
+           for i in range(2)]
+    rows = top + [Xm[2]]
+    out = []
+    for i in range(3):
+        r = rows[i]
+        out.extend(
+            [
+                r[0] * hinv[0][0] + r[1] * hinv[1][0],
+                r[0] * hinv[0][1] + r[1] * hinv[1][1],
+                r[2],
+            ]
+        )
+    return tuple(out)
+
+
+def reference_cells(X, f, eta, lo, M, det_window, budget):
+    """Each cell h of p^lo [0, p^(M - lo))^4 conjugates X in Fraction
+    arithmetic and evaluates f there.  The representatives are built as
+    j * Fraction(p) ** lo, because j * p ** lo is a float for lo < 0."""
+    p = f.space.F.p
+    q = Fraction(p)
+    side = p ** (M - lo)
+    if side ** 4 > budget:
+        raise ScaleExceeded("rank-2 cell budget")
+    vol = f_space(f.space.F, f.space.psi, 4).vol_lattice((M,) * 4)
+    reps = [j * q ** lo for j in range(side)]
+    pairs = {}
+    for h11, h12, h21, h22 in itertools.product(reps, repeat=4):
+        dh = h11 * h22 - h12 * h21
+        if dh == 0:
+            continue
+        vd = val_p(dh, p)
+        if vd not in det_window:
+            continue
+        inv = [[h22 / dh, -h12 / dh], [-h21 / dh, h11 / dh]]
+        Y = _conjugate_3x3([[h11, h12], [h21, h22]], inv, X)
+        val = f.evaluate(Y)
+        if val.is_zero():
+            continue
+        c = val * eta(dh) * q ** (2 * vd)
+        pairs[vd] = pairs.get(vd, CyclotomicScalar.zero()) + c
+    out = []
+    for vd, c in pairs.items():
+        out.append((c * vol, QRational.monomial(1, vd)))
+    return OrbitalResult(out, {"variable": "q^-s"})
+
+
+def assert_same_cells(X, f, eta, lo, M, det_window):
+    got = _orbital_rs_cells(X, f, eta, lo, M, det_window, 10 ** 6)
+    want = reference_cells(X, f, eta, lo, M, det_window, 10 ** 6)
+    assert repr(got.pairs) == repr(want.pairs)
+    assert got.metadata == want.metadata
+    return want
+
+
+# ---------------------------------------------------------------------------
+# fixed cases
+
+
+def sigma_coords(a, b):
+    S = section_sigma(FractionRing(), a, b)
+    return tuple(Fraction(e) for row in S for e in row)
+
+
+BASE = sigma_coords((1, 2), (1, 1, 2))
+# a point whose coordinates have a common denominator D = 3
+BASE_D3 = sigma_coords((Fraction(1, 3), 2), (1, Fraction(-2, 3), 2))
+# frequencies in p^-1 Z on two coordinates: a phase across each coset
+TWIST = (Fraction(1, 3), 0, 0, 0, 0, Fraction(-2, 3), 0, 0, 0)
+WINDOW = set(range(-4, 7))
+
+
+def packet(center, exps, twisted):
+    freq = TWIST if twisted else None
+    return WavePacket.indicator(SPACE, exps, center=center, freq=freq)
+
+
+@pytest.mark.parametrize("delta", [2, 3])
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("center", [BASE, BASE_D3], ids=["D1", "D3"])
+def test_kernel_matches_reference_at_base_granularity(delta, twisted, center):
+    # lo = 0, M = 1: the answer pass of the local-constancy suite
+    want = assert_same_cells(center, packet(center, 1, twisted),
+                             ETA[delta], 0, 1, {0})
+    assert not want.is_zero()
+
+
+@pytest.mark.parametrize("delta", [2, 3])
+@pytest.mark.parametrize("twisted", [False, True])
+def test_kernel_matches_reference_in_certificate_pass(delta, twisted):
+    # lo = 0, M = 2: the 6561-cell refinement pass
+    want = assert_same_cells(BASE, packet(BASE, 1, twisted),
+                             ETA[delta], 0, 2, {0})
+    assert not want.is_zero()
+
+
+@pytest.mark.parametrize("lo", [-1, 0, 1])
+@pytest.mark.parametrize("delta", [2, 3])
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("center", [BASE, BASE_D3], ids=["D1", "D3"])
+def test_kernel_matches_reference_across_box_floors(lo, delta, twisted,
+                                                    center):
+    # wide supports, so that the p^lo scaling of h decides which cells count
+    for exps in (-2, 0):
+        assert_same_cells(center, packet(center, exps, twisted),
+                          ETA[delta], lo, lo + 1, WINDOW)
+
+
+@pytest.mark.parametrize("lo", [-1, 0, 1])
+def test_kernel_matches_reference_nonzero_at_every_box_floor(lo):
+    # inert eta is 1 on units, so the wide-support sums do not cancel; the
+    # one-value window {2 lo} keeps only the cells with a unit det(J)
+    for window in ({2 * lo}, WINDOW):
+        want = assert_same_cells(BASE_D3, packet(BASE_D3, -2, False),
+                                 ETA[2], lo, lo + 1, window)
+        assert not want.is_zero()
+
+
+def test_kernel_matches_reference_on_a_multi_term_packet():
+    terms = [
+        (1, BASE, (1,) * 9, (0,) * 9),
+        (Fraction(-2, 3), BASE_D3, (0,) * 9, TWIST),
+        (5, (0,) * 9, (-1,) * 9, (0,) * 9),
+    ]
+    f = WavePacket(SPACE, terms)
+    for lo in (-1, 0, 1):
+        assert_same_cells(BASE_D3, f, ETA[2], lo, lo + 1, WINDOW)
+        assert_same_cells(BASE_D3, f, ETA[3], lo, lo + 1, WINDOW)
+
+
+small_rationals = st.builds(
+    lambda n, k: Fraction(n, P ** k),
+    st.integers(-9, 9), st.integers(0, 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    X=st.tuples(*[small_rationals] * 9),
+    center=st.tuples(*[small_rationals] * 9),
+    exps=st.tuples(*[st.integers(-2, 1)] * 9),
+    freq=st.tuples(*[st.sampled_from((0, Fraction(1, 3), Fraction(-1, 3)))] * 9),
+    lo=st.integers(-1, 1),
+    window=st.sets(st.integers(-2, 4), min_size=1, max_size=3),
+    delta=st.sampled_from((2, 3)),
+)
+def test_kernel_matches_reference_on_random_packets(X, center, exps, freq,
+                                                    lo, window, delta):
+    f = WavePacket(SPACE, [(1, center, exps, freq)])
+    assert_same_cells(X, f, ETA[delta], lo, lo + 1, window)
+
+
+# ---------------------------------------------------------------------------
+# orbital_rs through the kernel
+
+
+def test_frozen_value_at_the_local_constancy_base_point():
+    f = packet(BASE, 1, False)
+    res = orbital_rs(BASE, f, ETA[2])
+    assert res == OrbitalResult([(Fraction(1, 81), QRational.const(1))])
+    assert res.value0().as_rational() == Fraction(1, 81)
+    assert res.metadata == {"variable": "q^-s", "n": 2, "box_floor": 0,
+                            "granularity": 1, "det_window": [0]}
+
+
+def test_certificate_pass_refused_before_any_cell(monkeypatch):
+    calls = []
+
+    def counting_cells(*args):
+        calls.append(args)
+        raise AssertionError("no cell pass may run")
+
+    monkeypatch.setattr(orbital, "_orbital_rs_cells", counting_cells)
+    f = WavePacket.indicator(SPACE, 2, center=BASE)
+    # M = 2: 3^8 = 6561 cells in the answer pass, 3^12 = 531441 in the
+    # certificate pass, over the default budget of 500000
+    with pytest.raises(ScaleExceeded, match="rank-2 cell budget"):
+        orbital_rs(BASE, f, ETA[2])
+    assert calls == []
+
+
+def test_cli_refuses_lattice_exponent_two_with_exit_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(orbital, "_orbital_rs_cells",
+                        lambda *args: pytest.fail("a cell pass ran"))
+    X = [str(x) for x in BASE]
+    payload = {"X": X, "f": {"space": {"kind": "matrix-f", "k": 3},
+                             "terms": [{"coeff": 1, "exps": [2] * 9,
+                                        "center": X}]}}
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    assert main(["--payload", str(path), "--out", str(tmp_path / "out.json"),
+                 "oi-rs"]) == 3

@@ -15,6 +15,14 @@ def test_val_p():
     assert val_p(Fraction(5), 3) == 0
 
 
+def test_val_p_int_matches_fraction():
+    for n in list(range(-100, 0)) + list(range(1, 100)) + [3 ** 40, -2 * 3 ** 17]:
+        assert val_p(n, 3) == val_p(Fraction(n), 3)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError):
+            val_p(zero, 3)
+
+
 def test_field_context_rejects_p2_and_composites():
     with pytest.raises(UnsupportedPlace):
         FieldContext(2, 4)
