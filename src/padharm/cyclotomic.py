@@ -6,6 +6,16 @@ e(r)e(r') = e(r+r'), and equality is decided exactly by reducing the
 exponent vector modulo the n-th cyclotomic polynomial, n = lcm of the
 denominators.  This ring contains every value we need: roots of unity,
 rationals, Gauss sums, and sqrt(p) for odd p.
+
+Normal form: every instance holds `terms` as a dict {r: c} with Fraction
+keys r in [0, 1) and nonzero Fraction values c.  The public constructor
+brings arbitrary input to that form; the ring operations build their
+results directly in it and wrap them with the trusted `_normal`, so no
+result is normalized a second time.  The normal form is not unique
+(e(0) + e(1/2) is in normal form and equals 0), so equality is still
+decided by `is_zero`.  Instances are immutable: operations may return an
+operand itself or a cached value such as `sqrt_prime(p)`, so `terms` is
+never changed in place.
 """
 
 from __future__ import annotations
@@ -54,6 +64,10 @@ def _lcm(a, b):
     return a * b // gcd(a, b)
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 class CyclotomicScalar:
     __slots__ = ("terms",)
 
@@ -73,34 +87,55 @@ class CyclotomicScalar:
     # -- constructors -------------------------------------------------
     @staticmethod
     def from_rational(c):
-        return CyclotomicScalar({Fraction(0): Fraction(c)})
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        return _normal({_ZERO: c} if c else {})
 
     @staticmethod
     def root_of_unity(r):
-        return CyclotomicScalar({Fraction(r) % 1: Fraction(1)})
+        if not isinstance(r, Fraction):
+            r = Fraction(r)
+        if r.numerator < 0 or r.numerator >= r.denominator:
+            r %= 1
+        return _normal({r: _ONE})
 
     @staticmethod
     def zero():
-        return CyclotomicScalar()
+        return _normal({})
 
     @staticmethod
     def one():
-        return CyclotomicScalar.from_rational(1)
+        return _normal({_ZERO: _ONE})
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        t = dict(self.terms)
-        for r, c in other.terms.items():
-            t[r] = t.get(r, Fraction(0)) + c
-        return CyclotomicScalar(t)
+        a, b = self.terms, other.terms
+        if not b:
+            return self
+        if not a:
+            return other
+        if len(a) < len(b):
+            a, b = b, a
+        t = dict(a)
+        for r, c in b.items():
+            s = t.get(r)
+            if s is None:
+                t[r] = c
+            else:
+                s += c
+                if s:
+                    t[r] = s
+                else:
+                    del t[r]
+        return _normal(t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicScalar({r: -c for r, c in self.terms.items()})
+        return _normal({r: -c for r, c in self.terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -115,17 +150,37 @@ class CyclotomicScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            # a monomial c*e(s) rotates the other factor: no keys collide
+            ((s, c),) = b.items()
+            if not s:
+                return _normal({r: x * c for r, x in a.items()})
+            t = {}
+            for r, x in a.items():
+                r += s
+                if r.numerator >= r.denominator:
+                    r -= 1
+                t[r] = x * c
+            return _normal(t)
         t = {}
-        for r1, c1 in self.terms.items():
-            for r2, c2 in other.terms.items():
-                r = (r1 + r2) % 1
-                t[r] = t.get(r, Fraction(0)) + c1 * c2
-        return CyclotomicScalar(t)
+        for r1, c1 in a.items():
+            for r2, c2 in b.items():
+                r = r1 + r2
+                if r.numerator >= r.denominator:
+                    r -= 1
+                c = c1 * c2
+                s = t.get(r)
+                t[r] = c if s is None else s + c
+        return _normal({r: c for r, c in t.items() if c})
 
     __rmul__ = __mul__
 
     def conj(self):
-        return CyclotomicScalar({(-r) % 1: c for r, c in self.terms.items()})
+        return _normal({(_ONE - r if r else r): c
+                        for r, c in self.terms.items()})
 
     # -- decision procedures --------------------------------------------
     def _reduced(self):
@@ -201,7 +256,7 @@ class CyclotomicScalar:
             return CyclotomicScalar.from_rational(1 / q)
         if len(self.terms) == 1:
             ((r, c),) = self.terms.items()
-            return CyclotomicScalar({(-r) % 1: 1 / c})
+            return _normal({(_ONE - r if r else r): 1 / c})
         raise ArithmeticError("inverse only implemented for monomial elements")
 
     def __bool__(self):
@@ -215,6 +270,17 @@ class CyclotomicScalar:
             c = self.terms[r]
             bits.append(f"{c}*e({r})" if r else f"{c}")
         return "Cyc(" + " + ".join(bits) + ")"
+
+
+_new = object.__new__
+
+
+def _normal(terms):
+    """The trusted constructor: wrap a dict that is already in normal form
+    (Fraction keys in [0, 1), nonzero Fraction values) without checking it."""
+    out = _new(CyclotomicScalar)
+    out.terms = terms
+    return out
 
 
 def _coerce(x):
@@ -234,6 +300,7 @@ def legendre(a, p):
     return 1 if t == 1 else -1
 
 
+@lru_cache(maxsize=64)
 def sqrt_prime(p):
     """sqrt(p) as a CyclotomicScalar, via the quadratic Gauss sum.
 

@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import itemgetter
 
 from .cyclotomic import CyclotomicScalar, sqrt_rational_power
 from .errors import ScaleExceeded, SchemaError
 from .padic import val_p
 
 DEFAULT_TERM_BUDGET = 300000
+
+_ZERO = Fraction(0)
+_by_sort_key = itemgetter(0)
 
 
 class Space:
@@ -61,11 +65,17 @@ class Space:
         return hash((self.F, self.psi, self.weights, self.pairing))
 
     def pair(self, x, y):
-        return sum(
-            (c * Fraction(xi) * Fraction(y[p]) for c, xi, p in
-             zip(self.weights, x, self.pairing)),
-            Fraction(0),
-        )
+        total = _ZERO
+        for c, xi, j in zip(self.weights, x, self.pairing):
+            if xi:
+                yj = y[j]
+                if yj:
+                    if not isinstance(xi, Fraction):
+                        xi = Fraction(xi)
+                    if not isinstance(yj, Fraction):
+                        yj = Fraction(yj)
+                    total += c * xi * yj
+        return total
 
     def dual_exps(self, exps):
         d = self.psi.d
@@ -160,10 +170,31 @@ def s_space(ext, psi, k):
 
 
 def _mod_lattice(x, a, p):
-    """Representative of x modulo p^a Z_(p), in [0, p^a)."""
-    x = Fraction(x)
-    pa = Fraction(p) ** a
-    return x - pa * (x / pa).__floor__()
+    """The representative of x modulo p^a Z_(p): the unique m / p^k in
+    [0, p^a) with x - m / p^k in p^a Z_(p).
+
+    The p-prime part of the denominator is inverted modulo a power of p,
+    so 1/2 and 0 are the same class modulo Z_(3).  Returns x itself when
+    it already is the representative.
+    """
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    num, unit = x.numerator, x.denominator
+    v = 0
+    while unit % p == 0:
+        unit //= p
+        v += 1
+    # p^k x lies in Z_(p); the class lives in Z_(p) / p^(k + a) Z_(p)
+    k = max(v, -a)
+    if k + a == 0:
+        return _ZERO
+    mod = p ** (k + a)
+    n = num * p ** (k - v)
+    if unit == 1:
+        if 0 <= n < mod:
+            return x
+        return Fraction(n % mod, p ** k)
+    return Fraction(n * pow(unit, -1, mod) % mod, p ** k)
 
 
 class WavePacket:
@@ -176,27 +207,35 @@ class WavePacket:
     def _canonicalize(self, terms, budget):
         sp = self.space
         p = sp.F.p
-        merged = {}
+        rows = []
         for coeff, center, exps, freq in terms:
             if len(center) != sp.dim or len(exps) != sp.dim or len(freq) != sp.dim:
                 raise SchemaError("term dimension mismatch")
             if not isinstance(coeff, CyclotomicScalar):
                 coeff = CyclotomicScalar.from_rational(coeff)
+            exps = tuple(exps)
             duals = sp.dual_exps(exps)
             newf = tuple(
                 _mod_lattice(f, b, p) for f, b in zip(freq, duals)
             )
-            lam = tuple(Fraction(f) - nf for f, nf in zip(freq, newf))
+            newc = tuple(_mod_lattice(c, a, p) for c, a in zip(center, exps))
+            lam = tuple(
+                _ZERO if nf is f else Fraction(f) - nf
+                for f, nf in zip(freq, newf)
+            )
             if any(lam):
                 coeff = coeff * sp.psi(sp.pair(lam, center))
-            newc = tuple(_mod_lattice(c, a, p) for c, a in zip(center, exps))
-            key = (newc, tuple(exps), newf)
-            merged[key] = merged.get(key, CyclotomicScalar.zero()) + coeff
+            key = (newc, exps, newf)
+            rows.append((_term_sort_key(key), key, coeff))
+        # equal sort keys are equal terms: merge each run of them
+        rows.sort(key=_by_sort_key)
         out = []
-        for key in sorted(merged, key=_term_sort_key):
-            c = merged[key]
-            if not c.is_zero():
-                out.append((c, *key))
+        for _, run in itertools.groupby(rows, key=_by_sort_key):
+            total = CyclotomicScalar.zero()
+            for _, key, coeff in run:
+                total = total + coeff
+            if not total.is_zero():
+                out.append((total, *key))
         if len(out) > budget:
             raise ScaleExceeded(f"wave packet with {len(out)} terms")
         return tuple(out)
@@ -354,12 +393,11 @@ class WavePacket:
                 raise ScaleExceeded("refinement blows the term budget")
             na = tuple(max(e, ai) for e, ai in zip(exps, a))
             # enumerate offsets in prod p^{a_i} O / p^{na_i} O
-            ranges = [
-                [Fraction(j * p ** a[i]) for j in range(p ** deltas[i])]
-                for i in range(sp.dim)
-            ]
-            for combo in itertools.product(*ranges):
-                nx = tuple(x + o for x, o in zip(x0, combo))
+            ranges = []
+            for x, ai, di in zip(x0, a, deltas):
+                step = Fraction(p) ** ai
+                ranges.append([x + step * j for j in range(p ** di)])
+            for nx in itertools.product(*ranges):
                 out.append((c, nx, na, f0))
         return WavePacket(sp, out, budget=budget)
 
@@ -374,13 +412,12 @@ class WavePacket:
         exps = tuple(
             max(t[2][i] for t in allterms) for i in range(n)
         )
-        a = self.refined(exps, budget)
-        b = other.refined(exps, budget)
-        da = {(x0, ax, f0): c for c, x0, ax, f0 in a.terms}
-        db = {(x0, ax, f0): c for c, x0, ax, f0 in b.terms}
-        if set(da) != set(db):
+        # both refinements are canonical: sorted, one term per key
+        a = self.refined(exps, budget).terms
+        b = other.refined(exps, budget).terms
+        if len(a) != len(b) or any(s[1:] != t[1:] for s, t in zip(a, b)):
             return False
-        return all((da[k] - db[k]).is_zero() for k in da)
+        return all((s[0] - t[0]).is_zero() for s, t in zip(a, b))
 
     def support_centers(self):
         return tuple((t[1], t[2]) for t in self.terms)

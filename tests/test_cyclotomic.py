@@ -77,3 +77,38 @@ def test_ring_axioms(a, b, c):
 @given(cycs, cycs)
 def test_conj_is_multiplicative(a, b):
     assert ((a * b).conj() - a.conj() * b.conj()).is_zero()
+
+
+def assert_normal(x):
+    """Fraction keys in [0, 1), nonzero Fraction values, and nothing left
+    for the public constructor to normalize."""
+    for r, c in x.terms.items():
+        assert type(r) is Fraction and 0 <= r < 1
+        assert type(c) is Fraction and c != 0
+    assert x.terms == CyclotomicScalar(dict(x.terms)).terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(cycs, cycs, rationals,
+       st.fractions(min_value=-3, max_value=3, max_denominator=12))
+def test_operations_stay_in_normal_form(a, b, q, r):
+    for x in (a + b, a - b, a * b, -a, a.conj(), a + q, q - a, a * q,
+              a * e(r), a * (b - b), (e(0) + e("1/2")) * (e(0) - e("1/2")),
+              CyclotomicScalar.from_rational(q),
+              CyclotomicScalar.root_of_unity(r), CyclotomicScalar.zero(),
+              CyclotomicScalar.one()):
+        assert_normal(x)
+
+
+def test_public_constructor_normalizes_raw_input():
+    x = CyclotomicScalar({
+        Fraction(5, 4): 2, Fraction(1, 4): -2,  # collide after % 1, cancel
+        Fraction(-1, 3): 0,                      # zero coefficient
+        3: Fraction(1, 2),                       # key outside [0, 1)
+        "1/2": 1, Fraction(3, 2): 1,             # collide after % 1, add
+        Fraction(-2, 3): Fraction(1, 3),         # negative key
+    })
+    assert x.terms == {Fraction(0): Fraction(1, 2), Fraction(1, 2): 2,
+                       Fraction(1, 3): Fraction(1, 3)}
+    assert_normal(x)
+    assert CyclotomicScalar({0: 0}).terms == {}

@@ -3,11 +3,17 @@ calculus, and the independent Riemann-sum transform oracle."""
 
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from padharm.cyclotomic import CyclotomicScalar
 from padharm.padic import FieldContext, QuadExtContext
 from padharm.characters import AdditiveCharacter
+from padharm.padic import val_p
 from padharm.spaces import (
     WavePacket,
+    _mod_lattice,
     e_space,
     f_space,
     matrix_space_f,
@@ -116,3 +122,103 @@ def test_extension_space_double_transform():
         f = WavePacket.indicator(sp, 0, center=tuple(
             Fraction(i, 3) for i in range(sp.dim)))
         assert f.fourier().fourier().equals(f.reflect())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=-20, max_value=20, max_denominator=200),
+       st.integers(min_value=-3, max_value=3), st.sampled_from([2, 3, 5]))
+def test_mod_lattice_is_the_z_p_representative(x, a, p):
+    r = _mod_lattice(x, a, p)
+    assert type(r) is Fraction
+    assert 0 <= r < Fraction(p) ** a
+    assert r.denominator == p ** val_p(r.denominator, p)
+    assert x == r or val_p(x - r, p) >= a
+
+
+def test_p_unit_denominators_are_canonical():
+    # at p = 3, 1/2 is a unit: 1/2 + Z_3 = Z_3 and 1/6 + Z_3 = 2/3 + Z_3
+    F, psi = setup_field()
+    sp = f_space(F, psi, 1)
+    unit = WavePacket.indicator(sp, 0)
+    half = WavePacket.indicator(sp, 0, center=(Fraction(1, 2),))
+    assert half.terms == unit.terms
+    assert half.equals(unit)
+    sixth = WavePacket.indicator(sp, 0, center=(Fraction(1, 6),))
+    assert sixth.terms[0][1] == (Fraction(2, 3),)
+    # psi(x/2) is constant on 1/3 + Z_3: the frequency 1/2 folds into
+    # the coefficient psi(1/6)
+    f = WavePacket.indicator(sp, 0, center=(Fraction(1, 3),),
+                             freq=(Fraction(1, 2),))
+    ((c, center, _, freq),) = f.terms
+    assert center == (Fraction(1, 3),) and freq == (Fraction(0),)
+    assert (c - psi(Fraction(1, 6))).is_zero()
+    for x in (Fraction(1, 3), Fraction(4, 3), Fraction(-2, 3), Fraction(5, 6)):
+        assert (f.evaluate((x,)) - psi(x / 2)).is_zero()
+    assert f.evaluate((Fraction(0),)).is_zero()
+
+
+def test_refinement_of_a_wide_lattice_is_exact():
+    F, psi = setup_field()
+    sp = f_space(F, psi, 1)
+    wide = WavePacket.indicator(sp, -1)
+    thirds = [WavePacket.indicator(sp, 0, center=(Fraction(j, 3),))
+              for j in range(3)]
+    assert wide.equals(thirds[0] + thirds[1] + thirds[2])
+    assert not thirds[0].equals(thirds[1])
+    assert [t[1] for t in wide.refined((0,)).terms] == [
+        (Fraction(0),), (Fraction(1, 3),), (Fraction(2, 3),)]
+
+
+def _pinned_cases():
+    F, psi = setup_field()
+    ext = QuadExtContext(F, 2)
+    third = Fraction(1, 3)
+    return {
+        "f": (f_space(F, psi, 1),
+              [(CyclotomicScalar({third: 1, 0: 2}), (third,), (-1,),
+                (Fraction(2, 3),)),
+               (Fraction(-1, 2), (Fraction(4, 9),), (1,), (Fraction(1, 9),))],
+              [(2, (Fraction(2, 3),), (0,), (0,)), (1, (0,), (1,), (0,))]),
+        "e": (e_space(ext, psi, 1),
+              [(1, (third, 0), (-1, 0), (0, Fraction(2, 3)))],
+              [(1, (0, third), (1, 1), (0, 0)), (-1, (0, 0), (0, -1), (0, 0))]),
+        "m2": (matrix_space_f(F, psi, 2),
+               [(1, (third, 0, Fraction(2, 3), 1), (-1, 0, 1, 0),
+                 (0, third, 0, Fraction(2, 9)))],
+               [(Fraction(1, 2), (0, 0, third, 0), (0, 0, 1, 2), (0, 0, 0, 0))]),
+    }
+
+
+# The canonical form of a packet: the repr of its terms, frozen so that a
+# rewrite of the scalar or packet kernels cannot move it unnoticed.
+PINNED = {
+    "f": (
+        "((Cyc(-1/6*e(4/81)), (Fraction(2, 9),), (-1,), (Fraction(4, 9),)), "
+        "(Cyc(6 + 3*e(1/3)), (Fraction(7, 3),), (1,), (Fraction(0, 1),)))",
+        "((Cyc(2/3 + 1/3*e(1/3)), (Fraction(0, 1),), (-1,), "
+        "(Fraction(2, 3),)),)",
+    ),
+    "e": (
+        "((Cyc(3), (Fraction(0, 1), Fraction(1, 3)), (1, 0), "
+        "(Fraction(0, 1), Fraction(0, 1))),)",
+        "((Cyc(1/9*e(5/9)), (Fraction(0, 1), Fraction(1, 3)), (-1, 0), "
+        "(Fraction(0, 1), Fraction(2, 3))),)",
+    ),
+    "m2": (
+        "((Cyc(1*e(2/9)), (Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), "
+        "Fraction(7, 9)), (1, -1, 0, 0), (Fraction(0, 1), Fraction(0, 1), "
+        "Fraction(2, 3), Fraction(0, 1))),)",
+        "((Cyc(1/54*e(2/9)), (Fraction(0, 1), Fraction(0, 1), Fraction(1, 1), "
+        "Fraction(0, 1)), (-1, 0, 1, 0), (Fraction(0, 1), Fraction(0, 1), "
+        "Fraction(0, 1), Fraction(2, 9))),)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_canonical_packets_are_pinned(name):
+    sp, tf, tg = _pinned_cases()[name]
+    f, g = WavePacket(sp, tf), WavePacket(sp, tg)
+    fourier, conv = PINNED[name]
+    assert repr(f.fourier().terms) == fourier
+    assert repr(f.convolve_add(g).terms) == conv
