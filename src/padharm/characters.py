@@ -73,23 +73,6 @@ class AdditiveCharacter:
         return CyclotomicScalar.root_of_unity(self.phase(x))
 
 
-class AdditiveCharacterE:
-    """psi_E(z) = psi(tr(z)/2); restricts to psi on F."""
-
-    def __init__(self, psi):
-        self.psi = psi
-
-    def __call__(self, z):
-        if isinstance(z, QuadExtScalar):
-            return self.psi(z.x)
-        # rational pair (x, y) meaning x + tau*y
-        x, _ = z
-        return self.psi(x)
-
-    def conj_value(self, z):
-        return self(z).conj()
-
-
 @lru_cache(maxsize=None)
 def _dlog_table_F(p):
     """Discrete logs in F_p^* for a fixed generator; returns (g, table)."""
@@ -281,10 +264,6 @@ def eta_prime_default(ext, eta=None):
     eta_delta = eta.phase(ext.delta_fraction)
     r_tau = eta_delta / 2
     return ExtCharacter(ext, r_tau, (p - 1) // 2)
-
-
-def omega_trivial(ext):
-    return ExtCharacter(ext, 0, 0)
 
 
 def gauss_sum(eta, psi):

@@ -191,6 +191,20 @@ def parse_space(value, config, pointer):
     return s_space(ext, psi, size)
 
 
+def parse_exp_pairs(value, pointer):
+    """The [r, c] pairs of a coefficient sum c e(r) as {r: total c}: a
+    repeated exponent adds up."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{pointer}: expected a list")
+    summed = {}
+    for i, pair in enumerate(value):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SchemaError(f"{pointer}/{i}: expected [exponent, coefficient]")
+        r = parse_frac(pair[0], f"{pointer}/{i}/0")
+        summed[r] = summed.get(r, 0) + parse_frac(pair[1], f"{pointer}/{i}/1")
+    return summed
+
+
 def parse_packet(value, config, pointer):
     if not isinstance(value, dict):
         raise SchemaError(f"{pointer}: expected an object")
@@ -206,8 +220,7 @@ def parse_packet(value, config, pointer):
         coeff = t.get("coeff", 1)
         if isinstance(coeff, dict):
             c = CyclotomicScalar(
-                {parse_frac(r, f"{ptr}/coeff"): parse_frac(v, f"{ptr}/coeff")
-                 for r, v in coeff.get("terms", [])})
+                parse_exp_pairs(coeff.get("terms", []), f"{ptr}/coeff/terms"))
         else:
             c = CyclotomicScalar.from_rational(parse_frac(coeff, f"{ptr}/coeff"))
         dim = space.dim
@@ -578,9 +591,6 @@ def _build_parser():
                         help="write the JSON result here instead of stdout")
     parser.add_argument("--payload", metavar="PATH",
                         help="JSON payload (default: stdin when piped)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker budget hint (results are identical "
-                             "for any value)")
     parser.add_argument("--measure", choices=["norm", "unnorm"],
                         help="override the configured measure mode")
     parser.add_argument("--seed", type=int, help="seed for sampled suites")
@@ -617,8 +627,6 @@ def run(command, config, payload, args):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     try:
         doc = _load_json(args.config, "/config") if args.config else {}
         config = RunConfig(doc)

@@ -16,29 +16,12 @@ import itertools
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicScalar
-from .errors import InvalidLevel, NotAdmissible, SchemaError
-from .padic import val_p
+from .errors import InvalidLevel, SchemaError
+from .padic import e_matmul, val_p
 from .spaces import WavePacket, e_space, matrix_space_e, riemann_fourier, tensor
 
 
-# -- exact arithmetic on E-points given as Fraction pairs --------------------
-
-
-def e_mul(a, b, delta):
-    return (a[0] * b[0] + delta * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def e_matmul(A, B, delta):
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[(Fraction(0), Fraction(0))] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            s = (Fraction(0), Fraction(0))
-            for t in range(k):
-                prod = e_mul(A[i][t], B[t][j], delta)
-                s = (s[0] + prod[0], s[1] + prod[1])
-            out[i][j] = s
-    return out
+# -- E-points given as Fraction pairs ------------------------------------------
 
 
 def mat_to_coords(A, k):
@@ -324,58 +307,6 @@ def matrix_invariance_report(data, samples=8, seed=0):
         if f.evaluate(mat_to_coords(g2, k)) != base:
             ok = False
     return {"ok": ok, "samples": samples}
-
-
-# -- decomposition -------------------------------------------------------------
-
-
-def decompose_admissible(varphi_data, phi_data):
-    """Split an admissible pair into the nested column/row components.
-
-    Returns the list of column functions phi_i (innermost first), the row
-    functions phi'_i, and the exact value of the row-function integral over
-    the lower-triangular Borel of F (multiplicative measure on the diagonal,
-    additive below).
-    """
-    if varphi_data.kind != "matrix" or phi_data.kind != "column":
-        raise NotAdmissible("expected a (matrix, column) admissible pair")
-    if (
-        varphi_data.k != phi_data.k
-        or varphi_data.m != phi_data.m
-        or varphi_data.ext != phi_data.ext
-    ):
-        raise NotAdmissible("mismatched admissible pair")
-    k, m = varphi_data.k, varphi_data.m
-    ext, psi = varphi_data.ext, varphi_data.psi
-    q = Fraction(ext.F.p)
-    columns = {k: phi_data}
-    rows = {}
-    for i in range(k, 0, -1):
-        # row i of varphi (1-indexed size-i row including the diagonal)
-        rows[i] = [varphi_data.entries[(i - 1, j)] for j in range(i)]
-        if i >= 2:
-            col = DaggerData(
-                "column", ext, psi, m, i - 1,
-                {t: varphi_data.entries[(t, i - 1)] for t in range(i - 1)},
-                None,
-            )
-            columns[i - 1] = col
-    # integral of the assembled row function over the lower Borel:
-    # diagonal entries against d*x (volume q^-m on 1 + p^m O_F), strictly
-    # lower entries against additive measure (volume q^-m on p^m O_F)
-    integral = Fraction(1)
-    for i in range(1, k + 1):
-        for j in range(i):
-            comp = rows[i][j]
-            if j == i - 1:
-                if not comp.equals(indicator_E(ext, psi, (m, m), (1, 0))):
-                    raise NotAdmissible("diagonal row entry is not standard")
-                integral *= q ** (-m)
-            else:
-                if not comp.equals(indicator_E(ext, psi, (m, m))):
-                    raise NotAdmissible("off-diagonal row entry is not standard")
-                integral *= q ** (-m)
-    return {"columns": columns, "rows": rows, "b_integral": integral}
 
 
 # -- the compactness identity at n = 2 ---------------------------------------

@@ -35,9 +35,6 @@ class LFactor:
         self.place = place
         self.exponent = exponent
 
-    def at_q(self, q):
-        return self.value.evaluate(Fraction(1, q))
-
     def __repr__(self):
         return f"LFactor({self.name}, {self.value!r})"
 

@@ -131,11 +131,6 @@ def identity(R, n):
     )
 
 
-def zero_matrix(R, n, m=None):
-    m = n if m is None else m
-    return mat([[R.zero()] * m for _ in range(n)])
-
-
 def mat_add(A, B):
     return mat([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
 
@@ -146,10 +141,6 @@ def mat_sub(A, B):
 
 def mat_neg(A):
     return mat([[-a for a in r] for r in A])
-
-
-def mat_scale(c, A):
-    return mat([[c * a for a in r] for r in A])
 
 
 def mat_mul(A, B):
@@ -168,13 +159,6 @@ def mat_mul(A, B):
 
 def transpose(A):
     return tuple(zip(*A))
-
-
-def mat_pow(R, A, k):
-    out = identity(R, len(A))
-    for _ in range(k):
-        out = mat_mul(out, A)
-    return out
 
 
 def det(R, A):
@@ -516,18 +500,6 @@ def in_script_w(R, X):
                 if not R.is_zero(X[i][j] - R.one()):
                     return False
             elif not R.is_zero(X[i][j]):
-                return False
-    return True
-
-
-def in_lower_unipotent(R, h):
-    m = len(h)
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                if not R.is_zero(h[i][j] - R.one()):
-                    return False
-            elif j > i and not R.is_zero(h[i][j]):
                 return False
     return True
 

@@ -39,7 +39,7 @@ from .errors import (
     PoleAtEvaluationPoint,
     ScaleExceeded,
 )
-from .padic import val_p
+from .padic import e_det2, e_matmul, val_p
 from .qrational import Poly, QRational
 from .spaces import WavePacket, e_minus_space, e_space, f_space, matrix_space_e, s_space
 
@@ -164,20 +164,6 @@ class OrbitalResult:
 
     def __repr__(self):
         return f"OrbitalResult({len(self.pairs)} summands)"
-
-
-class CellDecomposition:
-    """A finite decomposition of an integration region into product cells;
-    the cell measures must add up to the region measure."""
-
-    __slots__ = ("cells", "region_measure")
-
-    def __init__(self, cells, region_measure):
-        self.cells = tuple(cells)
-        self.region_measure = Fraction(region_measure)
-        total = sum((Fraction(m) for _, m in self.cells), Fraction(0))
-        if total != self.region_measure:
-            raise NotInDomain("cell measures do not add up to the region")
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +389,18 @@ def _delta_plus_val_window(f, Xm, p):
     """Certify that Delta_+ has constant valuation on each term of supp f
     and return {v(Delta_+(X)) - vd} U entry bounds via the section
     delta_+: h = delta_+(Y) delta_+(X)^(-1), det h = Delta_+(Y)/Delta_+(X)."""
-    from .matrices import Delta_plus, FractionRing, delta_plus, det, mat, mat_inv
+    from .matrices import (
+        Delta_plus,
+        FractionRing,
+        delta_plus,
+        det,
+        mat_from_scalars,
+        mat_inv,
+    )
 
     R = FractionRing()
     k = 3
-    DX = delta_plus(R, mat([[R.coerce(x) for x in row] for row in Xm]))
+    DX = delta_plus(R, mat_from_scalars(R, Xm))
     dX = det(R, DX)
     if dX == 0:
         raise NotRegularSemisimple("Delta_+(X) = 0")
@@ -425,9 +418,7 @@ def _delta_plus_val_window(f, Xm, p):
              for t in range(k * k)]
         )
         m0 = c_min if m0 is None else min(m0, c_min)
-        Ym = mat([[R.coerce(x) for x in row]
-                  for row in _mat2_from_coords(center)])
-        dY = Delta_plus(R, Ym)
+        dY = Delta_plus(R, mat_from_scalars(R, _mat2_from_coords(center)))
         # integer-coefficient polynomial of degree 3 in the entries:
         # perturbing by p^a_min moves Delta_+ inside p^(a_min + 2 min(0, c_min))
         bound = a_min + 2 * min(0, c_min)
@@ -662,12 +653,7 @@ def f_natural_direct(ext, psi, eta_prime, r, X, slack=0):
             [(h[i][j], Xm[i][0] * h[0][j] + Xm[i][1] * h[1][j]) for j in range(2)]
             for i in range(2)
         ]
-        a, b = m[0][0], m[1][1]
-        c, dd = m[0][1], m[1][0]
-        detE = (
-            a[0] * b[0] + delta * a[1] * b[1] - c[0] * dd[0] - delta * c[1] * dd[1],
-            a[0] * b[1] + a[1] * b[0] - c[0] * dd[1] - c[1] * dd[0],
-        )
+        detE = e_det2(m, delta)
         total = total + eta_prime(ext.scalar(*detE)) * cellvol
     return c2 * total
 
@@ -738,33 +724,21 @@ def f_psi_natural_direct(ext, psi, eta_prime, phi_data, r, X, slack=0):
     c2 = _inv_vol(matrix_space_e(ext, psi, 2), (r,) * 8)
     uvol = e_space(ext, psi, 1).vol_lattice((Lu, Lu))
     Xm = [[X[0], X[1]], [X[2], X[3]]]
+    # 1 + tau X over E, entries as (plus, minus) pairs, and its determinant
+    one_plus = [
+        [(Fraction(1 if i == j else 0), Xm[i][j]) for j in range(2)]
+        for i in range(2)
+    ]
+    det1X = e_det2(one_plus, delta)
     total = CyclotomicScalar.zero()
     ureps = [Fraction(j * p ** m) for j in range(p ** (Lu - m))]
     for up, um in itertools.product(ureps, repeat=2):
         phival = phi_data.packet.evaluate((up, um))
         if phival.is_zero():
             continue
-        # n(u)(1 + tau X) over E: entries as (plus, minus) pairs
-        one_plus = [
-            [(Fraction(1 if i == j else 0) , Xm[i][j]) for j in range(2)]
-            for i in range(2)
-        ]
         nu = [[(Fraction(1), Fraction(0)), (up, um)],
               [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))]]
-        A = [
-            [
-                (
-                    sum(nu[i][t][0] * one_plus[t][j][0]
-                        + delta * nu[i][t][1] * one_plus[t][j][1]
-                        for t in range(2)),
-                    sum(nu[i][t][0] * one_plus[t][j][1]
-                        + nu[i][t][1] * one_plus[t][j][0]
-                        for t in range(2)),
-                )
-                for j in range(2)
-            ]
-            for i in range(2)
-        ]
+        A = e_matmul(nu, one_plus, delta)
         P0 = [[A[i][j][0] for j in range(2)] for i in range(2)]
         Q0 = [[A[i][j][1] for j in range(2)] for i in range(2)]
         dP = P0[0][0] * P0[1][1] - P0[0][1] * P0[1][0]
@@ -790,13 +764,6 @@ def f_psi_natural_direct(ext, psi, eta_prime, phi_data, r, X, slack=0):
             if any(t != 0 and val_p(t, p) < r for row in Mmin for t in row):
                 continue
             # eta'(det((1+tau X) h)) with det over E
-            a, b = one_plus[0][0], one_plus[1][1]
-            c, dd = one_plus[0][1], one_plus[1][0]
-            det1X = (
-                a[0] * b[0] + delta * a[1] * b[1]
-                - c[0] * dd[0] - delta * c[1] * dd[1],
-                a[0] * b[1] + a[1] * b[0] - c[0] * dd[1] - c[1] * dd[0],
-            )
             detE = (det1X[0] * dh, det1X[1] * dh)
             weight = q ** (2 * val_p(dh, p))  # 1 / |det h|^2
             total = total + (

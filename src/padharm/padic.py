@@ -97,15 +97,6 @@ class FieldContext:
         ud = u.denominator % mod
         return PAdicScalar(self, v, un * pow(ud, -1, mod) % mod, self.N)
 
-    def from_unit(self, v, u, rel=None):
-        rel = self.N if rel is None else rel
-        if rel < 1:
-            raise ValueError("relative precision must be >= 1")
-        u %= self.p ** rel
-        if u % self.p == 0:
-            raise ValueError("unit part must be prime to p")
-        return PAdicScalar(self, v, u, rel)
-
     def zero(self):
         return PAdicScalar._exact_zero(self)
 
@@ -492,11 +483,35 @@ class QuadExtScalar:
             raise NotInDomain("valuation of zero")
         return min(cands)
 
-    def as_fraction_pair(self):
-        return (self.x.as_fraction(), self.y.as_fraction())
-
     def __repr__(self):
         return f"QuadExt({self.x!r} + tau*{self.y!r})"
+
+
+def e_mul(a, b, delta):
+    """Product of E-pairs (plus, minus) = plus + tau*minus, tau^2 = delta:
+    the exact, untruncated counterpart of QuadExtScalar."""
+    return (a[0] * b[0] + delta * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def e_matmul(A, B, delta):
+    """Product of matrices of E-pairs."""
+    n, k, m = len(A), len(B), len(B[0])
+    out = [[(Fraction(0), Fraction(0))] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            s = (Fraction(0), Fraction(0))
+            for t in range(k):
+                prod = e_mul(A[i][t], B[t][j], delta)
+                s = (s[0] + prod[0], s[1] + prod[1])
+            out[i][j] = s
+    return out
+
+
+def e_det2(A, delta):
+    """Determinant of a 2x2 matrix of E-pairs."""
+    ad = e_mul(A[0][0], A[1][1], delta)
+    bc = e_mul(A[0][1], A[1][0], delta)
+    return (ad[0] - bc[0], ad[1] - bc[1])
 
 
 def vanishes(x):

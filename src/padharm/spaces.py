@@ -350,12 +350,6 @@ class WavePacket:
             out.append((c, nx, na, nf))
         return WavePacket(sp, out)
 
-    def conjugate_coeffs(self):
-        return WavePacket(
-            self.space,
-            [(c.conj(), x0, a, tuple(-t for t in f0)) for c, x0, a, f0 in self.terms],
-        )
-
     # -- integral calculus -----------------------------------------------------
     def fourier(self):
         """Self-dual Fourier transform against psi(<., .>)."""
@@ -418,9 +412,6 @@ class WavePacket:
         if len(a) != len(b) or any(s[1:] != t[1:] for s, t in zip(a, b)):
             return False
         return all((s[0] - t[0]).is_zero() for s, t in zip(a, b))
-
-    def support_centers(self):
-        return tuple((t[1], t[2]) for t in self.terms)
 
     def __repr__(self):
         return f"WavePacket({len(self.terms)} terms on dim {self.space.dim})"

@@ -26,8 +26,12 @@ from .matrices import (
     identity,
     invariants_of,
     mat,
+    mat_add,
+    mat_from_scalars,
     mat_inv,
     mat_mul,
+    mat_neg,
+    mat_sub,
     transpose,
     xi_minus,
     xi_plus,
@@ -43,20 +47,8 @@ def conj_transpose(X):
     return transpose(mat_conj(X))
 
 
-def _is_zero_matrix(X):
-    return all(vanishes(x) for row in X for x in row)
-
-
 # ---------------------------------------------------------------------------
 # membership predicates
-
-
-def in_symmetric_space(ext, g):
-    R = QuadExtRing(ext)
-    return _is_zero_matrix(
-        mat([[x - y for x, y in zip(r1, r2)]
-             for r1, r2 in zip(mat_mul(mat_conj(g), g), identity(R, len(g)))])
-    )
 
 
 def in_s_lie(X):
@@ -113,17 +105,6 @@ def in_u_lie(X, form):
     )
 
 
-def in_u_group(g, form):
-    R = QuadExtRing(form.ext)
-    th = form.matrix()
-    prod = mat_mul(mat_mul(conj_transpose(g), th), g)
-    return all(
-        vanishes(prod[i][j] - th[i][j])
-        for i in range(len(g))
-        for j in range(len(g))
-    )
-
-
 # ---------------------------------------------------------------------------
 # Cayley transport, nu, tau-scaling
 
@@ -132,18 +113,14 @@ def cayley(ext, X):
     """(1 + X)(1 - X)^-1; defined when 1 - X is invertible."""
     R = QuadExtRing(ext)
     one = identity(R, len(X))
-    num = mat([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(one, X)])
-    den = mat([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(one, X)])
-    return mat_mul(num, mat_inv(R, den))
+    return mat_mul(mat_add(one, X), mat_inv(R, mat_sub(one, X)))
 
 
 def cayley_inverse(ext, g):
     """-(1 - g)(1 + g)^-1."""
     R = QuadExtRing(ext)
     one = identity(R, len(g))
-    num = mat([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(one, g)])
-    den = mat([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(one, g)])
-    return mat([[-x for x in row] for row in mat_mul(num, mat_inv(R, den))])
+    return mat_neg(mat_mul(mat_sub(one, g), mat_inv(R, mat_add(one, g))))
 
 
 def nu_map(ext, g):
@@ -259,11 +236,6 @@ def xi_plus_s(ext, m):
 # orbit matching
 
 
-def is_regular_semisimple_s(ext, X):
-    R = QuadExtRing(ext)
-    return not Delta(R, X).is_zero()
-
-
 def match_side(ext, X, eta, forms):
     """Which unitary side a regular semisimple X in s matches:
     eta(Delta(X/tau)) must equal eta(disc(W_i)).  Returns the index."""
@@ -272,8 +244,7 @@ def match_side(ext, X, eta, forms):
     from .matrices import PAdicRing
 
     Rp = PAdicRing(Rf)
-    Ym = mat([[Rf.scalar(x) if isinstance(x, (int, Fraction)) else x for x in row] for row in Y])
-    D = Delta(Rp, Ym)
+    D = Delta(Rp, mat_from_scalars(Rp, Y))
     if D.is_zero():
         raise NotRegularSemisimple("Delta(X/tau) = 0")
     target = eta(D)

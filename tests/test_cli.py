@@ -114,6 +114,40 @@ def test_fourier_command_determinism(tmp_path):
     assert len(runs) == 1
 
 
+def _fourier_coeff(coeff_terms, tmp_path):
+    payload = {"packet": {"space": {"kind": "f", "dim": 1},
+                          "terms": [{"coeff": {"terms": coeff_terms}}]}}
+    return run_cli(["fourier"], payload, tmp_path)
+
+
+@pytest.mark.parametrize("coeff_terms", [[["0", "1"], ["0", "1"]],
+                                         [["0", "1"], ["1", "1"]]])
+def test_fourier_repeated_exponents_add_up(coeff_terms, tmp_path):
+    code, text = _fourier_coeff(coeff_terms, tmp_path)
+    assert code == 0
+    (term,) = json.loads(text)["result"]["packet"]["terms"]
+    assert term["coeff"]["terms"] == [["0", "2"]]
+
+
+@pytest.mark.parametrize("coeff_terms, pointer", [
+    ([["0"]], "/packet/terms/0/coeff/terms/0"),
+    ([["0", "1"], "1"], "/packet/terms/0/coeff/terms/1"),
+    (5, "/packet/terms/0/coeff/terms"),
+])
+def test_fourier_malformed_coeff_terms(coeff_terms, pointer, tmp_path, capsys):
+    code, _ = _fourier_coeff(coeff_terms, tmp_path)
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "SchemaError"
+    assert error["message"].startswith(pointer + ":")
+
+
+def test_unknown_option_exits_2():
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", "2", "local-factors"])
+    assert exc.value.code == 2
+
+
 def test_schema_error_exit_code(tmp_path, capsys):
     code, _ = run_cli(["invariants"], {"matrix": [[1, 2]]}, tmp_path)
     assert code == 2

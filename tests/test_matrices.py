@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padharm.errors import NotInDomain, NotRegular
+from padharm.padic import e_det2, e_matmul, e_mul
 from padharm.matrices import (
     Delta_minus,
     Delta_plus,
@@ -16,6 +17,7 @@ from padharm.matrices import (
     delta_plus,
     det,
     identity,
+    in_script_w,
     invariants_of,
     iota,
     iota_inverse,
@@ -154,8 +156,23 @@ small = st.integers(min_value=-4, max_value=4).map(Fraction)
 @given(st.tuples(small, small), st.tuples(small, small, small))
 def test_section_property(a, b):
     X = section_sigma(R, a, b)
+    assert in_script_w(R, X) and not in_script_w(R, identity(R, 3))
     ga, gb = invariants_of(R, X)
     assert (ga, gb) == (a, b)
+
+
+small_frac = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+e_pair = st.tuples(small_frac, small_frac)
+e_mat2 = st.tuples(st.tuples(e_pair, e_pair), st.tuples(e_pair, e_pair))
+
+
+@settings(max_examples=40, deadline=None)
+@given(e_mat2, e_mat2, small)
+def test_e_det2_multiplicative(A, B, d):
+    assert e_det2(e_matmul(A, B, d), d) == e_mul(e_det2(A, d), e_det2(B, d), d)
+    # z conj(z) is the norm x^2 - d y^2
+    (x, y) = A[0][0]
+    assert e_mul((x, y), (x, -y), d) == (x * x - d * y * y, 0)
 
 
 @settings(max_examples=30, deadline=None)

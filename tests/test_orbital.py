@@ -19,7 +19,9 @@ from padharm.orbital import (
     f_natural,
     f_natural_direct,
     f_psi_natural,
+    f_psi_natural_direct,
     germ_constant_check,
+    k_average,
     mu_via_nilpotent,
     orbital_nilpotent,
     orbital_rs,
@@ -153,6 +155,33 @@ def test_f_psi_natural_level_guard():
         f_psi_natural(ext, psi, phi, 2)
     g = f_psi_natural(ext, psi, phi, 4)
     assert g.space.dim == 4 and len(g.terms) >= 1
+
+
+@pytest.mark.parametrize("delta", [2, 3])
+@pytest.mark.parametrize("X", [(0, 0, 0, 0), (9, 0, 0, 9), (0, 0, 0, 9),
+                               (27, 0, 0, 0), (0, 3, 0, 0)])
+def test_f_psi_natural_matches_direct_enumeration(delta, X):
+    # inert delta = 2 gives 243, ramified delta = 3 gives 729(e(1/12) - e(5/12));
+    # the off-diagonal (0, 3, 0, 0) meets the dagger phase, and tells X from X^t
+    F, psi, ext, eta = setup_ctx(delta=delta)
+    eta_prime = eta_prime_default(ext, eta)
+    phi = make_dagger_scalar(ext, psi, 1)
+    X = tuple(Fraction(t) for t in X)
+    closed = f_psi_natural(ext, psi, phi, 2).evaluate(X)
+    direct = f_psi_natural_direct(ext, psi, eta_prime, phi, 2, X)
+    assert not closed.is_zero()
+    assert (closed - direct).is_zero()
+
+
+@pytest.mark.parametrize("exps", [0, (0, 1, 0, 0)])
+def test_k_average_of_an_invariant_indicator(exps):
+    # f is K-conjugation invariant, so f_K = f * int_K eta(k) dk:
+    # f itself for unramified eta, zero for ramified eta
+    F, psi, _, eta = setup_ctx(delta=2)
+    f = WavePacket.indicator(matrix_space_f(F, psi, 2), exps)
+    assert k_average(f, eta).equals(f)
+    _, _, _, eta_ram = setup_ctx(delta=3)
+    assert k_average(f, eta_ram).terms == ()
 
 
 @pytest.mark.parametrize("delta", [2, 3])
