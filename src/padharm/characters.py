@@ -18,7 +18,7 @@ from .errors import (
     NotInDomain,
     UnsupportedConductor,
 )
-from .padic import FieldContext, PAdicScalar, QuadExtContext, QuadExtScalar, val_p
+from .padic import PAdicScalar, QuadExtScalar, val_p
 
 
 def frac_part_p(x, p):
@@ -273,6 +273,26 @@ def gauss_sum(eta, psi):
     for a in range(1, p):
         total = total + eta(a) * psi(Fraction(a, p))
     return total
+
+
+def shell_sum(value, eta, v, lam, p):
+    """q^-lam * sum of value(a) eta(a) over a = u p^v, u in [1, p^lam)
+    prime to p: the integral of value * eta over the shell v(a) = v
+    against the unnormalized d*a (shell measure 1 - 1/q), exact when
+    value * eta is constant on the cosets a(1 + p^lam O).  Cells where
+    value vanishes are skipped."""
+    q = Fraction(p)
+    pv = q ** v
+    total = CyclotomicScalar.zero()
+    for u in range(1, p ** lam):
+        if u % p == 0:
+            continue
+        a = u * pv
+        val = value(a)
+        if val.is_zero():
+            continue
+        total = total + val * eta(a)
+    return total * q ** (-lam)
 
 
 def epsilon_half(eta, psi):

@@ -14,13 +14,7 @@ import sys
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicScalar
-from .errors import (
-    DomainError,
-    NotInDomain,
-    PadharmError,
-    ScaleExceeded,
-    SchemaError,
-)
+from .errors import DomainError, ScaleExceeded, SchemaError
 from .qrational import QRational
 from .config import RunConfig
 from .matrices import (
@@ -533,13 +527,14 @@ def cmd_verify_suite(config, payload, args):
     fn = SUITES[name]
     accepted = set(inspect.signature(fn).parameters)
     kwargs = {}
-    for key in ("samples", "seed", "pairs", "points", "m", "r"):
-        value = getattr(args, key.replace("-", "_"), None)
+    for key in ("samples", "pairs", "m", "r"):
+        value = getattr(args, key)
         if value is not None and key in accepted:
             kwargs[key] = value
     if args.suite_n is not None and "n_values" in accepted:
         kwargs["n_values"] = tuple(range(1, args.suite_n + 1))
-    if "seed" in accepted and "seed" not in kwargs:
+    if "seed" in accepted:
+        # main has already put --seed into config.seed
         kwargs["seed"] = config.seed
     rep = fn(**kwargs)
     rep["stats"] = _plain(rep["stats"])

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .characters import shell_sum
 from .cyclotomic import CyclotomicScalar
 from .errors import InvalidLevel, SchemaError
 from .padic import e_matmul, val_p
@@ -217,7 +218,7 @@ def is_admissible_column(data):
     return is_admissible_scalar(ext, psi, m, data.entries[k - 1])
 
 
-def is_admissible_matrix(data, samples=8, seed=0):
+def is_admissible_matrix(data):
     """Entrywise clauses plus the derived invariance/decomposability
     properties, the latter checked on pseudorandom exact sample points."""
     if data.kind != "matrix":
@@ -235,7 +236,7 @@ def is_admissible_matrix(data, samples=8, seed=0):
             else:
                 if not e.equals(indicator_E(ext, psi, (m, m))):
                     return False
-    return matrix_invariance_report(data, samples=samples, seed=seed)["ok"]
+    return matrix_invariance_report(data)["ok"]
 
 
 def _sample_support_point(data, rng):
@@ -253,20 +254,24 @@ def _sample_support_point(data, rng):
     return A
 
 
-def matrix_invariance_report(data, samples=8, seed=0):
-    """Derived properties of admissible matrix data: invariance under the
-    lower-unipotent congruence subgroup and under 1 + p^m M_k(O_F), and
-    decomposability of the real part."""
+INVARIANCE_SAMPLES = 8
+
+
+def matrix_invariance_report(data):
+    """Derived properties of admissible matrix data, checked on
+    INVARIANCE_SAMPLES points of a generator seeded with 0: invariance
+    under the lower-unipotent congruence subgroup and under
+    1 + p^m M_k(O_F), and decomposability of the real part."""
     import random
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     ext, m, k = data.ext, data.m, data.k
     delta = ext.delta_fraction
     p = ext.F.p
     pm = Fraction(p) ** m
     f = data.packet
     ok = True
-    for _ in range(samples):
+    for _ in range(INVARIANCE_SAMPLES):
         g = _sample_support_point(data, rng)
         base = f.evaluate(mat_to_coords(g, k))
         # lower-unipotent congruence factor
@@ -306,45 +311,25 @@ def matrix_invariance_report(data, samples=8, seed=0):
         ]
         if f.evaluate(mat_to_coords(g2, k)) != base:
             ok = False
-    return {"ok": ok, "samples": samples}
+    return {"ok": ok, "samples": INVARIANCE_SAMPLES}
 
 
 # -- the compactness identity at n = 2 ---------------------------------------
 
 
-def _mult_integral_eta(ext, eta, varphi, y, level):
-    """int_{F^x} varphi(y^{-1} h) eta(h) d*h by unit-coset enumeration.
-
-    varphi is a packet on E supported near 1, evaluated at F-points; the
-    support pins v(h) = v(y), so the sum over unit cosets at the given
-    level is exact.
-    """
-    F = ext.F
-    p = F.p
-    v = val_p(y, p)
-    total = CyclotomicScalar.zero()
-    volcell = CyclotomicScalar.from_rational(Fraction(p) ** (-level))
-    for u in range(1, p ** level):
-        if u % p == 0:
-            continue
-        h = Fraction(u) * Fraction(p) ** v
-        val = varphi.evaluate((h / y, Fraction(0)))
-        if not val.is_zero():
-            total = total + val * eta(h) * volcell
-    return total
-
-
-def compactness_W_direct(ext, psi, eta, theta_data, y, level=None):
+def compactness_W_direct(ext, psi, eta, theta_data, y):
     """Direct evaluation of the smoothed Whittaker value at diag level 1:
     hat-theta(-tau y) computed by Riemann cell sums, times the enumerated
-    eta-twisted multiplicative integral."""
+    eta-twisted multiplicative integral int varphi1(h / y) eta(h) d*h.
+
+    varphi1 is the indicator of 1 + p^m O_E, so the support pins
+    v(h) = v(y) and the unit cosets at level m + 1 make the sum exact."""
     m = theta_data.m
-    if level is None:
-        level = m + 1
     y = Fraction(y)
     hat = riemann_fourier(theta_data.packet, (Fraction(0), -y))
     varphi1 = indicator_E(ext, psi, (m, m), (1, 0))
-    integral = _mult_integral_eta(ext, eta, varphi1, y, level)
+    integral = shell_sum(lambda h: varphi1.evaluate((h / y, Fraction(0))),
+                         eta, val_p(y, ext.F.p), m + 1, ext.F.p)
     return hat * integral
 
 

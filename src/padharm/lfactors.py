@@ -18,7 +18,7 @@ from math import comb
 from .cyclotomic import CyclotomicScalar, sqrt_rational_power
 from .errors import NotInDomain, UnsupportedPlace
 from .padic import val_p
-from .qrational import Poly, QRational
+from .qrational import QRational
 
 
 class LFactor:

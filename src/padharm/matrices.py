@@ -510,7 +510,7 @@ def nu_plus(R, u_mat):
     return conjugate(R, u_mat, xi_plus(R, m))
 
 
-def last_row_poly(R, A_top, a, p=None, N=None):
+def last_row_poly(R, A_top, a):
     """Reconstruct the last row of A from its first n-1 rows (slice form:
     superdiagonal 1, zeros above) and the a-invariants.
 
@@ -551,16 +551,19 @@ def last_row_poly(R, A_top, a, p=None, N=None):
 # triangular-map checking over (Z/p^N)^m
 
 
-def triangular_check(phi, m, p, Npow, budget=200000, samples=10000, seed=0):
+EXHAUSTIVE_DOMAIN_MAX = 200000
+
+
+def triangular_check(phi, m, p, Npow, samples=10000, seed=0):
     """Assert phi: (Z/p^N)^m -> (Z/p^N)^m is a bijection.
 
-    Exhaustive fiber count when the domain fits in the budget, otherwise
-    a seeded collision check on `samples` random points.  Returns a
-    report dict.
+    Exhaustive fiber count when the domain has at most
+    EXHAUSTIVE_DOMAIN_MAX points, otherwise a seeded collision check on
+    `samples` random points.  Returns a report dict.
     """
     size = (p ** Npow) ** m
     mod = p ** Npow
-    if size <= budget:
+    if size <= EXHAUSTIVE_DOMAIN_MAX:
         seen = set()
         for x in itertools.product(range(mod), repeat=m):
             y = tuple(c % mod for c in phi(x))
@@ -585,7 +588,10 @@ def triangular_check(phi, m, p, Npow, budget=200000, samples=10000, seed=0):
 # finite-field brute-force oracle (regular nilpotent classification)
 
 
-def nilpotent_cone_Fp(p, n, budget=2 * 10**6):
+CONE_BUDGET = 2 * 10**6
+
+
+def nilpotent_cone_Fp(p, n):
     """All nilpotent X in M_{n+1}(F_p) for the invariant map, enumerated
     from the constraint equations (n <= 2)."""
     R = IntModRing(p, 1)
@@ -611,7 +617,7 @@ def nilpotent_cone_Fp(p, n, budget=2 * 10**6):
             Au = _mat_vec(A, u)
             for v in itertools.product(range(p), repeat=2):
                 count += 1
-                if count > budget:
+                if count > CONE_BUDGET:
                     raise ScaleExceeded("cone enumeration budget exceeded")
                 if _dot(v, u, R) % p or _dot(v, Au, R) % p:
                     continue

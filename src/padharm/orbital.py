@@ -30,6 +30,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
+from .characters import shell_sum
 from .cyclotomic import CyclotomicScalar, sqrt_rational_power
 from .errors import (
     InvalidLevel,
@@ -343,7 +344,6 @@ def orbital_rs_n1(X, f, eta, slack=0):
     if x12 == 0 or x21 == 0:
         raise NotRegularSemisimple("off-diagonal entries must not vanish")
     p = f.space.F.p
-    q = Fraction(p)
     d = f.space.psi.d
     if not f.terms:
         return OrbitalResult.zero({"n": 1, "shells": []})
@@ -363,17 +363,10 @@ def orbital_rs_n1(X, f, eta, slack=0):
                 g = freq[pairmap[t]] * f.space.weights[pairmap[t]]
                 if g != 0:
                     lam = max(lam, -d - val_p(g, p) - vx + slack)
-        shell = CyclotomicScalar.zero()
-        for u in range(1, p ** lam):
-            if u % p == 0:
-                continue
-            h = Fraction(u) * q ** v
-            val = f.evaluate((x11, x12 * h, x21 / h, x22))
-            if val.is_zero():
-                continue
-            shell = shell + val * eta(h)
+        shell = shell_sum(lambda h: f.evaluate((x11, x12 * h, x21 / h, x22)),
+                          eta, v, lam, p)
         if not shell.is_zero():
-            pairs.append((shell * q ** (-lam), QRational.monomial(1, v)))
+            pairs.append((shell, QRational.monomial(1, v)))
     return OrbitalResult(pairs, {"n": 1, "shells": [lo, hi], "variable": "q^-s"})
 
 
@@ -566,7 +559,7 @@ def _orbital_rs_cells(X, f, eta, lo, M, det_window, budget):
 # eta-twisted averaging over the maximal compact, rank 1
 
 
-def k_average(f, eta, slack=0):
+def k_average(f, eta):
     """f_K(X) = int_K f(k X k^(-1)) eta(k) dk over K = O^* embedded as
     diag(u, 1), normalized to total measure 1, for 2x2 coordinates."""
     _require_quadratic(eta)
@@ -575,13 +568,13 @@ def k_average(f, eta, slack=0):
     p = f.space.F.p
     d = f.space.psi.d
     pairmap = f.space.pairing
-    lam = max(1, eta.conductor_exponent()) + slack
+    lam = max(1, eta.conductor_exponent())
     for _, center, exps, freq in f.terms:
         for t in (1, 2):
-            lam = max(lam, exps[t] - _support_floor(f, t) + slack)
+            lam = max(lam, exps[t] - _support_floor(f, t))
             g = freq[pairmap[t]] * f.space.weights[pairmap[t]]
             if g != 0:
-                lam = max(lam, -d - val_p(g, p) - _support_floor(f, t) + slack)
+                lam = max(lam, -d - val_p(g, p) - _support_floor(f, t))
     total = WavePacket.zero(f.space)
     count = 0
     for u in range(1, p ** lam):
@@ -620,7 +613,7 @@ def f_natural(ext, psi, r):
     return WavePacket.indicator(s_space(ext, psi, 2), r).scale(c)
 
 
-def f_natural_direct(ext, psi, eta_prime, r, X, slack=0):
+def f_natural_direct(ext, psi, eta_prime, r, X):
     """Independent enumeration of the descent integral at one point X of the
     tau-part coordinates: integrate the normalized congruence indicator over
     the split group against eta'(det)."""
@@ -628,7 +621,7 @@ def f_natural_direct(ext, psi, eta_prime, r, X, slack=0):
     delta = ext.delta_fraction
     X = tuple(Fraction(t) for t in X)
     vX = min([val_p(t, p) for t in X if t != 0] or [0])
-    L = r + max(1, -min(0, vX)) + slack
+    L = r + max(1, -min(0, vX))
     c2 = _inv_vol(matrix_space_e(ext, psi, 2), (r,) * 8)
     cellvol = f_space(ext.F, psi, 4).vol_lattice((L,) * 4)
     Xm = [[X[0], X[1]], [X[2], X[3]]]
@@ -710,7 +703,7 @@ def f_psi_natural(ext, psi, phi_data, r):
     return WavePacket(sp, out)
 
 
-def f_psi_natural_direct(ext, psi, eta_prime, phi_data, r, X, slack=0):
+def f_psi_natural_direct(ext, psi, eta_prime, phi_data, r, X):
     """Independent enumeration of the degenerate-Whittaker descent at one
     point: double integral over u in p^m O_E (the dagger support) and over
     the split group, of phi(u) f2(n(u)(1+X)h) eta'(det((1+X)h))."""
@@ -720,7 +713,7 @@ def f_psi_natural_direct(ext, psi, eta_prime, phi_data, r, X, slack=0):
     m = phi_data.m
     X = tuple(Fraction(t) for t in X)
     vX = min([val_p(t, p) for t in X if t != 0] or [0])
-    Lu = r + max(0, -min(0, vX)) + slack
+    Lu = r + max(0, -min(0, vX))
     c2 = _inv_vol(matrix_space_e(ext, psi, 2), (r,) * 8)
     uvol = e_space(ext, psi, 1).vol_lattice((Lu, Lu))
     Xm = [[X[0], X[1]], [X[2], X[3]]]
@@ -748,7 +741,7 @@ def f_psi_natural_direct(ext, psi, eta_prime, phi_data, r, X, slack=0):
         QP = [[sum(Q0[i][t] * Pinv[t][j] for t in range(2)) for j in range(2)]
               for i in range(2)]
         vQP = min([val_p(t, p) for row in QP for t in row if t != 0] or [0])
-        Lh = max(r + 1, r - min(0, vQP)) + slack
+        Lh = max(r + 1, r - min(0, vQP))
         hreps = [Fraction(j * p ** r) for j in range(p ** (Lh - r))]
         hvol = f_space(ext.F, psi, 4).vol_lattice((Lh,) * 4)
         # additive volume scaling of h = Pinv (1 + kcell) and d*h weight
@@ -776,25 +769,15 @@ def f_psi_natural_direct(ext, psi, eta_prime, phi_data, r, X, slack=0):
     return c2 * total
 
 
-def _shell_character_sum(packet, eta, shell, p, d, extra_cond=1):
-    """sum over v(a) = shell of packet(a) eta(a) d*a by unit-coset
+def _shell_character_sum(packet, eta, shell, p, d):
+    """sum over v(a) = shell of packet(-a) eta(a) d*a by unit-coset
     enumeration (unnormalized d*a, so the shell has measure 1 - 1/q)."""
-    q = Fraction(p)
-    lam = max(1, eta.conductor_exponent(), extra_cond)
+    lam = max(1, eta.conductor_exponent())
     for _, (c0,), (a0,), (f0,) in packet.terms:
         lam = max(lam, a0 - shell)
         if f0 != 0:
             lam = max(lam, -d - val_p(f0, p) - shell - 1)
-    total = CyclotomicScalar.zero()
-    for u in range(1, p ** lam):
-        if u % p == 0:
-            continue
-        a = Fraction(u) * q ** shell
-        val = packet.evaluate((-a,))
-        if val.is_zero():
-            continue
-        total = total + val * eta(a)
-    return total * q ** (-lam)
+    return shell_sum(lambda a: packet.evaluate((-a,)), eta, shell, lam, p)
 
 
 def dagger_mu_closed_form(ext, psi, eta, phi_data):
@@ -826,8 +809,7 @@ def mu_via_nilpotent(ext, psi, eta, phi_data, r):
     return orbital_nilpotent("minus", g, eta).value0()
 
 
-def germ_constant_check(ext, psi, eta, eta_prime, phi_data, r, points,
-                        slack=0):
+def germ_constant_check(ext, psi, eta, eta_prime, phi_data, r, points):
     """Local constancy of the regular semisimple orbital integral near the
     minus nilpotent: O(varrho(x, y), ghat, 0) at each sample point against
     the germ constant mu, with the transfer factor eta'(Delta_-) recorded
@@ -840,7 +822,7 @@ def germ_constant_check(ext, psi, eta, eta_prime, phi_data, r, points,
     out = {"mu": mu, "points": [], "all_equal": True}
     for (x1, y1, y0) in points:
         X = varrho_point(x1, y1, y0)
-        val = orbital_rs_n1(X, g, eta, slack=slack).value0()
+        val = orbital_rs_n1(X, g, eta).value0()
         tf = transfer_factor_lie(
             ext,
             mat([[ext.scalar(0, X[0]), ext.scalar(0, X[1])],
@@ -867,8 +849,10 @@ def spherical_rhs(ext, psi, eta, phi_data, omega_tau=1):
     _require_quadratic(eta)
     from .dagger import shell_valuation
 
+    if omega_tau not in (1, -1):
+        raise NotInDomain("omega(tau) must be a sign for a quadratic"
+                          " central character trivial on F^*")
     p = ext.F.p
-    q = Fraction(p)
     d = psi.d
     m = phi_data.m
     s0 = shell_valuation(ext, psi, m)
@@ -879,19 +863,8 @@ def spherical_rhs(ext, psi, eta, phi_data, omega_tau=1):
         lam = max(lam, a[1] - s0)
         if f0[1] != 0:
             lam = max(lam, -d - vdelta - val_p(f0[1], p) - s0)
-    total = CyclotomicScalar.zero()
-    for u in range(1, p ** lam):
-        if u % p == 0:
-            continue
-        y = Fraction(u) * q ** s0
-        val = hat.evaluate((Fraction(0), -y))
-        if val.is_zero():
-            continue
-        total = total + val * eta(y)
-    if omega_tau not in (1, -1):
-        raise NotInDomain("omega(tau) must be a sign for a quadratic"
-                          " central character trivial on F^*")
-    return total * q ** (-lam) * Fraction(omega_tau)
+    total = shell_sum(lambda y: hat.evaluate((Fraction(0), -y)), eta, s0, lam, p)
+    return total * Fraction(omega_tau)
 
 
 def theorem_germ_gl(ext, psi, eta, phi_data, r, omega_tau=1):

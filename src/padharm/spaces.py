@@ -200,11 +200,11 @@ def _mod_lattice(x, a, p):
 class WavePacket:
     __slots__ = ("space", "terms")
 
-    def __init__(self, space, terms, budget=DEFAULT_TERM_BUDGET):
+    def __init__(self, space, terms):
         self.space = space
-        self.terms = self._canonicalize(terms, budget)
+        self.terms = self._canonicalize(terms)
 
-    def _canonicalize(self, terms, budget):
+    def _canonicalize(self, terms):
         sp = self.space
         p = sp.F.p
         rows = []
@@ -236,7 +236,7 @@ class WavePacket:
                 total = total + coeff
             if not total.is_zero():
                 out.append((total, *key))
-        if len(out) > budget:
+        if len(out) > DEFAULT_TERM_BUDGET:
             raise ScaleExceeded(f"wave packet with {len(out)} terms")
         return tuple(out)
 
@@ -373,7 +373,7 @@ class WavePacket:
         return prod.fourier().reflect()
 
     # -- structure -----------------------------------------------------------
-    def refined(self, exps, budget=DEFAULT_TERM_BUDGET):
+    def refined(self, exps):
         """The same function written over the finer product lattice p^exps."""
         sp = self.space
         p = sp.F.p
@@ -383,7 +383,7 @@ class WavePacket:
             deltas = [max(e - ai, 0) for e, ai in zip(exps, a)]
             count = p ** sum(deltas)
             total += count
-            if total > budget:
+            if total > DEFAULT_TERM_BUDGET:
                 raise ScaleExceeded("refinement blows the term budget")
             na = tuple(max(e, ai) for e, ai in zip(exps, a))
             # enumerate offsets in prod p^{a_i} O / p^{na_i} O
@@ -393,9 +393,9 @@ class WavePacket:
                 ranges.append([x + step * j for j in range(p ** di)])
             for nx in itertools.product(*ranges):
                 out.append((c, nx, na, f0))
-        return WavePacket(sp, out, budget=budget)
+        return WavePacket(sp, out)
 
-    def equals(self, other, budget=DEFAULT_TERM_BUDGET):
+    def equals(self, other):
         """Exact function equality via refinement to a common lattice."""
         if not isinstance(other, WavePacket) or other.space != self.space:
             return False
@@ -407,8 +407,8 @@ class WavePacket:
             max(t[2][i] for t in allterms) for i in range(n)
         )
         # both refinements are canonical: sorted, one term per key
-        a = self.refined(exps, budget).terms
-        b = other.refined(exps, budget).terms
+        a = self.refined(exps).terms
+        b = other.refined(exps).terms
         if len(a) != len(b) or any(s[1:] != t[1:] for s, t in zip(a, b)):
             return False
         return all((s[0] - t[0]).is_zero() for s, t in zip(a, b))
@@ -417,7 +417,7 @@ class WavePacket:
         return f"WavePacket({len(self.terms)} terms on dim {self.space.dim})"
 
 
-def riemann_fourier(f, w, budget=DEFAULT_TERM_BUDGET):
+def riemann_fourier(f, w):
     """Fourier transform at one point by direct cell-sum integration.
 
     Independent oracle for WavePacket.fourier: chops each term's coset into
@@ -446,7 +446,7 @@ def riemann_fourier(f, w, budget=DEFAULT_TERM_BUDGET):
         cells = 1
         for c in counts:
             cells *= c
-        if cells > budget:
+        if cells > DEFAULT_TERM_BUDGET:
             raise ScaleExceeded("riemann_fourier cell budget")
         vol = sp.vol_lattice(levels)
         ranges = [
@@ -459,14 +459,14 @@ def riemann_fourier(f, w, budget=DEFAULT_TERM_BUDGET):
     return total
 
 
-def tensor(p1, p2, budget=DEFAULT_TERM_BUDGET):
+def tensor(p1, p2):
     """Exterior product on the concatenated space."""
     sp = p1.space.concat(p2.space)
     out = []
     for c1, x1, a1, f1 in p1.terms:
         for c2, x2, a2, f2 in p2.terms:
             out.append((c1 * c2, x1 + x2, a1 + a2, f1 + f2))
-    return WavePacket(sp, out, budget=budget)
+    return WavePacket(sp, out)
 
 
 def _term_sort_key(key):

@@ -8,13 +8,12 @@ brute-force or closed-form oracle) and returns a report
 The CLI `verify-suite` command and the acceptance tests both run these.
 """
 
-import itertools
 import random
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicScalar
 from .errors import DomainError, NotRegularSemisimple
-from .padic import FieldContext, QuadExtContext, val_p
+from .padic import FieldContext, QuadExtContext
 from .qrational import QRational, geometric_tail
 from .characters import AdditiveCharacter, eta_for_extension, eta_prime_default
 from .matrices import (
@@ -25,7 +24,6 @@ from .matrices import (
     Delta_plus,
     conjugate,
     delta_plus,
-    det,
     gl_n_Fp,
     identity,
     invariants_of,
@@ -48,6 +46,7 @@ from .symspace import (
     tau_scale,
     transfer_factor_lie,
     transfer_factor_group,
+    xi_minus_s,
 )
 from .spaces import (
     WavePacket,
@@ -177,7 +176,7 @@ def _lower_unipotent_from(R, n, coords):
     return mat(u)
 
 
-def suite_triangularity(p=3, Npow=2, seed=0, samples=10000, budget=200000):
+def suite_triangularity(p=3, Npow=2, seed=0, samples=10000):
     """The three coordinate maps are bijections of (Z/p^N)^m with fiber
     size one: the invariant chart pi o sigma', the lower-unipotent cell
     map nu'_(a,b), and the upper-unipotent cone map nu_+."""
@@ -196,7 +195,7 @@ def suite_triangularity(p=3, Npow=2, seed=0, samples=10000, budget=200000):
 
         try:
             rep = triangular_check(phi_inv, 2 * n + 1, p, Npow,
-                                   budget=budget, samples=samples, seed=seed)
+                                   samples=samples, seed=seed)
             stats[f"pi_sigma_prime_n{n}"] = rep
         except ArithmeticError as exc:
             failures.append(f"pi o sigma' n={n}: {exc}")
@@ -214,7 +213,7 @@ def suite_triangularity(p=3, Npow=2, seed=0, samples=10000, budget=200000):
 
         try:
             rep = triangular_check(phi_nu_plus, m, p, Npow,
-                                   budget=budget, samples=samples, seed=seed)
+                                   samples=samples, seed=seed)
             stats[f"nu_plus_n{n}"] = rep
         except ArithmeticError as exc:
             failures.append(f"nu_+ n={n}: {exc}")
@@ -236,7 +235,7 @@ def suite_triangularity(p=3, Npow=2, seed=0, samples=10000, budget=200000):
 
         try:
             rep = triangular_check(phi_nu_prime, m, p, Npow,
-                                   budget=budget, samples=samples, seed=seed)
+                                   samples=samples, seed=seed)
             stats[f"nu_prime_n{n}"] = rep
         except ArithmeticError as exc:
             failures.append(f"nu'_(a,b) n={n}: {exc}")
@@ -413,12 +412,9 @@ def suite_transfer(p=3, delta=2, samples=100, seed=0):
             ts = ext.scalar(t)
             g1s = ext.scalar(g1)
             gamma1b = mat([[ts * gamma1[0][0] * g1s]])
-            emb = [[ts, ext.zero()], [ext.zero(), ext.one()]]
-            prod = [[sum_e(ext, [emb[i][l] * gamma2[l][j] for l in range(2)])
-                     for j in range(2)] for i in range(2)]
-            gamma2b = mat([[sum_e(ext, [prod[i][l] * ext.scalar(g2[l][j])
-                                        for l in range(2)])
-                            for j in range(2)] for i in range(2)])
+            emb = mat([[ts, ext.zero()], [ext.zero(), ext.one()]])
+            g2e = mat([[ext.scalar(x) for x in row] for row in g2])
+            gamma2b = mat_mul(mat_mul(emb, gamma2), g2e)
             moved = transfer_factor_group(ext, gamma1b, gamma2b, eta_prime)
         except DomainError:
             continue
@@ -456,13 +452,6 @@ def suite_transfer(p=3, delta=2, samples=100, seed=0):
     return _report("transfer", failures[:10],
                    {"equivariance_samples": done,
                     "invariant_classes": classes})
-
-
-def sum_e(ext, terms):
-    s = terms[0]
-    for t in terms[1:]:
-        s = s + t
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +516,7 @@ def suite_germ(p=3, delta=2, N=8, m=1, r=3, points=GERM_POINTS):
     if not rep["all_equal"]:
         bad = [pt["point"] for pt in rep["points"] if not pt["equal"]]
         failures.append(f"orbital integral differs from mu at {bad}")
-    tf_xi = transfer_factor_lie(ext, xi_minus_s_local(ext), eta_prime,
+    tf_xi = transfer_factor_lie(ext, xi_minus_s(ext, 2), eta_prime,
                                 sign="minus")
     for pt in rep["points"]:
         if not (pt["transfer_factor"] - tf_xi).is_zero():
@@ -536,11 +525,6 @@ def suite_germ(p=3, delta=2, N=8, m=1, r=3, points=GERM_POINTS):
     return _report("germ", failures,
                    {"mu": repr(rep["mu"]), "points": len(rep["points"]),
                     "delta": delta, "m": m, "r": r})
-
-
-def xi_minus_s_local(ext):
-    from .symspace import xi_minus_s
-    return xi_minus_s(ext, 2)
 
 
 def suite_theorem_germ_gl(p=3, delta=2, N=8, m=1, r=3):

@@ -21,8 +21,9 @@ from .matrices import (
     Delta_plus,
     FractionRing,
     QuadExtRing,
-    blocks,
+    _vec_mat,
     det,
+    embed_h,
     identity,
     invariants_of,
     mat,
@@ -163,9 +164,7 @@ def transfer_factor_S(ext, s, eta_prime):
     cur = e
     for _ in range(m):
         rows.append(cur)
-        cur = tuple(
-            _sumprod([cur[i] * s[i][j] for i in range(m)]) for j in range(m)
-        )
+        cur = _vec_mat(cur, s)
     D = det(R, mat(rows))
     if D.is_zero():
         raise NotRegularSemisimple("transfer factor undefined: det(e s^i) = 0")
@@ -177,39 +176,18 @@ def transfer_factor_S(ext, s, eta_prime):
     return eta_prime(val)
 
 
-def _sumprod(terms):
-    s = terms[0]
-    for t in terms[1:]:
-        s = s + t
-    return s
-
-
 def transfer_factor_group(ext, gamma1, gamma2, eta_prime):
     """Omega(gamma) for gamma = (gamma_1, gamma_2) in H_n(E) x H_{n+1}(E)."""
     R = QuadExtRing(ext)
     m = len(gamma2)
     n = m - 1
-    g1 = _embed(R, gamma1, m)
+    g1 = embed_h(R, gamma1, m)
     rel = mat_mul(mat_inv(R, g1), gamma2)
     s = nu_map(ext, rel)
     omega_s = transfer_factor_S(ext, s, eta_prime)
     if n % 2 == 1:
         return eta_prime(det(R, rel)) * omega_s
     return omega_s
-
-
-def _embed(R, h, m):
-    n = len(h)
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            if i < n and j < n:
-                row.append(h[i][j])
-            else:
-                row.append(R.one() if i == j else R.zero())
-        rows.append(row)
-    return mat(rows)
 
 
 def transfer_factor_lie(ext, X, eta_prime, sign="plus"):

@@ -204,3 +204,14 @@ def test_entry_point_subprocess():
 def test_unknown_suite(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["verify-suite", "nonsense"])
+
+
+def test_verify_suite_with_seed_and_pairs(tmp_path):
+    # --seed is a top-level flag; main puts it into the config's seed
+    code, text = run_cli(
+        ["--seed", "3", "verify-suite", "local-constancy", "--pairs", "1"],
+        None, tmp_path)
+    assert code == 0
+    result = json.loads(text)["result"]
+    assert result["passed"] is True
+    assert result["stats"]["pairs"] == 1

@@ -35,3 +35,25 @@ def test_every_definition_is_referenced():
             if words[node.name] <= own:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == [], "\n".join(unused)
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, (alias.asname or alias.name).split(".")[0]
+
+
+def test_every_import_is_used():
+    # __init__.py imports names to re-export them
+    unused = []
+    for path in sorted((ROOT / "src" / "padharm").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for line, name in _imported_names(tree) if name not in used]
+    assert unused == [], "\n".join(unused)
