@@ -8,14 +8,12 @@ violations, reported with JSON pointer paths), 3 scale-budget overruns.
 """
 
 import argparse
-import inspect
 import json
 import sys
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicScalar
 from .errors import DomainError, ScaleExceeded, SchemaError
-from .qrational import QRational
 from .config import RunConfig
 from .matrices import (
     FractionRing,
@@ -58,7 +56,7 @@ from .orbital import (
     theorem_germ_gl,
 )
 from .lfactors import lfactor_table
-from .suites import GERM_POINTS, SUITES
+from .suites import GERM_POINTS, SUITES, run_suite
 from . import __version__
 
 
@@ -519,38 +517,13 @@ def cmd_local_factors(config, payload, args):
     return {"q": q, "table": rows}
 
 
+_SUITE_FLAGS = ("n", "samples", "pairs", "m", "r")
+
+
 def cmd_verify_suite(config, payload, args):
-    name = args.suite
-    if name not in SUITES:
-        raise SchemaError(f"/suite: unknown suite {name!r}; "
-                          f"choose from {sorted(SUITES)}")
-    fn = SUITES[name]
-    accepted = set(inspect.signature(fn).parameters)
-    kwargs = {}
-    for key in ("samples", "pairs", "m", "r"):
-        value = getattr(args, key)
-        if value is not None and key in accepted:
-            kwargs[key] = value
-    if args.suite_n is not None and "n_values" in accepted:
-        kwargs["n_values"] = tuple(range(1, args.suite_n + 1))
-    if "seed" in accepted:
-        # main has already put --seed into config.seed
-        kwargs["seed"] = config.seed
-    rep = fn(**kwargs)
-    rep["stats"] = _plain(rep["stats"])
-    return rep
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return frac_str(obj)
-    if isinstance(obj, (CyclotomicScalar, QRational)):
-        return repr(obj)
-    return obj
+    flags = {key: getattr(args, key) for key in _SUITE_FLAGS
+             if getattr(args, key) is not None}
+    return run_suite(args.suite, config, **flags)
 
 
 COMMANDS = {
@@ -594,11 +567,8 @@ def _build_parser():
         cp = sub.add_parser(name)
         if name == "verify-suite":
             cp.add_argument("suite", choices=sorted(SUITES))
-            cp.add_argument("--n", dest="suite_n", type=int, default=None)
-            cp.add_argument("--samples", type=int, default=None)
-            cp.add_argument("--pairs", type=int, default=None)
-            cp.add_argument("--m", type=int, default=None)
-            cp.add_argument("--r", type=int, default=None)
+            for flag in _SUITE_FLAGS:
+                cp.add_argument(f"--{flag}", type=int)
     return parser
 
 
@@ -624,9 +594,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         doc = _load_json(args.config, "/config") if args.config else {}
-        config = RunConfig(doc)
+        if not isinstance(doc, dict):
+            raise SchemaError("/config: expected a JSON object")
         if args.seed is not None:
-            config.seed = args.seed
+            doc["seed"] = args.seed
+        config = RunConfig(doc)
         payload = {}
         if args.payload:
             payload = _load_json(args.payload, "/payload")

@@ -1,21 +1,23 @@
 """Named verification suites.
 
 Each suite re-derives an identity from scratch (often against a
-brute-force or closed-form oracle) and returns a report
+brute-force or closed-form oracle) at its own fixed p, N and delta, and
+returns `(failures, stats)`.  `SUITES` maps each name to its suite and
+the parameters it takes; `run_suite` checks those and builds the report
 
     {"suite": name, "passed": bool, "failures": [...], "stats": {...}}
 
-The CLI `verify-suite` command and the acceptance tests both run these.
+The CLI `verify-suite` command, the acceptance tests and CI all go
+through `run_suite`.
 """
 
 import random
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicScalar
-from .errors import DomainError, NotRegularSemisimple
-from .padic import FieldContext, QuadExtContext
+from .config import RunConfig, _require_int
+from .errors import DomainError, NotRegularSemisimple, SchemaError
 from .qrational import QRational, geometric_tail
-from .characters import AdditiveCharacter, eta_for_extension, eta_prime_default
 from .matrices import (
     mat_mul,
     FractionRing,
@@ -74,48 +76,41 @@ from .orbital import (
 from . import lfactors
 
 
-def _report(name, failures, stats):
-    return {
-        "suite": name,
-        "passed": not failures,
-        "failures": failures,
-        "stats": stats,
-    }
-
-
 # ---------------------------------------------------------------------------
 # sections and isomorphisms
 
 
-def suite_section_identities(n_values=(1, 2, 3), p_values=(3, 5), Npow=5,
-                             samples=500, seed=0):
+def suite_section_identities(n=3, samples=500, seed=0):
     """pi o sigma = id, delta_+ o sigma = 1, and both chart round trips,
-    on random data over Z/p^N."""
+    on random data over Z/p^5 for p = 3, 5 at every rank up to n."""
+    Npow = 5
     failures = []
     checked = 0
-    for n in n_values:
-        for p in p_values:
+    for rank in range(1, n + 1):
+        for p in (3, 5):
             R = IntModRing(p, Npow)
             mod = p ** Npow
-            rng = random.Random((seed, n, p).__hash__())
-            one = identity(R, n)
+            rng = random.Random((seed, rank, p).__hash__())
+            one = identity(R, rank)
 
             def rand_gl():
                 # L*D*U sample: unit leading minors, so every pivot of the
                 # Z/p^N Gaussian elimination is invertible
-                low = _lower_unipotent_from(
-                    R, n, [rng.randrange(mod)
-                           for _ in range(n * (n - 1) // 2)])
-                up = _upper_unipotent_from(
-                    R, n, [rng.randrange(mod)
-                           for _ in range(n * (n - 1) // 2)])
+                low = _unipotent_from(
+                    R, rank, [rng.randrange(mod)
+                              for _ in range(rank * (rank - 1) // 2)],
+                    upper=False)
+                up = _unipotent_from(
+                    R, rank, [rng.randrange(mod)
+                              for _ in range(rank * (rank - 1) // 2)],
+                    upper=True)
                 diag = []
-                while len(diag) < n:
+                while len(diag) < rank:
                     c = rng.randrange(1, mod)
                     if c % p:
                         diag.append(c)
                 d = mat([[R.coerce(diag[i]) if i == j else R.zero()
-                          for j in range(n)] for i in range(n)])
+                          for j in range(rank)] for i in range(rank)])
                 return mat_mul(mat_mul(low, d), up)
 
             def red_vec(v):
@@ -125,9 +120,9 @@ def suite_section_identities(n_values=(1, 2, 3), p_values=(3, 5), Npow=5,
                 return tuple(tuple(int(x) % mod for x in row) for row in X)
 
             for _ in range(samples):
-                a = tuple(rng.randrange(mod) for _ in range(n))
-                b = tuple(rng.randrange(mod) for _ in range(n + 1))
-                tag = f"n={n} p={p} a={a} b={b}"
+                a = tuple(rng.randrange(mod) for _ in range(rank))
+                b = tuple(rng.randrange(mod) for _ in range(rank + 1))
+                tag = f"n={rank} p={p} a={a} b={b}"
                 X0 = section_sigma(R, a, b)
                 ga, gb = invariants_of(R, X0)
                 if (red_vec(ga), red_vec(gb)) != (a, b):
@@ -147,113 +142,96 @@ def suite_section_identities(n_values=(1, 2, 3), p_values=(3, 5), Npow=5,
                 ) != red_mat(Xp):
                     failures.append(f"prime-chart round trip failed at {tag}")
                 checked += 1
-    return _report("section-identities", failures[:20],
-                   {"samples": checked, "n_values": list(n_values),
-                    "p_values": list(p_values), "N": Npow})
+    return failures, {"samples": checked,
+                      "n_values": list(range(1, n + 1)),
+                      "p_values": [3, 5], "N": Npow}
 
 
 # ---------------------------------------------------------------------------
 # triangular morphisms
 
 
-def _upper_unipotent_from(R, n, coords):
-    u = [[R.one() if i == j else R.zero() for j in range(n)] for i in range(n)]
-    t = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            u[i][j] = R.coerce(coords[t])
-            t += 1
-    return mat(u)
+def _unipotent_from(R, n, coords, upper):
+    """The n x n unipotent matrix, upper or lower triangular, whose
+    off-diagonal entries are `coords` in row-major order."""
+    coords = iter(coords)
+
+    def entry(i, j):
+        if i == j:
+            return R.one()
+        if (j > i) == upper:
+            return R.coerce(next(coords))
+        return R.zero()
+
+    return mat([[entry(i, j) for j in range(n)] for i in range(n)])
 
 
-def _lower_unipotent_from(R, n, coords):
-    u = [[R.one() if i == j else R.zero() for j in range(n)] for i in range(n)]
-    t = 0
-    for i in range(n):
-        for j in range(i):
-            u[i][j] = R.coerce(coords[t])
-            t += 1
-    return mat(u)
-
-
-def suite_triangularity(p=3, Npow=2, seed=0, samples=10000):
-    """The three coordinate maps are bijections of (Z/p^N)^m with fiber
+def suite_triangularity(samples=10000, seed=0):
+    """The three coordinate maps are bijections of (Z/9)^m with fiber
     size one: the invariant chart pi o sigma', the lower-unipotent cell
     map nu'_(a,b), and the upper-unipotent cone map nu_+."""
-    failures = []
-    stats = {}
+    p, Npow = 3, 2
+    R = IntModRing(p, Npow)
+    mod = p ** Npow
     rng = random.Random(seed)
+    checks = []  # (label, stats key, map, number of coordinates m)
 
     # pi o sigma' on invariants, m = 2n+1
     for n in (1, 2):
-        R = IntModRing(p, Npow)
-
-        def phi_inv(x, n=n, R=R):
+        def phi_inv(x, n=n):
             a, b = x[:n], x[n:]
             a2, b2 = invariants_of(R, section_sigma_prime(R, a, b))
             return a2 + b2
 
-        try:
-            rep = triangular_check(phi_inv, 2 * n + 1, p, Npow,
-                                   samples=samples, seed=seed)
-            stats[f"pi_sigma_prime_n{n}"] = rep
-        except ArithmeticError as exc:
-            failures.append(f"pi o sigma' n={n}: {exc}")
+        checks.append((f"pi o sigma' n={n}", f"pi_sigma_prime_n{n}",
+                       phi_inv, 2 * n + 1))
 
     # nu_+ : u -> entries of u xi_+ u^-1 above the superdiagonal
     for n in (2, 3, 4):
-        R = IntModRing(p, Npow)
-        m = n * (n - 1) // 2
         pos = [(i, j) for i in range(n + 1) for j in range(i + 2, n + 1)]
 
-        def phi_nu_plus(x, n=n, R=R, pos=pos):
-            u = _upper_unipotent_from(R, n, x)
-            Y = nu_plus(R, u)
+        def phi_nu_plus(x, n=n, pos=pos):
+            Y = nu_plus(R, _unipotent_from(R, n, x, upper=True))
             return tuple(Y[i][j] for i, j in pos)
 
-        try:
-            rep = triangular_check(phi_nu_plus, m, p, Npow,
-                                   samples=samples, seed=seed)
-            stats[f"nu_plus_n{n}"] = rep
-        except ArithmeticError as exc:
-            failures.append(f"nu_+ n={n}: {exc}")
+        checks.append((f"nu_+ n={n}", f"nu_plus_n{n}",
+                       phi_nu_plus, n * (n - 1) // 2))
 
     # nu'_(a,b) : lower unipotent -> below-diagonal coordinates of the slice
     for n in (2, 3):
-        R = IntModRing(p, Npow)
-        mod = p ** Npow
         a = tuple(rng.randrange(mod) for _ in range(n))
         b = tuple(rng.randrange(mod) for _ in range(n + 1))
         sig = section_sigma_prime(R, a, b)
-        m = n * (n - 1) // 2
         pos = [(i, j) for i in range(1, n) for j in range(1, i + 1)]
 
-        def phi_nu_prime(x, n=n, R=R, sig=sig, pos=pos):
-            u = _lower_unipotent_from(R, n, x)
-            Y = conjugate(R, u, sig)
+        def phi_nu_prime(x, n=n, sig=sig, pos=pos):
+            Y = conjugate(R, _unipotent_from(R, n, x, upper=False), sig)
             return tuple(Y[i][j] for i, j in pos)
 
-        try:
-            rep = triangular_check(phi_nu_prime, m, p, Npow,
-                                   samples=samples, seed=seed)
-            stats[f"nu_prime_n{n}"] = rep
-        except ArithmeticError as exc:
-            failures.append(f"nu'_(a,b) n={n}: {exc}")
+        checks.append((f"nu'_(a,b) n={n}", f"nu_prime_n{n}",
+                       phi_nu_prime, n * (n - 1) // 2))
 
-    return _report("triangularity", failures, stats)
+    failures, stats = [], {}
+    for label, key, phi, m in checks:
+        try:
+            stats[key] = triangular_check(phi, m, p, Npow,
+                                          samples=samples, seed=seed)
+        except ArithmeticError as exc:
+            failures.append(f"{label}: {exc}")
+    return failures, stats
 
 
 # ---------------------------------------------------------------------------
 # brute-force regular nilpotent classification
 
 
-def suite_nilpotent_orbits(p_values=(3, 5)):
-    """Over F_p, n = 2: the nilpotent cone splits as
+def suite_nilpotent_orbits():
+    """Over F_3 and F_5, n = 2: the nilpotent cone splits as
     orbit(xi_+) = {Delta_+ != 0}, orbit(xi_-) = {Delta_- != 0}, and an
     irregular remainder, by exhaustive enumeration."""
     failures = []
     stats = {}
-    for p in p_values:
+    for p in (3, 5):
         R = IntModRing(p, 1)
         cone = nilpotent_cone_Fp(p, 2)
         group = gl_n_Fp(p, 2)
@@ -283,17 +261,17 @@ def suite_nilpotent_orbits(p_values=(3, 5)):
             "minus_orbit": len(minus),
             "irregular": len(rest),
         }
-    return _report("nilpotent-orbits", failures, stats)
+    return failures, stats
 
 
 # ---------------------------------------------------------------------------
 # Fourier calculus
 
 
-def _random_packet(space, rng, p, max_terms=3):
+def _random_packet(space, rng, p):
     terms = []
     dim = space.dim
-    for _ in range(rng.randrange(1, max_terms + 1)):
+    for _ in range(rng.randrange(1, 4)):
         coeff = CyclotomicScalar.from_rational(
             Fraction(rng.randrange(-4, 5) or 1, rng.randrange(1, 4)))
         center = tuple(Fraction(rng.randrange(-p, p + 1), p)
@@ -308,12 +286,11 @@ def _random_packet(space, rng, p, max_terms=3):
     return WavePacket(space, terms)
 
 
-def suite_fourier(p=3, delta=2, samples=200, seed=0):
+def suite_fourier(samples=200, seed=0):
     """Double Fourier transform = reflection on random wave packets, and
     the self-duality of the unit lattice for an unramified character."""
-    F = FieldContext(p, 4)
-    psi = AdditiveCharacter(F, 0)
-    ext = QuadExtContext(F, delta)
+    config = RunConfig({"N": 4})
+    F, psi, ext = config.field(), config.psi(), config.ext()
     spaces = [
         f_space(F, psi, 1), f_space(F, psi, 2),
         f_space(F, psi, 3), f_space(F, psi, 4),
@@ -324,29 +301,26 @@ def suite_fourier(p=3, delta=2, samples=200, seed=0):
     failures = []
     for i in range(samples):
         sp = spaces[i % len(spaces)]
-        f = _random_packet(sp, rng, p)
+        f = _random_packet(sp, rng, config.p)
         if not f.fourier().fourier().equals(f.reflect()):
             failures.append(f"double transform != reflection (sample {i})")
     unit = WavePacket.indicator(f_space(F, psi, 1), (0,))
     if not unit.fourier().equals(unit):
         failures.append("fourier(1_O) != 1_O for unramified psi")
-    return _report("fourier", failures[:10],
-                   {"samples": samples, "spaces": len(spaces)})
+    return failures, {"samples": samples, "spaces": len(spaces)}
 
 
 # ---------------------------------------------------------------------------
 # nilpotent orbital integrals
 
 
-def suite_oi_nilpotent(p=3):
+def suite_oi_nilpotent():
     """n = 1 closed form against an independent geometric-series oracle;
     n = 2 pole located exactly at s = 1/2 within [0, 1)."""
     failures = []
-    F = FieldContext(p, 4)
-    psi = AdditiveCharacter(F, 0)
-    ext = QuadExtContext(F, 2 if p % 8 in (3, 5) else 3)
-    eta = eta_for_extension(ext)
-    q = Fraction(p)
+    config = RunConfig({"N": 4})
+    F, psi, eta = config.field(), config.psi(), config.eta()
+    q = Fraction(config.p)
 
     f1 = WavePacket.indicator(matrix_space_f(F, psi, 2), 0)
     got1 = orbital_nilpotent("plus", f1, eta).as_qrational()
@@ -370,29 +344,26 @@ def suite_oi_nilpotent(p=3):
         qr2.evaluate(Fraction(1))  # s = 0 is regular
     except DomainError:
         failures.append("n=2: unexpected pole at s=0")
-    return _report(
-        "oi-nilpotent", failures,
-        {"n1": repr(got1), "n2": repr(qr2),
-         "n2_pole_order_at_half": half_order})
+    return failures, {"n1": repr(got1), "n2": repr(qr2),
+                      "n2_pole_order_at_half": half_order}
 
 
 # ---------------------------------------------------------------------------
 # transfer factors and matching
 
 
-def _rand_ext_scalar(ext, rng, span=3):
-    return ext.scalar(Fraction(rng.randrange(-span, span + 1)),
-                      Fraction(rng.randrange(-span, span + 1)))
+def _rand_ext_scalar(ext, rng):
+    return ext.scalar(Fraction(rng.randrange(-3, 4)),
+                      Fraction(rng.randrange(-3, 4)))
 
 
-def suite_transfer(p=3, delta=2, samples=100, seed=0):
+def suite_transfer(samples=100, seed=0):
     """Omega(h1 gamma h2) = eta(h2) Omega(gamma) on random group pairs at
     n = 1, plus the matching dichotomy (exactly one Hermitian form, stable
     under conjugation) over a grid of invariant classes."""
-    F = FieldContext(p, 4)
-    ext = QuadExtContext(F, delta)
-    eta = eta_for_extension(ext)
-    eta_prime = eta_prime_default(ext, eta)
+    config = RunConfig({"N": 4})
+    p, ext = config.p, config.ext()
+    eta, eta_prime = config.eta(), config.eta_prime()
     rng = random.Random(seed)
     failures = []
     done = 0
@@ -449,24 +420,22 @@ def suite_transfer(p=3, delta=2, samples=100, seed=0):
                     failures.append(
                         f"matching not conjugation-invariant at {(a, b0, b1)}")
                 classes += 1
-    return _report("transfer", failures[:10],
-                   {"equivariance_samples": done,
-                    "invariant_classes": classes})
+    return failures, {"equivariance_samples": done,
+                      "invariant_classes": classes}
 
 
 # ---------------------------------------------------------------------------
 # dagger data and compactness
 
 
-def suite_dagger(p=3, delta=2, N=8, m_values=(1, 2), points=20):
-    """Generated dagger data pass the definitional predicates; the direct
-    smoothed Whittaker evaluation equals its closed form on a grid."""
-    F = FieldContext(p, N)
-    psi = AdditiveCharacter(F, 0)
-    ext = QuadExtContext(F, delta)
-    eta = eta_for_extension(ext)
+def suite_dagger():
+    """Generated dagger data pass the definitional predicates for m = 1, 2;
+    the direct smoothed Whittaker evaluation equals its closed form on a
+    grid of 20 points."""
+    config = RunConfig({"N": 8})
+    p, psi, ext, eta = config.p, config.psi(), config.ext(), config.eta()
     failures = []
-    for m in m_values:
+    for m in (1, 2):
         theta = make_dagger_scalar(ext, psi, m)
         if not is_admissible_scalar(ext, psi, m, theta.packet):
             failures.append(f"scalar m={m} fails its predicate")
@@ -483,13 +452,12 @@ def suite_dagger(p=3, delta=2, N=8, m_values=(1, 2), points=20):
     for u in (1, 2, 4, 5, 7):
         for v in (-2, -1, 0, 1):
             ys.append(Fraction(u) * Fraction(p) ** v)
-    for y in ys[:points]:
+    for y in ys:
         direct = compactness_W_direct(ext, psi, eta, theta, y)
         closed = compactness_W_closed(ext, psi, eta, theta, y)
         if not (direct - closed).is_zero():
             failures.append(f"compactness identity fails at y={y}")
-    return _report("dagger", failures,
-                   {"m_values": list(m_values), "points": len(ys[:points])})
+    return failures, {"m_values": [1, 2], "points": len(ys)}
 
 
 # ---------------------------------------------------------------------------
@@ -500,18 +468,19 @@ GERM_POINTS = ((0, 1, 0), (1, 1, 0), (0, 1, 1), (1, 1, 1), (0, 2, 0),
                (3, 1, 0))
 
 
-def suite_germ(p=3, delta=2, N=8, m=1, r=3, points=GERM_POINTS):
+def suite_germ(m=1, r=3):
     """Local constancy near the minus nilpotent: the regular semisimple
-    integrals of the smoothed descent agree at every sample point and
-    equal the germ constant, with the transfer factor constant on the
-    slice and equal to its value at the nilpotent representative."""
-    F = FieldContext(p, N)
-    psi = AdditiveCharacter(F, 0)
-    ext = QuadExtContext(F, delta)
-    eta = eta_for_extension(ext)
-    eta_prime = eta_prime_default(ext, eta)
+    integrals of the smoothed descent agree at every point of
+    GERM_POINTS and equal the germ constant, with the transfer factor
+    constant on the slice and equal to its value at the nilpotent
+    representative."""
+    delta = 2
+    config = RunConfig({"N": 8, "delta": delta})
+    psi, ext = config.psi(), config.ext()
+    eta, eta_prime = config.eta(), config.eta_prime()
     phi = make_dagger_scalar(ext, psi, m)
-    rep = germ_constant_check(ext, psi, eta, eta_prime, phi, r, list(points))
+    rep = germ_constant_check(ext, psi, eta, eta_prime, phi, r,
+                              list(GERM_POINTS))
     failures = []
     if not rep["all_equal"]:
         bad = [pt["point"] for pt in rep["points"] if not pt["equal"]]
@@ -522,18 +491,15 @@ def suite_germ(p=3, delta=2, N=8, m=1, r=3, points=GERM_POINTS):
         if not (pt["transfer_factor"] - tf_xi).is_zero():
             failures.append(
                 f"transfer factor not constant on the slice at {pt['point']}")
-    return _report("germ", failures,
-                   {"mu": repr(rep["mu"]), "points": len(rep["points"]),
-                    "delta": delta, "m": m, "r": r})
+    return failures, {"mu": repr(rep["mu"]), "points": len(rep["points"]),
+                      "delta": delta, "m": m, "r": r}
 
 
-def suite_theorem_germ_gl(p=3, delta=2, N=8, m=1, r=3):
+def suite_theorem_germ_gl(m=1, r=3):
     """The rank-1 spectral/geometric germ identity for the trivial central
     datum and one nontrivial sign."""
-    F = FieldContext(p, N)
-    psi = AdditiveCharacter(F, 0)
-    ext = QuadExtContext(F, delta)
-    eta = eta_for_extension(ext)
+    config = RunConfig({"N": 8})
+    psi, ext, eta = config.psi(), config.ext(), config.eta()
     phi = make_dagger_scalar(ext, psi, m)
     failures = []
     stats = {}
@@ -545,7 +511,7 @@ def suite_theorem_germ_gl(p=3, delta=2, N=8, m=1, r=3):
         }
         if not rep["equal"]:
             failures.append(f"identity fails for omega(tau) = {omega_tau}")
-    return _report("theorem-germ-gl", failures, stats)
+    return failures, stats
 
 
 # ---------------------------------------------------------------------------
@@ -571,17 +537,15 @@ def suite_local_factors():
         if not (rep["I_is_one"] and rep["J_is_L1eta"] and rep["identity"]
                 and rep["hyperspecial_consistent"]):
             failures.append(f"unramified identity fails at n={n}")
-    F = FieldContext(3, 6)
-    psi = AdditiveCharacter(F, 0)
-    ext = QuadExtContext(F, 2)
-    eta = eta_for_extension(ext)
-    eta_prime = eta_prime_default(ext, eta)
+    config = RunConfig()
+    psi, ext = config.psi(), config.ext()
+    eta, eta_prime = config.eta(), config.eta_prime()
     one = CyclotomicScalar.one()
     for n in range(1, 5):
         k = lfactors.kappa(n, ext, eta, eta_prime, psi)
         if not (k - one).is_zero():
             failures.append(f"kappa != 1 on unramified data at n={n}")
-    return _report("local-factors", failures, {"m_max": 4, "kappa_n_max": 4})
+    return failures, {"m_max": 4, "kappa_n_max": 4}
 
 
 def _zeta_prod(m):
@@ -595,14 +559,13 @@ def _zeta_prod(m):
 # local constancy of regular semisimple integrals, rank 2
 
 
-def suite_local_constancy(p=3, delta=2, pairs=10, seed=0, level=3):
+def suite_local_constancy(pairs=10, seed=0):
     """O(sigma(x), f) at n = 2 is unchanged when the invariants x move by
-    p^level, for f an indicator of a unit-scale coset around a regular
-    base point (so supp f stays inside the Delta_+ != 0 locus)."""
-    F = FieldContext(p, 8)
-    psi = AdditiveCharacter(F, 0)
-    ext = QuadExtContext(F, delta)
-    eta = eta_for_extension(ext)
+    p^level, level = 3, for f an indicator of a unit-scale coset around a
+    regular base point (so supp f stays inside the Delta_+ != 0 locus)."""
+    level = 3
+    config = RunConfig({"N": 8})
+    p, psi, eta = config.p, config.psi(), config.eta()
     Rf = FractionRing()
 
     def sigma_coords(a, b):
@@ -611,42 +574,77 @@ def suite_local_constancy(p=3, delta=2, pairs=10, seed=0, level=3):
 
     a0, b0 = (1, 2), (1, 1, 2)
     Y0 = sigma_coords(a0, b0)
-    f = WavePacket.indicator(matrix_space_f(F, psi, 3), 1, center=Y0)
+    f = WavePacket.indicator(matrix_space_f(config.field(), psi, 3), 1,
+                             center=Y0)
     rng = random.Random(seed)
     eps = p ** level
     failures = []
     checked = 0
+    def moved():
+        d = [rng.randrange(-1, 2) * eps for _ in range(5)]
+        return ((a0[0] + d[0], a0[1] + d[1]),
+                (b0[0] + d[2], b0[1] + d[3], b0[2] + d[4]))
+
     for _ in range(pairs):
-        d1 = [rng.randrange(-1, 2) * eps for _ in range(5)]
-        d2 = [rng.randrange(-1, 2) * eps for _ in range(5)]
-        xa = ((a0[0] + d1[0], a0[1] + d1[1]),
-              (b0[0] + d1[2], b0[1] + d1[3], b0[2] + d1[4]))
-        xb = ((a0[0] + d2[0], a0[1] + d2[1]),
-              (b0[0] + d2[2], b0[1] + d2[3], b0[2] + d2[4]))
+        xa, xb = moved(), moved()
         r1 = orbital_rs(sigma_coords(*xa), f, eta)
         r2 = orbital_rs(sigma_coords(*xb), f, eta)
         if r1 != r2:
             failures.append(f"value jumps between {xa} and {xb}")
         checked += 1
-    return _report("local-constancy", failures,
-                   {"pairs": checked, "perturbation_level": level,
-                    "base": [list(a0), list(b0)]})
+    return failures, {"pairs": checked, "perturbation_level": level,
+                      "base": [list(a0), list(b0)]}
 
 
 # ---------------------------------------------------------------------------
-# registry
+# registry and driver
 
 
+# name -> (suite, the parameters it takes).  `seed` is the run seed (the
+# top-level `--seed`, or `seed` in the config); the others are
+# `verify-suite` flags.  Everything else about a suite is fixed.
 SUITES = {
-    "section-identities": suite_section_identities,
-    "triangularity": suite_triangularity,
-    "nilpotent-orbits": suite_nilpotent_orbits,
-    "fourier": suite_fourier,
-    "oi-nilpotent": suite_oi_nilpotent,
-    "transfer": suite_transfer,
-    "dagger": suite_dagger,
-    "germ": suite_germ,
-    "theorem-germ-gl": suite_theorem_germ_gl,
-    "local-factors": suite_local_factors,
-    "local-constancy": suite_local_constancy,
+    "section-identities": (suite_section_identities, ("n", "samples", "seed")),
+    "triangularity": (suite_triangularity, ("samples", "seed")),
+    "nilpotent-orbits": (suite_nilpotent_orbits, ()),
+    "fourier": (suite_fourier, ("samples", "seed")),
+    "oi-nilpotent": (suite_oi_nilpotent, ()),
+    "transfer": (suite_transfer, ("samples", "seed")),
+    "dagger": (suite_dagger, ()),
+    "germ": (suite_germ, ("m", "r")),
+    "theorem-germ-gl": (suite_theorem_germ_gl, ("m", "r")),
+    "local-factors": (suite_local_factors, ()),
+    "local-constancy": (suite_local_constancy, ("pairs", "seed")),
 }
+
+MAX_REPORTED_FAILURES = 20
+
+
+def run_suite(name, config=None, **flags):
+    """Run suite `name` and return its report.
+
+    `flags` are the `verify-suite` flags the suite takes, each a positive
+    integer, and `n` is bounded by budgets/max_n of `config` (default
+    RunConfig()).  A seeded suite takes the seed of `config`.  Any other
+    name or flag raises SchemaError before work starts."""
+    if name not in SUITES:
+        raise SchemaError(f"/suite: unknown suite {name!r}; "
+                          f"choose from {sorted(SUITES)}")
+    fn, params = SUITES[name]
+    config = config or RunConfig()
+    for key, value in flags.items():
+        if key == "seed" or key not in params:
+            raise SchemaError(f"/{key}: not a flag of suite {name!r}")
+        _require_int(value, f"/{key}", low=1)
+    if "n" in flags:
+        config.check_rank(flags["n"], "/n")
+    if "seed" in params:
+        flags["seed"] = config.seed
+    failures, stats = fn(**flags)
+    return {
+        "suite": name,
+        "passed": not failures,
+        "failures": failures[:MAX_REPORTED_FAILURES],
+        "stats": stats,
+    }
+

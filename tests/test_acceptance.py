@@ -12,25 +12,12 @@ from padharm.padic import QuadExtContext
 from padharm.orbital import orbital_nilpotent
 from padharm.qrational import QRational, geometric_tail
 from padharm.spaces import WavePacket, matrix_space_f
-from padharm.suites import (
-    GERM_POINTS,
-    suite_dagger,
-    suite_fourier,
-    suite_germ,
-    suite_local_constancy,
-    suite_local_factors,
-    suite_nilpotent_orbits,
-    suite_oi_nilpotent,
-    suite_section_identities,
-    suite_theorem_germ_gl,
-    suite_transfer,
-    suite_triangularity,
-)
+from padharm.suites import GERM_POINTS, run_suite
 
 
-def run_within(fn, budget_seconds, **kwargs):
+def run_within(name, budget_seconds, **flags):
     start = time.monotonic()
-    rep = fn(**kwargs)
+    rep = run_suite(name, **flags)
     elapsed = time.monotonic() - start
     assert rep["passed"], rep["failures"]
     assert elapsed < budget_seconds, (
@@ -39,28 +26,30 @@ def run_within(fn, budget_seconds, **kwargs):
 
 
 def test_01_section_identities():
-    rep = run_within(suite_section_identities, 10,
-                     n_values=(1, 2, 3), p_values=(3, 5), Npow=5,
-                     samples=500, seed=0)
-    # 500 samples for each of the six (n, p) combinations
+    rep = run_within("section-identities", 10, n=3, samples=500)
+    # 500 samples for each of the six (n, p) combinations, over Z/p^5
+    assert rep["stats"]["n_values"] == [1, 2, 3]
+    assert rep["stats"]["p_values"] == [3, 5]
+    assert rep["stats"]["N"] == 5
     assert rep["stats"]["samples"] == 500 * 6
 
 
 def test_02_triangularity():
-    run_within(suite_triangularity, 30)
+    run_within("triangularity", 30)
 
 
 def test_03_nilpotent_orbit_dichotomy():
-    run_within(suite_nilpotent_orbits, 60, p_values=(3, 5))
+    rep = run_within("nilpotent-orbits", 60)
+    assert sorted(rep["stats"]) == ["p3", "p5"]
 
 
 def test_04_fourier():
-    rep = run_within(suite_fourier, 10, samples=200, seed=0)
+    rep = run_within("fourier", 10, samples=200)
     assert rep["stats"]["samples"] == 200
 
 
 def test_05_nilpotent_orbital_integrals():
-    run_within(suite_oi_nilpotent, 60)
+    run_within("oi-nilpotent", 60)
     # independent oracle, restated here so the gate does not rely on the
     # suite's internal bookkeeping: the n = 1 integral is a single Tate
     # factor, a geometric series in -T with unit-shell measure 1 - 1/q
@@ -77,31 +66,33 @@ def test_05_nilpotent_orbital_integrals():
 
 
 def test_06_transfer_equivariance_and_matching():
-    rep = run_within(suite_transfer, 30, samples=100, seed=0)
+    rep = run_within("transfer", 30, samples=100)
     assert rep["stats"]["equivariance_samples"] == 100
 
 
 def test_07_dagger_compactness():
-    rep = run_within(suite_dagger, 120, m_values=(1, 2), points=20)
+    rep = run_within("dagger", 120)
+    assert rep["stats"]["m_values"] == [1, 2]
     assert rep["stats"]["points"] == 20
 
 
 def test_08_germ_constancy():
     assert len(GERM_POINTS) >= 5
-    rep = run_within(suite_germ, 120, points=GERM_POINTS)
+    rep = run_within("germ", 120)
     assert rep["stats"]["points"] >= 5
+    assert rep["stats"]["points"] == len(GERM_POINTS)
 
 
 def test_09_theorem_germ_gl():
-    rep = run_within(suite_theorem_germ_gl, 120)
+    rep = run_within("theorem-germ-gl", 120)
     assert rep["stats"]["omega_1"]["equal"]
     assert rep["stats"]["omega_-1"]["equal"]
 
 
 def test_10_local_factors():
-    run_within(suite_local_factors, 5)
+    run_within("local-factors", 5)
 
 
 def test_11_local_constancy():
-    rep = run_within(suite_local_constancy, 60, pairs=10, seed=0)
+    rep = run_within("local-constancy", 60, pairs=10)
     assert rep["stats"]["pairs"] == 10

@@ -1,5 +1,6 @@
 """Command-line interface: JSON in/out, determinism, exit codes."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import sys
 import pytest
 
 from padharm.cli import main
+from padharm.errors import SchemaError
+from padharm.suites import SUITES, run_suite
 
 
 def run_cli(argv, payload=None, tmp_path=None):
@@ -215,3 +218,88 @@ def test_verify_suite_with_seed_and_pairs(tmp_path):
     result = json.loads(text)["result"]
     assert result["passed"] is True
     assert result["stats"]["pairs"] == 1
+
+
+# the verify-suite flags each suite takes, as the README's table lists them
+SUITE_FLAGS = {
+    "section-identities": {"n", "samples"},
+    "triangularity": {"samples"},
+    "nilpotent-orbits": set(),
+    "fourier": {"samples"},
+    "oi-nilpotent": set(),
+    "transfer": {"samples"},
+    "dagger": set(),
+    "germ": {"m", "r"},
+    "theorem-germ-gl": {"m", "r"},
+    "local-factors": set(),
+    "local-constancy": {"pairs"},
+}
+ALL_FLAGS = ("n", "samples", "pairs", "m", "r")
+
+
+def test_suite_table_declares_the_documented_flags():
+    declared = {name: set(params) - {"seed"}
+                for name, (_, params) in SUITES.items()}
+    assert declared == SUITE_FLAGS
+    # and each suite takes exactly the parameters its row lists
+    for fn, params in SUITES.values():
+        assert tuple(inspect.signature(fn).parameters) == params
+
+
+@pytest.mark.parametrize("suite,flag", [
+    (suite, flag) for suite, taken in SUITE_FLAGS.items()
+    for flag in ALL_FLAGS if flag not in taken])
+def test_undeclared_suite_flag_exits_2(suite, flag, tmp_path, capsys):
+    code, _ = run_cli(["verify-suite", suite, f"--{flag}", "1"],
+                      None, tmp_path)
+    assert code == 2
+    assert f'"/{flag}: not a flag of suite' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("suite,flag", [
+    (suite, flag) for suite, taken in SUITE_FLAGS.items()
+    for flag in sorted(taken)])
+def test_suite_flag_below_one_exits_2(suite, flag, value, tmp_path, capsys):
+    code, _ = run_cli(["verify-suite", suite, f"--{flag}", value],
+                      None, tmp_path)
+    assert code == 2
+    assert f'"/{flag}: must be >= 1' in capsys.readouterr().err
+
+
+def test_suite_rank_is_bounded_by_max_n(tmp_path, capsys):
+    argv = ["verify-suite", "section-identities", "--n", "4", "--samples", "1"]
+    code, _ = run_cli(argv, None, tmp_path)
+    assert code == 2
+    assert '"/n: exceeds budgets/max_n = 3' in capsys.readouterr().err
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"budgets": {"max_n": 4}}))
+    code, text = run_cli(["--config", str(cfg)] + argv, None, tmp_path)
+    assert code == 0
+    result = json.loads(text)["result"]
+    assert result["passed"] is True
+    assert result["stats"]["n_values"] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_bad_seed_exits_2(seed, tmp_path, capsys):
+    code, _ = run_cli(
+        ["--seed", seed, "verify-suite", "fourier", "--samples", "1"],
+        None, tmp_path)
+    assert code == 2
+    assert '"/seed: must be' in capsys.readouterr().err
+
+
+def test_config_must_be_an_object(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text("[1]")
+    code, _ = run_cli(["--config", str(cfg), "local-factors"], {}, tmp_path)
+    assert code == 2
+    assert '"/config: expected a JSON object' in capsys.readouterr().err
+
+
+def test_run_suite_rejects_unknown_names_and_the_seed_flag():
+    with pytest.raises(SchemaError, match="/suite: unknown suite"):
+        run_suite("nonsense")
+    with pytest.raises(SchemaError, match="/seed: not a flag"):
+        run_suite("fourier", seed=1)

@@ -93,4 +93,4 @@ def test_tau_squares_to_delta():
         lambda t: t != 0))
 def test_valuation_is_additive(a, b):
     assert val_p(a * b, 3) == val_p(a, 3) + val_p(b, 3)
-    assert val_p(a + b, 3) >= min(val_p(a, 3), val_p(b, 3)) or (a + b) == 0
+    assert (a + b) == 0 or val_p(a + b, 3) >= min(val_p(a, 3), val_p(b, 3))
