@@ -8,6 +8,7 @@ violations, reported with JSON pointer paths), 3 scale-budget overruns.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -520,8 +521,17 @@ def cmd_local_factors(config, payload, args):
 _SUITE_FLAGS = ("n", "samples", "pairs", "m", "r")
 
 
+def _int_or_text(text):
+    """A flag's integer value; text that is not an integer is passed on
+    as it is, for run_suite to reject with the flag's pointer."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def cmd_verify_suite(config, payload, args):
-    flags = {key: getattr(args, key) for key in _SUITE_FLAGS
+    flags = {key: _int_or_text(getattr(args, key)) for key in _SUITE_FLAGS
              if getattr(args, key) is not None}
     return run_suite(args.suite, config, **flags)
 
@@ -547,7 +557,12 @@ COMMANDS = {
 # entry point
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The one argument parser of the process, built on first use; each
+    parse_args call still returns a fresh Namespace.  The suite name and
+    the suite flags are plain strings here: run_suite checks them, so a
+    bad one gets the JSON error document, not argparse's usage text."""
     parser = argparse.ArgumentParser(
         prog="padharm",
         description="Exact p-adic harmonic-analysis computations, JSON in/out.",
@@ -566,9 +581,9 @@ def _build_parser():
     for name in COMMANDS:
         cp = sub.add_parser(name)
         if name == "verify-suite":
-            cp.add_argument("suite", choices=sorted(SUITES))
+            cp.add_argument("suite", help="one of " + ", ".join(SUITES))
             for flag in _SUITE_FLAGS:
-                cp.add_argument(f"--{flag}", type=int)
+                cp.add_argument(f"--{flag}")
     return parser
 
 
@@ -590,8 +605,7 @@ def run(command, config, payload, args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         doc = _load_json(args.config, "/config") if args.config else {}
         if not isinstance(doc, dict):

@@ -174,6 +174,15 @@ def _invariant_under_shifts(packet, exp):
     return True
 
 
+def _constant_in_plus(packet, m):
+    """The value does not depend on the plus coordinate, for a packet on E
+    supported in p^m O x p^m O and invariant under p^(2m) O: in that
+    coordinate it is then a function on p^m O / p^(2m) O (and zero off
+    p^m O), a cyclic group generated by p^m, so one shift by p^m decides."""
+    p = packet.space.F.p
+    return packet.shift((Fraction(p) ** m, Fraction(0))).equals(packet)
+
+
 def is_admissible_scalar(ext, psi, m, packet):
     """All clauses of the level-m dagger definition on E."""
     if m < 1:
@@ -185,14 +194,9 @@ def is_admissible_scalar(ext, psi, m, packet):
         return False
     if not _invariant_under_shifts(packet, 2 * m):
         return False
-    # plus part is a multiple of the indicator of p^m O: the value must not
-    # depend on the plus coordinate within the support
-    reps_plus = [Fraction(j * p ** m) for j in range(p ** m)]
-    reps_minus = [Fraction(j * p ** m) for j in range(p ** m)]
-    for y in reps_minus:
-        vals = {packet.evaluate((x, y)) for x in reps_plus}
-        if len(vals) > 1:
-            return False
+    # plus part is a multiple of the indicator of p^m O
+    if not _constant_in_plus(packet, m):
+        return False
     # hat-support shell: minus coordinate exactly at the shell valuation,
     # plus coordinate within the dual of p^m O
     s0 = shell_valuation(ext, psi, m)
@@ -323,13 +327,15 @@ def compactness_W_direct(ext, psi, eta, theta_data, y):
     eta-twisted multiplicative integral int varphi1(h / y) eta(h) d*h.
 
     varphi1 is the indicator of 1 + p^m O_E, so the support pins
-    v(h) = v(y) and the unit cosets at level m + 1 make the sum exact."""
+    v(h) = v(y), and the unit cosets at level m make the sum exact: the
+    integrand depends on h mod p^(v(y) + m) and eta has conductor at most
+    1 <= m."""
     m = theta_data.m
     y = Fraction(y)
     hat = riemann_fourier(theta_data.packet, (Fraction(0), -y))
     varphi1 = indicator_E(ext, psi, (m, m), (1, 0))
     integral = shell_sum(lambda h: varphi1.evaluate((h / y, Fraction(0))),
-                         eta, val_p(y, ext.F.p), m + 1, ext.F.p)
+                         eta, val_p(y, ext.F.p), m, ext.F.p)
     return hat * integral
 
 

@@ -13,16 +13,26 @@ from fractions import Fraction
 from .errors import PoleAtEvaluationPoint
 
 
+def _trimmed(c):
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
 class Poly:
     """Dense polynomial over Q, little-endian coefficients."""
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs=()):
-        c = [Fraction(x) for x in coeffs]
-        while c and not c[-1]:
-            c.pop()
-        self.c = c
+        self.c = _trimmed([Fraction(x) for x in coeffs])
+
+    @staticmethod
+    def _of(c):
+        """Trusted constructor: `c` is a fresh list of Fractions."""
+        out = Poly.__new__(Poly)
+        out.c = _trimmed(c)
+        return out
 
     @staticmethod
     def const(x):
@@ -40,7 +50,7 @@ class Poly:
 
     def __add__(self, other):
         n = max(len(self.c), len(other.c))
-        return Poly(
+        return Poly._of(
             [
                 (self.c[i] if i < len(self.c) else 0)
                 + (other.c[i] if i < len(other.c) else 0)
@@ -49,7 +59,7 @@ class Poly:
         )
 
     def __neg__(self):
-        return Poly([-x for x in self.c])
+        return Poly._of([-x for x in self.c])
 
     def __sub__(self, other):
         return self + (-other)
@@ -62,10 +72,10 @@ class Poly:
             if a:
                 for j, b in enumerate(other.c):
                     out[i + j] += a * b
-        return Poly(out)
+        return Poly._of(out)
 
     def scale(self, k):
-        return Poly([x * k for x in self.c])
+        return Poly._of([x * k for x in self.c])
 
     def divmod(self, other):
         if other.is_zero():
@@ -79,7 +89,7 @@ class Poly:
             if coef:
                 for j in range(len(d)):
                     r[i + j] -= coef * d[j]
-        return Poly(q), Poly(r)
+        return Poly._of(q), Poly._of(r)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -93,7 +103,7 @@ class Poly:
         return a.scale(1 / a.c[-1])
 
     def derivative(self):
-        return Poly([i * x for i, x in enumerate(self.c)][1:])
+        return Poly._of([i * x for i, x in enumerate(self.c)][1:])
 
     def eval(self, t):
         out = Fraction(0)
@@ -127,7 +137,11 @@ class Poly:
 
 class QRational:
     """num/den with den monic and gcd(num, den) = 1.  The variable is
-    T = q^(-s); Laurent monomials are allowed via denominators T^k."""
+    T = q^(-s); Laurent monomials are allowed via denominators T^k.
+
+    Every operation builds its result in this normal form directly and
+    hands it to `_normal`, which does no gcd; only a sum, and the public
+    constructor with a non-constant denominator, run a polynomial gcd."""
 
     __slots__ = ("num", "den")
 
@@ -135,32 +149,45 @@ class QRational:
         if not isinstance(num, Poly):
             num = Poly.const(num)
         if den is None:
-            den = Poly.const(1)
+            den = _ONE
         elif not isinstance(den, Poly):
             den = Poly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            self.num, self.den = Poly(), Poly.const(1)
+            self.num, self.den = num, _ONE
             return
-        g = num.gcd(den)
-        if g.degree() > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
+        if den.degree() > 0:
+            g = num.gcd(den)
+            if g.degree() > 0:
+                num = num.divmod(g)[0]
+                den = den.divmod(g)[0]
         lead = den.c[-1]
-        self.num = num.scale(1 / lead)
-        self.den = den.scale(1 / lead)
+        if lead != 1:
+            num, den = num.scale(1 / lead), den.scale(1 / lead)
+        self.num, self.den = num, den
+
+    @staticmethod
+    def _normal(num, den):
+        """Trusted constructor: den monic and coprime to num, den = 1 when
+        num is zero."""
+        out = QRational.__new__(QRational)
+        out.num, out.den = num, den
+        return out
 
     @staticmethod
     def const(x):
-        return QRational(Poly.const(x))
+        return QRational._normal(Poly.const(x), _ONE)
 
     @staticmethod
     def monomial(coeff, k):
         """coeff * T^k, any integer k."""
-        if k >= 0:
-            return QRational(Poly.monomial(coeff, k))
-        return QRational(Poly.const(coeff), Poly.monomial(1, -k))
+        num = Poly.const(coeff)
+        if num.is_zero() or k == 0:
+            return QRational._normal(num, _ONE)
+        if k > 0:
+            return QRational._normal(Poly._of([Fraction(0)] * k + num.c), _ONE)
+        return QRational._normal(num, Poly.monomial(1, -k))
 
     def is_zero(self):
         return self.num.is_zero()
@@ -169,6 +196,8 @@ class QRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.degree() == 0 and other.den.degree() == 0:
+            return QRational._normal(self.num + other.num, _ONE)
         return QRational(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -176,7 +205,7 @@ class QRational:
     __radd__ = __add__
 
     def __neg__(self):
-        return QRational(-self.num, self.den)
+        return QRational._normal(-self.num, self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -191,14 +220,20 @@ class QRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QRational(self.num * other.num, self.den * other.den)
+        # cancel across: gcd(n1, d2) and gcd(n2, d1) are monic, and each
+        # factor was already reduced, so the product is in normal form (a
+        # zero factor has den 1 and cancels the other den to 1)
+        n1, d2 = _cancel(self.num, other.den)
+        n2, d1 = _cancel(other.num, self.den)
+        return QRational._normal(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return QRational(self.den, self.num)
+        inv = 1 / self.num.c[-1]
+        return QRational._normal(self.den.scale(inv), self.num.scale(inv))
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -267,6 +302,20 @@ class QRational:
 
     def __repr__(self):
         return f"QRational({self.num!r} / {self.den!r})"
+
+
+_ONE = Poly([1])
+
+
+def _cancel(num, den):
+    """num / g and den / g for g = gcd(num, den), with no gcd when either
+    is constant (den is monic, so g is then 1)."""
+    if num.degree() == 0 or den.degree() == 0:
+        return num, den
+    g = num.gcd(den)
+    if g.degree() == 0:
+        return num, den
+    return num.divmod(g)[0], den.divmod(g)[0]
 
 
 def _coerce(x):

@@ -4,6 +4,7 @@ import inspect
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -205,8 +206,43 @@ def test_entry_point_subprocess():
 
 
 def test_unknown_suite(tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        main(["verify-suite", "nonsense"])
+    # run_suite checks the name and the flag values, so the error is the
+    # JSON document with a pointer, not argparse's usage text
+    for argv, pointer in ((["verify-suite", "nonsense"], "/suite"),
+                          (["verify-suite", "fourier", "--samples", "x"],
+                           "/samples")):
+        code, _ = run_cli(argv, None, tmp_path)
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "SchemaError"
+        assert error["message"].startswith(pointer + ":")
+
+
+def test_dagger_gen_scalar_at_level_6_is_quick(tmp_path):
+    start = time.perf_counter()
+    code, text = run_cli(["dagger-gen"], {"kind": "scalar", "m": 6}, tmp_path)
+    assert code == 0
+    assert time.perf_counter() - start < 5
+    assert json.loads(text)["result"]["admissible"] is True
+
+
+def test_a_failed_parse_leaves_no_trace(tmp_path, capsys):
+    # main builds its parser once per process; each call parses afresh
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps({"n": 1, "sign": "minus"}))
+    valid = ["--payload", str(path), "oi-nilpotent"]
+    assert main(valid) == 0
+    alone = capsys.readouterr().out
+    assert '"measure": "unnormalized"' in alone
+    for bad in (["--measure", "bogus", "oi-nilpotent"],
+                ["--measure", "norm", "--seed", "x", "oi-nilpotent"],
+                ["--measure", "norm", "oi-nilpotent", "--n", "2"],
+                ["--measure", "norm"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    assert main(valid) == 0
+    assert capsys.readouterr().out == alone
 
 
 def test_verify_suite_with_seed_and_pairs(tmp_path):

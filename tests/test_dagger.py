@@ -1,11 +1,17 @@
 """Dagger test data: admissibility predicates, shell valuations, and the
 smoothed-Whittaker compactness identity."""
 
+import random
 from fractions import Fraction
+
+import pytest
 
 from padharm.padic import FieldContext, QuadExtContext
 from padharm.characters import AdditiveCharacter, eta_for_extension
 from padharm.dagger import (
+    _constant_in_plus,
+    _invariant_under_shifts,
+    _supported_in,
     compactness_W_closed,
     compactness_W_direct,
     is_admissible_column,
@@ -16,6 +22,7 @@ from padharm.dagger import (
     make_dagger_scalar,
     shell_valuation,
 )
+from padharm.spaces import WavePacket, e_space
 
 
 def setup_ctx(delta=2, p=3, N=8):
@@ -77,3 +84,80 @@ def test_compactness_vanishes_deep():
     # far outside the dagger shell the smoothed Whittaker value is zero
     val = compactness_W_closed(ext, psi, eta, theta, Fraction(3) ** 6)
     assert val.is_zero()
+
+
+# -- the plus-coordinate clause against its definition -------------------------
+
+
+def depends_on_plus(packet, m):
+    """The enumeration the shift identity replaced: for each minus point of
+    p^m O / p^(2m) O, compare the values at the p^m plus points.  Values are
+    compared with == (not collected in a set)."""
+    p = packet.space.F.p
+    reps = [Fraction(j * p ** m) for j in range(p ** m)]
+    for y in reps:
+        first = packet.evaluate((reps[0], y))
+        if any(packet.evaluate((x, y)) != first for x in reps[1:]):
+            return True
+    return False
+
+
+def random_packet(ext, psi, m, rng):
+    """A packet supported in p^m O x p^m O and invariant under p^(2m) O.
+    Its plus part is either one piece (a coarse indicator, or a finer
+    indicator or a phase, which depend on the plus coordinate) or the
+    partition of p^m O into p cosets of p^(m+1) O with equal coefficients,
+    which does not depend on it although every term does."""
+    p = ext.F.p
+    pm = Fraction(p) ** m
+    a, y0, g0 = (rng.choice((m, 2 * m)), rng.randrange(p) * pm,
+                 Fraction(rng.randrange(p ** m), p ** m) / pm)
+    kind = rng.choice(("coarse", "fine", "phase", "partition"))
+    if kind == "partition":
+        pieces = [(m + 1, j * pm, Fraction(0)) for j in range(p)]
+    elif kind == "coarse":
+        pieces = [(m, Fraction(0), Fraction(0))]
+    elif kind == "fine":
+        pieces = [(rng.randint(m + 1, 2 * m), rng.randrange(p) * pm,
+                   Fraction(0))]
+    else:
+        pieces = [(m, Fraction(0), Fraction(rng.randrange(1, p), p) / pm)]
+    c = rng.choice((1, 2, -1))
+    return WavePacket(e_space(ext, psi, 1),
+                      [(c, (x0, y0), (b, a), (f0, g0)) for b, x0, f0 in pieces])
+
+
+@pytest.mark.parametrize("delta", [2, 3], ids=["inert", "ramified"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_shift_identity_agrees_with_the_enumeration(m, delta):
+    ext, psi = setup_ctx(delta=delta)
+    rng = random.Random(f"{m}:{delta}")
+    seen = set()
+    for _ in range(8):
+        packet = random_packet(ext, psi, m, rng)
+        assert _supported_in(packet, m)
+        assert _invariant_under_shifts(packet, 2 * m)
+        dependent = depends_on_plus(packet, m)
+        assert _constant_in_plus(packet, m) is not dependent
+        seen.add(dependent)
+    for unit in (1, 2):
+        theta = make_dagger_scalar(ext, psi, m, unit=unit).packet
+        assert not depends_on_plus(theta, m)
+        assert _constant_in_plus(theta, m)
+        assert is_admissible_scalar(ext, psi, m, theta)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("delta", [2, 3], ids=["inert", "ramified"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_a_packet_that_depends_on_the_plus_coordinate(m, delta):
+    # the dagger generator with its plus indicator shrunk to p^(m+1) O:
+    # support and p^(2m) invariance hold, the plus clause fails
+    ext, psi = setup_ctx(delta=delta)
+    ((c, x0, (_, a), f0),) = make_dagger_scalar(ext, psi, m).packet.terms
+    packet = WavePacket(e_space(ext, psi, 1), [(c, x0, (m + 1, a), f0)])
+    assert _supported_in(packet, m)
+    assert _invariant_under_shifts(packet, 2 * m)
+    assert depends_on_plus(packet, m)
+    assert not _constant_in_plus(packet, m)
+    assert not is_admissible_scalar(ext, psi, m, packet)

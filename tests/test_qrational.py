@@ -92,3 +92,75 @@ def test_qrational_eval_consistency(num, den, t):
     if den.eval(t) == 0:
         return
     assert x.evaluate(t) == num.eval(t) / den.eval(t)
+
+
+# -- every operation lands in the normal form of the generic reduction ---------
+
+
+def reduced(num, den):
+    """num/den reduced the generic way, with no shortcut: divide by the
+    gcd, make den monic, and 0 as 0/1."""
+    if num.is_zero():
+        return Poly(), Poly([1])
+    g = num.gcd(den)
+    num, den = num.divmod(g)[0], den.divmod(g)[0]
+    lead = den.c[-1]
+    return num.scale(1 / lead), den.scale(1 / lead)
+
+
+def assert_normal_form(x, num, den):
+    """x is num/den: the same coefficient lists as the generic reduction
+    and as the public constructor, all of them Fractions."""
+    want = reduced(num, den)
+    generic = QRational(num, den)
+    assert (x.num.c, x.den.c) == (want[0].c, want[1].c)
+    assert (generic.num.c, generic.den.c) == (want[0].c, want[1].c)
+    assert all(type(c) is Fraction for c in x.num.c + x.den.c)
+
+
+# products of linear factors over a small set of roots, so that operands
+# often share factors with each other
+roots = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
+                         Fraction(1, 3)])
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def product(lead, rs):
+    out = Poly([lead])
+    for r in rs:
+        out = out * Poly([-r, 1])
+    return out
+
+
+qrationals = st.builds(
+    lambda c, rn, d, rd: QRational(product(c, rn), product(d, rd)),
+    small, st.lists(roots, max_size=3),
+    small.filter(bool), st.lists(roots, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(qrationals, qrationals)
+def test_operations_build_the_generic_normal_form(x, y):
+    assert_normal_form(x + y, x.num * y.den + y.num * x.den, x.den * y.den)
+    assert_normal_form(x - y, x.num * y.den - y.num * x.den, x.den * y.den)
+    assert_normal_form(x * y, x.num * y.num, x.den * y.den)
+    assert_normal_form(-x, -x.num, x.den)
+    if not y.is_zero():
+        assert_normal_form(x / y, x.num * y.den, x.den * y.num)
+        assert_normal_form(y.inverse(), y.den, y.num)
+    zero = QRational.const(0)
+    assert_normal_form(x * zero, Poly(), Poly([1]))
+    assert_normal_form(zero + x, x.num, x.den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small | st.integers(min_value=-3, max_value=3),
+       st.integers(min_value=-4, max_value=4))
+def test_constants_and_monomials_are_in_normal_form(c, k):
+    assert_normal_form(QRational.const(c), Poly([c]), Poly([1]))
+    if k >= 0:
+        assert_normal_form(QRational.monomial(c, k), Poly([0] * k + [c]),
+                           Poly([1]))
+    else:
+        assert_normal_form(QRational.monomial(c, k), Poly([c]),
+                           Poly([0] * -k + [1]))
