@@ -5,6 +5,12 @@ JSON in, JSON out: every command reads an optional JSON payload
 prints a deterministic JSON document (sorted keys, fixed formatting).
 Exit codes: 0 success, 2 domain errors (including payload schema
 violations, reported with JSON pointer paths), 3 scale-budget overruns.
+
+Every value from outside the program goes through the readers of
+`config` (`read_int`, `read_fraction`, `RunConfig`): payload fields, and
+the top-level `--seed` and `--measure`, which become the config
+document's `seed` and `measure` (so a bad one exits 2 with `/seed` or
+`/measure`, and `--measure` takes the config's spellings).
 """
 
 import argparse
@@ -12,12 +18,14 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from .cyclotomic import CyclotomicScalar
 from .errors import DomainError, ScaleExceeded, SchemaError
-from .config import RunConfig
+from .config import RunConfig, read_fraction, read_int
 from .matrices import (
     FractionRing,
+    QuadExtRing,
     classify_nilpotent,
     invariants_of,
     mat,
@@ -69,19 +77,6 @@ def frac_str(x):
     return str(Fraction(x))
 
 
-def parse_frac(value, pointer):
-    if isinstance(value, bool):
-        raise SchemaError(f"{pointer}: expected a rational, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(f"{pointer}: not a rational: {value!r}")
-    raise SchemaError(f"{pointer}: expected an integer or 'a/b' string")
-
-
 def cyc_json(c):
     return {
         "kind": "cyclotomic",
@@ -90,11 +85,11 @@ def cyc_json(c):
     }
 
 
-def qrational_json(qr):
+def qrational_json(qr, var="q^-s"):
     return {
         "num": [frac_str(c) for c in qr.num.c],
         "den": [frac_str(c) for c in qr.den.c],
-        "var": "q^-s",
+        "var": var,
     }
 
 
@@ -127,34 +122,28 @@ def packet_json(packet):
     }
 
 
-def parse_matrix_f(value, pointer):
-    if not isinstance(value, list) or not value:
-        raise SchemaError(f"{pointer}: expected a nonempty matrix")
-    rows = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != len(value):
-            raise SchemaError(f"{pointer}/{i}: matrix must be square")
-        rows.append([parse_frac(x, f"{pointer}/{i}/{j}")
-                     for j, x in enumerate(row)])
-    return mat(rows)
+def parse_list(value, pointer, entry=read_fraction, length=None):
+    """A list (of `length` entries, when given) as a tuple whose i-th
+    entry is entry(value[i], pointer/i)."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{pointer}: expected a list")
+    if length is not None and len(value) != length:
+        raise SchemaError(f"{pointer}: expected {length} entries")
+    return tuple(entry(x, f"{pointer}/{i}") for i, x in enumerate(value))
 
 
-def parse_matrix_e(value, ext, pointer):
+def parse_matrix(value, pointer, entry=read_fraction):
+    """A nonempty square matrix, each entry read by `entry`."""
     if not isinstance(value, list) or not value:
         raise SchemaError(f"{pointer}: expected a nonempty matrix")
-    rows = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != len(value):
-            raise SchemaError(f"{pointer}/{i}: matrix must be square")
-        out = []
-        for j, entry in enumerate(row):
-            ptr = f"{pointer}/{i}/{j}"
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise SchemaError(f"{ptr}: expected a [plus, minus] pair")
-            out.append(ext.scalar(parse_frac(entry[0], f"{ptr}/0"),
-                                  parse_frac(entry[1], f"{ptr}/1")))
-        rows.append(out)
-    return mat(rows)
+    return mat(parse_list(row, f"{pointer}/{i}", entry, len(value))
+               for i, row in enumerate(value))
+
+
+def e_entry(ext):
+    """The entry reader for E: a [plus, minus] pair of rationals."""
+    return lambda value, pointer: ext.scalar(
+        *parse_list(value, pointer, length=2))
 
 
 _SPACE_KINDS = ("f", "e", "e-minus", "matrix-f", "matrix-e", "s")
@@ -166,9 +155,8 @@ def parse_space(value, config, pointer):
     kind = value.get("kind")
     if kind not in _SPACE_KINDS:
         raise SchemaError(f"{pointer}/kind: expected one of {_SPACE_KINDS}")
-    size = value.get("dim", value.get("k", 1))
-    if not isinstance(size, int) or size < 1:
-        raise SchemaError(f"{pointer}/dim: expected a positive integer")
+    size = read_int(value.get("dim", value.get("k", 1)), f"{pointer}/dim",
+                    low=1)
     F, psi = config.field(), config.psi()
     if kind == "f":
         return f_space(F, psi, size)
@@ -187,14 +175,10 @@ def parse_space(value, config, pointer):
 def parse_exp_pairs(value, pointer):
     """The [r, c] pairs of a coefficient sum c e(r) as {r: total c}: a
     repeated exponent adds up."""
-    if not isinstance(value, list):
-        raise SchemaError(f"{pointer}: expected a list")
     summed = {}
-    for i, pair in enumerate(value):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"{pointer}/{i}: expected [exponent, coefficient]")
-        r = parse_frac(pair[0], f"{pointer}/{i}/0")
-        summed[r] = summed.get(r, 0) + parse_frac(pair[1], f"{pointer}/{i}/1")
+    pairs = parse_list(value, pointer, functools.partial(parse_list, length=2))
+    for r, c in pairs:
+        summed[r] = summed.get(r, 0) + c
     return summed
 
 
@@ -215,25 +199,15 @@ def parse_packet(value, config, pointer):
             c = CyclotomicScalar(
                 parse_exp_pairs(coeff.get("terms", []), f"{ptr}/coeff/terms"))
         else:
-            c = CyclotomicScalar.from_rational(parse_frac(coeff, f"{ptr}/coeff"))
-        dim = space.dim
+            c = CyclotomicScalar.from_rational(
+                read_fraction(coeff, f"{ptr}/coeff"))
 
-        def vec(name, default, parse=True):
-            raw = t.get(name, [default] * dim)
-            if not isinstance(raw, list) or len(raw) != dim:
-                raise SchemaError(f"{ptr}/{name}: expected {dim} entries")
-            if parse:
-                return tuple(parse_frac(x, f"{ptr}/{name}/{k}")
-                             for k, x in enumerate(raw))
-            out = []
-            for k, x in enumerate(raw):
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise SchemaError(f"{ptr}/{name}/{k}: expected an integer")
-                out.append(x)
-            return tuple(out)
+        def vec(name, read):
+            return parse_list(t.get(name, [0] * space.dim), f"{ptr}/{name}",
+                              read, space.dim)
 
-        terms.append((c, vec("center", 0), vec("exps", 0, parse=False),
-                      vec("freq", 0)))
+        terms.append((c, vec("center", read_fraction), vec("exps", read_int),
+                      vec("freq", read_fraction)))
     return WavePacket(space, terms)
 
 
@@ -245,54 +219,43 @@ def matrix_json(X):
 # command handlers
 
 
-def _invariant_lists(payload, pointer="/"):
-    a = payload.get("a")
-    b = payload.get("b")
-    if not isinstance(a, list) or not isinstance(b, list) \
-            or len(b) != len(a) + 1:
-        raise SchemaError(
-            f"{pointer}a,{pointer}b: want n entries a and n+1 entries b")
-    av = tuple(parse_frac(x, f"{pointer}a/{i}") for i, x in enumerate(a))
-    bv = tuple(parse_frac(x, f"{pointer}b/{i}") for i, x in enumerate(b))
-    return av, bv
-
-
-def cmd_invariants(config, payload, args):
-    X = parse_matrix_f(payload.get("matrix"), "/matrix")
+def cmd_invariants(config, payload):
+    X = parse_matrix(payload.get("matrix"), "/matrix")
     config.check_rank(len(X) - 1, "/matrix")
     a, b = invariants_of(FractionRing(), X)
     return {"a": [frac_str(x) for x in a], "b": [frac_str(x) for x in b]}
 
 
-def cmd_classify(config, payload, args):
-    X = parse_matrix_f(payload.get("matrix"), "/matrix")
+def cmd_classify(config, payload):
+    X = parse_matrix(payload.get("matrix"), "/matrix")
     config.check_rank(len(X) - 1, "/matrix")
     return {"class": classify_nilpotent(FractionRing(), X)}
 
 
-def cmd_section(config, payload, args):
+def cmd_section(config, payload):
     kind = payload.get("kind", "sigma")
     builders = {"sigma": section_sigma, "sigma-prime": section_sigma_prime,
                 "varrho": varrho}
-    if kind not in builders:
+    if not isinstance(kind, str) or kind not in builders:
         raise SchemaError(f"/kind: expected one of {sorted(builders)}")
-    a, b = _invariant_lists(payload)
+    a = parse_list(payload.get("a"), "/a")
+    b = parse_list(payload.get("b"), "/b", length=len(a) + 1)
     config.check_rank(len(a), "/a")
     X = builders[kind](FractionRing(), a, b)
     return {"kind": kind, "matrix": matrix_json(X)}
 
 
-def cmd_transfer_factor(config, payload, args):
+def cmd_transfer_factor(config, payload):
     ext = config.ext()
     eta_prime = config.eta_prime()
     setting = payload.get("setting", "lie")
     if setting == "group":
-        g1 = parse_matrix_e(payload.get("gamma1"), ext, "/gamma1")
-        g2 = parse_matrix_e(payload.get("gamma2"), ext, "/gamma2")
+        g1 = parse_matrix(payload.get("gamma1"), "/gamma1", e_entry(ext))
+        g2 = parse_matrix(payload.get("gamma2"), "/gamma2", e_entry(ext))
         config.check_rank(len(g1), "/gamma1")
         omega = transfer_factor_group(ext, g1, g2, eta_prime)
         return {"omega": cyc_json(omega), "side": "group"}
-    X = parse_matrix_e(payload.get("matrix"), ext, "/matrix")
+    X = parse_matrix(payload.get("matrix"), "/matrix", e_entry(ext))
     config.check_rank(len(X) - 1, "/matrix")
     if setting == "s":
         omega = transfer_factor_S(ext, X, eta_prime)
@@ -303,7 +266,6 @@ def cmd_transfer_factor(config, payload, args):
         omega = transfer_factor_lie(ext, X, eta_prime, sign=sign)
     else:
         raise SchemaError("/setting: expected lie, s or group")
-    from .matrices import QuadExtRing
     a, b = invariants_of(QuadExtRing(ext), X)
     inv = {
         "a": [[frac_str(x.x.as_fraction()), frac_str(x.y.as_fraction())]
@@ -314,40 +276,30 @@ def cmd_transfer_factor(config, payload, args):
     return {"omega": cyc_json(omega), "side": setting, "invariants": inv}
 
 
-def cmd_match(config, payload, args):
+def cmd_match(config, payload):
     ext = config.ext()
-    X = parse_matrix_e(payload.get("matrix"), ext, "/matrix")
+    X = parse_matrix(payload.get("matrix"), "/matrix", e_entry(ext))
     config.check_rank(len(X) - 1, "/matrix")
-    forms_raw = payload.get("forms", [[1, 1], [1, config.p]])
-    if not isinstance(forms_raw, list) or not forms_raw:
-        raise SchemaError("/forms: expected a list of diagonal forms")
-    forms = []
-    for i, diag in enumerate(forms_raw):
-        if not isinstance(diag, list):
-            raise SchemaError(f"/forms/{i}: expected a diagonal entry list")
-        forms.append(HermitianForm(
-            ext, tuple(parse_frac(x, f"/forms/{i}/{j}")
-                       for j, x in enumerate(diag))))
+    forms = [HermitianForm(ext, diag) for diag in parse_list(
+        payload.get("forms", [[1, 1], [1, config.p]]), "/forms", parse_list)]
+    if not forms:
+        raise SchemaError("/forms: expected a nonempty list of diagonal forms")
     side = match_side(ext, X, config.eta(), forms)
     return {"side": side,
             "disc_classes": [frac_str(w.disc()) for w in forms]}
 
 
-def cmd_fourier(config, payload, args):
+def cmd_fourier(config, payload):
     f = parse_packet(payload.get("packet"), config, "/packet")
     return {"packet": packet_json(f.fourier())}
 
 
-def cmd_dagger_gen(config, payload, args):
+def cmd_dagger_gen(config, payload):
     ext, psi = config.ext(), config.psi()
     kind = payload.get("kind", "scalar")
-    m = payload.get("m", 1)
-    k = payload.get("k", 2)
-    unit = payload.get("unit", 1)
-    if not isinstance(m, int) or m < 1:
-        raise SchemaError("/m: expected a positive integer")
-    if not isinstance(k, int) or k < 1:
-        raise SchemaError("/k: expected a positive integer")
+    m = read_int(payload.get("m", 1), "/m", low=1)
+    k = read_int(payload.get("k", 2), "/k", low=1)
+    unit = read_fraction(payload.get("unit", 1), "/unit")
     if kind == "scalar":
         data = make_dagger_scalar(ext, psi, m, unit=unit)
         admissible = is_admissible_scalar(ext, psi, m, data.packet)
@@ -368,65 +320,52 @@ def cmd_dagger_gen(config, payload, args):
     }
 
 
-def _measure_scale(config, args, n):
-    """Normalized-measure correction: each multiplicative Tate factor was
-    accumulated against the unnormalized d*x (unit shell 1 - 1/q)."""
-    mode = args.measure or config.measure
-    mode = "normalized" if mode in ("norm", "normalized") else "unnormalized"
-    if mode == "unnormalized":
-        return mode, Fraction(1)
-    q = Fraction(config.p)
-    return mode, (1 - 1 / q) ** (-n)
-
-
-def cmd_oi_rs(config, payload, args):
-    f = parse_packet(payload.get("f"), config, "/f")
-    X_raw = payload.get("X")
-    if not isinstance(X_raw, list):
-        raise SchemaError("/X: expected matrix coordinates")
-    if X_raw and isinstance(X_raw[0], list):
-        Xm = parse_matrix_f(X_raw, "/X")
-        X = tuple(x for row in Xm for x in row)
-    else:
-        X = tuple(parse_frac(x, f"/X/{i}") for i, x in enumerate(X_raw))
-    k = int(len(X) ** Fraction(1, 2))
-    if k * k != len(X):
-        raise SchemaError("/X: expected k^2 coordinates")
-    config.check_rank(k - 1, "/X")
-    slack = payload.get("slack", 0)
-    if not isinstance(slack, int) or slack < 0:
-        raise SchemaError("/slack: expected a nonnegative integer")
-    res = orbital_rs(X, f, config.eta(),
-                     budget=config.budgets["max_cosets"], slack=slack)
-    mode, scale = _measure_scale(config, args, k - 1)
-    if scale != 1:
-        res = res.scale(scale)
+def _orbital_json_in_measure(res, config, n):
+    """orbital_json of a rank-n result in the configured measure.  Each
+    multiplicative Tate factor was accumulated against the unnormalized
+    d*x (unit shell 1 - 1/q), so the normalized measure scales by
+    (1 - 1/q)^(-n)."""
+    if config.measure == "normalized":
+        res = res.scale((1 - Fraction(1, config.p)) ** -n)
     out = orbital_json(res)
-    out["measure"] = mode
+    out["measure"] = config.measure
     return out
 
 
-def cmd_oi_nilpotent(config, payload, args):
+def cmd_oi_rs(config, payload):
+    f = parse_packet(payload.get("f"), config, "/f")
+    X_raw = payload.get("X")
+    if isinstance(X_raw, list) and X_raw and isinstance(X_raw[0], list):
+        X = tuple(x for row in parse_matrix(X_raw, "/X") for x in row)
+    else:
+        X = parse_list(X_raw, "/X")
+    k = isqrt(len(X))
+    if k < 2 or k * k != len(X):
+        raise SchemaError("/X: expected k^2 coordinates with k >= 2")
+    if len(X) != f.space.dim:
+        raise SchemaError(f"/X: expected {f.space.dim} coordinates, "
+                          "the dimension of /f")
+    config.check_rank(k - 1, "/X")
+    slack = read_int(payload.get("slack", 0), "/slack", low=0)
+    res = orbital_rs(X, f, config.eta(),
+                     budget=config.budgets["max_cosets"], slack=slack)
+    return _orbital_json_in_measure(res, config, k - 1)
+
+
+def cmd_oi_nilpotent(config, payload):
     sign = payload.get("sign", "plus")
     if sign not in ("plus", "minus"):
         raise SchemaError("/sign: expected plus or minus")
     if "f" in payload:
         f = parse_packet(payload["f"], config, "/f")
-        k = int(Fraction(f.space.dim) ** Fraction(1, 2))
+        n = config.check_rank(isqrt(f.space.dim) - 1, "/n")
     else:
-        n = payload.get("n", 1)
-        if not isinstance(n, int) or n < 1:
-            raise SchemaError("/n: expected a positive integer")
-        k = n + 1
+        # bounded before the (n+1)^2 coordinates are built
+        n = config.check_rank(read_int(payload.get("n", 1), "/n", low=1), "/n")
         f = WavePacket.indicator(
-            matrix_space_f(config.field(), config.psi(), k), 0)
-    config.check_rank(k - 1, "/n")
+            matrix_space_f(config.field(), config.psi(), n + 1), 0)
     res = orbital_nilpotent(sign, f, config.eta())
-    mode, scale = _measure_scale(config, args, k - 1)
-    if scale != 1:
-        res = res.scale(scale)
-    out = orbital_json(res)
-    out["measure"] = mode
+    out = _orbital_json_in_measure(res, config, n)
     out["pole_report"] = [
         {
             "real_poles_in_unit_interval": entry["real_roots_in_unit"],
@@ -438,23 +377,14 @@ def cmd_oi_nilpotent(config, payload, args):
     return out
 
 
-def cmd_germ_check(config, payload, args):
+def cmd_germ_check(config, payload):
     ext, psi = config.ext(), config.psi()
-    m = payload.get("m", 1)
-    r = payload.get("r", max(2 * m, m + 1) + 1 if isinstance(m, int) else 3)
-    if not isinstance(m, int) or m < 1:
-        raise SchemaError("/m: expected a positive integer")
-    if not isinstance(r, int) or r < 1:
-        raise SchemaError("/r: expected a positive integer")
-    pts_raw = payload.get("points", [list(pt) for pt in GERM_POINTS])
-    if not isinstance(pts_raw, list) or not pts_raw:
-        raise SchemaError("/points: expected a list of [x1, y1, y0] triples")
-    points = []
-    for i, pt in enumerate(pts_raw):
-        if not isinstance(pt, list) or len(pt) != 3:
-            raise SchemaError(f"/points/{i}: expected an [x1, y1, y0] triple")
-        points.append(tuple(parse_frac(x, f"/points/{i}/{j}")
-                            for j, x in enumerate(pt)))
+    m = read_int(payload.get("m", 1), "/m", low=1)
+    r = read_int(payload.get("r", 2 * m + 1), "/r", low=1)
+    points = parse_list(payload.get("points", [list(pt) for pt in GERM_POINTS]),
+                        "/points", functools.partial(parse_list, length=3))
+    if not points:
+        raise SchemaError("/points: expected a nonempty list of [x1, y1, y0]")
     phi = make_dagger_scalar(ext, psi, m)
     rep = germ_constant_check(ext, psi, config.eta(), config.eta_prime(),
                               phi, r, points)
@@ -473,15 +403,11 @@ def cmd_germ_check(config, payload, args):
     }
 
 
-def cmd_theorem_germ_gl(config, payload, args):
+def cmd_theorem_germ_gl(config, payload):
     ext, psi = config.ext(), config.psi()
-    m = payload.get("m", 1)
-    r = payload.get("r", 3)
-    omega_tau = payload.get("omega_tau", 1)
-    if not isinstance(m, int) or m < 1:
-        raise SchemaError("/m: expected a positive integer")
-    if not isinstance(r, int) or r < 1:
-        raise SchemaError("/r: expected a positive integer")
+    m = read_int(payload.get("m", 1), "/m", low=1)
+    r = read_int(payload.get("r", 3), "/r", low=1)
+    omega_tau = read_int(payload.get("omega_tau", 1), "/omega_tau")
     if omega_tau not in (1, -1):
         raise SchemaError("/omega_tau: expected 1 or -1")
     phi = make_dagger_scalar(ext, psi, m)
@@ -496,25 +422,15 @@ def cmd_theorem_germ_gl(config, payload, args):
     }
 
 
-def cmd_local_factors(config, payload, args):
-    q = payload.get("q", config.p)
-    n_max = payload.get("n_max", 4)
-    if not isinstance(q, int) or q < 2:
-        raise SchemaError("/q: expected an integer >= 2")
-    if not isinstance(n_max, int) or n_max < 1:
-        raise SchemaError("/n_max: expected a positive integer")
-    rows = []
-    for row in lfactor_table(q, n_max):
-        rows.append({
-            "name": row["name"],
-            "rational_function": {
-                "num": [frac_str(c) for c in row["rational_function"].num.c],
-                "den": [frac_str(c) for c in row["rational_function"].den.c],
-                "var": "q^-1",
-            },
-            "value_at_q": frac_str(row["value_at_q"]),
-            "exponent": row["exponent"],
-        })
+def cmd_local_factors(config, payload):
+    q = read_int(payload.get("q", config.p), "/q", low=2)
+    n_max = read_int(payload.get("n_max", 4), "/n_max", low=1)
+    rows = [{"name": row["name"],
+             "rational_function": qrational_json(row["rational_function"],
+                                                 var="q^-1"),
+             "value_at_q": frac_str(row["value_at_q"]),
+             "exponent": row["exponent"]}
+            for row in lfactor_table(q, n_max)]
     return {"q": q, "table": rows}
 
 
@@ -523,17 +439,18 @@ _SUITE_FLAGS = ("n", "samples", "pairs", "m", "r")
 
 def _int_or_text(text):
     """A flag's integer value; text that is not an integer is passed on
-    as it is, for run_suite to reject with the flag's pointer."""
+    as it is, for read_int to reject with the flag's pointer."""
     try:
         return int(text)
     except ValueError:
         return text
 
 
-def cmd_verify_suite(config, payload, args):
-    flags = {key: _int_or_text(getattr(args, key)) for key in _SUITE_FLAGS
-             if getattr(args, key) is not None}
-    return run_suite(args.suite, config, **flags)
+def cmd_verify_suite(config, payload):
+    """The payload is the suite name and the flags given on the command
+    line; run_suite checks both."""
+    flags = dict(payload)
+    return run_suite(flags.pop("suite"), config, **flags)
 
 
 COMMANDS = {
@@ -560,9 +477,10 @@ COMMANDS = {
 @functools.cache
 def _parser():
     """The one argument parser of the process, built on first use; each
-    parse_args call still returns a fresh Namespace.  The suite name and
-    the suite flags are plain strings here: run_suite checks them, so a
-    bad one gets the JSON error document, not argparse's usage text."""
+    parse_args call still returns a fresh Namespace.  `--measure`,
+    `--seed`, the suite name and the suite flags are plain strings here:
+    RunConfig and run_suite check them, so a bad one gets the JSON error
+    document with its pointer, not argparse's usage text."""
     parser = argparse.ArgumentParser(
         prog="padharm",
         description="Exact p-adic harmonic-analysis computations, JSON in/out.",
@@ -574,9 +492,10 @@ def _parser():
                         help="write the JSON result here instead of stdout")
     parser.add_argument("--payload", metavar="PATH",
                         help="JSON payload (default: stdin when piped)")
-    parser.add_argument("--measure", choices=["norm", "unnorm"],
-                        help="override the configured measure mode")
-    parser.add_argument("--seed", type=int, help="seed for sampled suites")
+    parser.add_argument("--measure",
+                        help="override the configured measure: normalized "
+                             "(norm) or unnormalized (unnorm)")
+    parser.add_argument("--seed", help="seed for sampled suites")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         cp = sub.add_parser(name)
@@ -597,11 +516,26 @@ def _load_json(path, pointer):
         raise SchemaError(f"{pointer}: invalid JSON in {path}: {exc}")
 
 
-def run(command, config, payload, args):
-    """Dispatch a single command; pure apart from reading the arguments."""
-    if command not in COMMANDS:
-        raise SchemaError(f"/command: unknown command {command!r}")
-    return COMMANDS[command](config, payload, args)
+def _read_payload(args):
+    """The command's payload: for verify-suite its suite name and flags,
+    otherwise the --payload file or piped stdin (default {})."""
+    if args.command == "verify-suite":
+        flags = {key: _int_or_text(getattr(args, key)) for key in _SUITE_FLAGS
+                 if getattr(args, key) is not None}
+        return {"suite": args.suite, **flags}
+    if args.payload:
+        payload = _load_json(args.payload, "/payload")
+    elif sys.stdin.isatty():
+        payload = {}
+    else:
+        raw = sys.stdin.read().strip()
+        try:
+            payload = json.loads(raw) if raw else {}
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"/payload: invalid JSON on stdin: {exc}")
+    if not isinstance(payload, dict):
+        raise SchemaError("/payload: expected a JSON object")
+    return payload
 
 
 def main(argv=None):
@@ -610,22 +544,14 @@ def main(argv=None):
         doc = _load_json(args.config, "/config") if args.config else {}
         if not isinstance(doc, dict):
             raise SchemaError("/config: expected a JSON object")
+        # the top-level flags override the document's members and are
+        # checked with them
         if args.seed is not None:
-            doc["seed"] = args.seed
+            doc["seed"] = _int_or_text(args.seed)
+        if args.measure is not None:
+            doc["measure"] = args.measure
         config = RunConfig(doc)
-        payload = {}
-        if args.payload:
-            payload = _load_json(args.payload, "/payload")
-        elif not sys.stdin.isatty() and args.command != "verify-suite":
-            raw = sys.stdin.read().strip()
-            if raw:
-                try:
-                    payload = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"/payload: invalid JSON on stdin: {exc}")
-        if not isinstance(payload, dict):
-            raise SchemaError("/payload: expected a JSON object")
-        result = run(args.command, config, payload, args)
+        result = COMMANDS[args.command](config, _read_payload(args))
     except ScaleExceeded as exc:
         _emit({"error": {"type": "ScaleExceeded", "message": str(exc)}},
               args.out, err=True)

@@ -9,7 +9,7 @@ A configuration is a single JSON document
       "eta": {"kind": "extension"},          # or {"r_pi": "1/2", "k": 0}
       "eta_prime": {"kind": "default"},      # or {"r_pi": ..., "k": ...}
       "budgets": {"max_cosets": 500000, "max_n": 3, "max_p": 5},
-      "measure": "unnormalized",             # or "normalized"
+      "measure": "unnormalized",             # or "normalized" (or unnorm, norm)
       "seed": 0
     }
 
@@ -17,6 +17,10 @@ Every field has a default, so the empty document is valid.  Validation is
 all-or-nothing: a rejected document raises SchemaError (with a JSON
 pointer to the offending member) before anything is built, so a bad
 configuration never partially executes.
+
+`read_int` and `read_fraction` are the readers of every value from
+outside the program: the CLI reads its payload fields and its
+`--seed`/`--measure` flags through them and through RunConfig.
 """
 
 from fractions import Fraction
@@ -50,7 +54,9 @@ def _fail(pointer, message):
     raise SchemaError(f"{pointer}: {message}")
 
 
-def _require_int(value, pointer, low=None, high=None):
+def read_int(value, pointer, low=None, high=None):
+    """An integer from outside the program (config, payload or flag), in
+    [low, high]; a boolean is not an integer."""
     if not isinstance(value, int) or isinstance(value, bool):
         _fail(pointer, f"expected an integer, got {value!r}")
     if low is not None and value < low:
@@ -60,7 +66,9 @@ def _require_int(value, pointer, low=None, high=None):
     return value
 
 
-def _require_fraction(value, pointer):
+def read_fraction(value, pointer):
+    """A rational from outside the program: an integer or an 'a/b'
+    string; a boolean is not a rational."""
     if isinstance(value, bool):
         _fail(pointer, f"expected a rational number, got {value!r}")
     if isinstance(value, int):
@@ -81,8 +89,8 @@ class RunConfig:
         for key in doc:
             if key not in _TOP_KEYS:
                 _fail(f"/{key}", "unknown configuration key")
-        self.p = _require_int(doc.get("p", DEFAULTS["p"]), "/p", low=3)
-        self.N = _require_int(doc.get("N", DEFAULTS["N"]), "/N", low=1)
+        self.p = read_int(doc.get("p", DEFAULTS["p"]), "/p", low=3)
+        self.N = read_int(doc.get("N", DEFAULTS["N"]), "/N", low=1)
 
         delta = doc.get("delta", DEFAULTS["delta"])
         if isinstance(delta, int) and not isinstance(delta, bool):
@@ -91,15 +99,15 @@ class RunConfig:
             for key in delta:
                 if key not in ("val", "unit"):
                     _fail(f"/delta/{key}", "unknown key (want val, unit)")
-            val = _require_int(delta.get("val", 0), "/delta/val", low=0, high=1)
-            unit = _require_fraction(delta.get("unit", 1), "/delta/unit")
+            val = read_int(delta.get("val", 0), "/delta/val", low=0, high=1)
+            unit = read_fraction(delta.get("unit", 1), "/delta/unit")
             if unit == 0:
                 _fail("/delta/unit", "unit must be nonzero")
             self.delta_fraction = unit * Fraction(self.p) ** val
         else:
             _fail("/delta", f"expected an integer or {{val, unit}}, got {delta!r}")
 
-        self.psi_conductor = _require_int(
+        self.psi_conductor = read_int(
             doc.get("psi_conductor", DEFAULTS["psi_conductor"]), "/psi_conductor"
         )
 
@@ -118,7 +126,7 @@ class RunConfig:
         for key, value in budgets.items():
             if key not in merged:
                 _fail(f"/budgets/{key}", "unknown budget key")
-            merged[key] = _require_int(value, f"/budgets/{key}", low=1)
+            merged[key] = read_int(value, f"/budgets/{key}", low=1)
         self.budgets = merged
 
         measure = doc.get("measure", DEFAULTS["measure"])
@@ -127,7 +135,7 @@ class RunConfig:
         self.measure = "normalized" if measure in ("normalized", "norm") else "unnormalized"
 
         seed = doc.get("seed", DEFAULTS["seed"])
-        self.seed = _require_int(seed, "/seed", low=0, high=2**64 - 1)
+        self.seed = read_int(seed, "/seed", low=0, high=2**64 - 1)
 
         if self.p > self.budgets["max_p"]:
             _fail("/p", f"exceeds budgets/max_p = {self.budgets['max_p']}")
@@ -150,8 +158,8 @@ class RunConfig:
         for key in spec:
             if key not in ("r_pi", "k"):
                 _fail(f"{pointer}/{key}", "unknown key (want kind, or r_pi and k)")
-        out["r_pi"] = _require_fraction(spec.get("r_pi", 0), f"{pointer}/r_pi")
-        out["k"] = _require_int(spec.get("k", 0), f"{pointer}/k", low=0)
+        out["r_pi"] = read_fraction(spec.get("r_pi", 0), f"{pointer}/r_pi")
+        out["k"] = read_int(spec.get("k", 0), f"{pointer}/k", low=0)
         return out
 
     # -- lazily-built contexts ----------------------------------------

@@ -293,7 +293,7 @@ def invariants_of(R, X):
     row = v
     for _ in range(n):
         b.append(_dot(row, u, R))
-        row = _vec_mat(row, A)
+        row = vec_mat(row, A)
     return a, tuple(b)
 
 
@@ -304,7 +304,7 @@ def _dot(v, u, R):
     return s
 
 
-def _vec_mat(v, A):
+def vec_mat(v, A):
     n = len(A)
     return tuple(
         _sum_terms([v[i] * A[i][j] for i in range(n)]) for j in range(n)
@@ -342,7 +342,7 @@ def delta_minus(R, X):
     rows = [v]
     cur = v
     for _ in range(n - 1):
-        cur = _vec_mat(cur, A)
+        cur = vec_mat(cur, A)
         rows.append(cur)
     return mat(rows)
 
@@ -486,7 +486,7 @@ def iota_prime_inverse(R, X):
     ref = section_sigma_prime(R, a, zero_b)
     h = mat_mul(delta_plus(R, X), mat_inv(R, delta_plus(R, ref)))
     hinv = mat_inv(R, h)
-    vh = _vec_mat(v, h)
+    vh = vec_mat(v, h)
     b = [w] + [vh[n - i] for i in range(1, n + 1)]  # (vh)_j = b_{n-j+1}
     return h, (a, tuple(b))
 

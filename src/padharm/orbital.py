@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .characters import shell_sum
 from .cyclotomic import CyclotomicScalar, sqrt_rational_power
@@ -172,9 +172,7 @@ class OrbitalResult:
 
 
 def _matrix_dim(space):
-    k = 1
-    while k * k < space.dim:
-        k += 1
+    k = isqrt(space.dim)
     if k * k != space.dim:
         raise NotInDomain("packet does not live on a square matrix space")
     return k

@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicScalar
-from .config import RunConfig, _require_int
+from .config import RunConfig, read_int
 from .errors import DomainError, NotRegularSemisimple, SchemaError
 from .qrational import QRational, geometric_tail
 from .matrices import (
@@ -635,7 +635,7 @@ def run_suite(name, config=None, **flags):
     for key, value in flags.items():
         if key == "seed" or key not in params:
             raise SchemaError(f"/{key}: not a flag of suite {name!r}")
-        _require_int(value, f"/{key}", low=1)
+        read_int(value, f"/{key}", low=1)
     if "n" in flags:
         config.check_rank(flags["n"], "/n")
     if "seed" in params:

@@ -21,7 +21,6 @@ from .matrices import (
     Delta_plus,
     FractionRing,
     QuadExtRing,
-    _vec_mat,
     det,
     embed_h,
     identity,
@@ -34,6 +33,7 @@ from .matrices import (
     mat_neg,
     mat_sub,
     transpose,
+    vec_mat,
     xi_minus,
     xi_plus,
 )
@@ -164,7 +164,7 @@ def transfer_factor_S(ext, s, eta_prime):
     cur = e
     for _ in range(m):
         rows.append(cur)
-        cur = _vec_mat(cur, s)
+        cur = vec_mat(cur, s)
     D = det(R, mat(rows))
     if D.is_zero():
         raise NotRegularSemisimple("transfer factor undefined: det(e s^i) = 0")

@@ -1,5 +1,6 @@
 """Command-line interface: JSON in/out, determinism, exit codes."""
 
+import copy
 import inspect
 import json
 import subprocess
@@ -8,6 +9,7 @@ import time
 
 import pytest
 
+from padharm import cli
 from padharm.cli import main
 from padharm.errors import SchemaError
 from padharm.suites import SUITES, run_suite
@@ -79,6 +81,17 @@ def test_oi_nilpotent_default(tmp_path):
     # (1 - 1/q)/(1 + T) at s = 0 is (1 - 1/q)/2 = 1/3 for q = 3
     assert result["value_at_s0"]["terms"] == [["0", "1/3"]]
     assert result["pole_report"][0]["orders"]["s=1/2+"] == 0
+
+
+def test_oi_nilpotent_bounds_n_before_building_the_space(
+        tmp_path, capsys, monkeypatch):
+    # the default packet lives on (n+1)^2 coordinates
+    built = []
+    monkeypatch.setattr(cli, "matrix_space_f", lambda F, psi, k: built.append(k))
+    code, _ = run_cli(["oi-nilpotent"], {"n": 10**9}, tmp_path)
+    assert code == 2
+    assert '"/n: exceeds budgets/max_n = 3' in capsys.readouterr().err
+    assert built == []
 
 
 def test_match_default_forms(tmp_path):
@@ -227,22 +240,45 @@ def test_dagger_gen_scalar_at_level_6_is_quick(tmp_path):
 
 
 def test_a_failed_parse_leaves_no_trace(tmp_path, capsys):
-    # main builds its parser once per process; each call parses afresh
+    # main builds its parser once per process; each call parses afresh.
+    # The values of --measure and --seed go into the config document, so
+    # RunConfig rejects a bad one with its pointer; argparse still rejects
+    # a flag the command does not take and a missing command.
     path = tmp_path / "payload.json"
     path.write_text(json.dumps({"n": 1, "sign": "minus"}))
     valid = ["--payload", str(path), "oi-nilpotent"]
     assert main(valid) == 0
     alone = capsys.readouterr().out
     assert '"measure": "unnormalized"' in alone
-    for bad in (["--measure", "bogus", "oi-nilpotent"],
-                ["--measure", "norm", "--seed", "x", "oi-nilpotent"],
-                ["--measure", "norm", "oi-nilpotent", "--n", "2"],
+    for bad, pointer in ((["--measure", "bogus", "oi-nilpotent"], "/measure"),
+                         (["--measure", "norm", "--seed", "x", "oi-nilpotent"],
+                          "/seed")):
+        assert main(bad) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "SchemaError"
+        assert error["message"].startswith(pointer + ":")
+    for bad in (["--measure", "norm", "oi-nilpotent", "--n", "2"],
                 ["--measure", "norm"]):
         with pytest.raises(SystemExit) as exc:
             main(bad)
         assert exc.value.code == 2
+    capsys.readouterr()
     assert main(valid) == 0
     assert capsys.readouterr().out == alone
+
+
+@pytest.mark.parametrize("spelling, mode", [
+    ("norm", "normalized"), ("normalized", "normalized"),
+    ("unnorm", "unnormalized"), ("unnormalized", "unnormalized")])
+def test_measure_flag_takes_the_config_spellings(spelling, mode, tmp_path):
+    # the flag overrides the config document's measure
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"measure": "unnorm" if mode == "normalized"
+                               else "norm"}))
+    code, text = run_cli(["--config", str(cfg), "--measure", spelling,
+                          "oi-nilpotent"], {"n": 1}, tmp_path)
+    assert code == 0
+    assert json.loads(text)["result"]["measure"] == mode
 
 
 def test_verify_suite_with_seed_and_pairs(tmp_path):
@@ -339,3 +375,99 @@ def test_run_suite_rejects_unknown_names_and_the_seed_flag():
         run_suite("nonsense")
     with pytest.raises(SchemaError, match="/seed: not a flag"):
         run_suite("fourier", seed=1)
+
+
+# The payloads of the README's command-line examples (and a Fourier
+# packet), with the optional fields each command reads.  The contract
+# test replaces each member and entry, at every depth, by each value of
+# POOL: every run must end in exit 0, 2 or 3 with a JSON document.
+CONTRACT_PAYLOADS = {
+    "invariants": {"matrix": [[0, 1], [2, 0]]},
+    "section": {"kind": "sigma", "a": ["1/2"], "b": [2, 3]},
+    "oi-rs": {"X": [0, 1, 1, 0], "slack": 0,
+              "f": {"space": {"kind": "matrix-f", "k": 2},
+                    "terms": [{"coeff": 1}]}},
+    "oi-nilpotent": {"n": 2, "sign": "plus"},
+    "transfer-factor": {"setting": "lie", "sign": "minus",
+                        "matrix": [[[0, 0], [0, 1]], [[0, 1], [0, 0]]]},
+    "match": {"matrix": [[[0, 1], [0, 1]], [[0, 1], [0, 2]]],
+              "forms": [[1, 1], [1, 3]]},
+    "dagger-gen": {"kind": "scalar", "m": 1, "k": 2, "unit": 1},
+    "germ-check": {"m": 1, "r": 3, "points": [[0, 1, 0]]},
+    "theorem-germ-gl": {"m": 1, "r": 3, "omega_tau": -1},
+    "local-factors": {"q": 3, "n_max": 3},
+    "fourier": {"packet": {"space": {"kind": "f", "dim": 1},
+                           "terms": [{"coeff": 1, "exps": [1],
+                                      "center": ["1/3"], "freq": [0]}]}},
+}
+POOL = (True, "x", [1], -1, 0, "1/2", {}, None, 2.5)
+
+
+def _pointers(doc, pointer=""):
+    """The JSON pointer of every member and entry of doc, at every depth."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield f"{pointer}/{key}"
+        yield from _pointers(value, f"{pointer}/{key}")
+
+
+def _replaced(doc, pointer, value):
+    doc = copy.deepcopy(doc)
+    *path, last = pointer[1:].split("/")
+    node = doc
+    for key in path:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(last) if isinstance(node, list) else last] = value
+    return doc
+
+
+def _call(command, payload, tmp_path, capsys):
+    """(exit code, the JSON document printed) of one in-process run."""
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    try:
+        code = main(["--payload", str(path), command])
+    except Exception as exc:  # an escape is a traceback at the shell
+        pytest.fail(f"{command} {json.dumps(payload)}: {exc!r}")
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3), (command, payload, code)
+    assert "Traceback" not in out + err
+    return code, json.loads(out if code == 0 else err)
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACT_PAYLOADS))
+def test_every_payload_field_ends_in_a_json_exit(command, tmp_path, capsys):
+    base = CONTRACT_PAYLOADS[command]
+    assert _call(command, base, tmp_path, capsys)[0] == 0
+    for pointer in _pointers(base):
+        for value in POOL:
+            _call(command, _replaced(base, pointer, value), tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command, pointer", [
+    ("dagger-gen", "/m"), ("dagger-gen", "/k"), ("germ-check", "/m"),
+    ("germ-check", "/r"), ("theorem-germ-gl", "/m"), ("theorem-germ-gl", "/r"),
+    ("oi-nilpotent", "/n"), ("local-factors", "/q"),
+    ("local-factors", "/n_max"), ("oi-rs", "/slack"),
+    ("fourier", "/packet/space/dim"), ("fourier", "/packet/terms/0/exps/0")])
+def test_a_boolean_is_not_an_integer(command, pointer, tmp_path, capsys):
+    payload = _replaced(CONTRACT_PAYLOADS[command], pointer, True)
+    code, doc = _call(command, payload, tmp_path, capsys)
+    assert code == 2
+    assert doc["error"]["message"].startswith(pointer + ": expected an integer")
+
+
+@pytest.mark.parametrize("command, payload, pointer", [
+    ("section", {"kind": [1], "a": ["1/2"], "b": [2, 3]}, "/kind"),
+    ("section", {"kind": {}, "a": ["1/2"], "b": [2, 3]}, "/kind"),
+    ("oi-rs", {"X": [1], "f": CONTRACT_PAYLOADS["oi-rs"]["f"]}, "/X"),
+    ("oi-rs", {"X": [0] * 9, "f": CONTRACT_PAYLOADS["oi-rs"]["f"]}, "/X"),
+    ("dagger-gen", {"unit": "x"}, "/unit"),
+    ("dagger-gen", {"unit": None}, "/unit"),
+])
+def test_former_payload_escapes_name_their_field(command, payload, pointer,
+                                                 tmp_path, capsys):
+    code, doc = _call(command, payload, tmp_path, capsys)
+    assert code == 2
+    assert doc["error"]["message"].startswith(pointer + ":")

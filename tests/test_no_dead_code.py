@@ -1,4 +1,5 @@
-"""Every top-level definition and public method in padharm has a user.
+"""Every top-level definition and public method in padharm has a user,
+and no module reaches into another module's private names.
 
 A name counts as used when it appears as a whole word somewhere in src/,
 tests/ or perfbench/ other than on its own ``def``/``class`` line.
@@ -57,3 +58,19 @@ def test_every_import_is_used():
         unused += [f"{path.name}:{line} {name}"
                    for line, name in _imported_names(tree) if name not in used]
     assert unused == [], "\n".join(unused)
+
+
+def test_no_module_imports_a_private_name():
+    # an underscore name is private to its module; a second module that
+    # needs it makes it part of the public interface, so it loses the
+    # underscore (dunders such as __version__ are public)
+    private = []
+    for path in sorted((ROOT / "src" / "padharm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("padharm")):
+                private += [f"{path.name}:{node.lineno} {alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_")
+                            and not alias.name.endswith("__")]
+    assert private == [], "\n".join(private)
