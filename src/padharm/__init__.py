@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .errors import (
     PadharmError,
     DomainError,
-    InsufficientPrecision,
     UnsupportedPlace,
     UnsupportedConductor,
     NotRegular,
@@ -32,7 +31,6 @@ from .config import RunConfig
 __all__ = [
     "PadharmError",
     "DomainError",
-    "InsufficientPrecision",
     "UnsupportedPlace",
     "UnsupportedConductor",
     "NotRegular",

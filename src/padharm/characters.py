@@ -13,12 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import CyclotomicScalar, legendre
-from .errors import (
-    InsufficientPrecision,
-    NotInDomain,
-    UnsupportedConductor,
-)
-from .padic import PAdicScalar, QuadExtScalar, val_p
+from .errors import NotInDomain, UnsupportedConductor
+from .padic import unit_residue, val_p
 
 
 def frac_part_p(x, p):
@@ -61,15 +57,6 @@ class AdditiveCharacter:
         return frac_part_p(Fraction(self.F.p) ** self.d * Fraction(x), self.F.p)
 
     def __call__(self, x):
-        if isinstance(x, PAdicScalar):
-            ap = x.abs_prec()
-            if ap is not None and ap < -self.d:
-                raise InsufficientPrecision(
-                    "additive character needs the value mod p^%d" % (-self.d)
-                )
-            if x.is_exact_zero or x.is_fuzzy_zero:
-                return CyclotomicScalar.one()
-            x = x.as_fraction()
         return CyclotomicScalar.root_of_unity(self.phase(x))
 
 
@@ -140,16 +127,12 @@ class MultiplicativeCharacter:
 
     def phase(self, x):
         p = self.F.p
-        if isinstance(x, PAdicScalar):
-            v = x.valuation()
-            u0 = x.residue()
-        else:
-            x = Fraction(x)
-            if x == 0:
-                raise NotInDomain("multiplicative character at 0")
-            v = val_p(x, p)
-            u = x / Fraction(p) ** v
-            u0 = u.numerator * pow(u.denominator, -1, p) % p
+        x = Fraction(x)
+        if x == 0:
+            raise NotInDomain("multiplicative character at 0")
+        v = val_p(x, p)
+        u = x / Fraction(p) ** v
+        u0 = u.numerator * pow(u.denominator, -1, p) % p
         r = (self.r_pi * v) % 1
         if self.k:
             _, table = _dlog_table_F(p)
@@ -181,8 +164,7 @@ def eta_for_extension(ext):
     p = F.p
     # ramified: eta on units is the residue Legendre character; eta(p) is
     # pinned by eta(-delta) = eta(Norm(tau)) = 1.
-    du = ext.delta.unit() % p
-    sign = legendre((-du) % p, p)
+    sign = legendre(-unit_residue(ext.delta, p) % p, p)
     r_pi = Fraction(0) if sign == 1 else Fraction(1, 2)
     return MultiplicativeCharacter(F, r_pi, (p - 1) // 2)
 
@@ -202,21 +184,18 @@ class ExtCharacter:
     def _unit_residue_log(self, z):
         p = self.ext.F.p
         if self.ext.is_inert:
-            d0 = self.ext.delta.unit() % p if self.ext.delta.valuation() == 0 else 0
-            x0 = 0 if (z.x.is_exact_zero or z.x.valuation() > 0) else z.x.residue()
-            y0 = 0 if (z.y.is_exact_zero or z.y.valuation() > 0) else z.y.residue()
-            _, table = _dlog_table_Fp2(p, d0)
+            # z is a unit of E: x and y are integral, one of them a unit
+            x0, y0 = (unit_residue(t, p) if t and val_p(t, p) == 0 else 0
+                      for t in (z.x, z.y))
+            _, table = _dlog_table_Fp2(p, unit_residue(self.ext.delta, p))
             return table[(x0, y0)]
-        x0 = z.x.residue()
         _, table = _dlog_table_F(p)
-        return table[x0]
+        return table[unit_residue(z.x, p)]
 
     def phase(self, z):
         ext = self.ext
         if isinstance(z, (int, Fraction)):
             z = ext.scalar(z, 0)
-        elif isinstance(z, PAdicScalar):
-            z = QuadExtScalar(ext, z, ext.F.zero())
         if z.is_zero():
             raise NotInDomain("character at 0")
         v = z.valuation_E()
@@ -261,7 +240,7 @@ def eta_prime_default(ext, eta=None):
         return ExtCharacter(ext, eta.r_pi, 0)
     # ramified: residue character must restrict to Legendre on F_p, and
     # eta'(tau)^2 = eta'(delta) = eta(delta) pins the value on tau up to sign
-    eta_delta = eta.phase(ext.delta_fraction)
+    eta_delta = eta.phase(ext.delta)
     r_tau = eta_delta / 2
     return ExtCharacter(ext, r_tau, (p - 1) // 2)
 

@@ -65,6 +65,7 @@ from .orbital import (
     theorem_germ_gl,
 )
 from .lfactors import lfactor_table
+from .padic import val_p
 from .suites import GERM_POINTS, SUITES, run_suite
 from . import __version__
 
@@ -73,8 +74,19 @@ from . import __version__
 # serialization
 
 
+# numerators and denominators up to this many bits print in at most 4215
+# digits, under CPython's default int-to-str limit of 4300 digits; the
+# bound reads bit_length, so it does not depend on that limit's setting
+MAX_PRINTED_BITS = 14000
+
+
 def frac_str(x):
-    return str(Fraction(x))
+    x = Fraction(x)
+    n, d = x.as_integer_ratio()
+    if (abs(n) | d).bit_length() > MAX_PRINTED_BITS:  # the longer of n, d
+        raise ScaleExceeded(
+            f"a result has more than {MAX_PRINTED_BITS} bits to print")
+    return str(x)
 
 
 def cyc_json(c):
@@ -157,6 +169,7 @@ def parse_space(value, config, pointer):
         raise SchemaError(f"{pointer}/kind: expected one of {_SPACE_KINDS}")
     size = read_int(value.get("dim", value.get("k", 1)), f"{pointer}/dim",
                     low=1)
+    config.check_rank(size - 1, f"{pointer}/dim")
     F, psi = config.field(), config.psi()
     if kind == "f":
         return f_space(F, psi, size)
@@ -267,12 +280,8 @@ def cmd_transfer_factor(config, payload):
     else:
         raise SchemaError("/setting: expected lie, s or group")
     a, b = invariants_of(QuadExtRing(ext), X)
-    inv = {
-        "a": [[frac_str(x.x.as_fraction()), frac_str(x.y.as_fraction())]
-              for x in a],
-        "b": [[frac_str(x.x.as_fraction()), frac_str(x.y.as_fraction())]
-              for x in b],
-    }
+    inv = {name: [[frac_str(x.x), frac_str(x.y)] for x in values]
+           for name, values in (("a", a), ("b", b))}
     return {"omega": cyc_json(omega), "side": setting, "invariants": inv}
 
 
@@ -300,6 +309,8 @@ def cmd_dagger_gen(config, payload):
     m = read_int(payload.get("m", 1), "/m", low=1)
     k = read_int(payload.get("k", 2), "/k", low=1)
     unit = read_fraction(payload.get("unit", 1), "/unit")
+    if unit == 0 or val_p(unit, config.p) != 0:
+        raise SchemaError("/unit: expected a p-adic unit")
     if kind == "scalar":
         data = make_dagger_scalar(ext, psi, m, unit=unit)
         admissible = is_admissible_scalar(ext, psi, m, data.packet)
@@ -512,7 +523,7 @@ def _load_json(path, pointer):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"{pointer}: cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise SchemaError(f"{pointer}: invalid JSON in {path}: {exc}")
 
 
@@ -531,7 +542,7 @@ def _read_payload(args):
         raw = sys.stdin.read().strip()
         try:
             payload = json.loads(raw) if raw else {}
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an over-long integer
             raise SchemaError(f"/payload: invalid JSON on stdin: {exc}")
     if not isinstance(payload, dict):
         raise SchemaError("/payload: expected a JSON object")

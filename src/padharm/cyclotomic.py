@@ -226,13 +226,10 @@ class CyclotomicScalar:
         return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
-        # hash through the canonical reduced form
-        n, rem = self._reduced()
-        if not rem:
-            return hash(0)
-        if len(rem) == 1:
-            return hash(rem[0])
-        return hash((n, tuple(rem)))
+        # the reduced form depends on the conductor it is written at, so
+        # only the rational value, which does not, may enter the hash
+        r = self.as_rational()
+        return 1 if r is None else hash(r)
 
     def as_rational(self):
         """Return self as a Fraction, or None if irrational."""

@@ -18,20 +18,9 @@ from fractions import Fraction
 from .characters import shell_sum
 from .cyclotomic import CyclotomicScalar
 from .errors import InvalidLevel, SchemaError
-from .padic import e_matmul, val_p
+from .matrices import mat_mul
+from .padic import val_p
 from .spaces import WavePacket, e_space, matrix_space_e, riemann_fourier, tensor
-
-
-# -- E-points given as Fraction pairs ------------------------------------------
-
-
-def mat_to_coords(A, k):
-    """Flatten a k x k matrix of E-pairs into matrix_space_e coordinates."""
-    out = []
-    for i in range(k):
-        for j in range(k):
-            out.extend(A[i][j])
-    return tuple(out)
 
 
 # -- generators ----------------------------------------------------------------
@@ -54,7 +43,7 @@ class DaggerData:
 
 def shell_valuation(ext, psi, m):
     """Minus-coordinate valuation of the hat-support shell at level m."""
-    vdelta = val_p(ext.delta_fraction, ext.F.p)
+    vdelta = val_p(ext.delta, ext.F.p)
     return -2 * m - psi.d - vdelta
 
 
@@ -245,7 +234,8 @@ def is_admissible_matrix(data):
 
 def _sample_support_point(data, rng):
     """A pseudorandom E-matrix in 1 + p^m M_k(O_E)."""
-    p, m, k = data.ext.F.p, data.m, data.k
+    ext, m, k = data.ext, data.m, data.k
+    p = ext.F.p
     pm = Fraction(p) ** m
     A = []
     for i in range(k):
@@ -253,9 +243,14 @@ def _sample_support_point(data, rng):
         for j in range(k):
             x = Fraction(rng.randrange(p ** 2)) * pm + (1 if i == j else 0)
             y = Fraction(rng.randrange(p ** 2)) * pm
-            row.append((x, y))
+            row.append(ext.scalar(x, y))
         A.append(row)
     return A
+
+
+def _coords(A):
+    """The matrix_space_e coordinates of a matrix over E."""
+    return tuple(t for row in A for z in row for t in (z.x, z.y))
 
 
 INVARIANCE_SAMPLES = 8
@@ -270,50 +265,50 @@ def matrix_invariance_report(data):
 
     rng = random.Random(0)
     ext, m, k = data.ext, data.m, data.k
-    delta = ext.delta_fraction
     p = ext.F.p
     pm = Fraction(p) ** m
     f = data.packet
     ok = True
     for _ in range(INVARIANCE_SAMPLES):
         g = _sample_support_point(data, rng)
-        base = f.evaluate(mat_to_coords(g, k))
+        base = f.evaluate(_coords(g))
         # lower-unipotent congruence factor
         v = [
             [
-                (Fraction(1) if i == j else
-                 (Fraction(rng.randrange(p)) * pm if i > j else Fraction(0)),
-                 Fraction(rng.randrange(p)) * pm if i > j else Fraction(0))
+                ext.scalar(
+                    Fraction(1) if i == j else
+                    (Fraction(rng.randrange(p)) * pm if i > j else Fraction(0)),
+                    Fraction(rng.randrange(p)) * pm if i > j else Fraction(0))
                 for j in range(k)
             ]
             for i in range(k)
         ]
-        for prod in (e_matmul(v, g, delta), e_matmul(g, v, delta)):
-            if f.evaluate(mat_to_coords(prod, k)) != base:
+        for prod in (mat_mul(v, g), mat_mul(g, v)):
+            if f.evaluate(_coords(prod)) != base:
                 ok = False
         # F-rational congruence factor
         h = [
             [
-                ((Fraction(1) if i == j else Fraction(0))
-                 + Fraction(rng.randrange(p)) * pm, Fraction(0))
+                ext.scalar((Fraction(1) if i == j else Fraction(0))
+                           + Fraction(rng.randrange(p)) * pm)
                 for j in range(k)
             ]
             for i in range(k)
         ]
-        for prod in (e_matmul(h, g, delta), e_matmul(g, h, delta)):
-            if f.evaluate(mat_to_coords(prod, k)) != base:
+        for prod in (mat_mul(h, g), mat_mul(g, h)):
+            if f.evaluate(_coords(prod)) != base:
                 ok = False
         # real part: replacing the F-part of g by another element of
         # 1 + p^m M_k(O_F) leaves the value unchanged
         g2 = [
             [
-                ((Fraction(1) if i == j else Fraction(0))
-                 + Fraction(rng.randrange(p ** 2)) * pm, g[i][j][1])
+                ext.scalar((Fraction(1) if i == j else Fraction(0))
+                           + Fraction(rng.randrange(p ** 2)) * pm, g[i][j].y)
                 for j in range(k)
             ]
             for i in range(k)
         ]
-        if f.evaluate(mat_to_coords(g2, k)) != base:
+        if f.evaluate(_coords(g2)) != base:
             ok = False
     return {"ok": ok, "samples": INVARIANCE_SAMPLES}
 

@@ -13,11 +13,6 @@ class DomainError(PadharmError):
     """Input is outside the mathematical domain of the operation."""
 
 
-class InsufficientPrecision(DomainError):
-    """A predicate (zero test, valuation, inversion) cannot be decided
-    at the working precision.  We never guess."""
-
-
 class UnsupportedPlace(DomainError):
     """p = 2, split quadratic algebras, and similar excluded settings."""
 

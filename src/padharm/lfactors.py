@@ -123,7 +123,7 @@ def kappa(n, ext, eta, eta_prime, psi, disc_class=1, omega_tau=1):
     from .characters import epsilon_half
 
     p = ext.F.p
-    vdelta = val_p(ext.delta_fraction, p)
+    vdelta = val_p(ext.delta, p)
     dsum = d_binomial(n) + d_binomial(n + 1)
     out = sqrt_rational_power(p, -vdelta * dsum)
     eps = epsilon_half(eta, psi)

@@ -1,13 +1,13 @@
 """Invariant theory of the conjugation action of GL_n on (n+1)x(n+1)
 matrices, with exact sections.
 
-Matrices are tuples of tuples over a ring adapter (exact rationals,
-truncated p-adics, quadratic extensions, or Z/p^k for brute-force
-oracles).  The block form is X = [[A, u], [v, w]] with A of size n.
-Invariants: a_i = (-1)^(i-1) tr Lambda^i A read from det(T*1 + A), and
-b_0 = w, b_j = v A^(j-1) u.  The moment matrices are
-delta_plus(X) = (A^(n-1)u, ..., Au, u) as columns and
-delta_minus(X) = rows (v; vA; ...; vA^(n-1)).
+Matrices are tuples of tuples over a ring adapter (exact rationals, the
+exact quadratic extension E = F(sqrt delta), or Z/p^k for brute-force
+oracles); every adapter decides zero exactly.  The block form is
+X = [[A, u], [v, w]] with A of size n.  Invariants: a_i = (-1)^(i-1)
+tr Lambda^i A read from det(T*1 + A), and b_0 = w, b_j = v A^(j-1) u.
+The moment matrices are delta_plus(X) = (A^(n-1)u, ..., Au, u) as
+columns and delta_minus(X) = rows (v; vA; ...; vA^(n-1)).
 """
 
 from __future__ import annotations
@@ -16,13 +16,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from .errors import (
-    InsufficientPrecision,
-    NotInDomain,
-    NotRegular,
-    ScaleExceeded,
-)
-from .padic import PAdicScalar, QuadExtScalar
+from .errors import NotInDomain, NotRegular, ScaleExceeded
+from .padic import QuadExtScalar
 
 # ---------------------------------------------------------------------------
 # ring adapters
@@ -71,26 +66,6 @@ class IntModRing:
         if x % self.p == 0:
             raise NotInDomain("not a unit")
         return pow(x, -1, self.m)
-
-
-class PAdicRing:
-    def __init__(self, ctx):
-        self.ctx = ctx
-
-    def zero(self):
-        return self.ctx.zero()
-
-    def one(self):
-        return self.ctx.one()
-
-    def coerce(self, x):
-        return x if isinstance(x, PAdicScalar) else self.ctx.scalar(x)
-
-    def is_zero(self, x):
-        return x.is_zero()
-
-    def inv(self, x):
-        return x.inverse()
 
 
 class QuadExtRing:
@@ -192,35 +167,20 @@ def _perm_sign(perm):
 
 
 def mat_inv(R, A):
-    """Gaussian elimination with decidable pivots; raises
-    InsufficientPrecision if no pivot can be certified nonzero."""
+    """Gauss-Jordan elimination, pivoting on the first nonzero entry."""
     n = len(A)
     aug = [list(A[i]) + list(identity(R, n)[i]) for i in range(n)]
     for col in range(n):
-        piv = None
-        undecided = False
-        for r in range(col, n):
-            try:
-                if not R.is_zero(aug[r][col]):
-                    piv = r
-                    break
-            except InsufficientPrecision:
-                undecided = True
+        piv = next((r for r in range(col, n) if not R.is_zero(aug[r][col])),
+                   None)
         if piv is None:
-            if undecided:
-                raise InsufficientPrecision("pivot undecided during inversion")
             raise NotInDomain("matrix is singular")
         aug[col], aug[piv] = aug[piv], aug[col]
         pinv = R.inv(aug[col][col])
         aug[col] = [pinv * x for x in aug[col]]
         for r in range(n):
-            if r != col:
-                c = aug[r][col]
-                try:
-                    if R.is_zero(c):
-                        continue
-                except InsufficientPrecision:
-                    pass
+            c = aug[r][col]
+            if r != col and not R.is_zero(c):
                 aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
     return mat([row[n:] for row in aug])
 

@@ -40,7 +40,18 @@ from .errors import (
     PoleAtEvaluationPoint,
     ScaleExceeded,
 )
-from .padic import e_det2, e_matmul, val_p
+from .matrices import (
+    Delta_plus,
+    FractionRing,
+    QuadExtRing,
+    delta_plus,
+    det,
+    mat,
+    mat_from_scalars,
+    mat_inv,
+    mat_mul,
+)
+from .padic import val_p
 from .qrational import Poly, QRational
 from .spaces import WavePacket, e_minus_space, e_space, f_space, matrix_space_e, s_space
 
@@ -330,10 +341,12 @@ def _support_floor(f, t):
     return min(vals)
 
 
-def orbital_rs_n1(X, f, eta, slack=0):
+def orbital_rs_n1(X, f, eta, budget=500000, slack=0):
     """O(X, f, s) for 2x2 coordinates X = (x11, x12, x21, x22) regular
     semisimple (x12 x21 != 0), by exact enumeration of torus shells and
-    unit cosets.  Returns an OrbitalResult in T = q^(-s)."""
+    unit cosets.  Returns an OrbitalResult in T = q^(-s); raises
+    ScaleExceeded before enumerating when the unit cosets of all shells
+    exceed `budget`."""
     _require_quadratic(eta)
     if _matrix_dim(f.space) != 2:
         raise NotInDomain("rank-1 path needs 2x2 coordinates")
@@ -349,8 +362,9 @@ def orbital_rs_n1(X, f, eta, slack=0):
     # shell range from the support of f at the off-diagonal coordinates
     lo = _support_floor(f, 1) - val_p(x12, p)
     hi = val_p(x21, p) - _support_floor(f, 2)
-    pairs = []
     pairmap = f.space.pairing
+    lams = []
+    cosets = 0
     for v in range(lo, hi + 1):
         # unit granularity: coset membership and frequency phases must be
         # constant on u(1 + p^lam O)
@@ -361,6 +375,13 @@ def orbital_rs_n1(X, f, eta, slack=0):
                 g = freq[pairmap[t]] * f.space.weights[pairmap[t]]
                 if g != 0:
                     lam = max(lam, -d - val_p(g, p) - vx + slack)
+        # p^lam > budget once lam reaches its bit length
+        cosets += p ** min(lam, budget.bit_length())
+        if cosets > budget:
+            raise ScaleExceeded("rank-1 unit-coset budget")
+        lams.append(lam)
+    pairs = []
+    for v, lam in zip(range(lo, hi + 1), lams):
         shell = shell_sum(lambda h: f.evaluate((x11, x12 * h, x21 / h, x22)),
                           eta, v, lam, p)
         if not shell.is_zero():
@@ -380,15 +401,6 @@ def _delta_plus_val_window(f, Xm, p):
     """Certify that Delta_+ has constant valuation on each term of supp f
     and return {v(Delta_+(X)) - vd} U entry bounds via the section
     delta_+: h = delta_+(Y) delta_+(X)^(-1), det h = Delta_+(Y)/Delta_+(X)."""
-    from .matrices import (
-        Delta_plus,
-        FractionRing,
-        delta_plus,
-        det,
-        mat_from_scalars,
-        mat_inv,
-    )
-
     R = FractionRing()
     k = 3
     DX = delta_plus(R, mat_from_scalars(R, Xm))
@@ -432,7 +444,7 @@ def orbital_rs(X, f, eta, budget=500000, slack=0):
     _require_quadratic(eta)
     k = _matrix_dim(f.space)
     if k == 2:
-        return orbital_rs_n1(X, f, eta, slack=slack)
+        return orbital_rs_n1(X, f, eta, budget=budget, slack=slack)
     if k != 3:
         raise NotInDomain("cell enumeration is implemented for ranks 1 and 2")
     X = tuple(Fraction(t) for t in X)
@@ -616,13 +628,13 @@ def f_natural_direct(ext, psi, eta_prime, r, X):
     tau-part coordinates: integrate the normalized congruence indicator over
     the split group against eta'(det)."""
     p = ext.F.p
-    delta = ext.delta_fraction
     X = tuple(Fraction(t) for t in X)
     vX = min([val_p(t, p) for t in X if t != 0] or [0])
     L = r + max(1, -min(0, vX))
     c2 = _inv_vol(matrix_space_e(ext, psi, 2), (r,) * 8)
     cellvol = f_space(ext.F, psi, 4).vol_lattice((L,) * 4)
     Xm = [[X[0], X[1]], [X[2], X[3]]]
+    det1X = det(QuadExtRing(ext), _one_plus_tau(ext, Xm))
     total = CyclotomicScalar.zero()
     reps = [Fraction(j * p ** r) for j in range(p ** (L - r))]
     for k11, k12, k21, k22 in itertools.product(reps, repeat=4):
@@ -639,14 +651,15 @@ def f_natural_direct(ext, psi, eta_prime, r, X):
                 break
         if not ok:
             continue
-        # det((1 + tau X) h) over E, as a (plus, minus) pair
-        m = [
-            [(h[i][j], Xm[i][0] * h[0][j] + Xm[i][1] * h[1][j]) for j in range(2)]
-            for i in range(2)
-        ]
-        detE = e_det2(m, delta)
-        total = total + eta_prime(ext.scalar(*detE)) * cellvol
+        dh = h[0][0] * h[1][1] - h[0][1] * h[1][0]
+        total = total + eta_prime(det1X * dh) * cellvol
     return c2 * total
+
+
+def _one_plus_tau(ext, Xm):
+    """1 + tau X over E for a 2x2 matrix X over F."""
+    return mat([[ext.scalar(int(i == j), Xm[i][j]) for j in range(2)]
+                for i in range(2)])
 
 
 def _phi_minus_packet(phi_data):
@@ -707,7 +720,6 @@ def f_psi_natural_direct(ext, psi, eta_prime, phi_data, r, X):
     the split group, of phi(u) f2(n(u)(1+X)h) eta'(det((1+X)h))."""
     p = ext.F.p
     q = Fraction(p)
-    delta = ext.delta_fraction
     m = phi_data.m
     X = tuple(Fraction(t) for t in X)
     vX = min([val_p(t, p) for t in X if t != 0] or [0])
@@ -715,23 +727,18 @@ def f_psi_natural_direct(ext, psi, eta_prime, phi_data, r, X):
     c2 = _inv_vol(matrix_space_e(ext, psi, 2), (r,) * 8)
     uvol = e_space(ext, psi, 1).vol_lattice((Lu, Lu))
     Xm = [[X[0], X[1]], [X[2], X[3]]]
-    # 1 + tau X over E, entries as (plus, minus) pairs, and its determinant
-    one_plus = [
-        [(Fraction(1 if i == j else 0), Xm[i][j]) for j in range(2)]
-        for i in range(2)
-    ]
-    det1X = e_det2(one_plus, delta)
+    one_plus = _one_plus_tau(ext, Xm)
+    det1X = det(QuadExtRing(ext), one_plus)
     total = CyclotomicScalar.zero()
     ureps = [Fraction(j * p ** m) for j in range(p ** (Lu - m))]
     for up, um in itertools.product(ureps, repeat=2):
         phival = phi_data.packet.evaluate((up, um))
         if phival.is_zero():
             continue
-        nu = [[(Fraction(1), Fraction(0)), (up, um)],
-              [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))]]
-        A = e_matmul(nu, one_plus, delta)
-        P0 = [[A[i][j][0] for j in range(2)] for i in range(2)]
-        Q0 = [[A[i][j][1] for j in range(2)] for i in range(2)]
+        nu = mat([[ext.one(), ext.scalar(up, um)], [ext.zero(), ext.one()]])
+        A = mat_mul(nu, one_plus)
+        P0 = [[A[i][j].x for j in range(2)] for i in range(2)]
+        Q0 = [[A[i][j].y for j in range(2)] for i in range(2)]
         dP = P0[0][0] * P0[1][1] - P0[0][1] * P0[1][0]
         if dP == 0:
             raise NotInDomain("degenerate plus part in the enumeration")
@@ -754,12 +761,10 @@ def f_psi_natural_direct(ext, psi, eta_prime, phi_data, r, X):
                     for i in range(2)]
             if any(t != 0 and val_p(t, p) < r for row in Mmin for t in row):
                 continue
-            # eta'(det((1+tau X) h)) with det over E
-            detE = (det1X[0] * dh, det1X[1] * dh)
             weight = q ** (2 * val_p(dh, p))  # 1 / |det h|^2
             total = total + (
                 phival
-                * eta_prime(ext.scalar(*detE))
+                * eta_prime(det1X * dh)  # eta'(det((1 + tau X) h))
                 * hvol
                 * CyclotomicScalar.from_rational(jac * weight)
                 * uvol
@@ -792,7 +797,7 @@ def dagger_mu_closed_form(ext, psi, eta, phi_data):
     m = phi_data.m
     s0 = shell_valuation(ext, psi, m)
     hat = _phi_minus_packet(phi_data).fourier()
-    vdelta = val_p(ext.delta_fraction, ext.F.p)
+    vdelta = val_p(ext.delta, ext.F.p)
     total = _shell_character_sum(
         hat, eta, s0, ext.F.p, psi.d + vdelta
     )
@@ -812,7 +817,6 @@ def germ_constant_check(ext, psi, eta, eta_prime, phi_data, r, points):
     minus nilpotent: O(varrho(x, y), ghat, 0) at each sample point against
     the germ constant mu, with the transfer factor eta'(Delta_-) recorded
     per point (constant on the section slice)."""
-    from .matrices import mat
     from .symspace import transfer_factor_lie
 
     g = f_psi_natural(ext, psi, phi_data, r).fourier()
@@ -854,7 +858,7 @@ def spherical_rhs(ext, psi, eta, phi_data, omega_tau=1):
     d = psi.d
     m = phi_data.m
     s0 = shell_valuation(ext, psi, m)
-    vdelta = val_p(ext.delta_fraction, p)
+    vdelta = val_p(ext.delta, p)
     hat = phi_data.packet.fourier()
     lam = max(1, eta.conductor_exponent(), d + vdelta)
     for _, x0, a, f0 in hat.terms:

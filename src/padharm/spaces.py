@@ -112,7 +112,7 @@ def f_space(F, psi, dim, weights=None, labels=None):
 
 def e_space(ext, psi, dim, labels=None):
     """E^dim: coordinates come in (plus, minus) pairs with weights (1, delta)."""
-    d = ext.delta_fraction
+    d = ext.delta
     w = []
     lab = []
     for i in range(dim):
@@ -122,7 +122,7 @@ def e_space(ext, psi, dim, labels=None):
 
 
 def e_minus_space(ext, psi, dim, labels=None):
-    d = ext.delta_fraction
+    d = ext.delta
     return Space(ext.F, psi, (d,) * dim, labels=labels)
 
 
@@ -140,7 +140,7 @@ def matrix_space_f(F, psi, k):
 def matrix_space_e(ext, psi, k):
     """M_k(E) with pairing psi_E(tr(XY)): per entry (plus, minus) weight
     (1, delta), transposition on both parts."""
-    d = ext.delta_fraction
+    d = ext.delta
     coords = []
     for i in range(k):
         for j in range(k):
@@ -156,7 +156,7 @@ def matrix_space_e(ext, psi, k):
 def s_space(ext, psi, k):
     """The -1 eigenspace in M_k(E) (entries tau*y): weight-delta
     coordinates with transposition pairing."""
-    d = ext.delta_fraction
+    d = ext.delta
     idx = {}
     for i in range(k):
         for j in range(k):

@@ -289,7 +289,7 @@ def _random_packet(space, rng, p):
 def suite_fourier(samples=200, seed=0):
     """Double Fourier transform = reflection on random wave packets, and
     the self-duality of the unit lattice for an unramified character."""
-    config = RunConfig({"N": 4})
+    config = RunConfig()
     F, psi, ext = config.field(), config.psi(), config.ext()
     spaces = [
         f_space(F, psi, 1), f_space(F, psi, 2),
@@ -318,7 +318,7 @@ def suite_oi_nilpotent():
     """n = 1 closed form against an independent geometric-series oracle;
     n = 2 pole located exactly at s = 1/2 within [0, 1)."""
     failures = []
-    config = RunConfig({"N": 4})
+    config = RunConfig()
     F, psi, eta = config.field(), config.psi(), config.eta()
     q = Fraction(config.p)
 
@@ -361,7 +361,7 @@ def suite_transfer(samples=100, seed=0):
     """Omega(h1 gamma h2) = eta(h2) Omega(gamma) on random group pairs at
     n = 1, plus the matching dichotomy (exactly one Hermitian form, stable
     under conjugation) over a grid of invariant classes."""
-    config = RunConfig({"N": 4})
+    config = RunConfig()
     p, ext = config.p, config.ext()
     eta, eta_prime = config.eta(), config.eta_prime()
     rng = random.Random(seed)
@@ -432,7 +432,7 @@ def suite_dagger():
     """Generated dagger data pass the definitional predicates for m = 1, 2;
     the direct smoothed Whittaker evaluation equals its closed form on a
     grid of 20 points."""
-    config = RunConfig({"N": 8})
+    config = RunConfig()
     p, psi, ext, eta = config.p, config.psi(), config.ext(), config.eta()
     failures = []
     for m in (1, 2):
@@ -475,7 +475,7 @@ def suite_germ(m=1, r=3):
     constant on the slice and equal to its value at the nilpotent
     representative."""
     delta = 2
-    config = RunConfig({"N": 8, "delta": delta})
+    config = RunConfig({"delta": delta})
     psi, ext = config.psi(), config.ext()
     eta, eta_prime = config.eta(), config.eta_prime()
     phi = make_dagger_scalar(ext, psi, m)
@@ -498,7 +498,7 @@ def suite_germ(m=1, r=3):
 def suite_theorem_germ_gl(m=1, r=3):
     """The rank-1 spectral/geometric germ identity for the trivial central
     datum and one nontrivial sign."""
-    config = RunConfig({"N": 8})
+    config = RunConfig()
     psi, ext, eta = config.psi(), config.ext(), config.eta()
     phi = make_dagger_scalar(ext, psi, m)
     failures = []
@@ -564,7 +564,7 @@ def suite_local_constancy(pairs=10, seed=0):
     p^level, level = 3, for f an indicator of a unit-scale coset around a
     regular base point (so supp f stays inside the Delta_+ != 0 locus)."""
     level = 3
-    config = RunConfig({"N": 8})
+    config = RunConfig()
     p, psi, eta = config.p, config.psi(), config.eta()
     Rf = FractionRing()
 

@@ -6,12 +6,13 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from padharm import cli
 from padharm.cli import main
-from padharm.errors import SchemaError
+from padharm.errors import ScaleExceeded, SchemaError
 from padharm.suites import SUITES, run_suite
 
 
@@ -423,9 +424,10 @@ def _replaced(doc, pointer, value):
 
 
 def _call(command, payload, tmp_path, capsys):
-    """(exit code, the JSON document printed) of one in-process run."""
+    """(exit code, the JSON document printed) of one in-process run; a
+    str payload is the payload file's text."""
     path = tmp_path / "payload.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     try:
         code = main(["--payload", str(path), command])
     except Exception as exc:  # an escape is a traceback at the shell
@@ -465,9 +467,69 @@ def test_a_boolean_is_not_an_integer(command, pointer, tmp_path, capsys):
     ("oi-rs", {"X": [0] * 9, "f": CONTRACT_PAYLOADS["oi-rs"]["f"]}, "/X"),
     ("dagger-gen", {"unit": "x"}, "/unit"),
     ("dagger-gen", {"unit": None}, "/unit"),
+    ("dagger-gen", {"unit": 0}, "/unit"),
+    ("dagger-gen", {"unit": 3}, "/unit"),
+    # bounded before its k^2 coordinates are built
+    ("fourier", {"packet": {"space": {"kind": "matrix-f", "k": 300},
+                            "terms": [{"coeff": 1}]}}, "/packet/space/dim"),
 ])
 def test_former_payload_escapes_name_their_field(command, payload, pointer,
                                                  tmp_path, capsys):
     code, doc = _call(command, payload, tmp_path, capsys)
     assert code == 2
     assert doc["error"]["message"].startswith(pointer + ":")
+
+
+@pytest.mark.parametrize("command, text, code", [
+    # a lattice of 3^100000: its volume is too long to print
+    ("fourier", json.dumps({"packet": {"space": {"kind": "f", "dim": 1},
+                                       "terms": [{"exps": [-100000]}]}}), 3),
+    # invariants of 2000-digit entries have 6000 digits
+    ("invariants", json.dumps({"matrix": [[int("1" * 2000)] * 3] * 3}), 3),
+    # json refuses an integer literal of more than 4300 digits
+    ("dagger-gen", '{"m": %s}' % ("1" * 5000), 2),
+])
+def test_big_numbers_end_in_json(command, text, code, tmp_path, capsys):
+    assert _call(command, text, tmp_path, capsys)[0] == code
+
+
+def test_an_over_long_integer_on_stdin_is_a_schema_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "padharm.cli", "dagger-gen"],
+        input='{"m": %s}' % ("1" * 5000), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"]["message"].startswith(
+        "/payload: invalid JSON on stdin")
+
+
+def test_frac_str_bound_reads_bit_length():
+    big = 2 ** cli.MAX_PRINTED_BITS
+    assert cli.frac_str(big - 1) == str(big - 1)
+    with pytest.raises(ScaleExceeded):
+        cli.frac_str(Fraction(1, big))
+
+
+def test_rank1_oi_rs_slack_is_bounded_before_the_shells(tmp_path, capsys):
+    payload = dict(CONTRACT_PAYLOADS["oi-rs"], slack=13)
+    start = time.perf_counter()
+    code, doc = _call("oi-rs", payload, tmp_path, capsys)
+    assert code == 3 and doc["error"]["type"] == "ScaleExceeded"
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("matrix, invariants", [
+    # a fuzzy zero of the truncated arithmetic: now an exact answer
+    ([[[0, 1], [0, 1], [0, 0]], [[0, 1], [0, 1], [0, 1]],
+      [[0, 1], [0, 1], [0, 0]]],
+     {"a": [["0", "2"], ["0", "0"]], "b": [["0", "0"], ["2", "0"], ["0", "4"]]}),
+    # b_1 = -delta and a_1 = tau/2, printed as rationals
+    ([[[0, 0], [0, 1]], [[0, -1], [0, 0]]],
+     {"a": [["0", "0"]], "b": [["0", "0"], ["-2", "0"]]}),
+    ([[[0, "1/2"], [0, 1]], [[0, -1], [0, 0]]],
+     {"a": [["0", "1/2"]], "b": [["0", "0"], ["-2", "0"]]}),
+])
+def test_transfer_factor_prints_exact_invariants(matrix, invariants, tmp_path,
+                                                 capsys):
+    code, doc = _call("transfer-factor", {"matrix": matrix}, tmp_path, capsys)
+    assert code == 0
+    assert doc["result"]["invariants"] == invariants

@@ -112,3 +112,32 @@ def test_public_constructor_normalizes_raw_input():
                        Fraction(1, 3): Fraction(1, 3)}
     assert_normal(x)
     assert CyclotomicScalar({0: 0}).terms == {}
+
+
+def test_equal_values_at_different_conductors_hash_alike():
+    a = CyclotomicScalar({Fraction(1, 3): 1})
+    b = CyclotomicScalar({Fraction(5, 6): -1})  # e(1/3) = -e(1/3 + 1/2)
+    assert a == b and len({a, b}) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(
+           st.fractions(min_value=0, max_value=1, max_denominator=12)
+           .filter(lambda r: r < 1),
+           st.integers(min_value=-3, max_value=3).filter(bool),
+           min_size=1, max_size=4),
+       st.sampled_from((2, 3, 5, 7)), st.data())
+def test_rewriting_at_a_larger_conductor_keeps_eq_and_hash(terms, l, data):
+    # c e(r) = -c (e(r + 1/l) + ... + e(r + (l-1)/l)): the l-th roots of
+    # unity sum to zero, so x is rewritten at conductor lcm(n, l)
+    x = CyclotomicScalar(terms)
+    r = data.draw(st.sampled_from(sorted(x.terms)))
+    c = x.terms[r]
+    rewritten = dict(x.terms)
+    del rewritten[r]
+    for j in range(1, l):
+        s = (r + Fraction(j, l)) % 1
+        rewritten[s] = rewritten.get(s, 0) - c
+    y = CyclotomicScalar(rewritten)
+    assert y == x
+    assert hash(y) == hash(x)

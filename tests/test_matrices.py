@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padharm.errors import NotInDomain, NotRegular
-from padharm.padic import e_det2, e_matmul, e_mul
+from padharm.padic import FieldContext, QuadExtContext
 from padharm.matrices import (
     Delta_minus,
     Delta_plus,
     FractionRing,
     IntModRing,
+    QuadExtRing,
     charpoly_plus,
     classify_nilpotent,
     conjugate,
@@ -164,15 +165,20 @@ def test_section_property(a, b):
 small_frac = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 e_pair = st.tuples(small_frac, small_frac)
 e_mat2 = st.tuples(st.tuples(e_pair, e_pair), st.tuples(e_pair, e_pair))
+# inert and ramified extensions at p = 3 and p = 5
+EXTS = [QuadExtContext(FieldContext(p, 4), d)
+        for p, d in ((3, 2), (3, 3), (5, 2), (5, 5))]
 
 
 @settings(max_examples=40, deadline=None)
-@given(e_mat2, e_mat2, small)
-def test_e_det2_multiplicative(A, B, d):
-    assert e_det2(e_matmul(A, B, d), d) == e_mul(e_det2(A, d), e_det2(B, d), d)
-    # z conj(z) is the norm x^2 - d y^2
-    (x, y) = A[0][0]
-    assert e_mul((x, y), (x, -y), d) == (x * x - d * y * y, 0)
+@given(e_mat2, e_mat2, st.sampled_from(EXTS))
+def test_det_over_E_multiplicative(A, B, ext):
+    RE = QuadExtRing(ext)
+    A, B = (mat([[ext.scalar(*z) for z in row] for row in M]) for M in (A, B))
+    assert det(RE, mat_mul(A, B)) == det(RE, A) * det(RE, B)
+    # z conj(z) is the norm x^2 - delta y^2
+    z = A[0][0]
+    assert z * z.conj() == z.x * z.x - ext.delta * z.y * z.y
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padharm.errors import NotInDomain, UnsupportedPlace
-from padharm.padic import FieldContext, QuadExtContext, val_p
+from padharm.padic import FieldContext, QuadExtContext, unit_residue, val_p
 
 
 def test_val_p():
@@ -31,23 +31,33 @@ def test_field_context_rejects_p2_and_composites():
 
 
 def test_scalar_valuation_and_unit():
-    F = FieldContext(3, 6)
-    x = F.scalar(Fraction(18, 5))
-    assert x.valuation() == 2
-    # unit part 2/5 mod 3^6
-    assert x.unit() == 2 * pow(5, -1, 3 ** 6) % 3 ** 6
-    assert F.scalar(0).is_exact_zero
+    # F-scalars are exact rationals
+    x = Fraction(18, 5)
+    assert val_p(x, 3) == 2
+    # unit part 2/5, mod 3^6 and mod 3
+    assert unit_residue(x, 3, 3 ** 6) == 2 * pow(5, -1, 3 ** 6) % 3 ** 6
+    assert unit_residue(x, 3) == 1
 
 
 def test_scalar_round_trip():
-    # as_fraction returns the canonical lift: same valuation, unit part
-    # congruent mod p^N
-    F = FieldContext(5, 6)
+    # E-scalars keep their rational coordinates exactly
+    ext = QuadExtContext(FieldContext(5, 6), 2)
     for t in (Fraction(7, 2), Fraction(-50, 3), Fraction(1, 125)):
-        x = F.scalar(t)
-        back = x.as_fraction()
-        assert val_p(back, 5) == val_p(t, 5)
-        assert back == t or val_p(back - t, 5) >= val_p(t, 5) + 6
+        z = ext.scalar(t, 1 / t)
+        assert (z.x, z.y) == (t, 1 / t)
+        assert z * z.inverse() == 1
+
+
+def test_sqrt_is_exact_mod_p_to_the_N():
+    # the one truncated value: a Hensel-lifted square root
+    F = FieldContext(3, 6)
+    for c in (Fraction(7), Fraction(4, 9), Fraction(81 * 7, 4)):
+        r = F.sqrt(c)
+        assert val_p(r * r - c, 3) >= val_p(c, 3) + 6
+    with pytest.raises(NotInDomain):
+        F.sqrt(Fraction(2))
+    with pytest.raises(NotInDomain):
+        F.sqrt(Fraction(3))
 
 
 def test_quad_ext_kinds():
@@ -68,13 +78,11 @@ def test_ext_scalar_arithmetic():
     # norm is multiplicative; compare the exact rational mirror
     N = lambda a, b: a * a - 2 * b * b
     zn, wn = N(Fraction(1, 3), Fraction(2)), N(Fraction(5), Fraction(-1, 9))
-    got = (z * w).norm().as_fraction()
-    assert val_p(got - zn * wn, 3) >= val_p(zn * wn, 3) + 6
-    # conjugation: z * conj(z) has zero tau-part
-    prod = z * z.conj()
-    assert prod.y.is_exact_zero or prod.y.is_fuzzy_zero
+    assert (z * w).norm() == zn * wn
+    # conjugation: z * conj(z) is the norm, with zero tau-part
+    assert z * z.conj() == zn
     # trace is twice the plus part
-    assert z.trace().as_fraction() == 2 * Fraction(1, 3)
+    assert z.trace() == 2 * Fraction(1, 3)
 
 
 def test_tau_squares_to_delta():
@@ -82,8 +90,7 @@ def test_tau_squares_to_delta():
     for d in (2, 3):
         ext = QuadExtContext(F, d)
         t2 = ext.tau() * ext.tau()
-        assert t2.x.as_fraction() == d
-        assert t2.y.is_zero()
+        assert (t2.x, t2.y) == (d, 0)
 
 
 @settings(max_examples=50, deadline=None)
