@@ -308,6 +308,7 @@ def cmd_dagger_gen(config, payload):
     kind = payload.get("kind", "scalar")
     m = read_int(payload.get("m", 1), "/m", low=1)
     k = read_int(payload.get("k", 2), "/k", low=1)
+    config.check_rank(k - 1, "/k")
     unit = read_fraction(payload.get("unit", 1), "/unit")
     if unit == 0 or val_p(unit, config.p) != 0:
         raise SchemaError("/unit: expected a p-adic unit")

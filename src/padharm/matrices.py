@@ -36,6 +36,9 @@ class FractionRing:
     def is_zero(self, x):
         return x == 0
 
+    def is_unit(self, x):
+        return x != 0
+
     def inv(self, x):
         if x == 0:
             raise NotInDomain("inverse of zero")
@@ -62,8 +65,11 @@ class IntModRing:
     def is_zero(self, x):
         return x % self.m == 0
 
+    def is_unit(self, x):
+        return x % self.p != 0
+
     def inv(self, x):
-        if x % self.p == 0:
+        if not self.is_unit(x):
             raise NotInDomain("not a unit")
         return pow(x, -1, self.m)
 
@@ -83,6 +89,9 @@ class QuadExtRing:
 
     def is_zero(self, x):
         return x.is_zero()
+
+    def is_unit(self, x):
+        return not x.is_zero()
 
     def inv(self, x):
         return x.inverse()
@@ -167,11 +176,18 @@ def _perm_sign(perm):
 
 
 def mat_inv(R, A):
-    """Gauss-Jordan elimination, pivoting on the first nonzero entry."""
+    """Gauss-Jordan elimination, pivoting on the first unit of R.
+
+    Every adapter's ring is a field or local (Z/p^k).  If no entry of a
+    column on or below the diagonal is a unit, then modulo the maximal
+    ideal that column is zero outside the pivot rows already taken, so
+    the reduction of A is singular and A has no inverse."""
     n = len(A)
-    aug = [list(A[i]) + list(identity(R, n)[i]) for i in range(n)]
+    zero, one = R.zero(), R.one()
+    aug = [list(A[i]) + [one if j == i else zero for j in range(n)]
+           for i in range(n)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if not R.is_zero(aug[r][col])),
+        piv = next((r for r in range(col, n) if R.is_unit(aug[r][col])),
                    None)
         if piv is None:
             raise NotInDomain("matrix is singular")
@@ -426,9 +442,7 @@ def iota_inverse(R, X):
     """(h, (a, b)) with X = h sigma(a,b) h^-1; requires Delta_+ invertible
     (delta_+(sigma(a,b)) = 1, so h = delta_+(X))."""
     h = delta_plus(R, X)
-    try:
-        mat_inv(R, h)
-    except NotInDomain:
+    if not R.is_unit(det(R, h)):
         raise NotRegular("Delta_+(X) = 0: X is outside the plus chart")
     a, b = invariants_of(R, X)
     return h, (a, b)
@@ -445,7 +459,8 @@ def iota_prime_inverse(R, X):
     zero_b = [R.zero()] * (n + 1)
     ref = section_sigma_prime(R, a, zero_b)
     h = mat_mul(delta_plus(R, X), mat_inv(R, delta_plus(R, ref)))
-    hinv = mat_inv(R, h)
+    if not R.is_unit(det(R, h)):
+        raise NotInDomain("matrix is singular")
     vh = vec_mat(v, h)
     b = [w] + [vh[n - i] for i in range(1, n + 1)]  # (vh)_j = b_{n-j+1}
     return h, (a, tuple(b))

@@ -2,11 +2,16 @@
 
 Every element of F that padharm handles is rational, so an F-scalar is a
 plain `Fraction`: sums, products, zero tests and valuations are exact.
-E = F[tau], tau^2 = delta, holds the exact pairs x + tau*y of Fractions
-(`QuadExtScalar`).  The one value that is not rational is a square root
-of a p-adic unit, which `solve_norm` needs for its norm witness; it is
-Hensel-lifted to the field's precision N, so the witness's norm equals
-its target modulo p^N only.
+An element x + tau*y of E = F[tau], tau^2 = delta, is a `QuadExtScalar`
+held as an integer triple (a, b, d) in normal form: x = a/d, y = b/d,
+d > 0 and gcd(a, b, d) = 1.  The form is unique, so equality compares
+triples, and each operation ends in one gcd; `QuadExtContext` keeps
+delta's numerator and denominator for the products and norms.
+
+The one value that is not rational is a square root of a p-adic unit,
+which `solve_norm` needs for its norm witness; it is Hensel-lifted to
+the field's precision N, so the witness's norm equals its target modulo
+p^N only.
 
 Only odd residue characteristic is supported, and quadratic extensions
 must be fields (split algebras are rejected).
@@ -15,6 +20,7 @@ must be fields (split algebras are rejected).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .cyclotomic import legendre
 from .errors import NotInDomain, UnsupportedPlace
@@ -124,6 +130,9 @@ class QuadExtContext:
         self.delta = Fraction(delta)
         if self.delta == 0:
             raise NotInDomain("delta must be nonzero")
+        # the integer kernel of QuadExtScalar reads delta = _dnum / _dden
+        self._dnum = self.delta.numerator
+        self._dden = self.delta.denominator
         v = val_p(self.delta, field.p)
         if v == 0:
             if legendre(unit_residue(self.delta, field.p), field.p) == 1:
@@ -161,34 +170,68 @@ class QuadExtContext:
 
     def scalar(self, x, y=0):
         """x + tau*y from rationals."""
-        return QuadExtScalar(self, Fraction(x), Fraction(y))
+        if type(x) is int and type(y) is int:
+            return QuadExtScalar(self, x, y, 1)
+        x, y = Fraction(x), Fraction(y)
+        xd, yd = x.denominator, y.denominator
+        # over d = lcm(xd, yd), gcd(a, b, d) = 1 already: a prime power
+        # that divides d fully divides xd or yd, whose numerator it misses
+        d = xd * yd // gcd(xd, yd)
+        return QuadExtScalar(self, x.numerator * (d // xd),
+                             y.numerator * (d // yd), d)
 
     def tau(self):
-        return self.scalar(0, 1)
+        return QuadExtScalar(self, 0, 1, 1)
 
     def zero(self):
-        return self.scalar(0, 0)
+        return QuadExtScalar(self, 0, 0, 1)
 
     def one(self):
-        return self.scalar(1, 0)
+        return QuadExtScalar(self, 1, 0, 1)
+
+
+def _reduced(ext, a, b, d):
+    """The element (a + tau*b)/d for d > 0, in normal form."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return QuadExtScalar(ext, a, b, d)
 
 
 class QuadExtScalar:
-    """x + tau*y in E with exact rational x and y.  Instances are
-    immutable; equal values compare equal, and they are not hashable."""
+    """x + tau*y in E, held as integers (a, b, d) with x = a/d, y = b/d,
+    d > 0 and gcd(a, b, d) = 1.
 
-    __slots__ = ("ext", "x", "y")
+    That normal form is unique, so `==` is a comparison of the triples
+    and zero is (0, 0, 1); each operation ends in one gcd.  `x` and `y`
+    are the exact `Fraction` coordinates.  The constructor trusts its
+    triple to be normal: build values through `QuadExtContext.scalar`
+    or the arithmetic.  Instances are immutable, and they are not
+    hashable."""
 
-    def __init__(self, ext, x, y):
+    __slots__ = ("ext", "a", "b", "d")
+
+    def __init__(self, ext, a, b, d):
         self.ext = ext
-        self.x = x
-        self.y = y
+        self.a = a
+        self.b = b
+        self.d = d
+
+    @property
+    def x(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def y(self):
+        return Fraction(self.b, self.d)
 
     def _coerce(self, other):
         if type(other) is QuadExtScalar:
             return other
         if isinstance(other, (int, Fraction)):
-            return self.ext.scalar(other, 0)
+            return self.ext.scalar(other)
         return None
 
     def __add__(self, other):
@@ -196,19 +239,23 @@ class QuadExtScalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return QuadExtScalar(self.ext, self.x + other.x, self.y + other.y)
+        d, e = self.d, other.d
+        return _reduced(self.ext, self.a * e + other.a * d,
+                        self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExtScalar(self.ext, -self.x, -self.y)
+        return QuadExtScalar(self.ext, -self.a, -self.b, self.d)
 
     def __sub__(self, other):
         if type(other) is not QuadExtScalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return QuadExtScalar(self.ext, self.x - other.x, self.y - other.y)
+        d, e = self.d, other.d
+        return _reduced(self.ext, self.a * e - other.a * d,
+                        self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -218,29 +265,41 @@ class QuadExtScalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        a, b, c, d = self.x, self.y, other.x, other.y
-        return QuadExtScalar(self.ext, a * c + self.ext.delta * b * d,
-                             a * d + b * c)
+        ext = self.ext
+        a, b, c, e = self.a, self.b, other.a, other.b
+        dd = ext._dden
+        return _reduced(ext, a * c * dd + ext._dnum * b * e,
+                        (a * e + b * c) * dd, self.d * other.d * dd)
 
     __rmul__ = __mul__
 
     def conj(self):
-        return QuadExtScalar(self.ext, self.x, -self.y)
+        return QuadExtScalar(self.ext, self.a, -self.b, self.d)
 
     def trace(self):
-        return 2 * self.x
+        return Fraction(2 * self.a, self.d)
+
+    def _norm_numerator(self):
+        """a^2 - delta b^2, times delta's denominator: an integer."""
+        ext = self.ext
+        return self.a * self.a * ext._dden - ext._dnum * self.b * self.b
 
     def norm(self):
-        return self.x * self.x - self.ext.delta * self.y * self.y
+        return Fraction(self._norm_numerator(),
+                        self.d * self.d * self.ext._dden)
 
     def is_zero(self):
-        return self.x == 0 and self.y == 0
+        return self.a == 0 and self.b == 0
 
     def inverse(self):
-        n = self.norm()
-        if n == 0:
+        # 1/(x + tau y) = (a - tau b) d dd / (a^2 dd - dnum b^2)
+        m = self._norm_numerator()
+        if m == 0:
             raise NotInDomain("inverse of zero in E")
-        return QuadExtScalar(self.ext, self.x / n, -self.y / n)
+        k = self.d * self.ext._dden
+        if m < 0:
+            m, k = -m, -k
+        return _reduced(self.ext, self.a * k, -self.b * k, m)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -252,17 +311,18 @@ class QuadExtScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.x == other.x and self.y == other.y
+        return (self.a, self.b, self.d) == (other.a, other.b, other.d)
 
     def valuation_E(self):
         """Normalized valuation on E (v_E(uniformizer of E) = 1):
         min(e v(x), e v(y) + e - 1) with e the ramification index."""
         p, e = self.ext.F.p, self.ext.e
-        cands = [e * val_p(self.x, p)] if self.x else []
-        if self.y:
-            cands.append(e * val_p(self.y, p) + e - 1)
-        if not cands:
+        if self.is_zero():
             raise NotInDomain("valuation of zero")
+        vd = val_p(self.d, p)
+        cands = [e * (val_p(self.a, p) - vd)] if self.a else []
+        if self.b:
+            cands.append(e * (val_p(self.b, p) - vd) + e - 1)
         return min(cands)
 
     def __repr__(self):

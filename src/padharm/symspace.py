@@ -205,12 +205,13 @@ def xi_plus_s(ext, m):
 
 def match_side(ext, X, eta, forms):
     """Which unitary side a regular semisimple X in s matches:
-    eta(Delta(X/tau)) must equal eta(disc(W_i)).  Returns the index."""
+    eta(Delta(X/tau)) must equal eta(disc(W_i)).  Returns the index.
+    The values are compared by their phases, exact Fractions in [0, 1)."""
     D = Delta(FractionRing(), tau_unscale(ext, X))
     if D == 0:
         raise NotRegularSemisimple("Delta(X/tau) = 0")
-    target = eta(D)
-    hits = [i for i, w in enumerate(forms) if eta(w.disc()) == target]
+    target = eta.phase(D)
+    hits = [i for i, w in enumerate(forms) if eta.phase(w.disc()) == target]
     if len(hits) != 1:
         raise NotInDomain("forms do not separate the two norm classes")
     return hits[0]

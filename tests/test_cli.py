@@ -120,6 +120,22 @@ def test_dagger_gen(tmp_path):
     assert result["packet"]["terms"]
 
 
+@pytest.mark.parametrize("max_n, k, code", [
+    (3, 4, 0), (3, 5, 2), (3, 16, 2), (1, 2, 0), (1, 3, 2)])
+def test_dagger_gen_bounds_k_by_max_n(max_n, k, code, tmp_path, capsys):
+    # k is bounded like every rank input, before any packet is built
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budgets": {"max_n": max_n}}))
+    start = time.perf_counter()
+    got, _ = run_cli(["--config", str(cfg), "dagger-gen"],
+                     {"kind": "matrix", "m": 1, "k": k}, tmp_path)
+    assert got == code
+    assert time.perf_counter() - start < 5
+    if code == 2:
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["message"].startswith("/k: exceeds budgets/max_n")
+
+
 def test_fourier_command_determinism(tmp_path):
     payload = {"packet": {"space": {"kind": "f", "dim": 1},
                           "terms": [{"coeff": 1, "exps": [1],

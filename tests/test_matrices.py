@@ -22,6 +22,7 @@ from padharm.matrices import (
     invariants_of,
     iota,
     iota_inverse,
+    iota_prime_inverse,
     is_nilpotent,
     last_row_poly,
     mat,
@@ -127,6 +128,48 @@ def test_mat_inv():
     with pytest.raises(NotInDomain):
         mat_inv(R, mat([[Fraction(1), Fraction(1)],
                         [Fraction(2), Fraction(2)]]))
+
+
+def test_mat_inv_over_Z_mod_p_k_pivots_on_a_unit():
+    # the first nonzero entry of column 0 is 3, not a unit mod 3^5; the
+    # determinant is -1, so the matrix is invertible
+    Rm = IntModRing(3, 5)
+    h = mat([[3, 1], [1, 0]])
+    hinv = mat_inv(Rm, h)
+    assert [[x % Rm.m for x in row] for row in mat_mul(h, hinv)] == [
+        [1, 0], [0, 1]]
+    X = iota(Rm, h, (1, 2), (0, 1, 2))
+    h2, (a2, b2) = iota_inverse(Rm, X)
+    assert [[x % Rm.m for x in row] for row in h2] == [[3, 1], [1, 0]]
+    assert ([x % Rm.m for x in a2], [x % Rm.m for x in b2]) == (
+        [1, 2], [0, 1, 2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 8), min_size=9, max_size=9))
+def test_mat_inv_over_Z_mod_9_exactly_when_det_is_a_unit(entries):
+    Rm = IntModRing(3, 2)
+    A = mat([entries[0:3], entries[3:6], entries[6:9]])
+    if det(Rm, A) % 3 == 0:
+        with pytest.raises(NotInDomain):
+            mat_inv(Rm, A)
+    else:
+        assert [[x % 9 for x in row] for row in mat_mul(A, mat_inv(Rm, A))] \
+            == [[int(i == j) for j in range(3)] for i in range(3)]
+
+
+@pytest.mark.parametrize("Rx, u", [
+    (R, Fraction(0)),          # Delta_+ = 0
+    (IntModRing(3, 5), 0),     # Delta_+ = 0
+    (IntModRing(3, 5), 3),     # Delta_+ = 3, nonzero but not a unit
+])
+def test_chart_inverses_refuse_a_singular_moment_matrix(Rx, u):
+    # for n = 1, delta_+(X) is the 1x1 matrix (u)
+    X = mat([[Rx.coerce(1), Rx.coerce(u)], [Rx.coerce(2), Rx.coerce(5)]])
+    with pytest.raises(NotRegular):
+        iota_inverse(Rx, X)
+    with pytest.raises(NotInDomain):
+        iota_prime_inverse(Rx, X)
 
 
 def test_last_row_poly_round_trip():

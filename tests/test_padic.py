@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -101,3 +102,98 @@ def test_tau_squares_to_delta():
 def test_valuation_is_additive(a, b):
     assert val_p(a * b, 3) == val_p(a, 3) + val_p(b, 3)
     assert (a + b) == 0 or val_p(a + b, 3) >= min(val_p(a, 3), val_p(b, 3))
+
+
+class PairRef:
+    """x + tau*y as a plain pair of Fractions: the reference the integer
+    kernel of QuadExtScalar is checked against."""
+
+    def __init__(self, delta, x, y):
+        self.delta, self.x, self.y = Fraction(delta), Fraction(x), Fraction(y)
+
+    def _new(self, x, y):
+        return PairRef(self.delta, x, y)
+
+    def __add__(self, o):
+        return self._new(self.x + o.x, self.y + o.y)
+
+    def __sub__(self, o):
+        return self._new(self.x - o.x, self.y - o.y)
+
+    def __mul__(self, o):
+        return self._new(self.x * o.x + self.delta * self.y * o.y,
+                         self.x * o.y + self.y * o.x)
+
+    def conj(self):
+        return self._new(self.x, -self.y)
+
+    def norm(self):
+        return self.x * self.x - self.delta * self.y * self.y
+
+    def trace(self):
+        return 2 * self.x
+
+    def is_zero(self):
+        return self.x == 0 and self.y == 0
+
+    def inverse(self):
+        n = self.norm()
+        return self._new(self.x / n, -self.y / n)
+
+    def valuation_E(self, p, e):
+        cands = [e * val_p(self.x, p)] if self.x else []
+        if self.y:
+            cands.append(e * val_p(self.y, p) + e - 1)
+        return min(cands)
+
+
+# inert and ramified delta, each also with a denominator other than 1
+KERNEL_EXTS = [QuadExtContext(FieldContext(p, 4), d) for p, d in (
+    (3, 2), (3, 3), (3, Fraction(5, 7)), (3, Fraction(-3, 2)),
+    (5, Fraction(10, 3)))]
+coord = st.one_of(
+    st.fractions(min_value=-30, max_value=30, max_denominator=54),
+    st.sampled_from([Fraction(0), Fraction(3 ** 7, 2), Fraction(1, 3 ** 5)]))
+
+
+def _matches(z, ref):
+    """z has ref's coordinates and is in normal form."""
+    a, b, d = z.a, z.b, z.d
+    return (d > 0 and gcd(a, b, d) == 1
+            and (Fraction(a, d), Fraction(b, d)) == (ref.x, ref.y)
+            and (z.x, z.y) == (ref.x, ref.y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_EXTS), coord, coord, coord, coord, coord)
+def test_integer_kernel_matches_fraction_pairs(ext, x1, y1, x2, y2, r):
+    z, w = ext.scalar(x1, y1), ext.scalar(x2, y2)
+    zr, wr = PairRef(ext.delta, x1, y1), PairRef(ext.delta, x2, y2)
+    rr = PairRef(ext.delta, r, 0)
+    assert _matches(z, zr) and _matches(w, wr)
+    assert repr(z) == f"QuadExt({x1} + tau*{y1})"
+    assert _matches(z + w, zr + wr) and _matches(z - w, zr - wr)
+    assert _matches(z * w, zr * wr) and _matches(-z, PairRef(ext.delta, 0, 0) - zr)
+    assert _matches(z + r, zr + rr) and _matches(r + z, zr + rr)
+    assert _matches(z - r, zr - rr) and _matches(r - z, rr - zr)
+    assert _matches(z * r, zr * rr) and _matches(r * z, zr * rr)
+    assert _matches(z.conj(), zr.conj())
+    assert z.norm() == zr.norm() and z.trace() == zr.trace()
+    assert z.is_zero() == zr.is_zero()
+    assert (z == w) == ((x1, y1) == (x2, y2))
+    assert (z == r) == ((x1, y1) == (r, 0))
+    if wr.is_zero():
+        with pytest.raises(NotInDomain):
+            w.inverse()
+        with pytest.raises(NotInDomain):
+            z / w
+    else:
+        assert _matches(w.inverse(), wr.inverse())
+        assert _matches(z / w, zr * wr.inverse())
+    if zr.is_zero():
+        with pytest.raises(NotInDomain):
+            z.valuation_E()
+    else:
+        assert z.valuation_E() == zr.valuation_E(ext.F.p, ext.e)
+    if r:
+        assert _matches(z / r, zr * rr.inverse())
