@@ -16,23 +16,32 @@ from .cyclotomic import CyclotomicScalar, legendre
 from .errors import NotInDomain, UnsupportedConductor
 from .padic import unit_residue, val_p
 
+_ZERO = Fraction(0)
 
-def frac_part_p(x, p):
-    """The p-power fractional part: r in [0,1) with p-power denominator
-    and x - r integral at p."""
-    x = Fraction(x)
-    if x == 0:
-        return Fraction(0)
-    k = -val_p(x, p)
+
+def frac_part_p(x, p, d=0):
+    """The p-power fractional part of p^d x: r in [0,1) with p-power
+    denominator and p^d x - r integral at p, for rational x and any
+    integer d.
+
+    Integer kernel: x = num / (p^v u) with p not dividing u, so p^d x
+    has the p-power denominator p^k, k = v - d (less when v = 0 and p
+    divides num), and r = (num * u^-1 mod p^k) / p^k.  The one Fraction
+    built is r.
+    """
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    num, u = x.numerator, x.denominator
+    if not num:
+        return _ZERO
+    k = -d
+    while u % p == 0:
+        u //= p
+        k += 1
     if k <= 0:
-        return Fraction(0)
+        return _ZERO
     pk = p ** k
-    num = x.numerator
-    den = x.denominator
-    dprime = den // (p ** val_p(den, p)) if den % p == 0 else den
-    # x = num/(p^k * dprime); representative a/p^k with a = num * dprime^-1
-    a = num * pow(dprime, -1, pk) % pk
-    return Fraction(a, pk)
+    return Fraction(num * pow(u, -1, pk) % pk, pk)
 
 
 class AdditiveCharacter:
@@ -54,7 +63,7 @@ class AdditiveCharacter:
 
     def phase(self, x):
         """The argument r in Q/Z with psi(x) = e(r), for rational x."""
-        return frac_part_p(Fraction(self.F.p) ** self.d * Fraction(x), self.F.p)
+        return frac_part_p(x, self.F.p, self.d)
 
     def __call__(self, x):
         return CyclotomicScalar.root_of_unity(self.phase(x))

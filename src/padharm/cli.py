@@ -312,17 +312,27 @@ def cmd_dagger_gen(config, payload):
     unit = read_fraction(payload.get("unit", 1), "/unit")
     if unit == 0 or val_p(unit, config.p) != 0:
         raise SchemaError("/unit: expected a p-adic unit")
+    if kind not in ("scalar", "column", "matrix"):
+        raise SchemaError("/kind: expected scalar, column or matrix")
+    # the packet holds the shell frequency (a 1x1 matrix has no dagger
+    # entry), whose reduced denominator is p^e: refuse before building
+    # what frac_str would refuse to print; p^e has more than e bits, so
+    # p^e is computed only for e up to the bound
+    e = -shell_valuation(ext, psi, m)
+    if (kind != "matrix" or k > 1) and (e > MAX_PRINTED_BITS or (
+            e > 0 and (config.p ** e).bit_length() > MAX_PRINTED_BITS)):
+        raise ScaleExceeded(
+            f"/m: the shell frequency has more than {MAX_PRINTED_BITS} "
+            "bits to print")
     if kind == "scalar":
         data = make_dagger_scalar(ext, psi, m, unit=unit)
         admissible = is_admissible_scalar(ext, psi, m, data.packet)
     elif kind == "column":
         data = make_dagger_column(ext, psi, m, k)
         admissible = is_admissible_column(data)
-    elif kind == "matrix":
+    else:
         data = make_dagger_matrix(ext, psi, m, k)
         admissible = is_admissible_matrix(data)
-    else:
-        raise SchemaError("/kind: expected scalar, column or matrix")
     return {
         "kind": kind,
         "m": m,

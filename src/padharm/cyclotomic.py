@@ -150,21 +150,30 @@ class CyclotomicScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if len(self.terms) < len(other.terms):
+            self, other = other, self
         a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
         if len(b) == 1:
             # a monomial c*e(s) rotates the other factor: no keys collide
             ((s, c),) = b.items()
             if not s:
+                if c == 1:
+                    return self
                 return _normal({r: x * c for r, x in a.items()})
-            t = {}
-            for r, x in a.items():
-                r += s
-                if r.numerator >= r.denominator:
-                    r -= 1
-                t[r] = x * c
-            return _normal(t)
+            # r + s mod 1 on numerators and denominators, one Fraction per
+            # key; c is 1 for every root of unity, psi's values included
+            sn, sd = s.numerator, s.denominator
+            keys = []
+            for r in a:
+                n, d = r.numerator, r.denominator
+                if d == sd:
+                    n += sn
+                else:
+                    n, d = n * sd + sn * d, d * sd
+                keys.append(Fraction(n - d if n >= d else n, d))
+            if c == 1:
+                return _normal(dict(zip(keys, a.values())))
+            return _normal({r: x * c for r, x in zip(keys, a.values())})
         t = {}
         for r1, c1 in a.items():
             for r2, c2 in b.items():
@@ -316,6 +325,7 @@ def sqrt_prime(p):
     return g * CyclotomicScalar.root_of_unity(Fraction(-1, 4))
 
 
+@lru_cache(maxsize=256)
 def sqrt_rational_power(p, k):
     """p^(k/2) as a CyclotomicScalar, for integer k (possibly negative)."""
     half = k % 2

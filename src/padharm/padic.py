@@ -48,14 +48,33 @@ def val_p(x, p):
         n, d = x.numerator, x.denominator
     if n == 0:
         raise ValueError("valuation of zero")
+    # n / d is in lowest terms, so p divides at most one of them
+    if n % p == 0:
+        return _valuation(n, p)
+    if d % p == 0:
+        return -_valuation(d, p)
+    return 0
+
+
+def _valuation(n, p):
+    """The valuation v >= 1 of an int n divisible by p.  Dividing by p,
+    p^2, p^4, ... while they divide, and from p again when one does not,
+    takes O(log(v)^2) divisions; one division per unit of v would be
+    quadratic in the size of n."""
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    q = p
+    e = 1
+    while True:
+        if n % q:
+            if e == 1:
+                return v
+            q = p
+            e = 1
+        else:
+            n //= q
+            v += e
+            q *= q
+            e *= 2
 
 
 def unit_residue(x, p, mod=None):
@@ -209,7 +228,8 @@ class QuadExtScalar:
     are the exact `Fraction` coordinates.  The constructor trusts its
     triple to be normal: build values through `QuadExtContext.scalar`
     or the arithmetic.  Instances are immutable, and they are not
-    hashable."""
+    hashable.  Arithmetic between elements of two different extensions
+    raises NotInDomain, and they compare unequal."""
 
     __slots__ = ("ext", "a", "b", "d")
 
@@ -228,14 +248,19 @@ class QuadExtScalar:
         return Fraction(self.b, self.d)
 
     def _coerce(self, other):
+        """other as an element of this E, or None for a type that is not
+        a scalar; an element of another extension raises NotInDomain."""
         if type(other) is QuadExtScalar:
-            return other
+            if other.ext is self.ext or other.ext == self.ext:
+                return other
+            raise NotInDomain(f"an element of {other.ext!r} is not in "
+                              f"{self.ext!r}")
         if isinstance(other, (int, Fraction)):
             return self.ext.scalar(other)
         return None
 
     def __add__(self, other):
-        if type(other) is not QuadExtScalar:
+        if type(other) is not QuadExtScalar or other.ext is not self.ext:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
@@ -249,7 +274,7 @@ class QuadExtScalar:
         return QuadExtScalar(self.ext, -self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        if type(other) is not QuadExtScalar:
+        if type(other) is not QuadExtScalar or other.ext is not self.ext:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
@@ -261,7 +286,7 @@ class QuadExtScalar:
         return (-self) + other
 
     def __mul__(self, other):
-        if type(other) is not QuadExtScalar:
+        if type(other) is not QuadExtScalar or other.ext is not self.ext:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
@@ -308,7 +333,10 @@ class QuadExtScalar:
         return self * other.inverse()
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        try:
+            other = self._coerce(other)
+        except NotInDomain:
+            return False
         if other is None:
             return NotImplemented
         return (self.a, self.b, self.d) == (other.a, other.b, other.d)

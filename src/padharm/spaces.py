@@ -9,6 +9,24 @@ lattice given by per-coordinate scale exponents.  This family is closed
 under the Fourier transform with self-dual measure, pointwise products,
 translations, diagonal substitutions, and additive convolution -- all
 exactly, with coefficients in the cyclotomic ring.
+
+Integer kernel.  A packet's terms hold `Fraction` centers and
+frequencies, and the hot paths work on their numerators and
+denominators instead of on `Fraction` arithmetic:
+- `_mod_lattice(num, den, a, p)` reads a coordinate already in lowest
+  terms (den > 0) and returns its lattice representative as a pair
+  (m, p^k) that is again in lowest terms (k = 0, or p divides neither m
+  nor num).  `_canonicalize` uses these pairs as the sort key, and
+  builds a `Fraction` only for a coordinate whose pair differs from its
+  input; an unmoved coordinate is stored as the same object.
+- `Space.pair` sums numerators over products of denominators and builds
+  one `Fraction` at the end; `_coset_offsets` builds one per offset.
+- `AdditiveCharacter.phase` (characters.py) and the monomial branch of
+  `CyclotomicScalar.__mul__` (cyclotomic.py) follow the same rule.
+Every `Fraction` is built through its public constructor, which
+normalizes, so no int pair is trusted to be coprime where a value is
+stored.  The coprimality above serves the comparisons and the sort key:
+a reduced pair is the (numerator, denominator) of the stored value.
 """
 
 from __future__ import annotations
@@ -23,7 +41,6 @@ from .padic import val_p
 
 DEFAULT_TERM_BUDGET = 300000
 
-_ZERO = Fraction(0)
 _by_sort_key = itemgetter(0)
 
 
@@ -65,7 +82,9 @@ class Space:
         return hash((self.F, self.psi, self.weights, self.pairing))
 
     def pair(self, x, y):
-        total = _ZERO
+        # the sum n / d of c x_i y_j on numerators and denominators; d
+        # grows only when a term's denominator differs from it
+        n, d = 0, 1
         for c, xi, j in zip(self.weights, x, self.pairing):
             if xi:
                 yj = y[j]
@@ -74,8 +93,13 @@ class Space:
                         xi = Fraction(xi)
                     if not isinstance(yj, Fraction):
                         yj = Fraction(yj)
-                    total += c * xi * yj
-        return total
+                    tn = c.numerator * xi.numerator * yj.numerator
+                    td = c.denominator * xi.denominator * yj.denominator
+                    if td == d:
+                        n += tn
+                    else:
+                        n, d = n * td + tn * d, d * td
+        return Fraction(n, d)
 
     def dual_exps(self, exps):
         d = self.psi.d
@@ -169,32 +193,39 @@ def s_space(ext, psi, k):
 # -- wave packets -------------------------------------------------------------
 
 
-def _mod_lattice(x, a, p):
-    """The representative of x modulo p^a Z_(p): the unique m / p^k in
-    [0, p^a) with x - m / p^k in p^a Z_(p).
+def _mod_lattice(num, den, a, p):
+    """(m, p^k) for the representative m / p^k of num / den modulo
+    p^a Z_(p): the unique such number in [0, p^a) with num / den - m / p^k
+    in p^a Z_(p).  num / den must be in lowest terms with den > 0.
 
-    The p-prime part of the denominator is inverted modulo a power of p,
-    so 1/2 and 0 are the same class modulo Z_(3).  Returns x itself when
-    it already is the representative.
+    The p-prime part u of den is inverted modulo a power of p, so 1/2 and
+    0 are the same class modulo Z_(3).  The pair is in lowest terms: k is
+    the power of p in den (p then does not divide num, nor m) or k = 0.
     """
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    num, unit = x.numerator, x.denominator
-    v = 0
-    while unit % p == 0:
-        unit //= p
-        v += 1
-    # p^k x lies in Z_(p); the class lives in Z_(p) / p^(k + a) Z_(p)
-    k = max(v, -a)
-    if k + a == 0:
-        return _ZERO
+    u = den
+    k = 0
+    while u % p == 0:
+        u //= p
+        k += 1
+    # num / den lies in p^-k Z_(p); the class lives in p^-k Z_(p) / p^a Z_(p)
+    if not num or k + a <= 0:
+        return 0, 1
     mod = p ** (k + a)
-    n = num * p ** (k - v)
-    if unit == 1:
-        if 0 <= n < mod:
-            return x
-        return Fraction(n % mod, p ** k)
-    return Fraction(n * pow(unit, -1, mod) % mod, p ** k)
+    if u == 1:
+        return num % mod, den
+    return num * pow(u, -1, mod) % mod, den // u
+
+
+def _coset_offsets(x, a, count, p):
+    """x + j p^a for j in range(count), one Fraction each."""
+    n, d = x.numerator, x.denominator
+    if a >= 0:
+        step = p ** a * d
+    else:
+        step = d
+        n *= p ** -a
+        d *= p ** -a
+    return [Fraction(n + j * step, d) for j in range(count)]
 
 
 class WavePacket:
@@ -207,26 +238,46 @@ class WavePacket:
     def _canonicalize(self, terms):
         sp = self.space
         p = sp.F.p
+        dim = sp.dim
         rows = []
         for coeff, center, exps, freq in terms:
-            if len(center) != sp.dim or len(exps) != sp.dim or len(freq) != sp.dim:
+            if len(center) != dim or len(exps) != dim or len(freq) != dim:
                 raise SchemaError("term dimension mismatch")
             if not isinstance(coeff, CyclotomicScalar):
                 coeff = CyclotomicScalar.from_rational(coeff)
             exps = tuple(exps)
-            duals = sp.dual_exps(exps)
-            newf = tuple(
-                _mod_lattice(f, b, p) for f, b in zip(freq, duals)
-            )
-            newc = tuple(_mod_lattice(c, a, p) for c, a in zip(center, exps))
-            lam = tuple(
-                _ZERO if nf is f else Fraction(f) - nf
-                for f, nf in zip(freq, newf)
-            )
-            if any(lam):
+            # each coordinate's numerator and denominator are read once;
+            # the reduced pairs (n, d) are in lowest terms, so they are
+            # the sort key, and a Fraction is built only where one moved
+            newc, cints = [], []
+            for c, a in zip(center, exps):
+                if not isinstance(c, Fraction):
+                    c = Fraction(c)
+                cn, cd = c.numerator, c.denominator
+                n, d = _mod_lattice(cn, cd, a, p)
+                cints.append((n, d))
+                newc.append(c if n == cn and d == cd else Fraction(n, d))
+            newf, fints = [], []
+            lam = None
+            for i, (f, b) in enumerate(zip(freq, sp.dual_exps(exps))):
+                if not isinstance(f, Fraction):
+                    f = Fraction(f)
+                fn, fd = f.numerator, f.denominator
+                n, d = _mod_lattice(fn, fd, b, p)
+                fints.append((n, d))
+                if n == fn and d == fd:
+                    newf.append(f)
+                    continue
+                newf.append(Fraction(n, d))
+                # the frequency moved by lam_i in the dual lattice: psi of
+                # <lam, x> is constant on the coset, its value at the center
+                if lam is None:
+                    lam = [0] * dim
+                lam[i] = Fraction(fn * d - n * fd, fd * d)
+            if lam is not None:
                 coeff = coeff * sp.psi(sp.pair(lam, center))
-            key = (newc, exps, newf)
-            rows.append((_term_sort_key(key), key, coeff))
+            rows.append(((exps, tuple(cints), tuple(fints)),
+                         (tuple(newc), exps, tuple(newf)), coeff))
         # equal sort keys are equal terms: merge each run of them
         rows.sort(key=_by_sort_key)
         out = []
@@ -387,10 +438,8 @@ class WavePacket:
                 raise ScaleExceeded("refinement blows the term budget")
             na = tuple(max(e, ai) for e, ai in zip(exps, a))
             # enumerate offsets in prod p^{a_i} O / p^{na_i} O
-            ranges = []
-            for x, ai, di in zip(x0, a, deltas):
-                step = Fraction(p) ** ai
-                ranges.append([x + step * j for j in range(p ** di)])
+            ranges = [_coset_offsets(x, ai, p ** di, p) if di else (x,)
+                      for x, ai, di in zip(x0, a, deltas)]
             for nx in itertools.product(*ranges):
                 out.append((c, nx, na, f0))
         return WavePacket(sp, out)
@@ -467,12 +516,3 @@ def tensor(p1, p2):
         for c2, x2, a2, f2 in p2.terms:
             out.append((c1 * c2, x1 + x2, a1 + a2, f1 + f2))
     return WavePacket(sp, out)
-
-
-def _term_sort_key(key):
-    center, exps, freq = key
-    return (
-        exps,
-        tuple((f.numerator, f.denominator) for f in center),
-        tuple((f.numerator, f.denominator) for f in freq),
-    )

@@ -136,6 +136,47 @@ def test_dagger_gen_bounds_k_by_max_n(max_n, k, code, tmp_path, capsys):
         assert error["message"].startswith("/k: exceeds budgets/max_n")
 
 
+# with the default config (p = 3, conductor 0, inert delta) the shell
+# frequency of level m is 1/3^(2m): 3^8832 has 13999 bits, 3^8834 has
+# 14002, and cli.MAX_PRINTED_BITS is 14000
+@pytest.mark.parametrize("kind", ["scalar", "column", "matrix"])
+@pytest.mark.parametrize("m, code", [(4300, 0), (4500, 3)])
+def test_dagger_gen_level_bound_keeps_each_outcome(kind, m, code, tmp_path,
+                                                   capsys):
+    got, text = run_cli(["dagger-gen"], {"kind": kind, "m": m}, tmp_path)
+    assert got == code
+    if code == 0:
+        assert json.loads(text)["result"]["admissible"] is True
+    else:
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ScaleExceeded"
+        assert error["message"].startswith("/m:")
+
+
+@pytest.mark.parametrize("m, code", [(4416, 0), (4417, 3)])
+def test_dagger_gen_level_bound_is_the_print_bound(m, code, tmp_path):
+    bits = (3 ** (2 * m)).bit_length()
+    assert (bits > cli.MAX_PRINTED_BITS) == (code == 3)
+    assert run_cli(["dagger-gen"], {"m": m}, tmp_path)[0] == code
+
+
+@pytest.mark.parametrize("kind", ["scalar", "column", "matrix"])
+def test_dagger_gen_refuses_a_huge_level_at_once(kind, tmp_path):
+    start = time.perf_counter()
+    assert run_cli(["dagger-gen"], {"kind": kind, "m": 100000},
+                   tmp_path)[0] == 3
+    assert time.perf_counter() - start < 1
+
+
+def test_dagger_gen_one_by_one_matrix_has_no_shell_frequency(tmp_path):
+    # its one entry is a congruence indicator, so a level past the print
+    # bound of the shell frequency still has an answer
+    code, text = run_cli(["dagger-gen"], {"kind": "matrix", "m": 4500, "k": 1},
+                         tmp_path)
+    assert code == 0
+    assert json.loads(text)["result"]["admissible"] is True
+
+
 def test_fourier_command_determinism(tmp_path):
     payload = {"packet": {"space": {"kind": "f", "dim": 1},
                           "terms": [{"coeff": 1, "exps": [1],

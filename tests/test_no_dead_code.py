@@ -74,3 +74,19 @@ def test_no_module_imports_a_private_name():
                             if alias.name.startswith("_")
                             and not alias.name.endswith("__")]
     assert private == [], "\n".join(private)
+
+
+PRIVATE_FRACTION_NAMES = re.compile(
+    r"\b(_normalize|_from_coprime_ints|_numerator|_denominator)\b")
+
+
+def test_no_private_fraction_api():
+    # Fraction's private names change between Python versions (3.12
+    # dropped the _normalize argument and added _from_coprime_ints), so a
+    # result built on them could depend on the version
+    uses = []
+    for path in sorted((ROOT / "src" / "padharm").glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            uses += [f"{path.name}:{number} {m.group(1)}"
+                     for m in PRIVATE_FRACTION_NAMES.finditer(line)]
+    assert uses == [], "\n".join(uses)

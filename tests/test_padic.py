@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -22,6 +23,14 @@ def test_val_p_int_matches_fraction():
     for zero in (0, Fraction(0)):
         with pytest.raises(ValueError):
             val_p(zero, 3)
+
+
+def test_val_p_of_large_valuations():
+    # around powers of two, where the p, p^2, p^4, ... ladder restarts
+    for v in (1, 2, 3, 7, 8, 9, 63, 64, 65, 1000, 8832):
+        for p in (3, 5):
+            assert val_p(7 * p ** v, p) == v
+            assert val_p(Fraction(-2, p ** v), p) == -v
 
 
 def test_field_context_rejects_p2_and_composites():
@@ -197,3 +206,20 @@ def test_integer_kernel_matches_fraction_pairs(ext, x1, y1, x2, y2, r):
         assert z.valuation_E() == zr.valuation_E(ext.F.p, ext.e)
     if r:
         assert _matches(z / r, zr * rr.inverse())
+
+
+def test_elements_of_different_extensions_do_not_mix():
+    F = FieldContext(3, 4)
+    e2, e3 = QuadExtContext(F, 2), QuadExtContext(F, 3)
+    # once e2.tau() * e3.tau() was 2, e3.tau() * e2.tau() was 3, and
+    # e2.tau() == e3.tau() held
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for z, w in ((e2.tau(), e3.tau()), (e3.tau(), e2.tau())):
+            with pytest.raises(NotInDomain):
+                op(z, w)
+    assert not e2.tau() == e3.tau()
+    assert e2.tau() != e3.tau()
+    # an equal context is the same field
+    again = QuadExtContext(F, 2)
+    assert e2.tau() == again.tau()
+    assert e2.tau() * again.tau() == 2

@@ -128,8 +128,9 @@ def test_extension_space_double_transform():
 @given(st.fractions(min_value=-20, max_value=20, max_denominator=200),
        st.integers(min_value=-3, max_value=3), st.sampled_from([2, 3, 5]))
 def test_mod_lattice_is_the_z_p_representative(x, a, p):
-    r = _mod_lattice(x, a, p)
-    assert type(r) is Fraction
+    n, d = _mod_lattice(x.numerator, x.denominator, a, p)
+    r = Fraction(n, d)
+    assert (r.numerator, r.denominator) == (n, d)  # lowest terms
     assert 0 <= r < Fraction(p) ** a
     assert r.denominator == p ** val_p(r.denominator, p)
     assert x == r or val_p(x - r, p) >= a
