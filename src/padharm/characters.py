@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .cyclotomic import CyclotomicScalar, legendre
 from .errors import NotInDomain, UnsupportedConductor
-from .padic import unit_residue, val_p
+from .padic import strip_p, unit_residue, val_p
 
 _ZERO = Fraction(0)
 
@@ -27,7 +27,8 @@ def frac_part_p(x, p, d=0):
     Integer kernel: x = num / (p^v u) with p not dividing u, so p^d x
     has the p-power denominator p^k, k = v - d (less when v = 0 and p
     divides num), and r = (num * u^-1 mod p^k) / p^k.  The one Fraction
-    built is r.
+    built is r.  A denominator prime to p costs one modulo; any other is
+    split by `strip_p`.
     """
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
@@ -35,9 +36,9 @@ def frac_part_p(x, p, d=0):
     if not num:
         return _ZERO
     k = -d
-    while u % p == 0:
-        u //= p
-        k += 1
+    if u % p == 0:
+        v, u = strip_p(u, p)
+        k += v
     if k <= 0:
         return _ZERO
     pk = p ** k

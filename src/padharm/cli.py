@@ -314,14 +314,17 @@ def cmd_dagger_gen(config, payload):
         raise SchemaError("/unit: expected a p-adic unit")
     if kind not in ("scalar", "column", "matrix"):
         raise SchemaError("/kind: expected scalar, column or matrix")
-    # the packet holds the shell frequency (a 1x1 matrix has no dagger
-    # entry), whose reduced denominator is p^e: refuse before building
-    # what frac_str would refuse to print; p^e has more than e bits, so
-    # p^e is computed only for e up to the bound
-    e = -shell_valuation(ext, psi, m)
-    if (kind != "matrix" or k > 1) and (e > MAX_PRINTED_BITS or (
-            e > 0 and (config.p ** e).bit_length() > MAX_PRINTED_BITS)):
+    # the packet holds the shell frequency, whose reduced denominator is
+    # p^e, and a 1x1 matrix, which has no dagger entry, samples points
+    # that carry p^m: refuse before building either; p^e has more than e
+    # bits, so p^e is computed only for e up to the bound
+    one_by_one = kind == "matrix" and k == 1
+    e = m if one_by_one else -shell_valuation(ext, psi, m)
+    if e > MAX_PRINTED_BITS or (
+            e > 0 and (config.p ** e).bit_length() > MAX_PRINTED_BITS):
         raise ScaleExceeded(
+            f"/m: p^m has more than {MAX_PRINTED_BITS} bits, and the "
+            "invariance samples carry it" if one_by_one else
             f"/m: the shell frequency has more than {MAX_PRINTED_BITS} "
             "bits to print")
     if kind == "scalar":

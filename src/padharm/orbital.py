@@ -9,7 +9,7 @@ Three computation routes live here, each exact:
 * ``orbital_rs_n1`` / ``orbital_rs`` -- regular semisimple integrals by
   finite enumeration of torus shells (rank 1) or of additive matrix
   cells with a determinant-valuation window certified through the
-  delta_+ section (rank 2).
+  delta_+ section (rank 2; the walk over the cells is in ``cells``).
 * the descent pipeline ``f_natural`` -> ``f_psi_natural`` ->
   ``dagger_mu_closed_form`` / ``spherical_rhs`` with independent direct
   enumerators, used for the germ-constancy and spherical identities in
@@ -27,9 +27,11 @@ the entry x_ij is stored at position (j,i).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
+from .cells import cell_value, passing_cells
 from .characters import shell_sum
 from .cyclotomic import CyclotomicScalar, sqrt_rational_power
 from .errors import (
@@ -474,90 +476,56 @@ def _orbital_rs_cells(X, f, eta, lo, M, det_window, budget):
     """One granularity pass of the rank-2 cell enumeration: the cells of h
     are p^M M_2(O) cosets of h = p^lo J with J an integer matrix in
     [0, p^(M - lo))^4, each weighted by eta(det h) |det h|^(-2) and
-    collected by v(det h) in det_window.
+    collected by v(det h) in det_window.  The budget is charged for that
+    nominal box, whatever the walk below prunes.
 
-    Integer model.  With X = Xi / D (D the positive common denominator of
-    the coordinates) and L = |lo|, every coordinate of
-    Y = diag(h, 1) X diag(h, 1)^(-1) is an integer N_t over the common
-    denominator Den = D det(J) p^L.  The coset test v(Y_t - c_t) >= a_t of
-    a packet term with center c_t = cn_t / cd_t becomes the divisibility
-    (N_t cd_t - cn_t Den) % p^k == 0 with k = a_t + v(cd_t) + v(Den), and
-    holds outright when k <= 0.  det(J), its valuation and the
-    det-window test are ints as well.  Only a cell on which some term
-    passes gets an exact value, psi of the pairing times eta(det h), from
-    f.evaluate and eta at the Fraction point.
+    `cells.passing_cells` yields the cells on which some term of f passes
+    its coset test, with psi's phase for each such term; its docstring
+    proves that dropping a residue class mod p^l as it does loses no such
+    cell.  The value of f at a cell is sum_t coeff_t e(phase_t)
+    (`cells.cell_value`).  eta is tame, so eta(det h) depends only on
+    v(det J) and the residue mod p of the unit part of det J.  The pass
+    counts the cells per (v(det J), eta's phase, term, psi's phase) and
+    multiplies each count out once at the end.
 
-    The certificate is unchanged: the divisibility test is the coset
-    test itself, not an approximation of it, so each pass adds exactly the
-    nonzero cell values of an enumeration in Fraction arithmetic, in the
-    same cell order, and orbital_rs still compares the M and M + 1 passes
-    exactly."""
+    Bytes.  A CyclotomicScalar is a dict from Fraction exponents to
+    Fraction coefficients, and + and * act on it as in the group ring
+    Q[Q/Z]: + merges coefficients per exponent, * adds exponents, and
+    neither reduces modulo a cyclotomic polynomial.  So the dict of a sum
+    does not depend on the order or the grouping of its summands, and the
+    counts give the dict of the cell-by-cell sum: the cell order of the
+    walk does not change the bytes.  The one step that is not a
+    group-ring operation is dropping a cell whose value is zero.  A value
+    with one passing term is coeff_t e(phase_t), never zero (a packet
+    keeps no zero coefficient); a value with more can be zero in
+    Q(zeta) and not as a dict, so those cells are tested with is_zero, as
+    a cell-by-cell sum of f.evaluate values tests them.
+
+    The certificate is unchanged: the coset tests are exact, so each pass
+    adds exactly the nonzero cell values of an enumeration in Fraction
+    arithmetic over the whole box, and orbital_rs still compares the M and
+    M + 1 passes exactly."""
     p = f.space.F.p
     q = Fraction(p)
-    side = p ** (M - lo)
-    if side ** 4 > budget:
+    if p ** (4 * (M - lo)) > budget:
         raise ScaleExceeded("rank-2 cell budget")
+    counts = Counter()
+    eta_phases = {}
+    for _, dJ, vj, hits in passing_cells(X, f, lo, M, det_window):
+        if len(hits) > 1 and cell_value(f, hits).is_zero():
+            continue
+        key = (vj, dJ // p ** vj % p)
+        r = eta_phases.get(key)
+        if r is None:
+            r = eta_phases[key] = eta.phase(dJ * q ** (2 * lo))
+        for t, phase in hits:
+            counts[vj, r, t, phase] += 1
     vol = f_space(f.space.F, f.space.psi, 4).vol_lattice((M,) * 4)
-    L = abs(lo)
-    D = lcm(*(x.denominator for x in X))
-    Xi = [x.numerator * (D // x.denominator) for x in X]
-    a00, a01, b0, a10, a11, b1, c0, c1, e = Xi
-    pL = p ** L
-    sb = p ** (lo + L)  # scale of the h X column
-    sc = p ** (L - lo)  # scale of the X diag(h)^(-1) row
-    vD = val_p(D, p)
-    # det(J) valuations that put v(det h) = 2 lo + v(det J) in the window,
-    # each with the precompiled coset tests of every term: (t, cd_t,
-    # cn_t D p^L, p^k), keeping the coordinates with k > 0
-    tests = {}
-    for w in det_window:
-        vj = w - 2 * lo
-        compiled = []
-        for _, center, exps, _ in f.terms:
-            checks = []
-            for t in range(9):
-                c = center[t]
-                k = exps[t] + val_p(c.denominator, p) + vD + vj + L
-                if k > 0:
-                    checks.append((t, c.denominator, c.numerator * D * pL,
-                                   p ** k))
-            compiled.append(checks)
-        tests[vj] = compiled
     pairs = {}
-    for j11, j12, j21, j22 in itertools.product(range(side), repeat=4):
-        dJ = j11 * j22 - j12 * j21
-        if dJ == 0:
-            # v(det) >= 2M + 2 min(lo,0) - ... beyond the window by choice of M
-            continue
-        vj = val_p(dJ, p)
-        compiled = tests.get(vj)
-        if compiled is None:
-            continue
-        # N_t for Y = diag(J,1) Xi diag(adj J,1) scaled to Den = D dJ p^L
-        r00 = j11 * a00 + j12 * a10
-        r01 = j11 * a01 + j12 * a11
-        r10 = j21 * a00 + j22 * a10
-        r11 = j21 * a01 + j22 * a11
-        N = (
-            pL * (r00 * j22 - r01 * j21),
-            pL * (r01 * j11 - r00 * j12),
-            sb * dJ * (j11 * b0 + j12 * b1),
-            pL * (r10 * j22 - r11 * j21),
-            pL * (r11 * j11 - r10 * j12),
-            sb * dJ * (j21 * b0 + j22 * b1),
-            sc * (c0 * j22 - c1 * j21),
-            sc * (c1 * j11 - c0 * j12),
-            pL * dJ * e,
-        )
-        if not any(all((N[t] * cd - cnD * dJ) % m == 0
-                       for t, cd, cnD, m in checks) for checks in compiled):
-            continue
-        Den = D * dJ * pL
-        val = f.evaluate(tuple(Fraction(n, Den) for n in N))
-        if val.is_zero():
-            continue
+    for (vj, r, t, phase), n in counts.items():
         vd = 2 * lo + vj
-        c = val * eta(dJ * q ** (2 * lo)) * q ** (2 * vd)
+        c = (f.terms[t][0] * CyclotomicScalar.root_of_unity(phase + r)
+             * (n * q ** (2 * vd)))
         pairs[vd] = pairs.get(vd, CyclotomicScalar.zero()) + c
     out = []
     for vd, c in pairs.items():

@@ -50,31 +50,35 @@ def val_p(x, p):
         raise ValueError("valuation of zero")
     # n / d is in lowest terms, so p divides at most one of them
     if n % p == 0:
-        return _valuation(n, p)
+        return strip_p(n, p)[0]
     if d % p == 0:
-        return -_valuation(d, p)
+        return -strip_p(d, p)[0]
     return 0
 
 
-def _valuation(n, p):
-    """The valuation v >= 1 of an int n divisible by p.  Dividing by p,
-    p^2, p^4, ... while they divide, and from p again when one does not,
-    takes O(log(v)^2) divisions; one division per unit of v would be
-    quadratic in the size of n."""
+def strip_p(n, p):
+    """(v, u) with n = p^v u and p not dividing u, for a nonzero int n.
+
+    When p does not divide n this costs one modulo, and a short run of
+    p costs one modulo and one division per unit of v.  From v = 8 on it
+    divides by p^2, p^4, ... while they divide, and from p again when one
+    does not: O(log(v)^2) divisions, where one division per unit of v
+    would be quadratic in the size of n."""
     v = 0
     q = p
     e = 1
     while True:
         if n % q:
             if e == 1:
-                return v
+                return v, n
             q = p
             e = 1
         else:
             n //= q
             v += e
-            q *= q
-            e *= 2
+            if v >= 8:
+                q *= q
+                e *= 2
 
 
 def unit_residue(x, p, mod=None):

@@ -37,7 +37,7 @@ from operator import itemgetter
 
 from .cyclotomic import CyclotomicScalar, sqrt_rational_power
 from .errors import ScaleExceeded, SchemaError
-from .padic import val_p
+from .padic import strip_p, val_p
 
 DEFAULT_TERM_BUDGET = 300000
 
@@ -201,12 +201,12 @@ def _mod_lattice(num, den, a, p):
     The p-prime part u of den is inverted modulo a power of p, so 1/2 and
     0 are the same class modulo Z_(3).  The pair is in lowest terms: k is
     the power of p in den (p then does not divide num, nor m) or k = 0.
+    A den prime to p costs one modulo; any other is split by `strip_p`.
     """
-    u = den
-    k = 0
-    while u % p == 0:
-        u //= p
-        k += 1
+    if den % p:
+        k, u = 0, den
+    else:
+        k, u = strip_p(den, p)
     # num / den lies in p^-k Z_(p); the class lives in p^-k Z_(p) / p^a Z_(p)
     if not num or k + a <= 0:
         return 0, 1

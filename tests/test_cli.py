@@ -168,6 +168,23 @@ def test_dagger_gen_refuses_a_huge_level_at_once(kind, tmp_path):
     assert time.perf_counter() - start < 1
 
 
+# a 1x1 matrix has no shell frequency; its invariance samples carry p^m,
+# and 3^8833 has 14000 bits, 3^8834 has 14002
+@pytest.mark.parametrize("m, code", [(8833, 0), (8834, 3), (100000, 3)])
+def test_dagger_gen_one_by_one_matrix_level_bound(m, code, tmp_path, capsys):
+    assert ((3 ** m).bit_length() > cli.MAX_PRINTED_BITS) == (code == 3)
+    start = time.perf_counter()
+    got, text = run_cli(["dagger-gen"], {"kind": "matrix", "k": 1, "m": m},
+                        tmp_path)
+    assert got == code
+    if code == 0:
+        assert json.loads(text)["result"]["admissible"] is True
+    else:
+        assert time.perf_counter() - start < 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["message"].startswith("/m: p^m has more than")
+
+
 def test_dagger_gen_one_by_one_matrix_has_no_shell_frequency(tmp_path):
     # its one entry is a congruence indicator, so a level past the print
     # bound of the shell frequency still has an answer

@@ -1,15 +1,18 @@
-"""The rank-2 cell kernel of orbital_rs against the Fraction enumeration it
-replaced, a frozen value at the local-constancy base point, and the cell
-budget refusal."""
+"""The rank-2 cell kernel of orbital_rs against two oracles: the Fraction
+enumeration, and the integer enumeration of the whole box without
+pruning.  Also each cell value against f.evaluate, a frozen value at the
+local-constancy base point, and the cell budget refusal."""
 
 import itertools
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from padharm import orbital
+from padharm.cells import cell_value, passing_cells
 from padharm.characters import AdditiveCharacter, eta_for_extension
 from padharm.cli import main
 from padharm.cyclotomic import CyclotomicScalar
@@ -50,6 +53,12 @@ def _conjugate_3x3(h, hinv, X):
     return tuple(out)
 
 
+def _conjugate_by(h, X):
+    dh = h[0][0] * h[1][1] - h[0][1] * h[1][0]
+    inv = [[h[1][1] / dh, -h[0][1] / dh], [-h[1][0] / dh, h[0][0] / dh]]
+    return _conjugate_3x3(h, inv, X)
+
+
 def reference_cells(X, f, eta, lo, M, det_window, budget):
     """Each cell h of p^lo [0, p^(M - lo))^4 conjugates X in Fraction
     arithmetic and evaluates f there.  The representatives are built as
@@ -69,8 +78,7 @@ def reference_cells(X, f, eta, lo, M, det_window, budget):
         vd = val_p(dh, p)
         if vd not in det_window:
             continue
-        inv = [[h22 / dh, -h12 / dh], [-h21 / dh, h11 / dh]]
-        Y = _conjugate_3x3([[h11, h12], [h21, h22]], inv, X)
+        Y = _conjugate_by([[h11, h12], [h21, h22]], X)
         val = f.evaluate(Y)
         if val.is_zero():
             continue
@@ -82,9 +90,82 @@ def reference_cells(X, f, eta, lo, M, det_window, budget):
     return OrbitalResult(out, {"variable": "q^-s"})
 
 
-def assert_same_cells(X, f, eta, lo, M, det_window):
+def integer_cells(X, f, eta, lo, M, det_window, budget):
+    """The integer kernel without pruning: every J of [0, p^(M - lo))^4
+    runs the divisibility form of the coset tests, and a cell on which
+    some term passes is valued by f.evaluate and eta at its Fraction
+    point.  About 30x as fast as reference_cells at M = lo + 2."""
+    p = f.space.F.p
+    q = Fraction(p)
+    side = p ** (M - lo)
+    if side ** 4 > budget:
+        raise ScaleExceeded("rank-2 cell budget")
+    vol = f_space(f.space.F, f.space.psi, 4).vol_lattice((M,) * 4)
+    L = abs(lo)
+    D = lcm(*(x.denominator for x in X))
+    Xi = [x.numerator * (D // x.denominator) for x in X]
+    a00, a01, b0, a10, a11, b1, c0, c1, e = Xi
+    pL = p ** L
+    sb = p ** (lo + L)
+    sc = p ** (L - lo)
+    vD = val_p(D, p)
+    tests = {}
+    for w in det_window:
+        vj = w - 2 * lo
+        compiled = []
+        for _, center, exps, _ in f.terms:
+            checks = []
+            for t in range(9):
+                c = center[t]
+                k = exps[t] + val_p(c.denominator, p) + vD + vj + L
+                if k > 0:
+                    checks.append((t, c.denominator, c.numerator * D * pL,
+                                   p ** k))
+            compiled.append(checks)
+        tests[vj] = compiled
+    pairs = {}
+    for j11, j12, j21, j22 in itertools.product(range(side), repeat=4):
+        dJ = j11 * j22 - j12 * j21
+        if dJ == 0:
+            continue
+        vj = val_p(dJ, p)
+        compiled = tests.get(vj)
+        if compiled is None:
+            continue
+        r00 = j11 * a00 + j12 * a10
+        r01 = j11 * a01 + j12 * a11
+        r10 = j21 * a00 + j22 * a10
+        r11 = j21 * a01 + j22 * a11
+        N = (
+            pL * (r00 * j22 - r01 * j21),
+            pL * (r01 * j11 - r00 * j12),
+            sb * dJ * (j11 * b0 + j12 * b1),
+            pL * (r10 * j22 - r11 * j21),
+            pL * (r11 * j11 - r10 * j12),
+            sb * dJ * (j21 * b0 + j22 * b1),
+            sc * (c0 * j22 - c1 * j21),
+            sc * (c1 * j11 - c0 * j12),
+            pL * dJ * e,
+        )
+        if not any(all((N[t] * cd - cnD * dJ) % m == 0
+                       for t, cd, cnD, m in checks) for checks in compiled):
+            continue
+        Den = D * dJ * pL
+        val = f.evaluate(tuple(Fraction(n, Den) for n in N))
+        if val.is_zero():
+            continue
+        vd = 2 * lo + vj
+        c = val * eta(dJ * q ** (2 * lo)) * q ** (2 * vd)
+        pairs[vd] = pairs.get(vd, CyclotomicScalar.zero()) + c
+    out = []
+    for vd, c in pairs.items():
+        out.append((c * vol, QRational.monomial(1, vd)))
+    return OrbitalResult(out, {"variable": "q^-s"})
+
+
+def assert_same_cells(X, f, eta, lo, M, det_window, oracle=reference_cells):
     got = _orbital_rs_cells(X, f, eta, lo, M, det_window, 10 ** 6)
-    want = reference_cells(X, f, eta, lo, M, det_window, 10 ** 6)
+    want = oracle(X, f, eta, lo, M, det_window, 10 ** 6)
     assert repr(got.pairs) == repr(want.pairs)
     assert got.metadata == want.metadata
     return want
@@ -153,13 +234,22 @@ def test_kernel_matches_reference_nonzero_at_every_box_floor(lo):
         assert not want.is_zero()
 
 
+MULTI = WavePacket(SPACE, [
+    (1, BASE, (1,) * 9, (0,) * 9),
+    (Fraction(-2, 3), BASE_D3, (0,) * 9, TWIST),
+    (5, (0,) * 9, (-1,) * 9, (0,) * 9),
+])
+# 1 + e(1/2) on the inner coset: zero in Q(zeta) but not as a dict, so a
+# cell there must be dropped, not added
+CANCELLING = WavePacket(SPACE, [
+    (1, BASE_D3, (0,) * 9, (0,) * 9),
+    (CyclotomicScalar.root_of_unity(Fraction(1, 2)), BASE_D3, (1,) * 9,
+     (0,) * 9),
+])
+
+
 def test_kernel_matches_reference_on_a_multi_term_packet():
-    terms = [
-        (1, BASE, (1,) * 9, (0,) * 9),
-        (Fraction(-2, 3), BASE_D3, (0,) * 9, TWIST),
-        (5, (0,) * 9, (-1,) * 9, (0,) * 9),
-    ]
-    f = WavePacket(SPACE, terms)
+    f = MULTI
     for lo in (-1, 0, 1):
         assert_same_cells(BASE_D3, f, ETA[2], lo, lo + 1, WINDOW)
         assert_same_cells(BASE_D3, f, ETA[3], lo, lo + 1, WINDOW)
@@ -184,6 +274,116 @@ def test_kernel_matches_reference_on_random_packets(X, center, exps, freq,
                                                     lo, window, delta):
     f = WavePacket(SPACE, [(1, center, exps, freq)])
     assert_same_cells(X, f, ETA[delta], lo, lo + 1, window)
+
+
+# ---------------------------------------------------------------------------
+# certificate granularity: at M = lo + 2 the walk prunes residues mod p
+
+
+@pytest.mark.parametrize("lo, f, window", [
+    (-1, MULTI, WINDOW),
+    (0, packet(BASE_D3, -2, False), {0}),
+    (1, packet(BASE_D3, -2, False), {2}),
+], ids=["lo-1-multi-wide", "lo0-D3-unit", "lo1-D3-unit"])
+def test_kernel_matches_reference_at_certificate_granularity(lo, f, window):
+    want = assert_same_cells(BASE_D3, f, ETA[2], lo, lo + 2, window)
+    assert not want.is_zero()
+
+
+def mixed(space):
+    return WavePacket(space, [
+        (1, BASE_D3, (1,) * 9, (0,) * 9),
+        (Fraction(-2, 3), BASE_D3, (0,) * 9, TWIST),
+        (5, BASE_D3, (0, 1) * 4 + (0,), (0,) * 9),
+    ])
+
+
+def matrix_space(conductor):
+    return matrix_space_f(F, AdditiveCharacter(F, conductor), 3)
+
+
+# supports narrow enough that the integer oracle stays fast; at lo = 1 no
+# cell passes, which checks that the walk prunes every residue it may
+CERTIFICATE_PACKETS = {
+    "D3-twisted": packet(BASE_D3, 1, True),
+    "mixed": mixed(SPACE),
+    # psi of conductor -1 is nontrivial on O: more phases survive
+    "mixed-conductor-minus-1": mixed(matrix_space(-1)),
+    "cancelling": CANCELLING,
+}
+
+
+@pytest.mark.parametrize("lo", [-1, 0, 1])
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_PACKETS))
+def test_kernel_matches_integer_oracle_at_certificate_granularity(lo, name):
+    # the window {2 lo + 1} holds only v(det J) = 1, which a residue mod p
+    # with p | det r may still reach
+    f = CERTIFICATE_PACKETS[name]
+    for delta, window in ((2, {2 * lo}), (2, {2 * lo + 1}), (3, WINDOW)):
+        assert_same_cells(BASE_D3, f, ETA[delta], lo, lo + 2, window,
+                          oracle=integer_cells)
+
+
+def _h(J, lo):
+    q = Fraction(P) ** lo
+    return [[J[0] * q, J[1] * q], [J[2] * q, J[3] * q]]
+
+
+@st.composite
+def certificate_cases(draw):
+    """A point X and a packet whose terms sit at conjugates of X by cells
+    of the box, so that some cells pass."""
+    lo = draw(st.integers(-1, 1))
+    space = matrix_space(draw(st.integers(-1, 1)))
+    X = draw(st.tuples(*[small_rationals] * 9))
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        J = draw(st.tuples(*[st.integers(0, P ** 2 - 1)] * 4))
+        h = _h(J, lo)
+        singular = h[0][0] * h[1][1] == h[0][1] * h[1][0]
+        center = X if singular else _conjugate_by(h, X)
+        exps = draw(st.tuples(*[st.integers(0, 2)] * 9))
+        freq = draw(st.tuples(*[st.sampled_from(
+            (0, 0, Fraction(1, 3), Fraction(-1, 3), Fraction(1, 9)))] * 9))
+        coeff = draw(st.sampled_from((1, -1, Fraction(2, 3), CyclotomicScalar(
+            {Fraction(1, 2): 1}))))
+        terms.append((coeff, center, exps, freq))
+    window = draw(st.sets(st.integers(2 * lo, 2 * lo + 3), min_size=1,
+                          max_size=3))
+    delta = draw(st.sampled_from((2, 3)))
+    return X, WavePacket(space, terms), lo, window, delta
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=certificate_cases())
+def test_kernel_matches_integer_oracle_on_random_packets(case):
+    X, f, lo, window, delta = case
+    assert_same_cells(X, f, ETA[delta], lo, lo + 2, window,
+                      oracle=integer_cells)
+
+
+MIXED_CANCELLING = WavePacket(SPACE, CERTIFICATE_PACKETS["mixed"].terms
+                              + CANCELLING.terms)
+
+
+@pytest.mark.parametrize("lo, M, f", [
+    (-1, 1, MIXED_CANCELLING),
+    (0, 2, MIXED_CANCELLING),
+    (0, 2, CERTIFICATE_PACKETS["mixed-conductor-minus-1"]),
+    # a wide support, at M = lo + 1 to keep the cell count small
+    (1, 2, packet(BASE_D3, -2, True)),
+])
+def test_every_cell_value_is_f_evaluate_there(lo, M, f):
+    # the integer model's value of each passing cell, psi's phase from
+    # S / (G Den) on ints, against f.evaluate at the cell's Fraction point
+    cells = 0
+    for J, dJ, vj, hits in passing_cells(BASE_D3, f, lo, M, WINDOW):
+        assert dJ == J[0] * J[3] - J[1] * J[2] and val_p(dJ, P) == vj
+        want = f.evaluate(_conjugate_by(_h(J, lo), BASE_D3))
+        got = cell_value(f, hits)
+        assert got == want and repr(got) == repr(want)
+        cells += 1
+    assert cells > 0
 
 
 # ---------------------------------------------------------------------------

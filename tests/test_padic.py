@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padharm.errors import NotInDomain, UnsupportedPlace
-from padharm.padic import FieldContext, QuadExtContext, unit_residue, val_p
+from padharm.padic import (
+    FieldContext,
+    QuadExtContext,
+    strip_p,
+    unit_residue,
+    val_p,
+)
 
 
 def test_val_p():
@@ -31,6 +37,16 @@ def test_val_p_of_large_valuations():
         for p in (3, 5):
             assert val_p(7 * p ** v, p) == v
             assert val_p(Fraction(-2, p ** v), p) == -v
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7)), v=st.integers(0, 300),
+       u=st.integers(-10 ** 12, 10 ** 12).filter(bool))
+def test_strip_p_splits_off_the_power_of_p(p, v, u):
+    # every run length, across the switch to p^2, p^4, ... at v = 8
+    while u % p == 0:
+        u //= p
+    assert strip_p(p ** v * u, p) == (v, u)
 
 
 def test_field_context_rejects_p2_and_composites():
