@@ -152,15 +152,6 @@ class MultiplicativeCharacter:
     def __call__(self, x):
         return CyclotomicScalar.root_of_unity(self.phase(x))
 
-    def sign(self, x):
-        """Value as an integer +-1 (the character must be quadratic there)."""
-        r = self.phase(x)
-        if r == 0:
-            return 1
-        if r == Fraction(1, 2):
-            return -1
-        raise NotInDomain("character value is not a sign")
-
 
 def eta_unramified(field):
     return MultiplicativeCharacter(field, Fraction(1, 2), 0)
@@ -221,14 +212,6 @@ class ExtCharacter:
 
     def __pow__(self, n):
         return ExtCharacter(self.ext, self.r_pi * n, self.k * n)
-
-    def restricts_to(self, chi, samples=None):
-        """Check this character restricts to chi on F^* (on generators)."""
-        F = self.ext.F
-        gen, _ = _dlog_table_F(F.p)
-        pts = samples or [Fraction(F.p), Fraction(gen)]
-        return all(self.phase(x) == chi.phase(x) for x in pts)
-
 
 def _ext_pow(z, n):
     out = z.ext.one()

@@ -36,6 +36,7 @@ from .matrices import (
 from .symspace import (
     HermitianForm,
     match_side,
+    separating_forms,
     transfer_factor_group,
     transfer_factor_lie,
     transfer_factor_S,
@@ -289,11 +290,15 @@ def cmd_match(config, payload):
     ext = config.ext()
     X = parse_matrix(payload.get("matrix"), "/matrix", e_entry(ext))
     config.check_rank(len(X) - 1, "/matrix")
-    forms = [HermitianForm(ext, diag) for diag in parse_list(
-        payload.get("forms", [[1, 1], [1, config.p]]), "/forms", parse_list)]
-    if not forms:
-        raise SchemaError("/forms: expected a nonempty list of diagonal forms")
-    side = match_side(ext, X, config.eta(), forms)
+    eta = config.eta()
+    if "forms" in payload:
+        forms = [HermitianForm(ext, diag) for diag in parse_list(
+            payload["forms"], "/forms", parse_list)]
+        if not forms:
+            raise SchemaError("/forms: expected a nonempty list of diagonal forms")
+    else:
+        forms = separating_forms(ext, eta)
+    side = match_side(ext, X, eta, forms)
     return {"side": side,
             "disc_classes": [frac_str(w.disc()) for w in forms]}
 

@@ -3,7 +3,7 @@
 A configuration is a single JSON document
 
     {
-      "p": 3, "N": 6,
+      "p": 3,
       "delta": {"val": 0, "unit": 2},        # delta = unit * p^val
       "psi_conductor": 0,
       "eta": {"kind": "extension"},          # or {"r_pi": "1/2", "k": 0}
@@ -37,7 +37,6 @@ from .characters import (
 
 DEFAULTS = {
     "p": 3,
-    "N": 6,
     "delta": {"val": 0, "unit": 2},
     "psi_conductor": 0,
     "eta": {"kind": "extension"},
@@ -90,7 +89,6 @@ class RunConfig:
             if key not in _TOP_KEYS:
                 _fail(f"/{key}", "unknown configuration key")
         self.p = read_int(doc.get("p", DEFAULTS["p"]), "/p", low=3)
-        self.N = read_int(doc.get("N", DEFAULTS["N"]), "/N", low=1)
 
         delta = doc.get("delta", DEFAULTS["delta"])
         if isinstance(delta, int) and not isinstance(delta, bool):
@@ -166,7 +164,7 @@ class RunConfig:
 
     def field(self):
         if self._field is None:
-            self._field = FieldContext(self.p, self.N)
+            self._field = FieldContext(self.p)
         return self._field
 
     def ext(self):

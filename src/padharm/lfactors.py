@@ -21,24 +21,6 @@ from .padic import val_p
 from .qrational import QRational
 
 
-class LFactor:
-    """A named local factor: a rational function of U = q^(-1) with a place
-    tag and the character exponent it was built from."""
-
-    __slots__ = ("name", "value", "place", "exponent")
-
-    def __init__(self, name, value, place="inert", exponent=0):
-        if place not in ("split", "inert", "ramified"):
-            raise NotInDomain("unknown place type")
-        self.name = name
-        self.value = value
-        self.place = place
-        self.exponent = exponent
-
-    def __repr__(self):
-        return f"LFactor({self.name}, {self.value!r})"
-
-
 def _one_minus(coeff, k):
     """1 - coeff * U^k as a QRational."""
     return QRational.const(1) - QRational.monomial(coeff, k)
@@ -164,18 +146,6 @@ def unramified_identity(n):
         "hyperspecial_consistent": hyper == hyperspecial_volume(n + 1),
     }
     return report
-
-
-def measure_correction(n=None):
-    """Passage from the normalized to the unnormalized Tamagawa measures:
-    the split-group distribution picks up zeta_E(1) zeta_F(1)^2, the unitary
-    one L(1, eta)^3, and test-function matching rescales accordingly."""
-    return {
-        "I": zeta_local(1, degree=2) * zeta_local(1) * zeta_local(1),
-        "J": l_eta(1) * l_eta(1) * l_eta(1),
-        "matching_f": zeta_local(1, degree=2) * zeta_local(1) * zeta_local(1),
-        "matching_f_prime": l_eta(1) * l_eta(1),
-    }
 
 
 def lfactor_table(q, n_max=4):

@@ -115,18 +115,6 @@ def identity(R, n):
     )
 
 
-def mat_add(A, B):
-    return mat([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
-
-
-def mat_sub(A, B):
-    return mat([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
-
-
-def mat_neg(A):
-    return mat([[-a for a in r] for r in A])
-
-
 def mat_mul(A, B):
     n, k, m = len(A), len(B), len(B[0])
     out = []
@@ -466,60 +454,10 @@ def iota_prime_inverse(R, X):
     return h, (a, tuple(b))
 
 
-def in_script_w(R, X):
-    """Membership in the slice: superdiagonal 1, zero above it."""
-    m = len(X)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if j == i + 1:
-                if not R.is_zero(X[i][j] - R.one()):
-                    return False
-            elif not R.is_zero(X[i][j]):
-                return False
-    return True
-
-
 def nu_plus(R, u_mat):
     """u xi_+ u^-1 for u in N_n embedded in GL_{n+1}."""
     m = len(u_mat) + 1
     return conjugate(R, u_mat, xi_plus(R, m))
-
-
-def last_row_poly(R, A_top, a):
-    """Reconstruct the last row of A from its first n-1 rows (slice form:
-    superdiagonal 1, zeros above) and the a-invariants.
-
-    Works over Z/p^N by digit lifting: the dependence is triangular with
-    unit Jacobian, so each digit of the last row is determined by an
-    exhaustive search over residue digits.
-    """
-    n = len(A_top) + 1
-    if not isinstance(R, IntModRing):
-        raise NotInDomain("last_row_poly is implemented over Z/p^N")
-    p, Npow = R.p, R.k
-    target = tuple(R.coerce(x) for x in a)
-
-    def a_of(last_row):
-        A = mat([list(r) for r in A_top] + [list(last_row)])
-        cp = charpoly_plus(R, A)
-        return tuple(
-            cp[i] if i % 2 == 1 else (-cp[i]) % R.m for i in range(1, n + 1)
-        )
-
-    row = [0] * n
-    for k in range(Npow):
-        pk = p ** k
-        found = None
-        for digits in itertools.product(range(p), repeat=n):
-            cand = [row[j] + digits[j] * pk for j in range(n)]
-            got = a_of(cand)
-            if all((g - t) % (p ** (k + 1)) == 0 for g, t in zip(got, target)):
-                found = cand
-                break
-        if found is None:
-            raise NotInDomain("no last row matches the invariants")
-        row = found
-    return tuple(x % R.m for x in row)
 
 
 # ---------------------------------------------------------------------------

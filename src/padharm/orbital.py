@@ -11,9 +11,8 @@ Three computation routes live here, each exact:
   cells with a determinant-valuation window certified through the
   delta_+ section (rank 2; the walk over the cells is in ``cells``).
 * the descent pipeline ``f_natural`` -> ``f_psi_natural`` ->
-  ``dagger_mu_closed_form`` / ``spherical_rhs`` with independent direct
-  enumerators, used for the germ-constancy and spherical identities in
-  rank 1.
+  ``mu_via_nilpotent`` / ``spherical_rhs``, used for the germ-constancy
+  and spherical identities in rank 1.
 
 Conventions: the group acts by X |-> h X h^(-1) with h embedded as
 diag(h, 1); the multiplicative weight is eta(det h) |det h|^s with the
@@ -26,7 +25,6 @@ the entry x_ij is stored at position (j,i).
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
@@ -45,17 +43,15 @@ from .errors import (
 from .matrices import (
     Delta_plus,
     FractionRing,
-    QuadExtRing,
     delta_plus,
     det,
     mat,
     mat_from_scalars,
     mat_inv,
-    mat_mul,
 )
 from .padic import val_p
 from .qrational import Poly, QRational
-from .spaces import WavePacket, e_minus_space, e_space, f_space, matrix_space_e, s_space
+from .spaces import WavePacket, e_minus_space, f_space, matrix_space_e, s_space
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +438,8 @@ def orbital_rs(X, f, eta, budget=500000, slack=0):
     The support of f must have certified-constant Delta_+ valuations; the
     determinant of h is then pinned to a finite window, the box of entry
     valuations is rigorous, and exactness is certified by computing at two
-    granularities."""
+    granularities.  The budget is charged for the nominal box of the larger
+    pass, whatever the cell walk prunes."""
     _require_quadratic(eta)
     k = _matrix_dim(f.space)
     if k == 2:
@@ -463,8 +460,8 @@ def orbital_rs(X, f, eta, budget=500000, slack=0):
     # the certificate pass at M + 1 is the larger one: refuse before either
     if p ** (4 * (M + 1 - lo)) > budget:
         raise ScaleExceeded("rank-2 cell budget")
-    first = _orbital_rs_cells(X, f, eta, lo, M, det_window, budget)
-    second = _orbital_rs_cells(X, f, eta, lo, M + 1, det_window, budget)
+    first = _orbital_rs_cells(X, f, eta, lo, M, det_window)
+    second = _orbital_rs_cells(X, f, eta, lo, M + 1, det_window)
     if not (first == second):
         raise NotInDomain("cell enumeration failed the refinement check")
     first.metadata.update({"n": 2, "box_floor": lo, "granularity": M,
@@ -472,12 +469,11 @@ def orbital_rs(X, f, eta, budget=500000, slack=0):
     return first
 
 
-def _orbital_rs_cells(X, f, eta, lo, M, det_window, budget):
+def _orbital_rs_cells(X, f, eta, lo, M, det_window):
     """One granularity pass of the rank-2 cell enumeration: the cells of h
     are p^M M_2(O) cosets of h = p^lo J with J an integer matrix in
     [0, p^(M - lo))^4, each weighted by eta(det h) |det h|^(-2) and
-    collected by v(det h) in det_window.  The budget is charged for that
-    nominal box, whatever the walk below prunes.
+    collected by v(det h) in det_window.
 
     `cells.passing_cells` yields the cells on which some term of f passes
     its coset test, with psi's phase for each such term; its docstring
@@ -507,8 +503,6 @@ def _orbital_rs_cells(X, f, eta, lo, M, det_window, budget):
     M + 1 passes exactly."""
     p = f.space.F.p
     q = Fraction(p)
-    if p ** (4 * (M - lo)) > budget:
-        raise ScaleExceeded("rank-2 cell budget")
     counts = Counter()
     eta_phases = {}
     for _, dJ, vj, hits in passing_cells(X, f, lo, M, det_window):
@@ -534,39 +528,6 @@ def _orbital_rs_cells(X, f, eta, lo, M, det_window, budget):
 
 
 # ---------------------------------------------------------------------------
-# eta-twisted averaging over the maximal compact, rank 1
-
-
-def k_average(f, eta):
-    """f_K(X) = int_K f(k X k^(-1)) eta(k) dk over K = O^* embedded as
-    diag(u, 1), normalized to total measure 1, for 2x2 coordinates."""
-    _require_quadratic(eta)
-    if _matrix_dim(f.space) != 2:
-        raise NotInDomain("averaging is implemented in rank 1")
-    p = f.space.F.p
-    d = f.space.psi.d
-    pairmap = f.space.pairing
-    lam = max(1, eta.conductor_exponent())
-    for _, center, exps, freq in f.terms:
-        for t in (1, 2):
-            lam = max(lam, exps[t] - _support_floor(f, t))
-            g = freq[pairmap[t]] * f.space.weights[pairmap[t]]
-            if g != 0:
-                lam = max(lam, -d - val_p(g, p) - _support_floor(f, t))
-    total = WavePacket.zero(f.space)
-    count = 0
-    for u in range(1, p ** lam):
-        if u % p == 0:
-            continue
-        count += 1
-        uf = Fraction(u)
-        # g(X) = f(k X k^(-1)) = f(x11, u x12, x21 / u, x22)
-        g = f.pullback_diagonal((1, uf, 1 / uf, 1)).scale(eta(uf))
-        total = total + g
-    return total.scale(Fraction(1, count))
-
-
-# ---------------------------------------------------------------------------
 # the descent pipeline, rank 1
 
 
@@ -589,45 +550,6 @@ def f_natural(ext, psi, r):
         ext.F, psi, 4
     ).vol_lattice((r,) * 4)
     return WavePacket.indicator(s_space(ext, psi, 2), r).scale(c)
-
-
-def f_natural_direct(ext, psi, eta_prime, r, X):
-    """Independent enumeration of the descent integral at one point X of the
-    tau-part coordinates: integrate the normalized congruence indicator over
-    the split group against eta'(det)."""
-    p = ext.F.p
-    X = tuple(Fraction(t) for t in X)
-    vX = min([val_p(t, p) for t in X if t != 0] or [0])
-    L = r + max(1, -min(0, vX))
-    c2 = _inv_vol(matrix_space_e(ext, psi, 2), (r,) * 8)
-    cellvol = f_space(ext.F, psi, 4).vol_lattice((L,) * 4)
-    Xm = [[X[0], X[1]], [X[2], X[3]]]
-    det1X = det(QuadExtRing(ext), _one_plus_tau(ext, Xm))
-    total = CyclotomicScalar.zero()
-    reps = [Fraction(j * p ** r) for j in range(p ** (L - r))]
-    for k11, k12, k21, k22 in itertools.product(reps, repeat=4):
-        h = [[1 + k11, k12], [k21, 1 + k22]]
-        # minus part of (1 + tau X) h is tau X h: need X h in p^r M(O_F)
-        ok = True
-        for i in range(2):
-            for j in range(2):
-                t = Xm[i][0] * h[0][j] + Xm[i][1] * h[1][j]
-                if t != 0 and val_p(t, p) < r:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        dh = h[0][0] * h[1][1] - h[0][1] * h[1][0]
-        total = total + eta_prime(det1X * dh) * cellvol
-    return c2 * total
-
-
-def _one_plus_tau(ext, Xm):
-    """1 + tau X over E for a 2x2 matrix X over F."""
-    return mat([[ext.scalar(int(i == j), Xm[i][j]) for j in range(2)]
-                for i in range(2)])
 
 
 def _phi_minus_packet(phi_data):
@@ -680,96 +602,6 @@ def f_psi_natural(ext, psi, phi_data, r):
             )
         )
     return WavePacket(sp, out)
-
-
-def f_psi_natural_direct(ext, psi, eta_prime, phi_data, r, X):
-    """Independent enumeration of the degenerate-Whittaker descent at one
-    point: double integral over u in p^m O_E (the dagger support) and over
-    the split group, of phi(u) f2(n(u)(1+X)h) eta'(det((1+X)h))."""
-    p = ext.F.p
-    q = Fraction(p)
-    m = phi_data.m
-    X = tuple(Fraction(t) for t in X)
-    vX = min([val_p(t, p) for t in X if t != 0] or [0])
-    Lu = r + max(0, -min(0, vX))
-    c2 = _inv_vol(matrix_space_e(ext, psi, 2), (r,) * 8)
-    uvol = e_space(ext, psi, 1).vol_lattice((Lu, Lu))
-    Xm = [[X[0], X[1]], [X[2], X[3]]]
-    one_plus = _one_plus_tau(ext, Xm)
-    det1X = det(QuadExtRing(ext), one_plus)
-    total = CyclotomicScalar.zero()
-    ureps = [Fraction(j * p ** m) for j in range(p ** (Lu - m))]
-    for up, um in itertools.product(ureps, repeat=2):
-        phival = phi_data.packet.evaluate((up, um))
-        if phival.is_zero():
-            continue
-        nu = mat([[ext.one(), ext.scalar(up, um)], [ext.zero(), ext.one()]])
-        A = mat_mul(nu, one_plus)
-        P0 = [[A[i][j].x for j in range(2)] for i in range(2)]
-        Q0 = [[A[i][j].y for j in range(2)] for i in range(2)]
-        dP = P0[0][0] * P0[1][1] - P0[0][1] * P0[1][0]
-        if dP == 0:
-            raise NotInDomain("degenerate plus part in the enumeration")
-        Pinv = [[P0[1][1] / dP, -P0[0][1] / dP], [-P0[1][0] / dP, P0[0][0] / dP]]
-        QP = [[sum(Q0[i][t] * Pinv[t][j] for t in range(2)) for j in range(2)]
-              for i in range(2)]
-        vQP = min([val_p(t, p) for row in QP for t in row if t != 0] or [0])
-        Lh = max(r + 1, r - min(0, vQP))
-        hreps = [Fraction(j * p ** r) for j in range(p ** (Lh - r))]
-        hvol = f_space(ext.F, psi, 4).vol_lattice((Lh,) * 4)
-        # additive volume scaling of h = Pinv (1 + kcell) and d*h weight
-        vdP = val_p(dP, p)
-        jac = q ** (2 * vdP)  # |det Pinv|^2 = q^(2 vdP) as additive scaling
-        for k11, k12, k21, k22 in itertools.product(hreps, repeat=4):
-            one_k = [[1 + k11, k12], [k21, 1 + k22]]
-            h = [[sum(Pinv[i][t] * one_k[t][j] for t in range(2))
-                  for j in range(2)] for i in range(2)]
-            dh = h[0][0] * h[1][1] - h[0][1] * h[1][0]
-            Mmin = [[sum(Q0[i][t] * h[t][j] for t in range(2)) for j in range(2)]
-                    for i in range(2)]
-            if any(t != 0 and val_p(t, p) < r for row in Mmin for t in row):
-                continue
-            weight = q ** (2 * val_p(dh, p))  # 1 / |det h|^2
-            total = total + (
-                phival
-                * eta_prime(det1X * dh)  # eta'(det((1 + tau X) h))
-                * hvol
-                * CyclotomicScalar.from_rational(jac * weight)
-                * uvol
-            )
-    return c2 * total
-
-
-def _shell_character_sum(packet, eta, shell, p, d):
-    """sum over v(a) = shell of packet(-a) eta(a) d*a by unit-coset
-    enumeration (unnormalized d*a, so the shell has measure 1 - 1/q)."""
-    lam = max(1, eta.conductor_exponent())
-    for _, (c0,), (a0,), (f0,) in packet.terms:
-        lam = max(lam, a0 - shell)
-        if f0 != 0:
-            lam = max(lam, -d - val_p(f0, p) - shell - 1)
-    return shell_sum(lambda a: packet.evaluate((-a,)), eta, shell, lam, p)
-
-
-def dagger_mu_closed_form(ext, psi, eta, phi_data):
-    """The regular-nilpotent germ constant attached to a dagger scalar, in
-    closed form: c(Psi+) times the shell character sum of the Fourier
-    transform of the minus factor,
-
-        mu = c(Psi+) * sum_{v(a) = s0} phihat-(-a) eta(a) d*a,
-
-    with s0 the dagger shell valuation."""
-    _require_quadratic(eta)
-    from .dagger import shell_valuation
-
-    m = phi_data.m
-    s0 = shell_valuation(ext, psi, m)
-    hat = _phi_minus_packet(phi_data).fourier()
-    vdelta = val_p(ext.delta, ext.F.p)
-    total = _shell_character_sum(
-        hat, eta, s0, ext.F.p, psi.d + vdelta
-    )
-    return c_psi_plus(ext, psi, m) * total
 
 
 def mu_via_nilpotent(ext, psi, eta, phi_data, r):

@@ -6,12 +6,7 @@ An element x + tau*y of E = F[tau], tau^2 = delta, is a `QuadExtScalar`
 held as an integer triple (a, b, d) in normal form: x = a/d, y = b/d,
 d > 0 and gcd(a, b, d) = 1.  The form is unique, so equality compares
 triples, and each operation ends in one gcd; `QuadExtContext` keeps
-delta's numerator and denominator for the products and norms.
-
-The one value that is not rational is a square root of a p-adic unit,
-which `solve_norm` needs for its norm witness; it is Hensel-lifted to
-the field's precision N, so the witness's norm equals its target modulo
-p^N only.
+delta's numerator and denominator for the products and inverses.
 
 Only odd residue characteristic is supported, and quadratic extensions
 must be fields (split algebras are rejected).
@@ -90,58 +85,28 @@ def unit_residue(x, p, mod=None):
 
 
 class FieldContext:
-    """A p-adic base field (q = p).  N is the Hensel precision of the
-    square roots in `solve_norm`; every other value is exact."""
+    """A p-adic base field (q = p) for a small odd prime p.
 
-    def __init__(self, p, N):
+    A second positional argument is accepted and ignored: four calls in
+    perfbench/ still pass one.  ROADMAP item 8 deletes the parameter
+    together with those four calls."""
+
+    def __init__(self, p, _ignored=None):
         if p == 2:
             raise UnsupportedPlace("residue characteristic 2 is not supported")
         if p > _SMALL_PRIME_LIMIT or not _is_prime(p):
             raise UnsupportedPlace(f"p must be a small odd prime, got {p}")
-        if N < 1:
-            raise ValueError("precision N must be >= 1")
         self.p = p
-        self.N = N
         self.q = p
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldContext)
-            and (self.p, self.N) == (other.p, other.N)
-        )
+        return isinstance(other, FieldContext) and self.p == other.p
 
     def __hash__(self):
-        return hash((self.p, self.N))
+        return hash(self.p)
 
     def __repr__(self):
-        return f"FieldContext(p={self.p}, N={self.N})"
-
-    def sqrt(self, c):
-        """A square root of the nonzero square c, as a rational whose
-        square is c modulo p^(v(c) + N)."""
-        p, N = self.p, self.N
-        v = val_p(c, p)
-        if v % 2:
-            raise NotInDomain("not a square")
-        r = _unit_sqrt(unit_residue(c, p, p ** N), p, N)
-        return Fraction(p) ** (v // 2) * r
-
-
-def _unit_sqrt(u, p, rel):
-    """Square root of a unit square mod p^rel by Hensel lifting (p odd)."""
-    r = None
-    for x in range(1, p):
-        if (x * x - u) % p == 0:
-            r = x
-            break
-    if r is None:
-        raise NotInDomain("not a square mod p")
-    k = 1
-    while k < rel:
-        k = min(2 * k, rel)
-        mod = p ** k
-        r = (r + u * pow(r, -1, mod)) * pow(2, -1, mod) % mod
-    return r % (p ** rel)
+        return f"FieldContext(p={self.p})"
 
 
 class QuadExtContext:
@@ -313,10 +278,6 @@ class QuadExtScalar:
         ext = self.ext
         return self.a * self.a * ext._dden - ext._dnum * self.b * self.b
 
-    def norm(self):
-        return Fraction(self._norm_numerator(),
-                        self.d * self.d * self.ext._dden)
-
     def is_zero(self):
         return self.a == 0 and self.b == 0
 
@@ -360,40 +321,3 @@ class QuadExtScalar:
     def __repr__(self):
         return f"QuadExt({self.x} + tau*{self.y})"
 
-
-def solve_norm(ext, c):
-    """Some z in E with Norm(z) = c mod p^(v(c) + N), or NotInDomain if c
-    is not a norm.
-
-    Search for a residue solution of x^2 - delta*y^2 = c, then take the
-    Hensel-lifted square root in whichever coordinate has a unit
-    derivative (p odd)."""
-    F = ext.F
-    p = F.p
-    c = Fraction(c)
-    if c == 0:
-        return ext.zero()
-    v = val_p(c, p)
-    if ext.is_inert:
-        if v % 2:
-            raise NotInDomain("odd-valuation elements are not inert norms")
-        shift = Fraction(p) ** (v // 2)
-        u = c / (shift * shift)
-        u0 = unit_residue(u, p)
-        d0 = unit_residue(ext.delta, p)
-        for y0 in range(p):
-            t = (u0 + d0 * y0 * y0) % p
-            if t and legendre(t, p) == 1:
-                x = F.sqrt(u + ext.delta * y0 * y0)
-                return ext.scalar(x * shift, y0 * shift)
-            if t == 0 and y0:
-                # x = 0 branch: y^2 = -u/delta is a unit square, with
-                # residue y0^2
-                return ext.scalar(0, F.sqrt(-u / ext.delta) * shift)
-        raise NotInDomain("not a norm from the inert extension")
-    # ramified: peel one factor of Norm(tau) = -delta off an odd valuation
-    if v % 2:
-        return solve_norm(ext, c / -ext.delta) * ext.tau()
-    if legendre(unit_residue(c, p), p) != 1:
-        raise NotInDomain("not a norm from the ramified extension")
-    return ext.scalar(F.sqrt(c), 0)

@@ -385,22 +385,6 @@ class WavePacket:
             out.append((c * phase, tuple(x + u for x, u in zip(x0, t)), a, f0))
         return WavePacket(sp, out)
 
-    def pullback_diagonal(self, scales):
-        """g(x) = f(s * x) for a per-coordinate invertible scaling s."""
-        sp = self.space
-        p = sp.F.p
-        scales = tuple(Fraction(s) for s in scales)
-        if any(s == 0 for s in scales):
-            raise SchemaError("scales must be invertible")
-        out = []
-        pi = sp.pairing
-        for c, x0, a, f0 in self.terms:
-            nx = tuple(x / s for x, s in zip(x0, scales))
-            na = tuple(ai - val_p(s, p) for ai, s in zip(a, scales))
-            nf = tuple(f0[i] * scales[pi[i]] for i in range(sp.dim))
-            out.append((c, nx, na, nf))
-        return WavePacket(sp, out)
-
     # -- integral calculus -----------------------------------------------------
     def fourier(self):
         """Self-dual Fourier transform against psi(<., .>)."""

@@ -43,8 +43,8 @@ from .matrices import (
     xi_plus,
 )
 from .symspace import (
-    HermitianForm,
     match_side,
+    separating_forms,
     tau_scale,
     transfer_factor_lie,
     transfer_factor_group,
@@ -397,7 +397,7 @@ def suite_transfer(samples=100, seed=0):
         done += 1
 
     # matching dichotomy over invariant classes (a; b0, b1)
-    forms = [HermitianForm(ext, (1, 1)), HermitianForm(ext, (1, p))]
+    forms = separating_forms(ext, eta)
     Rf = FractionRing()
     grid = [Fraction(u) * Fraction(p) ** v for u in (1, 2) for v in (0, 1)]
     classes = 0

@@ -1,11 +1,9 @@
 """The symmetric space attached to a quadratic extension, its Lie
-algebra, unitary Lie algebras, Cayley transport, transfer factors, and
-orbit matching.
+algebra, Hermitian forms, transfer factors, and orbit matching.
 
 Conventions: S = {g in GL_{n+1}(E) : conj(g) g = 1}; its tangent space
 at 1 is s = {X : X + conj(X) = 0} (entrywise conjugation), which is
-tau * M_{n+1}(F).  For a Hermitian matrix theta, u(theta) = {X :
-conj(X)^t = -theta X theta^-1}.  The group-side transfer factor is
+tau * M_{n+1}(F).  The group-side transfer factor is
 Omega(s) = eta'( det(s)^-floor((n+1)/2) * det(e; es; ...; es^n) ) with
 e the last standard basis row vector.
 """
@@ -23,28 +21,16 @@ from .matrices import (
     QuadExtRing,
     det,
     embed_h,
-    identity,
-    invariants_of,
     mat,
-    mat_add,
     mat_inv,
     mat_mul,
-    mat_neg,
-    mat_sub,
-    transpose,
     vec_mat,
     xi_minus,
-    xi_plus,
 )
-from .padic import solve_norm
 
 
 def mat_conj(X):
     return mat([[x.conj() for x in row] for row in X])
-
-
-def conj_transpose(X):
-    return transpose(mat_conj(X))
 
 
 # ---------------------------------------------------------------------------
@@ -64,20 +50,6 @@ class HermitianForm:
         if any(x == 0 for x in self.diag):
             raise NotInDomain("degenerate form")
 
-    @property
-    def n(self):
-        return len(self.diag)
-
-    def matrix(self):
-        R = QuadExtRing(self.ext)
-        m = len(self.diag)
-        return mat(
-            [
-                [R.coerce(self.diag[i]) if i == j else R.zero() for j in range(m)]
-                for i in range(m)
-            ]
-        )
-
     def disc(self):
         """Discriminant in F^* (class in F^*/Norms is what matters)."""
         d = Fraction(1)
@@ -85,39 +57,9 @@ class HermitianForm:
             d *= x
         return d
 
-    def extend_by_line(self):
-        """The form on V = W + E e with theta(e, e) = 1."""
-        return HermitianForm(self.ext, self.diag + (Fraction(1),))
-
-
-def in_u_lie(X, form):
-    R = QuadExtRing(form.ext)
-    th = form.matrix()
-    lhs = conj_transpose(X)
-    rhs = mat_mul(mat_mul(th, X), mat_inv(R, th))
-    return all(
-        (lhs[i][j] + rhs[i][j]).is_zero()
-        for i in range(len(X))
-        for j in range(len(X))
-    )
-
 
 # ---------------------------------------------------------------------------
-# Cayley transport, nu, tau-scaling
-
-
-def cayley(ext, X):
-    """(1 + X)(1 - X)^-1; defined when 1 - X is invertible."""
-    R = QuadExtRing(ext)
-    one = identity(R, len(X))
-    return mat_mul(mat_add(one, X), mat_inv(R, mat_sub(one, X)))
-
-
-def cayley_inverse(ext, g):
-    """-(1 - g)(1 + g)^-1."""
-    R = QuadExtRing(ext)
-    one = identity(R, len(g))
-    return mat_neg(mat_mul(mat_sub(one, g), mat_inv(R, mat_add(one, g))))
+# nu, tau-scaling
 
 
 def nu_map(ext, g):
@@ -194,13 +136,20 @@ def xi_minus_s(ext, m):
     return tau_scale(ext, xi_minus(Rf, m))
 
 
-def xi_plus_s(ext, m):
-    Rf = FractionRing()
-    return tau_scale(ext, xi_plus(Rf, m))
-
-
 # ---------------------------------------------------------------------------
 # orbit matching
+
+
+def separating_forms(ext, eta):
+    """The diagonal forms (1, 1) and (1, c) whose discriminants 1 and c lie
+    in the two classes of F^*/Norm(E^*) that eta tells apart: c = p when
+    eta(p) = -1, else the least unit c with eta(c) = -1.  (When eta(p) = 1
+    the form (1, p) has a norm discriminant, like (1, 1).)  If eta is -1
+    at neither, c = p, and `match_side` refuses the pair."""
+    p = ext.F.p
+    c = next((c for c in (p, *range(2, p)) if eta.phase(c) == Fraction(1, 2)),
+             p)
+    return [HermitianForm(ext, (1, 1)), HermitianForm(ext, (1, c))]
 
 
 def match_side(ext, X, eta, forms):
@@ -216,31 +165,3 @@ def match_side(ext, X, eta, forms):
         raise NotInDomain("forms do not separate the two norm classes")
     return hits[0]
 
-
-def match_witness_rank1(ext, X, eta, form):
-    """Explicit matched element Y in u(theta) for 2x2 X in s (n = 1).
-
-    X has invariants (a_1; b_0, b_1); a matching Y = [[alpha, beta],
-    [gamma, delta]] needs alpha = a_1, delta = b_0, and beta gamma = b_1
-    with gamma = -conj(beta) theta_1/theta_2, i.e. Norm(beta) =
-    -b_1 theta_2/theta_1 ... solved by the norm equation."""
-    if len(X) != 2:
-        raise NotInDomain("witness construction is rank-1 only")
-    R = QuadExtRing(ext)
-    theta = form.extend_by_line() if form.n == 1 else form
-    if theta.n != 2:
-        raise NotInDomain("need a 2x2 Hermitian form")
-    (a,), b = invariants_of(R, X)
-    t1, t2 = theta.diag
-    # Norm(beta) * (-t1/t2) = b_1, with b_1 in F (it is, for X in s... b_1
-    # lands in F exactly when X is in s or u; enforce that)
-    b1 = b[1]
-    if b1.y != 0:
-        raise NotInDomain("b_1 is not in F")
-    c = -b1.x * Fraction(t2, t1)
-    beta = solve_norm(ext, c)
-    gamma = -(beta.conj()) * ext.scalar(Fraction(t1, t2), 0)
-    Y = mat([[a, beta], [gamma, b[0]]])
-    if not in_u_lie(Y, theta):
-        raise ArithmeticError("constructed witness is not in u(theta)")
-    return Y

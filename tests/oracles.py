@@ -1,0 +1,156 @@
+"""Reference routes that tests compare the library against.
+
+Each is an independent, slower computation of a value the library gets
+another way:
+
+* ``f_natural_direct`` and ``f_psi_natural_direct`` enumerate the rank-1
+  descent integrals cell by cell, against the product forms
+  ``orbital.f_natural`` and ``orbital.f_psi_natural``;
+* ``dagger_mu_closed_form`` is the germ constant as a shell character
+  sum, against ``orbital.mu_via_nilpotent`` and the pinned values of
+  ``spherical_rhs``.
+"""
+
+import itertools
+from fractions import Fraction
+
+from padharm.characters import shell_sum
+from padharm.cyclotomic import CyclotomicScalar
+from padharm.dagger import shell_valuation
+from padharm.errors import NotInDomain
+from padharm.matrices import QuadExtRing, det, mat, mat_mul
+from padharm.orbital import (
+    _inv_vol,
+    _phi_minus_packet,
+    _require_quadratic,
+    c_psi_plus,
+)
+from padharm.padic import val_p
+from padharm.spaces import e_space, f_space, matrix_space_e
+
+
+def f_natural_direct(ext, psi, eta_prime, r, X):
+    """Independent enumeration of the descent integral at one point X of the
+    tau-part coordinates: integrate the normalized congruence indicator over
+    the split group against eta'(det)."""
+    p = ext.F.p
+    X = tuple(Fraction(t) for t in X)
+    vX = min([val_p(t, p) for t in X if t != 0] or [0])
+    L = r + max(1, -min(0, vX))
+    c2 = _inv_vol(matrix_space_e(ext, psi, 2), (r,) * 8)
+    cellvol = f_space(ext.F, psi, 4).vol_lattice((L,) * 4)
+    Xm = [[X[0], X[1]], [X[2], X[3]]]
+    det1X = det(QuadExtRing(ext), _one_plus_tau(ext, Xm))
+    total = CyclotomicScalar.zero()
+    reps = [Fraction(j * p ** r) for j in range(p ** (L - r))]
+    for k11, k12, k21, k22 in itertools.product(reps, repeat=4):
+        h = [[1 + k11, k12], [k21, 1 + k22]]
+        # minus part of (1 + tau X) h is tau X h: need X h in p^r M(O_F)
+        ok = True
+        for i in range(2):
+            for j in range(2):
+                t = Xm[i][0] * h[0][j] + Xm[i][1] * h[1][j]
+                if t != 0 and val_p(t, p) < r:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        dh = h[0][0] * h[1][1] - h[0][1] * h[1][0]
+        total = total + eta_prime(det1X * dh) * cellvol
+    return c2 * total
+
+
+def _one_plus_tau(ext, Xm):
+    """1 + tau X over E for a 2x2 matrix X over F."""
+    return mat([[ext.scalar(int(i == j), Xm[i][j]) for j in range(2)]
+                for i in range(2)])
+
+
+def f_psi_natural_direct(ext, psi, eta_prime, phi_data, r, X):
+    """Independent enumeration of the degenerate-Whittaker descent at one
+    point: double integral over u in p^m O_E (the dagger support) and over
+    the split group, of phi(u) f2(n(u)(1+X)h) eta'(det((1+X)h))."""
+    p = ext.F.p
+    q = Fraction(p)
+    m = phi_data.m
+    X = tuple(Fraction(t) for t in X)
+    vX = min([val_p(t, p) for t in X if t != 0] or [0])
+    Lu = r + max(0, -min(0, vX))
+    c2 = _inv_vol(matrix_space_e(ext, psi, 2), (r,) * 8)
+    uvol = e_space(ext, psi, 1).vol_lattice((Lu, Lu))
+    Xm = [[X[0], X[1]], [X[2], X[3]]]
+    one_plus = _one_plus_tau(ext, Xm)
+    det1X = det(QuadExtRing(ext), one_plus)
+    total = CyclotomicScalar.zero()
+    ureps = [Fraction(j * p ** m) for j in range(p ** (Lu - m))]
+    for up, um in itertools.product(ureps, repeat=2):
+        phival = phi_data.packet.evaluate((up, um))
+        if phival.is_zero():
+            continue
+        nu = mat([[ext.one(), ext.scalar(up, um)], [ext.zero(), ext.one()]])
+        A = mat_mul(nu, one_plus)
+        P0 = [[A[i][j].x for j in range(2)] for i in range(2)]
+        Q0 = [[A[i][j].y for j in range(2)] for i in range(2)]
+        dP = P0[0][0] * P0[1][1] - P0[0][1] * P0[1][0]
+        if dP == 0:
+            raise NotInDomain("degenerate plus part in the enumeration")
+        Pinv = [[P0[1][1] / dP, -P0[0][1] / dP], [-P0[1][0] / dP, P0[0][0] / dP]]
+        QP = [[sum(Q0[i][t] * Pinv[t][j] for t in range(2)) for j in range(2)]
+              for i in range(2)]
+        vQP = min([val_p(t, p) for row in QP for t in row if t != 0] or [0])
+        Lh = max(r + 1, r - min(0, vQP))
+        hreps = [Fraction(j * p ** r) for j in range(p ** (Lh - r))]
+        hvol = f_space(ext.F, psi, 4).vol_lattice((Lh,) * 4)
+        # additive volume scaling of h = Pinv (1 + kcell) and d*h weight
+        vdP = val_p(dP, p)
+        jac = q ** (2 * vdP)  # |det Pinv|^2 = q^(2 vdP) as additive scaling
+        for k11, k12, k21, k22 in itertools.product(hreps, repeat=4):
+            one_k = [[1 + k11, k12], [k21, 1 + k22]]
+            h = [[sum(Pinv[i][t] * one_k[t][j] for t in range(2))
+                  for j in range(2)] for i in range(2)]
+            dh = h[0][0] * h[1][1] - h[0][1] * h[1][0]
+            Mmin = [[sum(Q0[i][t] * h[t][j] for t in range(2)) for j in range(2)]
+                    for i in range(2)]
+            if any(t != 0 and val_p(t, p) < r for row in Mmin for t in row):
+                continue
+            weight = q ** (2 * val_p(dh, p))  # 1 / |det h|^2
+            total = total + (
+                phival
+                * eta_prime(det1X * dh)  # eta'(det((1 + tau X) h))
+                * hvol
+                * CyclotomicScalar.from_rational(jac * weight)
+                * uvol
+            )
+    return c2 * total
+
+
+def _shell_character_sum(packet, eta, shell, p, d):
+    """sum over v(a) = shell of packet(-a) eta(a) d*a by unit-coset
+    enumeration (unnormalized d*a, so the shell has measure 1 - 1/q)."""
+    lam = max(1, eta.conductor_exponent())
+    for _, (c0,), (a0,), (f0,) in packet.terms:
+        lam = max(lam, a0 - shell)
+        if f0 != 0:
+            lam = max(lam, -d - val_p(f0, p) - shell - 1)
+    return shell_sum(lambda a: packet.evaluate((-a,)), eta, shell, lam, p)
+
+
+def dagger_mu_closed_form(ext, psi, eta, phi_data):
+    """The regular-nilpotent germ constant attached to a dagger scalar, in
+    closed form: c(Psi+) times the shell character sum of the Fourier
+    transform of the minus factor,
+
+        mu = c(Psi+) * sum_{v(a) = s0} phihat-(-a) eta(a) d*a,
+
+    with s0 the dagger shell valuation."""
+    _require_quadratic(eta)
+    m = phi_data.m
+    s0 = shell_valuation(ext, psi, m)
+    hat = _phi_minus_packet(phi_data).fourier()
+    vdelta = val_p(ext.delta, ext.F.p)
+    total = _shell_character_sum(
+        hat, eta, s0, ext.F.p, psi.d + vdelta
+    )
+    return c_psi_plus(ext, psi, m) * total

@@ -53,7 +53,7 @@ def test_05_nilpotent_orbital_integrals():
     # independent oracle, restated here so the gate does not rely on the
     # suite's internal bookkeeping: the n = 1 integral is a single Tate
     # factor, a geometric series in -T with unit-shell measure 1 - 1/q
-    F = FieldContext(3, 4)
+    F = FieldContext(3)
     psi = AdditiveCharacter(F, 0)
     eta = eta_for_extension(QuadExtContext(F, 2))
     f = WavePacket.indicator(matrix_space_f(F, psi, 2), 0)

@@ -104,6 +104,26 @@ def test_match_default_forms(tmp_path):
     assert result["disc_classes"] == ["1", "3"]
 
 
+# every extension the default budgets admit: p in {3, 5} and delta = unit
+# * p^val, with a non-square unit when val = 0 (inert) and any unit when
+# val = 1 (ramified)
+EXTENSIONS = [(p, val, unit) for p in (3, 5) for val in (0, 1)
+              for unit in range(1, p)
+              if val or pow(unit, (p - 1) // 2, p) == p - 1]
+
+
+@pytest.mark.parametrize("p, val, unit", EXTENSIONS)
+def test_match_default_forms_separate_the_norm_classes(p, val, unit, tmp_path):
+    # (1, 1) and (1, p) do not separate them when eta(p) = 1, as at
+    # p = 3, delta = 6 and p = 5, delta = 5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": p, "delta": {"val": val, "unit": unit}}))
+    payload = {"matrix": [[[0, 1], [0, 1]], [[0, 1], [0, 2]]]}
+    code, text = run_cli(["--config", str(cfg), "match"], payload, tmp_path)
+    assert code == 0
+    assert json.loads(text)["result"]["side"] in (0, 1)
+
+
 def test_local_factors_table(tmp_path):
     code, text = run_cli(["local-factors"], {"q": 3, "n_max": 2}, tmp_path)
     assert code == 0

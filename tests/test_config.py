@@ -1,7 +1,10 @@
 """Run-configuration validation: defaults, JSON-pointer error messages, and
 lazy context construction."""
 
+import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,16 +15,27 @@ from padharm.errors import SchemaError
 def test_empty_document_gets_defaults():
     cfg = RunConfig()
     assert cfg.p == DEFAULTS["p"]
-    assert cfg.N == DEFAULTS["N"]
     assert cfg.delta_fraction == Fraction(2)
     assert cfg.measure == "unnormalized"
     assert cfg.seed == 0
     assert cfg.budgets == DEFAULTS["budgets"]
 
 
+def test_readme_config_block_is_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("### Configuration"):]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    doc = json.loads(block)
+    assert set(doc) == set(DEFAULTS)
+    assert vars(RunConfig(doc)) == vars(RunConfig())
+
+
 def test_unknown_top_level_key():
     with pytest.raises(SchemaError, match="/bogus"):
         RunConfig({"bogus": 1})
+    # the precision N is gone with the inexact norm witness
+    with pytest.raises(SchemaError, match="/N: unknown configuration key"):
+        RunConfig({"N": 6})
 
 
 def test_p_validation_pointer():
@@ -80,11 +94,11 @@ def test_measure_and_seed():
 def test_rejected_document_builds_nothing():
     # validation happens before any context is constructed
     with pytest.raises(SchemaError):
-        RunConfig({"p": 3, "N": 0, "delta": 2})
+        RunConfig({"p": 3, "delta": 2, "seed": -1})
 
 
 def test_lazy_contexts():
-    cfg = RunConfig({"p": 5, "N": 4, "delta": 2})
+    cfg = RunConfig({"p": 5, "delta": 2})
     F = cfg.field()
     assert F.p == 5 and cfg.field() is F
     ext = cfg.ext()

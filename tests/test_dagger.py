@@ -25,8 +25,8 @@ from padharm.dagger import (
 from padharm.spaces import WavePacket, e_space
 
 
-def setup_ctx(delta=2, p=3, N=8):
-    F = FieldContext(p, N)
+def setup_ctx(delta=2, p=3):
+    F = FieldContext(p)
     psi = AdditiveCharacter(F, 0)
     return QuadExtContext(F, delta), psi
 

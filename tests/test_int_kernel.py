@@ -127,7 +127,7 @@ def ref_canonical_terms(space, terms):
 
 # -- inputs --------------------------------------------------------------------
 
-FIELDS = {p: FieldContext(p, 4) for p in (3, 5)}
+FIELDS = {p: FieldContext(p) for p in (3, 5)}
 primes = st.sampled_from([3, 5])
 conductors = st.sampled_from([-1, 0, 2])
 # zero, ints and negatives, p-power and other denominators; 1/4 and 2/11

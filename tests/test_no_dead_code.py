@@ -1,39 +1,62 @@
 """Every top-level definition and public method in padharm has a user,
 and no module reaches into another module's private names.
 
-A name counts as used when it appears as a whole word somewhere in src/,
-tests/ or perfbench/ other than on its own ``def``/``class`` line.
+A top-level definition counts as used when an ``ast.Name``, an
+``ast.Attribute`` or an import names it in src/ or in perfbench/ (its
+test files aside), outside the definition's own body; a method, when an
+``ast.Attribute`` does, since a bare name never reaches a method.  The
+test suite is not a user: a route that only tests call belongs under
+tests/.  Names are matched as names, so a method counts as used when any
+attribute of that name is.
 """
 
 import ast
 import re
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORD = re.compile(r"\w+")
 
 
 def _definitions(tree):
+    """(node, is_method) for each top-level definition and public method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node, False
         if isinstance(node, ast.ClassDef):
-            yield from (item for item in node.body
+            yield from ((item, True) for item in node.body
                         if isinstance(item, ast.FunctionDef)
                         and not item.name.startswith("_"))
 
 
+def _references(tree):
+    """(name, line, is_attribute) of every name, attribute and imported
+    name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno, False
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno, True
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name, node.lineno, False
+
+
 def test_every_definition_is_referenced():
-    files = [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
-    words = Counter(w for p in files for w in WORD.findall(p.read_text()))
+    users = sorted((ROOT / "src").rglob("*.py")) + sorted(
+        path for path in (ROOT / "perfbench").glob("*.py")
+        if not path.name.startswith("test_"))
+    places = {}
+    for path in users:
+        for name, line, attr in _references(ast.parse(path.read_text())):
+            places.setdefault(name, []).append((path, line, attr))
     unused = []
     for path in sorted((ROOT / "src" / "padharm").glob("*.py")):
-        text = path.read_text()
-        lines = text.splitlines()
-        for node in _definitions(ast.parse(text)):
-            own = WORD.findall(lines[node.lineno - 1]).count(node.name)
-            if words[node.name] <= own:
+        for node, is_method in _definitions(ast.parse(path.read_text())):
+            # a reference inside the definition itself, such as a
+            # recursive call, does not keep it alive
+            body = range(node.lineno, node.end_lineno + 1)
+            if all((where == path and line in body) or (is_method and not attr)
+                   for where, line, attr in places.get(node.name, ())):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == [], "\n".join(unused)
 

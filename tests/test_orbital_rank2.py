@@ -24,7 +24,7 @@ from padharm.qrational import QRational
 from padharm.spaces import WavePacket, f_space, matrix_space_f
 
 P = 3
-F = FieldContext(P, 8)
+F = FieldContext(P)
 PSI = AdditiveCharacter(F, 0)
 SPACE = matrix_space_f(F, PSI, 3)
 ETA = {delta: eta_for_extension(QuadExtContext(F, delta)) for delta in (2, 3)}
@@ -164,7 +164,7 @@ def integer_cells(X, f, eta, lo, M, det_window, budget):
 
 
 def assert_same_cells(X, f, eta, lo, M, det_window, oracle=reference_cells):
-    got = _orbital_rs_cells(X, f, eta, lo, M, det_window, 10 ** 6)
+    got = _orbital_rs_cells(X, f, eta, lo, M, det_window)
     want = oracle(X, f, eta, lo, M, det_window, 10 ** 6)
     assert repr(got.pairs) == repr(want.pairs)
     assert got.metadata == want.metadata

@@ -51,9 +51,16 @@ def test_strip_p_splits_off_the_power_of_p(p, v, u):
 
 def test_field_context_rejects_p2_and_composites():
     with pytest.raises(UnsupportedPlace):
-        FieldContext(2, 4)
+        FieldContext(2)
     with pytest.raises(UnsupportedPlace):
-        FieldContext(9, 4)
+        FieldContext(9)
+
+
+def test_field_context_ignores_a_second_argument():
+    # perfbench/ still calls FieldContext(p, k)
+    F = FieldContext(3, 4)
+    assert F == FieldContext(3) and hash(F) == hash(FieldContext(3))
+    assert repr(F) == "FieldContext(p=3)" and not hasattr(F, "N")
 
 
 def test_scalar_valuation_and_unit():
@@ -67,27 +74,15 @@ def test_scalar_valuation_and_unit():
 
 def test_scalar_round_trip():
     # E-scalars keep their rational coordinates exactly
-    ext = QuadExtContext(FieldContext(5, 6), 2)
+    ext = QuadExtContext(FieldContext(5), 2)
     for t in (Fraction(7, 2), Fraction(-50, 3), Fraction(1, 125)):
         z = ext.scalar(t, 1 / t)
         assert (z.x, z.y) == (t, 1 / t)
         assert z * z.inverse() == 1
 
 
-def test_sqrt_is_exact_mod_p_to_the_N():
-    # the one truncated value: a Hensel-lifted square root
-    F = FieldContext(3, 6)
-    for c in (Fraction(7), Fraction(4, 9), Fraction(81 * 7, 4)):
-        r = F.sqrt(c)
-        assert val_p(r * r - c, 3) >= val_p(c, 3) + 6
-    with pytest.raises(NotInDomain):
-        F.sqrt(Fraction(2))
-    with pytest.raises(NotInDomain):
-        F.sqrt(Fraction(3))
-
-
 def test_quad_ext_kinds():
-    F = FieldContext(3, 6)
+    F = FieldContext(3)
     assert QuadExtContext(F, 2).kind == "inert"
     assert QuadExtContext(F, 3).kind == "ramified"
     with pytest.raises(UnsupportedPlace):
@@ -97,14 +92,14 @@ def test_quad_ext_kinds():
 
 
 def test_ext_scalar_arithmetic():
-    F = FieldContext(3, 8)
+    F = FieldContext(3)
     ext = QuadExtContext(F, 2)
     z = ext.scalar(Fraction(1, 3), Fraction(2))
     w = ext.scalar(Fraction(5), Fraction(-1, 9))
     # norm is multiplicative; compare the exact rational mirror
     N = lambda a, b: a * a - 2 * b * b
     zn, wn = N(Fraction(1, 3), Fraction(2)), N(Fraction(5), Fraction(-1, 9))
-    assert (z * w).norm() == zn * wn
+    assert (z * w) * (z * w).conj() == zn * wn
     # conjugation: z * conj(z) is the norm, with zero tau-part
     assert z * z.conj() == zn
     # trace is twice the plus part
@@ -112,7 +107,7 @@ def test_ext_scalar_arithmetic():
 
 
 def test_tau_squares_to_delta():
-    F = FieldContext(3, 8)
+    F = FieldContext(3)
     for d in (2, 3):
         ext = QuadExtContext(F, d)
         t2 = ext.tau() * ext.tau()
@@ -173,7 +168,7 @@ class PairRef:
 
 
 # inert and ramified delta, each also with a denominator other than 1
-KERNEL_EXTS = [QuadExtContext(FieldContext(p, 4), d) for p, d in (
+KERNEL_EXTS = [QuadExtContext(FieldContext(p), d) for p, d in (
     (3, 2), (3, 3), (3, Fraction(5, 7)), (3, Fraction(-3, 2)),
     (5, Fraction(10, 3)))]
 coord = st.one_of(
@@ -203,7 +198,7 @@ def test_integer_kernel_matches_fraction_pairs(ext, x1, y1, x2, y2, r):
     assert _matches(z - r, zr - rr) and _matches(r - z, rr - zr)
     assert _matches(z * r, zr * rr) and _matches(r * z, zr * rr)
     assert _matches(z.conj(), zr.conj())
-    assert z.norm() == zr.norm() and z.trace() == zr.trace()
+    assert z.trace() == zr.trace()
     assert z.is_zero() == zr.is_zero()
     assert (z == w) == ((x1, y1) == (x2, y2))
     assert (z == r) == ((x1, y1) == (r, 0))
@@ -225,7 +220,7 @@ def test_integer_kernel_matches_fraction_pairs(ext, x1, y1, x2, y2, r):
 
 
 def test_elements_of_different_extensions_do_not_mix():
-    F = FieldContext(3, 4)
+    F = FieldContext(3)
     e2, e3 = QuadExtContext(F, 2), QuadExtContext(F, 3)
     # once e2.tau() * e3.tau() was 2, e3.tau() * e2.tau() was 3, and
     # e2.tau() == e3.tau() held

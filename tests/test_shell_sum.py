@@ -14,13 +14,15 @@ from padharm.characters import AdditiveCharacter, eta_for_extension, shell_sum
 from padharm.cyclotomic import CyclotomicScalar
 from padharm.dagger import compactness_W_direct, make_dagger_scalar
 from padharm.errors import NotInDomain
-from padharm.orbital import dagger_mu_closed_form, orbital_rs_n1, spherical_rhs
+from padharm.orbital import orbital_rs_n1, spherical_rhs
 from padharm.padic import FieldContext, QuadExtContext
 from padharm.spaces import WavePacket, f_space, matrix_space_f
 
+from oracles import dagger_mu_closed_form
 
-def setup_ctx(delta, p=3, N=8):
-    F = FieldContext(p, N)
+
+def setup_ctx(delta, p=3):
+    F = FieldContext(p)
     psi = AdditiveCharacter(F, 0)
     ext = QuadExtContext(F, delta)
     return F, psi, ext, eta_for_extension(ext)

@@ -23,8 +23,8 @@ from padharm.spaces import (
 )
 
 
-def setup_field(p=3, N=6):
-    F = FieldContext(p, N)
+def setup_field(p=3):
+    F = FieldContext(p)
     return F, AdditiveCharacter(F, 0)
 
 
