@@ -157,6 +157,8 @@ def eta_unramified(field):
     return MultiplicativeCharacter(field, Fraction(1, 2), 0)
 
 
+# cached: match_side checks its eta against this on every call
+@lru_cache(maxsize=None)
 def eta_for_extension(ext):
     """The quadratic character of F^* with kernel the norms of E^*."""
     F = ext.F

@@ -253,18 +253,6 @@ class CyclotomicScalar:
             return rem[0]
         return None
 
-    def inverse(self):
-        """Inverse, available for rationals and monomials c*e(r)."""
-        q = self.as_rational()
-        if q is not None:
-            if not q:
-                raise ZeroDivisionError("inverse of zero")
-            return CyclotomicScalar.from_rational(1 / q)
-        if len(self.terms) == 1:
-            ((r, c),) = self.terms.items()
-            return _normal({(_ONE - r if r else r): 1 / c})
-        raise ArithmeticError("inverse only implemented for monomial elements")
-
     def __bool__(self):
         return not self.is_zero()
 

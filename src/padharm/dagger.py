@@ -47,7 +47,7 @@ def shell_valuation(ext, psi, m):
     return -2 * m - psi.d - vdelta
 
 
-def make_dagger_scalar(ext, psi, m, unit=1, coeff=1):
+def make_dagger_scalar(ext, psi, m, unit=1):
     """Generator of the level-m dagger space on E: indicator of p^m O_E
     twisted in the minus coordinate at the shell frequency."""
     if m < 1:
@@ -59,7 +59,7 @@ def make_dagger_scalar(ext, psi, m, unit=1, coeff=1):
     V = e_space(ext, psi, 1)
     c = unit * Fraction(p) ** shell_valuation(ext, psi, m)
     packet = WavePacket(
-        V, [(coeff, (Fraction(0), Fraction(0)), (m, m), (Fraction(0), c))]
+        V, [(1, (Fraction(0), Fraction(0)), (m, m), (Fraction(0), c))]
     )
     return DaggerData("scalar", ext, psi, m, 1, {"theta": packet}, packet)
 
@@ -71,12 +71,12 @@ def indicator_E(ext, psi, exps_pair, center_pair=(0, 0)):
     )
 
 
-def make_dagger_column(ext, psi, m, k, scalar=None):
+def make_dagger_column(ext, psi, m, k):
     """Column function on M_{k,1}(E): plain p^m O_E indicators above a
     dagger scalar in the last coordinate."""
     if m < 1:
         raise InvalidLevel("dagger level must be >= 1")
-    theta = scalar if scalar is not None else make_dagger_scalar(ext, psi, m)
+    theta = make_dagger_scalar(ext, psi, m)
     entries = {}
     packet = None
     for i in range(k):
@@ -88,7 +88,7 @@ def make_dagger_column(ext, psi, m, k, scalar=None):
     return DaggerData("column", ext, psi, m, k, entries, packet)
 
 
-def make_dagger_matrix(ext, psi, m, k, scalars=None):
+def make_dagger_matrix(ext, psi, m, k):
     """Matrix function on H_k(E): congruence indicators with dagger scalars
     on the superdiagonal."""
     if m < 1:
@@ -99,12 +99,7 @@ def make_dagger_matrix(ext, psi, m, k, scalars=None):
             if i == j:
                 entries[(i, j)] = indicator_E(ext, psi, (m, m), (1, 0))
             elif j == i + 1:
-                theta = None
-                if scalars is not None:
-                    theta = scalars.get((i, j))
-                if theta is None:
-                    theta = make_dagger_scalar(ext, psi, m)
-                entries[(i, j)] = theta.packet
+                entries[(i, j)] = make_dagger_scalar(ext, psi, m).packet
             else:
                 entries[(i, j)] = indicator_E(ext, psi, (m, m))
     sp = matrix_space_e(ext, psi, k)

@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .cyclotomic import CyclotomicScalar, sqrt_rational_power
-from .errors import NotInDomain, UnsupportedPlace
+from .cyclotomic import sqrt_rational_power
+from .errors import NotInDomain
 from .padic import val_p
 from .qrational import QRational
 
@@ -26,32 +26,25 @@ def _one_minus(coeff, k):
     return QRational.const(1) - QRational.monomial(coeff, k)
 
 
-def zeta_local(i, degree=1):
-    """zeta_v(i) for the base field (degree 1) or its quadratic unramified
-    extension (degree 2), as a rational function of U = q^(-1)."""
+def zeta_local(i):
+    """zeta_v(i) for the base field, as a rational function of U = q^(-1)."""
     if i < 1:
         raise NotInDomain("zeta argument must be a positive integer")
-    return _one_minus(1, degree * i).inverse()
+    return _one_minus(1, i).inverse()
 
 
-def l_eta(i, place="inert"):
-    """L(i, eta^i): the eta power is trivial for even i."""
-    if place == "ramified":
-        raise UnsupportedPlace("L(i, eta^i) is used at unramified places only")
+def l_eta(i):
+    """L(i, eta^i) at an inert place: the eta power is trivial for even i."""
     if i % 2 == 0:
-        return zeta_local(i)
-    if place == "split":
         return zeta_local(i)
     return _one_minus(-1, i).inverse()
 
 
-def delta_constant(m, place="inert"):
+def delta_constant(m):
     """Delta_m = prod_{i=1}^m L(i, eta^i)."""
-    if place == "ramified":
-        raise UnsupportedPlace("the standard product assumes E/F unramified")
     out = QRational.const(1)
     for i in range(1, m + 1):
-        out = out * l_eta(i, place)
+        out = out * l_eta(i)
     return out
 
 
@@ -94,14 +87,16 @@ def d_binomial(n):
     return comb(n, 3)
 
 
-def kappa(n, ext, eta, eta_prime, psi, disc_class=1, omega_tau=1):
-    """The local comparison constant
+def kappa(n, ext, eta, eta_prime, psi):
+    """The local comparison constant for a hermitian space W of
+    discriminant class 1 and a central character trivial on tau,
 
         kappa = |tau|_E^((d_n + d_{n+1})/2)
-                * (eps(1/2, eta, psi) / eta'(tau))^(n(n+1)/2)
-                * eta(disc W) * omega(tau),
+                * (eps(1/2, eta, psi) / eta'(tau))^(n(n+1)/2),
 
-    as an exact cyclotomic scalar; |tau|_E = q^(-v(delta))."""
+    as an exact cyclotomic scalar; |tau|_E = q^(-v(delta)).  The general
+    constant carries the further factor eta(disc W) * omega(tau), which is
+    1 here."""
     from .characters import epsilon_half
 
     p = ext.F.p
@@ -112,10 +107,7 @@ def kappa(n, ext, eta, eta_prime, psi, disc_class=1, omega_tau=1):
     ratio = eps * eta_prime(ext.tau()).conj()
     for _ in range(n * (n + 1) // 2):
         out = out * ratio
-    out = out * eta(Fraction(disc_class))
-    if isinstance(omega_tau, CyclotomicScalar):
-        return out * omega_tau
-    return out * CyclotomicScalar.from_rational(Fraction(omega_tau))
+    return out
 
 
 def unramified_identity(n):

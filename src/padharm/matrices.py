@@ -16,7 +16,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .errors import NotInDomain, NotRegular, ScaleExceeded
+from .errors import NotInDomain, NotRegular
 from .padic import QuadExtScalar
 
 # ---------------------------------------------------------------------------
@@ -50,7 +50,6 @@ class IntModRing:
 
     def __init__(self, p, k=1):
         self.p = p
-        self.k = k
         self.m = p ** k
 
     def zero(self):
@@ -501,25 +500,11 @@ def triangular_check(phi, m, p, Npow, samples=10000, seed=0):
 # finite-field brute-force oracle (regular nilpotent classification)
 
 
-CONE_BUDGET = 2 * 10**6
-
-
-def nilpotent_cone_Fp(p, n):
-    """All nilpotent X in M_{n+1}(F_p) for the invariant map, enumerated
-    from the constraint equations (n <= 2)."""
+def nilpotent_cone_Fp(p):
+    """All nilpotent X in M_3(F_p) for the invariant map (n = 2),
+    enumerated from the constraint equations."""
     R = IntModRing(p, 1)
-    if n > 2:
-        raise ScaleExceeded("brute-force cone enumeration is desk scale only")
     out = []
-    if n == 1:
-        for A in range(p):
-            for u in range(p):
-                for v in range(p):
-                    for w in range(p):
-                        if A % p == 0 and w % p == 0 and (v * u) % p == 0:
-                            out.append(mat([[A, u], [v, w]]))
-        return out
-    count = 0
     for entries in itertools.product(range(p), repeat=4):
         A = mat([entries[:2], entries[2:]])
         tr = (A[0][0] + A[1][1]) % p
@@ -529,9 +514,6 @@ def nilpotent_cone_Fp(p, n):
         for u in itertools.product(range(p), repeat=2):
             Au = _mat_vec(A, u)
             for v in itertools.product(range(p), repeat=2):
-                count += 1
-                if count > CONE_BUDGET:
-                    raise ScaleExceeded("cone enumeration budget exceeded")
                 if _dot(v, u, R) % p or _dot(v, Au, R) % p:
                     continue
                 out.append(assemble(A, u, v, 0))

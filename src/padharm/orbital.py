@@ -37,7 +37,6 @@ from .errors import (
     NotAdmissible,
     NotInDomain,
     NotRegularSemisimple,
-    PoleAtEvaluationPoint,
     ScaleExceeded,
 )
 from .matrices import (
@@ -51,7 +50,14 @@ from .matrices import (
 )
 from .padic import val_p
 from .qrational import Poly, QRational
-from .spaces import WavePacket, e_minus_space, f_space, matrix_space_e, s_space
+from .spaces import (
+    WavePacket,
+    e_minus_space,
+    f_space,
+    matrix_space_e,
+    s_space,
+    transposition,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -141,36 +147,13 @@ class OrbitalResult:
     def __hash__(self):
         return hash(self.pairs)
 
-    def pole_report(self, q, s_points=((Fraction(1, 2), +1),)):
-        """Pole orders of each summand denominator at T = sign*q^(-s0) for
-        half-integer s0, plus a Sturm count of real denominator roots in
-        (0, 1]."""
-        out = []
-        for _, qr in self.pairs:
-            entry = {
-                "real_roots_in_unit": qr.real_pole_count(0, 1),
-                "orders": {},
-            }
-            for s0, sign in s_points:
-                t2 = Fraction(q) ** (-2 * s0) if (2 * s0) % 1 == 0 else None
-                if t2 is None:
-                    continue
-                if s0 % 1 == 0:
-                    t = Fraction(q) ** (-s0) * sign
-                    try:
-                        qr.evaluate(t)
-                        entry["orders"][(s0, sign)] = 0
-                    except PoleAtEvaluationPoint:
-                        den = qr.den
-                        k = 0
-                        while den.eval(t) == 0:
-                            k += 1
-                            den = den.derivative()
-                        entry["orders"][(s0, sign)] = k
-                else:
-                    entry["orders"][(s0, sign)] = qr.pole_order_at_sqrt(t2, sign)
-            out.append(entry)
-        return out
+    def pole_report(self, q):
+        """The pole order of each summand denominator at T = q^(-1/2)
+        (s = 1/2), plus a Sturm count of its real roots in (0, 1]."""
+        t2 = Fraction(1, q)
+        return [{"real_roots_in_unit": qr.real_pole_count(0, 1),
+                 "orders": {(Fraction(1, 2), 1): qr.pole_order_at_sqrt(t2, 1)}}
+                for _, qr in self.pairs]
 
     def __repr__(self):
         return f"OrbitalResult({len(self.pairs)} summands)"
@@ -187,27 +170,21 @@ def _matrix_dim(space):
     return k
 
 
-def _transpose_perm(k):
-    return tuple((t % k) * k + (t // k) for t in range(k * k))
-
-
 def packet_transpose(f):
     """g(X) = f(X^t) on a square-coordinate space whose pairing is the
     transposition map (trace pairing); centers, exponents and frequencies
     all move by the same index permutation."""
-    k = _matrix_dim(f.space)
-    perm = _transpose_perm(k)
-    pair = tuple(f.space.pairing)
-    if any(pair[t] != perm[t] for t in range(k * k)):
+    perm = transposition(_matrix_dim(f.space))
+    if f.space.pairing != perm:
         raise NotInDomain("space pairing is not the transposition")
     out = []
     for c, x0, a, f0 in f.terms:
         out.append(
             (
                 c,
-                tuple(x0[perm[t]] for t in range(k * k)),
-                tuple(a[perm[t]] for t in range(k * k)),
-                tuple(f0[perm[t]] for t in range(k * k)),
+                tuple(x0[t] for t in perm),
+                tuple(a[t] for t in perm),
+                tuple(f0[t] for t in perm),
             )
         )
     return WavePacket(f.space, out)
@@ -675,8 +652,10 @@ def theorem_germ_gl(ext, psi, eta, phi_data, r, omega_tau=1):
     The two sides are computed by disjoint routes (a full 2-dimensional
     Fourier transform and shell sum against the orbital-integral
     machinery with all descent constants)."""
-    lhs = spherical_rhs(ext, psi, eta, phi_data, omega_tau=omega_tau)
+    # mu first: its descent refuses a level r below 2m before the shell
+    # sum of the spectral side does any work
     mu = mu_via_nilpotent(ext, psi, eta, phi_data, r)
+    lhs = spherical_rhs(ext, psi, eta, phi_data, omega_tau=omega_tau)
     rhs = mu * Fraction(omega_tau)
     return {
         "lhs": lhs,

@@ -76,12 +76,10 @@ def strip_p(n, p):
                 e *= 2
 
 
-def unit_residue(x, p, mod=None):
-    """The unit part x / p^v(x) of a nonzero rational, reduced mod `mod`
-    (default p)."""
-    mod = mod or p
+def unit_residue(x, p):
+    """The unit part x / p^v(x) of a nonzero rational, reduced mod p."""
     u = Fraction(x) / Fraction(p) ** val_p(x, p)
-    return u.numerator * pow(u.denominator, -1, mod) % mod
+    return u.numerator * pow(u.denominator, -1, p) % p
 
 
 class FieldContext:
@@ -97,7 +95,6 @@ class FieldContext:
         if p > _SMALL_PRIME_LIMIT or not _is_prime(p):
             raise UnsupportedPlace(f"p must be a small odd prime, got {p}")
         self.p = p
-        self.q = p
 
     def __eq__(self, other):
         return isinstance(other, FieldContext) and self.p == other.p
@@ -129,11 +126,9 @@ class QuadExtContext:
                 )
             self.kind = "inert"
             self.e = 1
-            self.q = field.q ** 2
         elif v == 1:
             self.kind = "ramified"
             self.e = 2
-            self.q = field.q
         else:
             raise NotInDomain(
                 "delta must be a unit non-residue or uniformizer * unit"
@@ -269,9 +264,6 @@ class QuadExtScalar:
 
     def conj(self):
         return QuadExtScalar(self.ext, self.a, -self.b, self.d)
-
-    def trace(self):
-        return Fraction(2 * self.a, self.d)
 
     def _norm_numerator(self):
         """a^2 - delta b^2, times delta's denominator: an integer."""

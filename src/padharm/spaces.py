@@ -45,17 +45,14 @@ _by_sort_key = itemgetter(0)
 
 
 class Space:
-    __slots__ = ("F", "psi", "weights", "pairing", "labels", "_wv")
+    __slots__ = ("F", "psi", "weights", "pairing", "_wv")
 
-    def __init__(self, F, psi, weights, pairing=None, labels=None):
+    def __init__(self, F, psi, weights, pairing=None):
         self.F = F
         self.psi = psi
         self.weights = tuple(Fraction(c) for c in weights)
         n = len(self.weights)
         self.pairing = tuple(pairing) if pairing is not None else tuple(range(n))
-        self.labels = tuple(labels) if labels is not None else tuple(
-            str(i) for i in range(n)
-        )
         if sorted(self.pairing) != list(range(n)):
             raise SchemaError("pairing is not a permutation")
         for i, j in enumerate(self.pairing):
@@ -122,72 +119,47 @@ class Space:
             self.psi,
             self.weights + other.weights,
             self.pairing + tuple(n + j for j in other.pairing),
-            self.labels + other.labels,
         )
 
 
 # -- space constructors ------------------------------------------------------
 
 
-def f_space(F, psi, dim, weights=None, labels=None):
-    w = weights if weights is not None else (Fraction(1),) * dim
-    return Space(F, psi, w, labels=labels)
+def f_space(F, psi, dim):
+    return Space(F, psi, (Fraction(1),) * dim)
 
 
-def e_space(ext, psi, dim, labels=None):
+def e_space(ext, psi, dim):
     """E^dim: coordinates come in (plus, minus) pairs with weights (1, delta)."""
-    d = ext.delta
-    w = []
-    lab = []
-    for i in range(dim):
-        w += [Fraction(1), d]
-        lab += [f"{i}+", f"{i}-"]
-    return Space(ext.F, psi, w, labels=labels or lab)
+    return Space(ext.F, psi, (Fraction(1), ext.delta) * dim)
 
 
-def e_minus_space(ext, psi, dim, labels=None):
-    d = ext.delta
-    return Space(ext.F, psi, (d,) * dim, labels=labels)
+def e_minus_space(ext, psi, dim):
+    return Space(ext.F, psi, (ext.delta,) * dim)
+
+
+def transposition(k):
+    """The coordinate permutation X -> X^t of a k x k matrix stored row by
+    row: entry (i, j) at i*k + j goes to (j, i)."""
+    return tuple((t % k) * k + t // k for t in range(k * k))
 
 
 def matrix_space_f(F, psi, k):
     """M_k(F) with pairing tr(XY): couples (i,j) with (j,i)."""
-    idx = {}
-    for i in range(k):
-        for j in range(k):
-            idx[(i, j)] = len(idx)
-    pairing = [idx[(j, i)] for (i, j) in idx]
-    labels = [f"{i},{j}" for (i, j) in idx]
-    return Space(F, psi, (Fraction(1),) * (k * k), pairing, labels)
+    return Space(F, psi, (Fraction(1),) * (k * k), transposition(k))
 
 
 def matrix_space_e(ext, psi, k):
     """M_k(E) with pairing psi_E(tr(XY)): per entry (plus, minus) weight
     (1, delta), transposition on both parts."""
-    d = ext.delta
-    coords = []
-    for i in range(k):
-        for j in range(k):
-            coords.append((i, j, "+"))
-            coords.append((i, j, "-"))
-    idx = {c: t for t, c in enumerate(coords)}
-    pairing = [idx[(j, i, s)] for (i, j, s) in coords]
-    weights = [Fraction(1) if s == "+" else d for (_, _, s) in coords]
-    labels = [f"{i},{j}{s}" for (i, j, s) in coords]
-    return Space(ext.F, psi, weights, pairing, labels)
+    pairing = tuple(2 * t + h for t in transposition(k) for h in (0, 1))
+    return Space(ext.F, psi, (Fraction(1), ext.delta) * (k * k), pairing)
 
 
 def s_space(ext, psi, k):
     """The -1 eigenspace in M_k(E) (entries tau*y): weight-delta
     coordinates with transposition pairing."""
-    d = ext.delta
-    idx = {}
-    for i in range(k):
-        for j in range(k):
-            idx[(i, j)] = len(idx)
-    pairing = [idx[(j, i)] for (i, j) in idx]
-    labels = [f"{i},{j}-" for (i, j) in idx]
-    return Space(ext.F, psi, (d,) * (k * k), pairing, labels)
+    return Space(ext.F, psi, (ext.delta,) * (k * k), transposition(k))
 
 
 # -- wave packets -------------------------------------------------------------
@@ -293,17 +265,13 @@ class WavePacket:
 
     # -- basic constructors --------------------------------------------------
     @staticmethod
-    def zero(space):
-        return WavePacket(space, [])
-
-    @staticmethod
-    def indicator(space, exps, center=None, freq=None, coeff=1):
+    def indicator(space, exps, center=None, freq=None):
         n = space.dim
         center = tuple(center) if center is not None else (Fraction(0),) * n
         freq = tuple(freq) if freq is not None else (Fraction(0),) * n
         if isinstance(exps, int):
             exps = (exps,) * n
-        return WavePacket(space, [(coeff, center, tuple(exps), freq)])
+        return WavePacket(space, [(1, center, tuple(exps), freq)])
 
     # -- pointwise structure ---------------------------------------------------
     def evaluate(self, x):

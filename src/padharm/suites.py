@@ -235,7 +235,7 @@ def suite_nilpotent_orbits():
     stats = {}
     for p in (3, 5):
         R = IntModRing(p, 1)
-        cone = nilpotent_cone_Fp(p, 2)
+        cone = nilpotent_cone_Fp(p)
         group = gl_n_Fp(p, 2)
 
         def key(X):

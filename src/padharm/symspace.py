@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .characters import eta_for_extension
 from .errors import NotInDomain, NotRegularSemisimple
 from .matrices import (
     Delta,
@@ -155,7 +156,12 @@ def separating_forms(ext, eta):
 def match_side(ext, X, eta, forms):
     """Which unitary side a regular semisimple X in s matches:
     eta(Delta(X/tau)) must equal eta(disc(W_i)).  Returns the index.
-    The values are compared by their phases, exact Fractions in [0, 1)."""
+    The values are compared by their phases, exact Fractions in [0, 1).
+    eta must be the character of E/F: another character's phases can
+    separate the forms and name a side that means nothing."""
+    own = eta_for_extension(ext)
+    if (eta.r_pi, eta.k) != (own.r_pi, own.k):
+        raise NotInDomain("eta is not the quadratic character of E/F")
     D = Delta(FractionRing(), tau_unscale(ext, X))
     if D == 0:
         raise NotRegularSemisimple("Delta(X/tau) = 0")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,9 @@ from padharm.cyclotomic import CyclotomicScalar
 from padharm.padic import FieldContext, QuadExtContext
 from padharm.characters import (
     AdditiveCharacter,
+    ExtCharacter,
     MultiplicativeCharacter,
+    _dlog_table_Fp2,
     epsilon_half,
     eta_for_extension,
     eta_prime_default,
@@ -105,3 +108,30 @@ def test_multiplicative_character_powers(F):
     sq = eta ** 2
     for x in (Fraction(3), Fraction(2), Fraction(1, 9)):
         assert ((eta(x) * eta(x)) - sq(x)).is_zero()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_inert_residue_character_of_E(p):
+    # delta = 2 is a non-square unit at p = 3 and p = 5; the residue part
+    # of eta' reads discrete logs in F_{p^2}^* = F_p[t]/(t^2 - 2)
+    ext = QuadExtContext(FieldContext(p), 2)
+    assert ext.is_inert
+    k, order = 1, p * p - 1
+    chi = ExtCharacter(ext, Fraction(1, 2), k)
+    (gx, gy), _ = _dlog_table_Fp2(p, 2)
+    assert chi.phase(ext.scalar(gx, gy)) == Fraction(k, order)
+    rng = random.Random(p)
+
+    def unit():
+        # p-integral coordinates, not both divisible by p
+        while True:
+            x, y = (Fraction(rng.randrange(-p ** 3, p ** 3),
+                             rng.choice([1, 2, 7, 11])) for _ in range(2))
+            if x.numerator % p or y.numerator % p:
+                return ext.scalar(x, y)
+
+    for _ in range(40):
+        z, w = unit(), unit()
+        assert chi.phase(z * w) == (chi.phase(z) + chi.phase(w)) % 1
+        t = ext.scalar(rng.randrange(-9, 9), rng.randrange(-9, 9))
+        assert chi.phase(z + t * p) == chi.phase(z)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from padharm import cli
+from padharm import cli, orbital
 from padharm.cli import main
 from padharm.errors import ScaleExceeded, SchemaError
 from padharm.suites import SUITES, run_suite
@@ -122,6 +122,38 @@ def test_match_default_forms_separate_the_norm_classes(p, val, unit, tmp_path):
     code, text = run_cli(["--config", str(cfg), "match"], payload, tmp_path)
     assert code == 0
     assert json.loads(text)["result"]["side"] in (0, 1)
+
+
+@pytest.mark.parametrize("matrix", [[[[0, 1], [0, 1]], [[0, 1], [0, 2]]],
+                                    [[[0, 1], [0, 3]], [[0, 1], [0, 2]]]])
+@pytest.mark.parametrize("eta, code", [({"r_pi": "1/2", "k": 0}, 0),
+                                       ({"r_pi": "1/3", "k": 0}, 2)])
+def test_match_takes_only_the_character_of_the_extension(
+        matrix, eta, code, tmp_path, capsys):
+    # delta = 2 is inert at p = 3, so eta is the unramified sign character;
+    # e(1/3) on the uniformizer once put the two matrices on sides 0 and 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eta": eta}))
+    got, text = run_cli(["--config", str(cfg), "match"], {"matrix": matrix},
+                        tmp_path)
+    assert got == code
+    if code:
+        assert "eta is not the quadratic character of E/F" in \
+            capsys.readouterr().err
+    else:
+        assert json.loads(text)["result"]["side"] in (0, 1)
+
+
+def test_theorem_germ_gl_refuses_a_low_level_before_the_shell_sum(
+        tmp_path, capsys, monkeypatch):
+    # r = 3 is below 2m = 24; the spectral side once ran for seconds first
+    def spherical_rhs(*args, **kwargs):
+        raise AssertionError("spherical_rhs was called")
+
+    monkeypatch.setattr(orbital, "spherical_rhs", spherical_rhs)
+    code, _ = run_cli(["theorem-germ-gl"], {"m": 12}, tmp_path)
+    assert code == 2
+    assert "need r >= 2m for translation invariance" in capsys.readouterr().err
 
 
 def test_local_factors_table(tmp_path):

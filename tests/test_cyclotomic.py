@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,16 +34,6 @@ def test_as_rational():
 
 def test_conj_negates_rotation():
     assert (e("1/3").conj() - e("2/3")).is_zero()
-
-
-def test_monomial_inverse():
-    x = e("1/5") * CyclotomicScalar.from_rational(Fraction(3, 2))
-    assert (x * x.inverse() - CyclotomicScalar.one()).is_zero()
-
-
-def test_non_monomial_inverse_rejected():
-    with pytest.raises(ArithmeticError):
-        (e(0) + e("1/5")).inverse()
 
 
 def test_sqrt_rational_power():

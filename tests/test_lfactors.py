@@ -6,7 +6,7 @@ import pytest
 
 from padharm import lfactors
 from padharm.cyclotomic import CyclotomicScalar
-from padharm.errors import NotInDomain, UnsupportedPlace
+from padharm.errors import NotInDomain
 from padharm.padic import FieldContext, QuadExtContext
 from padharm.characters import (
     AdditiveCharacter,
@@ -20,7 +20,6 @@ def test_zeta_values_at_q():
     q = Fraction(3)
     u = 1 / q
     assert lfactors.zeta_local(2).evaluate(u) == 1 / (1 - u**2)
-    assert lfactors.zeta_local(1, degree=2).evaluate(u) == 1 / (1 - u**2)
     with pytest.raises(NotInDomain):
         lfactors.zeta_local(0)
 
@@ -29,9 +28,6 @@ def test_l_eta_places():
     u = Fraction(1, 3)
     assert lfactors.l_eta(1).evaluate(u) == 1 / (1 + u)
     assert lfactors.l_eta(2).evaluate(u) == 1 / (1 - u**2)
-    assert lfactors.l_eta(1, place="split") == lfactors.zeta_local(1)
-    with pytest.raises(UnsupportedPlace):
-        lfactors.l_eta(1, place="ramified")
 
 
 def test_point_count_vs_delta_constant():
@@ -86,12 +82,6 @@ def test_kappa_unramified_is_one():
     for n in range(1, 4):
         k = lfactors.kappa(n, ext, eta, eta_prime, psi)
         assert (k - one).is_zero()
-    # a non-norm discriminant class flips the sign
-    k = lfactors.kappa(1, ext, eta, eta_prime, psi, disc_class=3)
-    assert (k + one).is_zero()
-    # the central twist scales multiplicatively
-    k = lfactors.kappa(1, ext, eta, eta_prime, psi, omega_tau=-1)
-    assert (k + one).is_zero()
 
 
 def test_lfactor_table():

@@ -105,16 +105,6 @@ def test_nilpotent_n2_pole_location():
     assert all(e["orders"][(Fraction(1, 2), 1)] <= 1 for e in rep)
 
 
-def test_pole_report_at_an_integer_point():
-    # 1 / (1 - 3T) has a simple pole at T = 3^(-1), none at T = -3^(-1)
-    T = QRational.monomial(1, 1)
-    qr = (QRational.const(1) - QRational.const(3) * T).inverse()
-    res = OrbitalResult([(1, qr)])
-    (entry,) = res.pole_report(3, s_points=((Fraction(1), +1),
-                                            (Fraction(1), -1)))
-    assert entry["orders"] == {(1, 1): 1, (1, -1): 0}
-
-
 def test_nilpotent_minus_sign_matches_plus_at_even_points():
     F, psi, ext, eta = setup_ctx()
     f = WavePacket.indicator(matrix_space_f(F, psi, 2), 0)

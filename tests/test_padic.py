@@ -67,8 +67,7 @@ def test_scalar_valuation_and_unit():
     # F-scalars are exact rationals
     x = Fraction(18, 5)
     assert val_p(x, 3) == 2
-    # unit part 2/5, mod 3^6 and mod 3
-    assert unit_residue(x, 3, 3 ** 6) == 2 * pow(5, -1, 3 ** 6) % 3 ** 6
+    # unit part 2/5, mod 3
     assert unit_residue(x, 3) == 1
 
 
@@ -102,8 +101,6 @@ def test_ext_scalar_arithmetic():
     assert (z * w) * (z * w).conj() == zn * wn
     # conjugation: z * conj(z) is the norm, with zero tau-part
     assert z * z.conj() == zn
-    # trace is twice the plus part
-    assert z.trace() == 2 * Fraction(1, 3)
 
 
 def test_tau_squares_to_delta():
@@ -150,9 +147,6 @@ class PairRef:
     def norm(self):
         return self.x * self.x - self.delta * self.y * self.y
 
-    def trace(self):
-        return 2 * self.x
-
     def is_zero(self):
         return self.x == 0 and self.y == 0
 
@@ -198,7 +192,6 @@ def test_integer_kernel_matches_fraction_pairs(ext, x1, y1, x2, y2, r):
     assert _matches(z - r, zr - rr) and _matches(r - z, rr - zr)
     assert _matches(z * r, zr * rr) and _matches(r * z, zr * rr)
     assert _matches(z.conj(), zr.conj())
-    assert z.trace() == zr.trace()
     assert z.is_zero() == zr.is_zero()
     assert (z == w) == ((x1, y1) == (x2, y2))
     assert (z == r) == ((x1, y1) == (r, 0))
