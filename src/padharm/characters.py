@@ -22,27 +22,33 @@ _ZERO = Fraction(0)
 def frac_part_p(x, p, d=0):
     """The p-power fractional part of p^d x: r in [0,1) with p-power
     denominator and p^d x - r integral at p, for rational x and any
-    integer d.
-
-    Integer kernel: x = num / (p^v u) with p not dividing u, so p^d x
-    has the p-power denominator p^k, k = v - d (less when v = 0 and p
-    divides num), and r = (num * u^-1 mod p^k) / p^k.  The one Fraction
-    built is r.  A denominator prime to p costs one modulo; any other is
-    split by `strip_p`.
-    """
+    integer d."""
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
-    num, u = x.numerator, x.denominator
+    return frac_part_ratio(x.numerator, x.denominator, p, d)
+
+
+def frac_part_ratio(num, den, p, d):
+    """`frac_part_p` of x = num / den, for ints with den > 0 and not
+    necessarily coprime.
+
+    Integer kernel: den = p^v u with p not dividing u, so p^d x has the
+    p-power denominator p^k, k = v - d (less when p divides num), and
+    r = (num * u^-1 mod p^k) / p^k, which is the same rational when
+    num / den is not in lowest terms.  The one Fraction built is r.  A
+    denominator prime to p costs one modulo; any other is split by
+    `strip_p`.
+    """
     if not num:
         return _ZERO
     k = -d
-    if u % p == 0:
-        v, u = strip_p(u, p)
+    if den % p == 0:
+        v, den = strip_p(den, p)
         k += v
     if k <= 0:
         return _ZERO
     pk = p ** k
-    return Fraction(num * pow(u, -1, pk) % pk, pk)
+    return Fraction(num * pow(den, -1, pk) % pk, pk)
 
 
 class AdditiveCharacter:

@@ -417,7 +417,8 @@ def cmd_germ_check(config, payload):
         raise SchemaError("/points: expected a nonempty list of [x1, y1, y0]")
     phi = make_dagger_scalar(ext, psi, m)
     rep = germ_constant_check(ext, psi, config.eta(), config.eta_prime(),
-                              phi, r, points)
+                              phi, r, points,
+                              budget=config.budgets["max_cosets"])
     return {
         "mu": cyc_json(rep["mu"]),
         "all_equal": rep["all_equal"],

@@ -589,11 +589,13 @@ def mu_via_nilpotent(ext, psi, eta, phi_data, r):
     return orbital_nilpotent("minus", g, eta).value0()
 
 
-def germ_constant_check(ext, psi, eta, eta_prime, phi_data, r, points):
+def germ_constant_check(ext, psi, eta, eta_prime, phi_data, r, points,
+                        budget=500000):
     """Local constancy of the regular semisimple orbital integral near the
     minus nilpotent: O(varrho(x, y), ghat, 0) at each sample point against
     the germ constant mu, with the transfer factor eta'(Delta_-) recorded
-    per point (constant on the section slice)."""
+    per point (constant on the section slice).  Each orbital integral
+    raises ScaleExceeded when its unit cosets exceed `budget`."""
     from .symspace import transfer_factor_lie
 
     g = f_psi_natural(ext, psi, phi_data, r).fourier()
@@ -601,7 +603,7 @@ def germ_constant_check(ext, psi, eta, eta_prime, phi_data, r, points):
     out = {"mu": mu, "points": [], "all_equal": True}
     for (x1, y1, y0) in points:
         X = varrho_point(x1, y1, y0)
-        val = orbital_rs_n1(X, g, eta).value0()
+        val = orbital_rs_n1(X, g, eta, budget=budget).value0()
         tf = transfer_factor_lie(
             ext,
             mat([[ext.scalar(0, X[0]), ext.scalar(0, X[1])],

@@ -10,42 +10,55 @@ under the Fourier transform with self-dual measure, pointwise products,
 translations, diagonal substitutions, and additive convolution -- all
 exactly, with coefficients in the cyclotomic ring.
 
-Integer kernel.  A packet's terms hold `Fraction` centers and
-frequencies, and the hot paths work on their numerators and
-denominators instead of on `Fraction` arithmetic:
-- `_mod_lattice(num, den, a, p)` reads a coordinate already in lowest
-  terms (den > 0) and returns its lattice representative as a pair
-  (m, p^k) that is again in lowest terms (k = 0, or p divides neither m
-  nor num).  `_canonicalize` uses these pairs as the sort key, and
-  builds a `Fraction` only for a coordinate whose pair differs from its
-  input; an unmoved coordinate is stored as the same object.
-- `Space.pair` sums numerators over products of denominators and builds
-  one `Fraction` at the end; `_coset_offsets` builds one per offset.
-- `AdditiveCharacter.phase` (characters.py) and the monomial branch of
-  `CyclotomicScalar.__mul__` (cyclotomic.py) follow the same rule.
-Every `Fraction` is built through its public constructor, which
-normalizes, so no int pair is trusted to be coprime where a value is
-stored.  The coprimality above serves the comparisons and the sort key:
-a reduced pair is the (numerator, denominator) of the stored value.
+Integer kernel.  A packet's one stored form is `rows`, a tuple of
+canonical integer rows (coeff, C, exps, G):
+- C and G are tuples of int pairs (n, p^k) in lowest terms (k = 0, or p
+  does not divide n): the representatives (`_mod_lattice`) of the center
+  modulo the lattice prod p^exps_i O and of the frequency modulo its
+  dual lattice (`Space.dual_exps`), each in [0, p^e);
+- the rows are sorted on the key (exps, C, G), no two rows share a key,
+  and no coefficient is zero.
+`terms` is a view derived from the rows: the same tuples, in the same
+order, with `Fraction` centers and frequencies.  It is built on first
+read and cached; it is never stored apart from the rows.
+
+The calculus works on the ints.  The public constructor reduces its
+input; `fourier`, `reflect`, `refined` and the product build rows whose
+centers are representatives by construction (`_neg`, `_offsets`),
+reduce only the frequencies, and `_merged` sorts and sums.  A frequency
+moved by lam in the dual lattice multiplies its row by psi(<lam, C>),
+the constant value of psi(<lam, .>) on the coset (`_psi_pair`: the
+pairing on numerators and denominators, the phase by
+`characters.frac_part_ratio`).  A point lies in a term's coset exactly
+when its representative modulo the term's lattice is the center, so
+`evaluate` and the product compare pairs, and `equals` compares rows.
+The only `Fraction`s built are psi's root-of-unity keys, the `terms`
+view, and `shift`'s, which reads an outside vector; `riemann_fourier`
+reads the `terms` view with `Space.pair` and psi, so it stays an
+independent route.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 from operator import itemgetter
 
+from .characters import frac_part_ratio
 from .cyclotomic import CyclotomicScalar, sqrt_rational_power
 from .errors import ScaleExceeded, SchemaError
 from .padic import strip_p, val_p
 
 DEFAULT_TERM_BUDGET = 300000
 
-_by_sort_key = itemgetter(0)
+_new = object.__new__
+_by_key = itemgetter(0)
 
 
 class Space:
-    __slots__ = ("F", "psi", "weights", "pairing", "_wv")
+    __slots__ = ("F", "psi", "weights", "pairing", "_wv", "_w")
 
     def __init__(self, F, psi, weights, pairing=None):
         self.F = F
@@ -61,6 +74,7 @@ class Space:
         if any(c == 0 for c in self.weights):
             raise SchemaError("pairing weights must be nonzero")
         self._wv = tuple(val_p(c, F.p) for c in self.weights)
+        self._w = tuple((c.numerator, c.denominator) for c in self.weights)
 
     @property
     def dim(self):
@@ -100,9 +114,8 @@ class Space:
 
     def dual_exps(self, exps):
         d = self.psi.d
-        return tuple(
-            -d - self._wv[i] - exps[self.pairing[i]] for i in range(self.dim)
-        )
+        return tuple([-d - w - exps[j]
+                      for w, j in zip(self._wv, self.pairing)])
 
     def vol_lattice(self, exps):
         """Self-dual volume of the product lattice prod p^{a_i} O."""
@@ -188,80 +201,137 @@ def _mod_lattice(num, den, a, p):
     return num * pow(u, -1, mod) % mod, den // u
 
 
-def _coset_offsets(x, a, count, p):
-    """x + j p^a for j in range(count), one Fraction each."""
-    n, d = x.numerator, x.denominator
+def _offsets(n, d, a, count, p):
+    """n / d + j p^a for j in range(count), as pairs in lowest terms, for
+    a representative n / d modulo p^a as `_mod_lattice` returns it.
+
+    Such a pair is 0 or has p^k = d with p not dividing n, and k > -a when
+    a < 0; then every sum keeps the denominator d.  The sums are again
+    representatives modulo p^(a + log_p count)."""
     if a >= 0:
         step = p ** a * d
+    elif n:
+        step = d // p ** -a
     else:
-        step = d
-        n *= p ** -a
-        d *= p ** -a
-    return [Fraction(n + j * step, d) for j in range(count)]
+        q = p ** -a
+        return [(j // g, q // g) for j in range(count) for g in (gcd(j, q),)]
+    return [(n + j * step, d) for j in range(count)]
+
+
+def _neg(x, a, p):
+    """The representative of -x modulo p^a, for a representative x."""
+    n, d = x
+    if not n:
+        return x
+    return (p ** a * d if a >= 0 else d // p ** -a) - n, d
+
+
+def _pair_sum(u, v):
+    """u + v for pairs (n, d) with d > 0, in lowest terms."""
+    (n1, d1), (n2, d2) = u, v
+    n, d = n1 * d2 + n2 * d1, d1 * d2
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _psi_pair(sp, x, y):
+    """psi(<x, y>) for coordinates given as int pairs (n, d), d > 0."""
+    n, d = 0, 1
+    for (cn, cd), (xn, xd), j in zip(sp._w, x, sp.pairing):
+        if xn:
+            yn, yd = y[j]
+            if yn:
+                tn, td = cn * xn * yn, cd * xd * yd
+                if td == d:
+                    n += tn
+                else:
+                    n, d = n * td + tn * d, d * td
+    return CyclotomicScalar.root_of_unity(
+        frac_part_ratio(n, d, sp.F.p, sp.psi.d))
+
+
+def _freq_moved(sp, G, b):
+    """(R, lam): the representative R of the frequency G modulo the dual
+    lattice prod p^b_i O, and lam = G - R, or None when R is G."""
+    p = sp.F.p
+    R = tuple([_mod_lattice(n, d, e, p) for (n, d), e in zip(G, b)])
+    if R == G:
+        return G, None
+    return R, [(n * s - m * d, d * s) for (n, d), (m, s) in zip(G, R)]
+
+
+def _keyed(sp, coeff, C, exps, G):
+    """The sort key and coefficient of a row whose center C is a
+    representative: the frequency moved into its canonical form by lam in
+    the dual lattice multiplies the row by psi(<lam, x>), which is
+    constant on the coset, its value at the center."""
+    R, lam = _freq_moved(sp, G, sp.dual_exps(exps))
+    if lam is not None:
+        coeff = coeff * _psi_pair(sp, lam, C)
+    return (exps, C, R), coeff
+
+
+def _merged(keyed):
+    """The canonical rows of (key, coeff) pairs, key = (exps, C, G): sorted
+    on the key, each run of one key summed, zeros dropped."""
+    keyed.sort(key=_by_key)
+    out = []
+    last = None
+    for key, coeff in keyed:
+        if key == last:
+            out[-1][0] = out[-1][0] + coeff
+        else:
+            out.append([coeff, key])
+            last = key
+    rows = tuple((coeff, C, exps, G) for coeff, (exps, C, G) in out
+                 if not coeff.is_zero())
+    if len(rows) > DEFAULT_TERM_BUDGET:
+        raise ScaleExceeded(f"wave packet with {len(rows)} terms")
+    return rows
+
+
+def _as_pair(x):
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 class WavePacket:
-    __slots__ = ("space", "terms")
+    """A sum of terms, stored as its canonical integer `rows`."""
 
     def __init__(self, space, terms):
-        self.space = space
-        self.terms = self._canonicalize(terms)
-
-    def _canonicalize(self, terms):
-        sp = self.space
-        p = sp.F.p
-        dim = sp.dim
-        rows = []
+        dim = space.dim
+        p = space.F.p
+        keyed = []
         for coeff, center, exps, freq in terms:
             if len(center) != dim or len(exps) != dim or len(freq) != dim:
                 raise SchemaError("term dimension mismatch")
             if not isinstance(coeff, CyclotomicScalar):
                 coeff = CyclotomicScalar.from_rational(coeff)
             exps = tuple(exps)
-            # each coordinate's numerator and denominator are read once;
-            # the reduced pairs (n, d) are in lowest terms, so they are
-            # the sort key, and a Fraction is built only where one moved
-            newc, cints = [], []
-            for c, a in zip(center, exps):
-                if not isinstance(c, Fraction):
-                    c = Fraction(c)
-                cn, cd = c.numerator, c.denominator
-                n, d = _mod_lattice(cn, cd, a, p)
-                cints.append((n, d))
-                newc.append(c if n == cn and d == cd else Fraction(n, d))
-            newf, fints = [], []
-            lam = None
-            for i, (f, b) in enumerate(zip(freq, sp.dual_exps(exps))):
-                if not isinstance(f, Fraction):
-                    f = Fraction(f)
-                fn, fd = f.numerator, f.denominator
-                n, d = _mod_lattice(fn, fd, b, p)
-                fints.append((n, d))
-                if n == fn and d == fd:
-                    newf.append(f)
-                    continue
-                newf.append(Fraction(n, d))
-                # the frequency moved by lam_i in the dual lattice: psi of
-                # <lam, x> is constant on the coset, its value at the center
-                if lam is None:
-                    lam = [0] * dim
-                lam[i] = Fraction(fn * d - n * fd, fd * d)
-            if lam is not None:
-                coeff = coeff * sp.psi(sp.pair(lam, center))
-            rows.append(((exps, tuple(cints), tuple(fints)),
-                         (tuple(newc), exps, tuple(newf)), coeff))
-        # equal sort keys are equal terms: merge each run of them
-        rows.sort(key=_by_sort_key)
-        out = []
-        for _, run in itertools.groupby(rows, key=_by_sort_key):
-            total = CyclotomicScalar.zero()
-            for _, key, coeff in run:
-                total = total + coeff
-            if not total.is_zero():
-                out.append((total, *key))
-        if len(out) > DEFAULT_TERM_BUDGET:
-            raise ScaleExceeded(f"wave packet with {len(out)} terms")
-        return tuple(out)
+            C = tuple([_mod_lattice(*_as_pair(x), a, p)
+                       for x, a in zip(center, exps)])
+            keyed.append(_keyed(space, coeff, C, exps,
+                                tuple(map(_as_pair, freq))))
+        self.space = space
+        self.rows = _merged(keyed)
+
+    @staticmethod
+    def _of(space, keyed):
+        """The trusted constructor: the packet of (key, coeff) pairs whose
+        keys are canonical."""
+        out = _new(WavePacket)
+        out.space = space
+        out.rows = _merged(keyed)
+        return out
+
+    @cached_property
+    def terms(self):
+        """The rows with Fraction centers and frequencies, built on first
+        read; later reads find them in the instance."""
+        return tuple((c, tuple([Fraction(n, d) for n, d in C]), exps,
+                      tuple([Fraction(n, d) for n, d in G]))
+                     for c, C, exps, G in self.rows)
 
     # -- basic constructors --------------------------------------------------
     @staticmethod
@@ -277,30 +347,31 @@ class WavePacket:
     def evaluate(self, x):
         sp = self.space
         p = sp.F.p
+        x = tuple(map(_as_pair, x))
         total = CyclotomicScalar.zero()
-        x = tuple(Fraction(t) for t in x)
-        for coeff, center, exps, freq in self.terms:
-            ok = True
-            for xi, ci, ai in zip(x, center, exps):
-                diff = xi - ci
-                if diff != 0 and val_p(diff, p) < ai:
-                    ok = False
-                    break
-            if ok:
-                total = total + coeff * sp.psi(sp.pair(freq, x))
+        # x is in a term's coset exactly when its representative modulo
+        # that term's lattice is the term's center
+        reps = {}
+        for coeff, C, exps, G in self.rows:
+            rep = reps.get(exps)
+            if rep is None:
+                rep = reps[exps] = tuple(
+                    [_mod_lattice(n, d, a, p) for (n, d), a in zip(x, exps)])
+            if rep == C:
+                total = total + coeff * _psi_pair(sp, G, x)
         return total
 
     def __add__(self, other):
         if not isinstance(other, WavePacket) or other.space != self.space:
             return NotImplemented
-        return WavePacket(self.space, self.terms + other.terms)
+        return WavePacket._of(self.space, [
+            ((e, C, G), c) for c, C, e, G in self.rows + other.rows])
 
     def scale(self, c):
         if not isinstance(c, CyclotomicScalar):
             c = CyclotomicScalar.from_rational(c)
-        return WavePacket(
-            self.space, [(c * t[0], t[1], t[2], t[3]) for t in self.terms]
-        )
+        return WavePacket._of(self.space, [
+            ((e, C, G), c * r) for r, C, e, G in self.rows])
 
     def __neg__(self):
         return self.scale(-1)
@@ -314,34 +385,34 @@ class WavePacket:
         """Pointwise product."""
         if not isinstance(other, WavePacket) or other.space != self.space:
             return NotImplemented
-        p = self.space.F.p
-        out = []
-        for c1, x1, a1, f1 in self.terms:
-            for c2, x2, a2, f2 in other.terms:
-                ok = True
-                nc, na = [], []
-                for t in range(self.space.dim):
-                    a = max(a1[t], a2[t])
-                    diff = x1[t] - x2[t]
-                    if diff != 0 and val_p(diff, p) < min(a1[t], a2[t]):
-                        ok = False
+        sp = self.space
+        p = sp.F.p
+        keyed = []
+        for c1, x1, a1, f1 in self.rows:
+            for c2, x2, a2, f2 in other.rows:
+                # the cosets meet when the finer center lies in the
+                # coarser coset: its representative there is that center
+                nc = []
+                for u, v, s, t in zip(x1, x2, a1, a2):
+                    if s < t:
+                        u, v, s, t = v, u, t, s
+                    if u != v if s == t else _mod_lattice(*u, t, p) != v:
                         break
-                    na.append(a)
-                    nc.append(x1[t] if a1[t] >= a2[t] else x2[t])
-                if ok:
-                    nf = tuple(u + v for u, v in zip(f1, f2))
-                    out.append((c1 * c2, tuple(nc), tuple(na), nf))
-        return WavePacket(self.space, out)
+                    nc.append(u)
+                else:
+                    keyed.append(_keyed(sp, c1 * c2, tuple(nc),
+                                        tuple(map(max, a1, a2)),
+                                        tuple(map(_pair_sum, f1, f2))))
+        return WavePacket._of(sp, keyed)
 
     def reflect(self):
         """x -> f(-x)."""
-        return WavePacket(
-            self.space,
-            [
-                (c, tuple(-t for t in x0), a, tuple(-t for t in f0))
-                for c, x0, a, f0 in self.terms
-            ],
-        )
+        sp = self.space
+        p = sp.F.p
+        return WavePacket._of(sp, [
+            _keyed(sp, c, tuple(map(_neg, C, a, itertools.repeat(p))), a,
+                   tuple([(-n, d) for n, d in G]))
+            for c, C, a, G in self.rows])
 
     def shift(self, t):
         """g(x) = f(x - t)."""
@@ -357,18 +428,20 @@ class WavePacket:
     def fourier(self):
         """Self-dual Fourier transform against psi(<., .>)."""
         sp = self.space
-        out = []
-        for c, x0, a, f0 in self.terms:
-            vol = sp.vol_lattice(a)
-            phase = sp.psi(sp.pair(f0, x0))
-            out.append(
-                (c * vol * phase, tuple(-t for t in f0), sp.dual_exps(a), x0)
-            )
-        return WavePacket(sp, out)
+        p = sp.F.p
+        keyed = []
+        for c, C, a, G in self.rows:
+            # -G is a representative modulo the dual lattice p^b, and C
+            # modulo the dual of p^b, which is p^a
+            b = sp.dual_exps(a)
+            R = tuple(map(_neg, G, b, itertools.repeat(p)))
+            keyed.append(((b, R, C),
+                          c * sp.vol_lattice(a) * _psi_pair(sp, G, C)))
+        return WavePacket._of(sp, keyed)
 
     def integral(self):
         """Integral against the self-dual measure."""
-        return self.fourier().evaluate((Fraction(0),) * self.space.dim)
+        return self.fourier().evaluate((0,) * self.space.dim)
 
     def convolve_add(self, other):
         """Additive convolution (f * g)(x) = int f(y) g(x - y) dy."""
@@ -380,42 +453,45 @@ class WavePacket:
         """The same function written over the finer product lattice p^exps."""
         sp = self.space
         p = sp.F.p
-        out = []
+        keyed = []
         total = 0
-        for c, x0, a, f0 in self.terms:
+        for c, C, a, G in self.rows:
             deltas = [max(e - ai, 0) for e, ai in zip(exps, a)]
             count = p ** sum(deltas)
             total += count
             if total > DEFAULT_TERM_BUDGET:
                 raise ScaleExceeded("refinement blows the term budget")
-            na = tuple(max(e, ai) for e, ai in zip(exps, a))
-            # enumerate offsets in prod p^{a_i} O / p^{na_i} O
-            ranges = [_coset_offsets(x, ai, p ** di, p) if di else (x,)
-                      for x, ai, di in zip(x0, a, deltas)]
-            for nx in itertools.product(*ranges):
-                out.append((c, nx, na, f0))
-        return WavePacket(sp, out)
+            na = tuple(map(max, exps, a))
+            # the offsets in prod p^{a_i} O / p^{na_i} O are representatives
+            # modulo p^na; the frequency moves once for all of them
+            ranges = [_offsets(*x, ai, p ** di, p) if di else (x,)
+                      for x, ai, di in zip(C, a, deltas)]
+            R, lam = _freq_moved(sp, G, sp.dual_exps(na))
+            cells = itertools.product(*ranges)
+            if lam is None:
+                keyed += [((na, nx, R), c) for nx in cells]
+            else:
+                keyed += [((na, nx, R), c * _psi_pair(sp, lam, nx))
+                          for nx in cells]
+        return WavePacket._of(sp, keyed)
 
     def equals(self, other):
         """Exact function equality via refinement to a common lattice."""
         if not isinstance(other, WavePacket) or other.space != self.space:
             return False
-        allterms = self.terms + other.terms
-        if not allterms:
+        allrows = self.rows + other.rows
+        if not allrows:
             return True
-        n = self.space.dim
-        exps = tuple(
-            max(t[2][i] for t in allterms) for i in range(n)
-        )
-        # both refinements are canonical: sorted, one term per key
-        a = self.refined(exps).terms
-        b = other.refined(exps).terms
+        exps = tuple(map(max, zip(*(r[2] for r in allrows))))
+        # both refinements are canonical: sorted, one row per key
+        a = self.refined(exps).rows
+        b = other.refined(exps).rows
         if len(a) != len(b) or any(s[1:] != t[1:] for s, t in zip(a, b)):
             return False
         return all((s[0] - t[0]).is_zero() for s, t in zip(a, b))
 
     def __repr__(self):
-        return f"WavePacket({len(self.terms)} terms on dim {self.space.dim})"
+        return f"WavePacket({len(self.rows)} terms on dim {self.space.dim})"
 
 
 def riemann_fourier(f, w):
@@ -461,10 +537,8 @@ def riemann_fourier(f, w):
 
 
 def tensor(p1, p2):
-    """Exterior product on the concatenated space."""
-    sp = p1.space.concat(p2.space)
-    out = []
-    for c1, x1, a1, f1 in p1.terms:
-        for c2, x2, a2, f2 in p2.terms:
-            out.append((c1 * c2, x1 + x2, a1 + a2, f1 + f2))
-    return WavePacket(sp, out)
+    """Exterior product on the concatenated space, whose dual exponents
+    are those of the factors, so concatenated rows stay canonical."""
+    return WavePacket._of(p1.space.concat(p2.space), [
+        ((a1 + a2, x1 + x2, f1 + f2), c1 * c2)
+        for c1, x1, a1, f1 in p1.rows for c2, x2, a2, f2 in p2.rows])

@@ -309,6 +309,19 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "/p" in capsys.readouterr().err
 
 
+def test_germ_check_obeys_the_coset_budget(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budgets": {"max_cosets": 10}}))
+    code, _ = run_cli(["--config", str(cfg), "germ-check"],
+                      {"m": 1, "r": 3}, tmp_path)
+    assert code == 3
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"]["type"] == "ScaleExceeded"
+    # the default budget answers the same request
+    code, text = run_cli(["germ-check"], {"m": 1, "r": 3}, tmp_path)
+    assert code == 0 and json.loads(text)["result"]["all_equal"]
+
+
 def test_rank_budget_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"budgets": {"max_n": 1}}))

@@ -4,8 +4,10 @@ formulas it replaced.
 Each reference below is the former implementation, kept as an oracle:
 the p-power fractional part and psi's phase, the pairing, the lattice
 representative, the refinement offsets, the monomial rotation of a
-cyclotomic scalar, and the canonical form of a packet built from them.
-The kernel must agree with them exactly, Fraction types included.
+cyclotomic scalar, the canonical form of a packet built from them, and
+the packet operations on Fraction terms.  The kernel must agree with
+them exactly, Fraction types included, and its integer rows must be the
+numerators and denominators of the reference terms.
 """
 
 import itertools
@@ -21,8 +23,8 @@ from padharm.padic import FieldContext, QuadExtContext, val_p
 from padharm.spaces import (
     Space,
     WavePacket,
-    _coset_offsets,
     _mod_lattice,
+    _offsets,
     e_space,
     f_space,
     matrix_space_f,
@@ -83,6 +85,18 @@ def ref_mod_lattice(x, a, p):
 def ref_offsets(x, a, count, p):
     step = Fraction(p) ** a
     return [x + step * j for j in range(count)]
+
+
+def ref_coset_offsets(x, a, count, p):
+    """x + j p^a for j in range(count), one Fraction each."""
+    n, d = x.numerator, x.denominator
+    if a >= 0:
+        step = p ** a * d
+    else:
+        step = d
+        n *= p ** -a
+        d *= p ** -a
+    return [Fraction(n + j * step, d) for j in range(count)]
 
 
 def ref_rotate(terms, s, c):
@@ -198,12 +212,16 @@ def test_lattice_representative(x, a, p):
 @settings(max_examples=100, deadline=None)
 @given(rationals, st.integers(min_value=-3, max_value=3),
        st.integers(min_value=0, max_value=30), primes)
+@example(0, -2, 30, 3)
 def test_refinement_offsets(x, a, count, p):
+    # the offsets of a representative, as the kernel holds one
     x = Fraction(x)
-    got = _coset_offsets(x, a, count, p)
-    ref = ref_offsets(x, a, count, p)
-    assert len(got) == len(ref)
-    assert all(_same(g, r) for g, r in zip(got, ref))
+    n, d = _mod_lattice(x.numerator, x.denominator, a, p)
+    x = Fraction(n, d)
+    got = _offsets(n, d, a, count, p)
+    ref = ref_coset_offsets(x, a, count, p)
+    assert all(_same(g, r) for g, r in zip(ref, ref_offsets(x, a, count, p)))
+    assert got == [(r.numerator, r.denominator) for r in ref]
 
 
 keys = st.fractions(min_value=0, max_value=1, max_denominator=60).filter(
@@ -271,3 +289,136 @@ def test_canonical_form_and_refinement(p, d, which, data):
                   for x, ai, e in zip(x0, a, na)]
         out += [(c, nx, na, f0) for nx in itertools.product(*ranges)]
     assert f.refined(exps).terms == WavePacket(space, out).terms
+
+
+# -- the packet operations against the Fraction formulas -------------------------
+
+
+def ref_fourier(space, terms):
+    psi = space.psi
+    return ref_canonical_terms(space, [
+        (c * space.vol_lattice(a) * CyclotomicScalar.root_of_unity(
+            ref_phase(psi, ref_pair(space, f0, x0))),
+         tuple(-t for t in f0), space.dual_exps(a), x0)
+        for c, x0, a, f0 in terms])
+
+
+def ref_reflect(space, terms):
+    return ref_canonical_terms(space, [
+        (c, tuple(-t for t in x0), a, tuple(-t for t in f0))
+        for c, x0, a, f0 in terms])
+
+
+def ref_product(space, terms1, terms2):
+    p = space.F.p
+    out = []
+    for c1, x1, a1, f1 in terms1:
+        for c2, x2, a2, f2 in terms2:
+            if all(u == v or val_p(u - v, p) >= min(s, t)
+                   for u, v, s, t in zip(x1, x2, a1, a2)):
+                out.append((c1 * c2,
+                            tuple(u if s >= t else v
+                                  for u, v, s, t in zip(x1, x2, a1, a2)),
+                            tuple(map(max, a1, a2)),
+                            tuple(u + v for u, v in zip(f1, f2))))
+    return ref_canonical_terms(space, out)
+
+
+def ref_refined(space, terms, exps):
+    p = space.F.p
+    out = []
+    for c, x0, a, f0 in terms:
+        na = tuple(map(max, exps, a))
+        ranges = [ref_coset_offsets(x, ai, p ** (e - ai), p)
+                  for x, ai, e in zip(x0, a, na)]
+        out += [(c, nx, na, f0) for nx in itertools.product(*ranges)]
+    return ref_canonical_terms(space, out)
+
+
+def ref_evaluate(space, terms, x):
+    p = space.F.p
+    total = CyclotomicScalar.zero()
+    for c, x0, a, f0 in terms:
+        if all(u == v or val_p(u - v, p) >= ai
+               for u, v, ai in zip(x, x0, a)):
+            total = total + c * CyclotomicScalar.root_of_unity(
+                ref_phase(space.psi, ref_pair(space, f0, x)))
+    return total
+
+
+def ref_equals(space, terms1, terms2):
+    rows = terms1 + terms2
+    if not rows:
+        return True
+    exps = tuple(map(max, zip(*(t[2] for t in rows))))
+    a = ref_refined(space, terms1, exps)
+    b = ref_refined(space, terms2, exps)
+    return len(a) == len(b) and all(
+        s[1:] == t[1:] and (s[0] - t[0]).is_zero() for s, t in zip(a, b))
+
+
+def _assert_rows(f, ref):
+    """f's integer rows are the reference terms' numerators and
+    denominators, and its Fraction view is the reference."""
+    def pairs(v):
+        return tuple((t.numerator, t.denominator) for t in v)
+
+    assert len(f.rows) == len(ref) == len(f.terms)
+    for (c, C, a, G), (rc, x0, ra, f0), view in zip(f.rows, ref, f.terms):
+        assert list(c.terms.items()) == list(rc.terms.items())
+        assert (C, a, G) == (pairs(x0), ra, pairs(f0))
+        assert all(type(n) is int and type(d) is int for n, d in C + G)
+        assert view[1:] == (x0, ra, f0) and view[0] is c
+        assert all(type(t) is Fraction for t in view[1] + view[3])
+
+
+def _packet_terms(n, exps):
+    return st.lists(st.tuples(
+        st.one_of(st.integers(min_value=-3, max_value=3), coefficients),
+        st.lists(rationals, min_size=n, max_size=n),
+        st.lists(exps, min_size=n, max_size=n),
+        st.lists(rationals, min_size=n, max_size=n)), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(primes, conductors, st.integers(min_value=0, max_value=4), st.data())
+def test_packet_operations_against_the_fraction_formulas(p, d, which, data):
+    space = _spaces(p, d)[which]
+    n = space.dim
+    exps = st.integers(min_value=-2, max_value=2)
+    f = WavePacket(space, data.draw(_packet_terms(n, exps)))
+    g = WavePacket(space, data.draw(_packet_terms(n, exps)))
+    tf, tg = list(f.terms), list(g.terms)
+    _assert_rows(f, ref_canonical_terms(space, tf))
+    _assert_rows(f.fourier(), ref_fourier(space, tf))
+    _assert_rows(f.reflect(), ref_reflect(space, tf))
+    _assert_rows(f * g, ref_product(space, tf, tg))
+    for x in (data.draw(st.lists(rationals, min_size=n, max_size=n)),
+              tf[0][1] if tf else (0,) * n):
+        x = tuple(Fraction(t) for t in x)
+        got, want = f.evaluate(x), ref_evaluate(space, tf, x)
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(primes, conductors, st.integers(min_value=0, max_value=4),
+       st.integers(min_value=-2, max_value=1), st.data())
+def test_refinement_and_equality_against_the_fraction_formulas(
+        p, d, which, lo, data):
+    # exponents within one step of lo keep each refinement below p^dim
+    # rows per term
+    space = _spaces(p, d)[which]
+    n = space.dim
+    exps = st.integers(min_value=lo, max_value=lo + 1)
+    f = WavePacket(space, data.draw(_packet_terms(n, exps)))
+    g = WavePacket(space, data.draw(_packet_terms(n, exps)))
+    tf, tg = list(f.terms), list(g.terms)
+    common = tuple(map(max, zip(*(t[2] for t in tf + tg)))) if tf + tg \
+        else (lo + 1,) * n
+    _assert_rows(f.refined(common), ref_refined(space, tf, common))
+    ff = f.fourier().fourier()
+    for a, b in ((f, g), (ff, f.reflect()), (f, f.refined(common)),
+                 (f, f + g - g), (f + g, g + f.scale(2) - f)):
+        assert a.equals(b) == ref_equals(space, list(a.terms), list(b.terms))
+    assert ff.equals(f.reflect())
+    assert f.equals(f.refined(common))

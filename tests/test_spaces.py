@@ -223,3 +223,54 @@ def test_canonical_packets_are_pinned(name):
     fourier, conv = PINNED[name]
     assert repr(f.fourier().terms) == fourier
     assert repr(f.convolve_add(g).terms) == conv
+
+
+# The three identities of the Fourier calculus, each checked by two
+# routes, on the extension spaces at a ramified delta at p = 3 and at an
+# inert and a ramified delta at p = 5.
+EXTENSIONS = [(3, 3), (5, 2), (5, 5)]
+
+
+def _extension_spaces(p, delta):
+    F = FieldContext(p)
+    psi = AdditiveCharacter(F, 0)
+    ext = QuadExtContext(F, delta)
+    return [e_space(ext, psi, 1), s_space(ext, psi, 1)]
+
+
+def _packets(p, n, lo):
+    """Packets of up to three terms with centers and frequencies in
+    (1/p) Z and exponents in [lo, 1]."""
+    coords = st.lists(st.integers(min_value=-p, max_value=p).map(
+        lambda j: Fraction(j, p)), min_size=n, max_size=n)
+    return st.lists(st.tuples(
+        st.fractions(min_value=-4, max_value=4, max_denominator=3),
+        coords,
+        st.lists(st.integers(min_value=lo, max_value=1), min_size=n,
+                 max_size=n),
+        coords), min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("p, delta", EXTENSIONS)
+@pytest.mark.parametrize("which", [0, 1], ids=["e", "s"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fourier_identities_on_extension_spaces(p, delta, which, data):
+    sp = _extension_spaces(p, delta)[which]
+    n = sp.dim
+    f = WavePacket(sp, data.draw(_packets(p, n, -1)))
+    g = WavePacket(sp, data.draw(_packets(p, n, -1)))
+    # FFf = f(-x), as packets and at a point
+    assert f.fourier().fourier().equals(f.reflect())
+    w = tuple(data.draw(st.lists(st.integers(min_value=-p, max_value=p),
+                                 min_size=n, max_size=n)))
+    w = tuple(Fraction(j, p) for j in w)
+    assert (f.fourier().fourier().evaluate(w)
+            - f.evaluate(tuple(-t for t in w))).is_zero()
+    # the integral of a convolution is the product of the integrals
+    conv = f.convolve_add(g)
+    assert (conv.integral() - f.integral() * g.integral()).is_zero()
+    # the cell-sum transform against the packet transform, at exponents
+    # >= 0, where the cell sum's offsets are exact
+    h = WavePacket(sp, data.draw(_packets(p, n, 0)))
+    assert (riemann_fourier(h, w) - h.fourier().evaluate(w)).is_zero()
