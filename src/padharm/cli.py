@@ -443,7 +443,8 @@ def cmd_theorem_germ_gl(config, payload):
         raise SchemaError("/omega_tau: expected 1 or -1")
     phi = make_dagger_scalar(ext, psi, m)
     rep = theorem_germ_gl(ext, psi, config.eta(), phi, r,
-                          omega_tau=omega_tau)
+                          omega_tau=omega_tau,
+                          budget=config.budgets["max_cosets"])
     return {
         "lhs": cyc_json(rep["lhs"]),
         "rhs": cyc_json(rep["rhs"]),

@@ -134,18 +134,6 @@ def make_dagger_matrix(ext, psi, m, k):
 # -- definitional predicates -----------------------------------------------
 
 
-def _supported_in(packet, min_exp):
-    """Support contained in the product lattice p^min_exp O (coordinatewise)."""
-    p = packet.space.F.p
-    for _, x0, a, _ in packet.terms:
-        for xi, ai in zip(x0, a):
-            if ai < min_exp:
-                return False
-            if xi != 0 and val_p(xi, p) < min_exp:
-                return False
-    return True
-
-
 def _invariant_under_shifts(packet, exp):
     """Invariance under translation by p^exp in every coordinate."""
     n = packet.space.dim
@@ -172,9 +160,9 @@ def is_admissible_scalar(ext, psi, m, packet):
     if m < 1:
         raise InvalidLevel("dagger level must be >= 1")
     p = ext.F.p
-    if not packet.terms:
+    if not packet.rows:
         return False
-    if not _supported_in(packet, m):
+    if any(packet.support_floor(t) < m for t in range(packet.space.dim)):
         return False
     if not _invariant_under_shifts(packet, 2 * m):
         return False
@@ -184,16 +172,11 @@ def is_admissible_scalar(ext, psi, m, packet):
     # hat-support shell: minus coordinate exactly at the shell valuation,
     # plus coordinate within the dual of p^m O
     s0 = shell_valuation(ext, psi, m)
-    d = psi.d
     fh = packet.fourier()
-    for _, w0, b, _ in fh.terms:
-        if w0[0] != 0 and val_p(w0[0], p) < -m - d:
-            return False
-        if b[0] < -m - d:
-            return False
-        if w0[1] == 0 or val_p(w0[1], p) != s0 or b[1] <= s0:
-            return False
-    return True
+    # a nonzero center is a representative: v(w0) < b, so the whole coset
+    # lies on the shell v = s0
+    return fh.support_floor(0) >= -m - psi.d and all(
+        w0[1] != 0 and val_p(w0[1], p) == s0 for _, w0, _, _ in fh.terms)
 
 
 def is_admissible_column(data):
@@ -317,15 +300,17 @@ def compactness_W_direct(ext, psi, eta, theta_data, y):
     eta-twisted multiplicative integral int varphi1(h / y) eta(h) d*h.
 
     varphi1 is the indicator of 1 + p^m O_E, so the support pins
-    v(h) = v(y), and the unit cosets at level m make the sum exact: the
-    integrand depends on h mod p^(v(y) + m) and eta has conductor at most
-    1 <= m."""
+    v(h) = v(y), and the sum runs over the unit cosets at the packet's
+    shell level along h -> h / y in the plus coordinate."""
     m = theta_data.m
     y = Fraction(y)
     hat = riemann_fourier(theta_data.packet, (Fraction(0), -y))
     varphi1 = indicator_E(ext, psi, (m, m), (1, 0))
+    v = val_p(y, ext.F.p)
+    lam = max(1, eta.conductor_exponent(),
+              varphi1.shell_level(((0, 1 / y, 1),), v))
     integral = shell_sum(lambda h: varphi1.evaluate((h / y, Fraction(0))),
-                         eta, val_p(y, ext.F.p), m, ext.F.p)
+                         eta, v, lam, ext.F.p)
     return hat * integral
 
 

@@ -10,6 +10,8 @@ Three computation routes live here, each exact:
   finite enumeration of torus shells (rank 1) or of additive matrix
   cells with a determinant-valuation window certified through the
   delta_+ section (rank 2; the walk over the cells is in ``cells``).
+  Rank-1 shells take range and level from the packet (``support_floor``,
+  ``shell_level``), and their cosets are charged to the budget first.
 * the descent pipeline ``f_natural`` -> ``f_psi_natural`` ->
   ``mu_via_nilpotent`` / ``spherical_rhs``, used for the germ-constancy
   and spherical identities in rank 1.
@@ -253,15 +255,8 @@ def orbital_nilpotent(sign, f, eta):
                 raise NotInDomain(
                     "oscillation against an integrated coordinate"
                 )
-        # pinned coordinates: the term contributes only if 0 lies in the coset
-        dead = False
-        for t in range(k * k):
-            if t in active:
-                continue
-            if center[t] != 0 and val_p(center[t], p) < exps[t]:
-                dead = True
-                break
-        if dead:
+        # pinned coordinates: 0 must lie in the coset, so the center is 0
+        if any(center[t] for t in range(k * k) if t not in active):
             continue
         cf = coeff
         qr = QRational.const(1)
@@ -271,10 +266,9 @@ def orbital_nilpotent(sign, f, eta):
             a = exps[t]
             beta = center[t]
             e = l % 2
-            if beta == 0 or val_p(beta, p) >= a:
+            if beta == 0:
                 # full lattice p^a O
                 if e and not eta.is_unramified:
-                    dead = True
                     break
                 s = eta_p if e else 1
                 num = QRational.monomial(
@@ -290,7 +284,7 @@ def orbital_nilpotent(sign, f, eta):
                 if e:
                     cf = cf * eta(beta)
                 qr = qr * QRational.monomial(q ** (v * l - a), v * l)
-        if not dead:
+        else:
             pairs.append((cf, qr))
 
     meta = {
@@ -306,14 +300,11 @@ def orbital_nilpotent(sign, f, eta):
 # regular semisimple integrals, rank 1
 
 
-def _support_floor(f, t):
-    """A lower bound for the valuation of coordinate t on supp f."""
-    vals = []
-    for _, center, exps, _ in f.terms:
-        c = center[t]
-        vals.append(exps[t] if (c == 0 or val_p(c, f.space.F.p) >= exps[t])
-                    else min(val_p(c, f.space.F.p), exps[t]))
-    return min(vals)
+def _charge(p, lams, budget):
+    """ScaleExceeded when p^lam summed over `lams` exceeds `budget`."""
+    # p^lam > budget once lam reaches its bit length
+    if sum(p ** min(lam, budget.bit_length()) for lam in lams) > budget:
+        raise ScaleExceeded("rank-1 unit-coset budget")
 
 
 def orbital_rs_n1(X, f, eta, budget=500000, slack=0):
@@ -330,31 +321,17 @@ def orbital_rs_n1(X, f, eta, budget=500000, slack=0):
     if x12 == 0 or x21 == 0:
         raise NotRegularSemisimple("off-diagonal entries must not vanish")
     p = f.space.F.p
-    d = f.space.psi.d
-    if not f.terms:
+    if not f.rows:
         return OrbitalResult.zero({"n": 1, "shells": []})
 
     # shell range from the support of f at the off-diagonal coordinates
-    lo = _support_floor(f, 1) - val_p(x12, p)
-    hi = val_p(x21, p) - _support_floor(f, 2)
-    pairmap = f.space.pairing
-    lams = []
-    cosets = 0
-    for v in range(lo, hi + 1):
-        # unit granularity: coset membership and frequency phases must be
-        # constant on u(1 + p^lam O)
-        lam = max(1, eta.conductor_exponent()) + slack
-        for _, center, exps, freq in f.terms:
-            for t, vx in ((1, val_p(x12, p) + v), (2, val_p(x21, p) - v)):
-                lam = max(lam, exps[t] - vx + slack)
-                g = freq[pairmap[t]] * f.space.weights[pairmap[t]]
-                if g != 0:
-                    lam = max(lam, -d - val_p(g, p) - vx + slack)
-        # p^lam > budget once lam reaches its bit length
-        cosets += p ** min(lam, budget.bit_length())
-        if cosets > budget:
-            raise ScaleExceeded("rank-1 unit-coset budget")
-        lams.append(lam)
+    lo = f.support_floor(1) - val_p(x12, p)
+    hi = val_p(x21, p) - f.support_floor(2)
+    # h enters x12 as x12 h and x21 as x21 / h
+    line = ((1, x12, 1), (2, x21, -1))
+    lams = [max(1, eta.conductor_exponent(), f.shell_level(line, v)) + slack
+            for v in range(lo, hi + 1)]
+    _charge(p, lams, budget)
     pairs = []
     for v, lam in zip(range(lo, hi + 1), lams):
         shell = shell_sum(lambda h: f.evaluate((x11, x12 * h, x21 / h, x22)),
@@ -388,14 +365,11 @@ def _delta_plus_val_window(f, Xm, p):
     lo_adj = min(val_p(t, p) for t in adj_entries if t != 0)
 
     windows = set()
-    m0 = None
-    for _, center, exps, _ in f.terms:
+    for (c, C, exps, G), (_, center, _, _) in zip(f.rows, f.terms):
+        # the least valuation of an entry on this term's coset
+        row = WavePacket._of(f.space, [((exps, C, G), c)])
+        c_min = min([row.support_floor(t) for t in range(k * k)])
         a_min = min(exps)
-        c_min = min(
-            [exps[t] if center[t] == 0 else min(val_p(center[t], p), exps[t])
-             for t in range(k * k)]
-        )
-        m0 = c_min if m0 is None else min(m0, c_min)
         dY = Delta_plus(R, mat_from_scalars(R, _mat2_from_coords(center)))
         # integer-coefficient polynomial of degree 3 in the entries:
         # perturbing by p^a_min moves Delta_+ inside p^(a_min + 2 min(0, c_min))
@@ -405,7 +379,7 @@ def _delta_plus_val_window(f, Xm, p):
                 "Delta_+ valuation is not certified constant on the support"
             )
         windows.add(val_p(dY, p))
-    return windows, vdX, lo_adj, m0
+    return windows, vdX, lo_adj, min(map(f.support_floor, range(k * k)))
 
 
 def orbital_rs(X, f, eta, budget=500000, slack=0):
@@ -621,10 +595,11 @@ def germ_constant_check(ext, psi, eta, eta_prime, phi_data, r, points,
     return out
 
 
-def spherical_rhs(ext, psi, eta, phi_data, omega_tau=1):
+def spherical_rhs(ext, psi, eta, phi_data, omega_tau=1, budget=500000):
     """The spectral side of the rank-1 germ identity: omega(tau) times the
     shell character sum of the full Fourier transform of the dagger scalar
-    along the minus axis,
+    along the minus axis, refused before the sum when its unit cosets
+    exceed `budget`,
 
         omega(tau) * sum_{v(y) = s0} phihat((0, -y)) eta(y) d*y."""
     _require_quadratic(eta)
@@ -634,30 +609,27 @@ def spherical_rhs(ext, psi, eta, phi_data, omega_tau=1):
         raise NotInDomain("omega(tau) must be a sign for a quadratic"
                           " central character trivial on F^*")
     p = ext.F.p
-    d = psi.d
-    m = phi_data.m
-    s0 = shell_valuation(ext, psi, m)
-    vdelta = val_p(ext.delta, p)
+    s0 = shell_valuation(ext, psi, phi_data.m)
     hat = phi_data.packet.fourier()
-    lam = max(1, eta.conductor_exponent(), d + vdelta)
-    for _, x0, a, f0 in hat.terms:
-        lam = max(lam, a[1] - s0)
-        if f0[1] != 0:
-            lam = max(lam, -d - vdelta - val_p(f0[1], p) - s0)
+    # y enters the minus coordinate as -y
+    lam = max(1, eta.conductor_exponent(), hat.shell_level(((1, -1, 1),), s0))
+    _charge(p, [lam], budget)
     total = shell_sum(lambda y: hat.evaluate((Fraction(0), -y)), eta, s0, lam, p)
     return total * Fraction(omega_tau)
 
 
-def theorem_germ_gl(ext, psi, eta, phi_data, r, omega_tau=1):
+def theorem_germ_gl(ext, psi, eta, phi_data, r, omega_tau=1, budget=500000):
     """The rank-1 germ identity: the spectral shell sum equals
     |tau|_E^((d1+d2)/2) omega(tau) mu with both exponents 0 in rank 1.
     The two sides are computed by disjoint routes (a full 2-dimensional
     Fourier transform and shell sum against the orbital-integral
-    machinery with all descent constants)."""
+    machinery with all descent constants).  The shell sum raises
+    ScaleExceeded when its unit cosets exceed `budget`."""
     # mu first: its descent refuses a level r below 2m before the shell
     # sum of the spectral side does any work
     mu = mu_via_nilpotent(ext, psi, eta, phi_data, r)
-    lhs = spherical_rhs(ext, psi, eta, phi_data, omega_tau=omega_tau)
+    lhs = spherical_rhs(ext, psi, eta, phi_data, omega_tau=omega_tau,
+                        budget=budget)
     rhs = mu * Fraction(omega_tau)
     return {
         "lhs": lhs,

@@ -32,6 +32,8 @@ pairing on numerators and denominators, the phase by
 `characters.frac_part_ratio`).  A point lies in a term's coset exactly
 when its representative modulo the term's lattice is the center, so
 `evaluate` and the product compare pairs, and `equals` compares rows.
+`support_floor` and `shell_level` read a torus shell's range and
+unit-coset level off the rows, for every shell integral of the library.
 The only `Fraction`s built are psi's root-of-unity keys, the `terms`
 view, and `shift`'s, which reads an outside vector; `riemann_fourier`
 reads the `terms` view with `Space.pair` and psi, so it stays an
@@ -290,6 +292,11 @@ def _merged(keyed):
     return rows
 
 
+def _val_pair(x, p):
+    """v_p(n / d) for a nonzero pair (n, d) in lowest terms."""
+    return val_p(x[0], p) - val_p(x[1], p)
+
+
 def _as_pair(x):
     if not isinstance(x, Fraction):
         x = Fraction(x)
@@ -440,13 +447,47 @@ class WavePacket:
         return WavePacket._of(sp, keyed)
 
     def integral(self):
-        """Integral against the self-dual measure."""
-        return self.fourier().evaluate((0,) * self.space.dim)
+        """Integral against the self-dual measure: coeff * vol(exps) summed
+        over the rows whose frequency is 0; any other frequency is a
+        nontrivial character on its coset, whose integral is 0."""
+        vol = self.space.vol_lattice
+        return sum((c * vol(a) for c, _, a, G in self.rows
+                    if not any(n for n, _ in G)), CyclotomicScalar.zero())
 
     def convolve_add(self, other):
         """Additive convolution (f * g)(x) = int f(y) g(x - y) dy."""
         prod = self.fourier() * other.fourier()
         return prod.fourier().reflect()
+
+    # -- support and shells --------------------------------------------------
+    def support_floor(self, t):
+        """The least valuation of coordinate t on the support of the rows:
+        a nonzero center C_t is a representative, so v(C_t) < a_t is the
+        valuation of the whole coset; a zero C_t leaves p^a_t O."""
+        p = self.space.F.p
+        return min([_val_pair(C[t], p) if C[t][0] else a[t]
+                    for _, C, a, _ in self.rows])
+
+    def shell_level(self, line, v):
+        """The least lam >= 0 at which the bounds below make every row
+        constant on the cosets h(1 + p^lam O) of the shell v(h) = v, along
+        the line whose coordinate t is c h^e for each (t, c, e) in `line`
+        (e = +-1; other coordinates fixed).  There x_t moves inside
+        x_t p^lam O, so a row's coset test is constant once
+        lam >= a_t - v(x_t), and its phase psi(w_j G_j x_t), j paired
+        with t, once lam >= -d - v(w_j G_j) - v(x_t)."""
+        sp = self.space
+        p = sp.F.p
+        d = sp.psi.d
+        lam = 0
+        for t, c, e in line:
+            vx = val_p(c, p) + e * v
+            j = sp.pairing[t]
+            for _, _, a, G in self.rows:
+                lam = max(lam, a[t] - vx)
+                if G[j][0]:
+                    lam = max(lam, -d - sp._wv[j] - _val_pair(G[j], p) - vx)
+        return lam
 
     # -- structure -----------------------------------------------------------
     def refined(self, exps):

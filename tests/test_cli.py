@@ -322,6 +322,31 @@ def test_germ_check_obeys_the_coset_budget(tmp_path, capsys):
     assert code == 0 and json.loads(text)["result"]["all_equal"]
 
 
+def test_theorem_germ_gl_obeys_the_coset_budget(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budgets": {"max_cosets": 10}}))
+    code, _ = run_cli(["--config", str(cfg), "theorem-germ-gl"],
+                      {"m": 3, "r": 7}, tmp_path)
+    assert code == 3
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"]["type"] == "ScaleExceeded"
+    # the default budget answers the same request
+    code, text = run_cli(["theorem-germ-gl"], {"m": 3, "r": 7}, tmp_path)
+    assert code == 0 and json.loads(text)["result"]["equal"]
+
+
+def test_theorem_germ_gl_refuses_a_large_level_before_the_shell_sum(
+        tmp_path, capsys):
+    # the shell sum at m = 13 runs at level 13: 3^13 unit cosets exceed
+    # the default budget of 500000, which once took 15 s to answer
+    start = time.perf_counter()
+    code, _ = run_cli(["theorem-germ-gl"], {"m": 13, "r": 27}, tmp_path)
+    assert code == 3
+    assert time.perf_counter() - start < 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"]["type"] == "ScaleExceeded"
+
+
 def test_rank_budget_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"budgets": {"max_n": 1}}))

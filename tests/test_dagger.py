@@ -11,7 +11,6 @@ from padharm.characters import AdditiveCharacter, eta_for_extension
 from padharm.dagger import (
     _constant_in_plus,
     _invariant_under_shifts,
-    _supported_in,
     compactness_W_closed,
     compactness_W_direct,
     is_admissible_column,
@@ -23,6 +22,11 @@ from padharm.dagger import (
     shell_valuation,
 )
 from padharm.spaces import WavePacket, e_space
+
+
+def supported_in(packet, m):
+    """Support inside p^m O in every coordinate."""
+    return all(packet.support_floor(t) >= m for t in range(packet.space.dim))
 
 
 def setup_ctx(delta=2, p=3):
@@ -135,7 +139,7 @@ def test_shift_identity_agrees_with_the_enumeration(m, delta):
     seen = set()
     for _ in range(8):
         packet = random_packet(ext, psi, m, rng)
-        assert _supported_in(packet, m)
+        assert supported_in(packet, m)
         assert _invariant_under_shifts(packet, 2 * m)
         dependent = depends_on_plus(packet, m)
         assert _constant_in_plus(packet, m) is not dependent
@@ -156,7 +160,7 @@ def test_a_packet_that_depends_on_the_plus_coordinate(m, delta):
     ext, psi = setup_ctx(delta=delta)
     ((c, x0, (_, a), f0),) = make_dagger_scalar(ext, psi, m).packet.terms
     packet = WavePacket(e_space(ext, psi, 1), [(c, x0, (m + 1, a), f0)])
-    assert _supported_in(packet, m)
+    assert supported_in(packet, m)
     assert _invariant_under_shifts(packet, 2 * m)
     assert depends_on_plus(packet, m)
     assert not _constant_in_plus(packet, m)

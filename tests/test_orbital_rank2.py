@@ -5,6 +5,7 @@ local-constancy base point, and the cell budget refusal."""
 
 import itertools
 import json
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -397,6 +398,36 @@ def test_frozen_value_at_the_local_constancy_base_point():
     assert res.value0().as_rational() == Fraction(1, 81)
     assert res.metadata == {"variable": "q^-s", "n": 2, "box_floor": 0,
                             "granularity": 1, "det_window": [0]}
+
+
+# a ramified delta at p = 3, and an inert and a ramified one at p = 5
+EXTENSIONS = [(3, 3), (5, 2), (5, 5)]
+
+
+@pytest.mark.parametrize("p, delta", EXTENSIONS)
+@pytest.mark.parametrize("twisted", [False, True])
+def test_local_constancy_at_other_extensions(p, delta, twisted):
+    # the local-constancy suite's packet and moves by p^3 in the
+    # invariants, with the answer pass checked against the Fraction
+    # enumeration of its box
+    F = FieldContext(p)
+    psi = AdditiveCharacter(F, 0)
+    eta = eta_for_extension(QuadExtContext(F, delta))
+    freq = ((Fraction(1, p), 0, 0, 0, 0, Fraction(-2, p), 0, 0, 0)
+            if twisted else None)
+    f = WavePacket.indicator(matrix_space_f(F, psi, 3), 1, center=BASE,
+                             freq=freq)
+    base = orbital_rs(BASE, f, eta)
+    assert not base.is_zero()
+    assert base.metadata["granularity"] == 1
+    want = reference_cells(BASE, f, eta, 0, 1, set(base.metadata["det_window"]),
+                           10 ** 6)
+    assert repr(base.pairs) == repr(want.pairs)
+    rng = random.Random(f"{p}:{delta}")
+    for _ in range(2):
+        d = [rng.randrange(-1, 2) * p ** 3 for _ in range(5)]
+        X = sigma_coords((1 + d[0], 2 + d[1]), (1 + d[2], 1 + d[3], 2 + d[4]))
+        assert orbital_rs(X, f, eta) == base
 
 
 def test_certificate_pass_refused_before_any_cell(monkeypatch):

@@ -2,8 +2,10 @@
 
 CyclotomicScalar has no unique normal form, so the reprs below (which the
 CLI prints) pin the representation of each value as well as the value.
-They were frozen from the per-caller loops that shell_sum replaced, and
-each caller keeps its own unit-coset level lam.
+They were frozen from the per-caller loops that shell_sum replaced.  Each
+caller takes its unit-coset level lam from `WavePacket.shell_level` and
+the conductor of eta; the last tests check that level against a finer
+one at three primes and extensions and three conductors of psi.
 """
 
 from fractions import Fraction
@@ -12,18 +14,22 @@ import pytest
 
 from padharm.characters import AdditiveCharacter, eta_for_extension, shell_sum
 from padharm.cyclotomic import CyclotomicScalar
-from padharm.dagger import compactness_W_direct, make_dagger_scalar
+from padharm.dagger import (
+    compactness_W_direct,
+    indicator_E,
+    make_dagger_scalar,
+)
 from padharm.errors import NotInDomain
 from padharm.orbital import orbital_rs_n1, spherical_rhs
-from padharm.padic import FieldContext, QuadExtContext
-from padharm.spaces import WavePacket, f_space, matrix_space_f
+from padharm.padic import FieldContext, QuadExtContext, val_p
+from padharm.spaces import WavePacket, f_space, matrix_space_f, riemann_fourier
 
 from oracles import dagger_mu_closed_form
 
 
-def setup_ctx(delta, p=3):
+def setup_ctx(delta, p=3, d=0):
     F = FieldContext(p)
-    psi = AdditiveCharacter(F, 0)
+    psi = AdditiveCharacter(F, d)
     ext = QuadExtContext(F, delta)
     return F, psi, ext, eta_for_extension(ext)
 
@@ -117,3 +123,63 @@ def test_compactness_direct_is_pinned(delta):
     theta = make_dagger_scalar(ext, psi, 1)
     got = compactness_W_direct(ext, psi, eta, theta, Fraction(1, 27))
     assert repr(got) == W[delta]
+
+
+# The derived level against a finer one: each caller's integral at
+# shell_level must equal, dict for dict, the same shell sum two levels up.
+LEVEL_CASES = [(p, delta, d) for p, delta in ((3, 2), (3, 3), (5, 5))
+               for d in (0, 1, 2)]
+LEVEL_IDS = [f"p{p}-delta{delta}-d{d}" for p, delta, d in LEVEL_CASES]
+
+
+@pytest.mark.parametrize("p, delta, d", LEVEL_CASES, ids=LEVEL_IDS)
+def test_orbital_rs_n1_level_is_stable_under_slack(p, delta, d):
+    F, psi, _, eta = setup_ctx(delta, p, d)
+    # a phase that needs level 2 on the unit shell, a coset 1 + p^2 O
+    # that needs level 2 there, and a coset off the unit shell
+    f = WavePacket(matrix_space_f(F, psi, 2), [
+        (1, (0, 0, 0, 0), (0, -1, 0, 0), (0, 0, Fraction(1, p ** 2), 0)),
+        (3, (0, 1, 0, 0), (0, 2, 0, 0), (0, 0, 0, 0)),
+        (2, (0, Fraction(1, p), 0, 0), (0, 0, -1, 0),
+         (0, 0, Fraction(1, p), 0)),
+    ])
+    X = (Fraction(0), Fraction(1), Fraction(p), Fraction(0))
+    exact = orbital_rs_n1(X, f, eta)
+    assert not exact.is_zero()
+    assert repr(orbital_rs_n1(X, f, eta, slack=2).pairs) == repr(exact.pairs)
+
+
+def _level(eta, packet, line, v):
+    return max(1, eta.conductor_exponent(), packet.shell_level(line, v))
+
+
+@pytest.mark.parametrize("p, delta, d", LEVEL_CASES, ids=LEVEL_IDS)
+def test_spherical_rhs_level_is_stable(p, delta, d):
+    _, psi, ext, eta = setup_ctx(delta, p, d)
+    # at m = 2 the packet's level, 2, is above eta's floor
+    phi = make_dagger_scalar(ext, psi, 2)
+    hat = phi.packet.fourier()
+    s0 = -4 - d - val_p(ext.delta, p)
+    lam = _level(eta, hat, ((1, -1, 1),), s0)
+    finer = shell_sum(lambda y: hat.evaluate((Fraction(0), -y)),
+                      eta, s0, lam + 2, p)
+    got = spherical_rhs(ext, psi, eta, phi)
+    assert not got.is_zero()
+    assert got.terms == finer.terms
+
+
+@pytest.mark.parametrize("p, delta, d", LEVEL_CASES, ids=LEVEL_IDS)
+def test_compactness_direct_level_is_stable(p, delta, d):
+    _, psi, ext, eta = setup_ctx(delta, p, d)
+    theta = make_dagger_scalar(ext, psi, 2)
+    # y on the shell that carries the transform of theta
+    v = -4 - d - val_p(ext.delta, p)
+    y = Fraction(p) ** v
+    varphi1 = indicator_E(ext, psi, (2, 2), (1, 0))
+    lam = _level(eta, varphi1, ((0, 1 / y, 1),), v)
+    finer = shell_sum(lambda h: varphi1.evaluate((h / y, Fraction(0))),
+                      eta, v, lam + 2, p)
+    want = riemann_fourier(theta.packet, (Fraction(0), -y)) * finer
+    got = compactness_W_direct(ext, psi, eta, theta, y)
+    assert not got.is_zero()
+    assert got.terms == want.terms

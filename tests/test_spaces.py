@@ -274,3 +274,17 @@ def test_fourier_identities_on_extension_spaces(p, delta, which, data):
     # >= 0, where the cell sum's offsets are exact
     h = WavePacket(sp, data.draw(_packets(p, n, 0)))
     assert (riemann_fourier(h, w) - h.fourier().evaluate(w)).is_zero()
+
+
+@pytest.mark.parametrize("p, delta", [(3, 2)] + EXTENSIONS)
+@pytest.mark.parametrize("which", [0, 1], ids=["e", "s"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_integral_is_the_transform_at_zero(p, delta, which, data):
+    # the row sum of `integral` against the transform route, dict for dict
+    sp = _extension_spaces(p, delta)[which]
+    f = WavePacket(sp, data.draw(_packets(p, sp.dim, -1)))
+    g = WavePacket(sp, data.draw(_packets(p, sp.dim, -1)))
+    zero = (0,) * sp.dim
+    for h in (f, f * g, f.fourier(), f.convolve_add(g)):
+        assert h.integral().terms == h.fourier().evaluate(zero).terms

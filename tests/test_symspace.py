@@ -6,14 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from padharm.padic import FieldContext, QuadExtContext
+from padharm.padic import FieldContext, QuadExtContext, val_p
 from padharm.characters import eta_for_extension, eta_prime_default
 from padharm.errors import NotInDomain, NotRegularSemisimple
-from padharm.matrices import FractionRing, mat, mat_mul, section_sigma
+from padharm.matrices import Delta, FractionRing, mat, mat_mul, section_sigma
 from padharm.symspace import (
     HermitianForm,
     in_s_lie,
     match_side,
+    separating_forms,
     tau_scale,
     tau_unscale,
     transfer_factor_group,
@@ -93,14 +94,13 @@ def test_match_side_rejects_non_regular():
         match_side(ext, Z, eta, forms)
 
 
-def test_transfer_equivariance_on_2000_exact_samples():
+def equivariance_samples(p, delta, count):
     """Samples drawn as the suite and the benchmark draw them (entries
-    a + b tau with a, b in -3..3, p = 3, delta = 2): each one ends in an
-    answer or in NotRegularSemisimple/NotInDomain, never in a precision
-    refusal, and every answer satisfies Omega(h1 gamma h2) =
-    eta(det h2) Omega(gamma)."""
-    p = 3
-    ext = make_ext(p=p)
+    a + b tau with a, b in -3..3): each one ends in an answer or in
+    NotRegularSemisimple/NotInDomain, never in a precision refusal, and
+    every answer satisfies Omega(h1 gamma h2) = eta(det h2) Omega(gamma).
+    Returns the number of answers."""
+    ext = make_ext(delta=delta, p=p)
     eta = eta_for_extension(ext)
     eta_prime = eta_prime_default(ext, eta)
     rng = random.Random(0)
@@ -109,7 +109,7 @@ def test_transfer_equivariance_on_2000_exact_samples():
         return ext.scalar(rng.randrange(-3, 4), rng.randrange(-3, 4))
 
     samples = answered = 0
-    while samples < 2000:
+    while samples < count:
         gamma1 = mat([[rnd()]])
         gamma2 = mat([[rnd() for _ in range(2)] for _ in range(2)])
         t = ext.scalar(rng.choice((1, 2, 3, p, 2 * p)))
@@ -131,4 +131,61 @@ def test_transfer_equivariance_on_2000_exact_samples():
                                       gamma2b, eta_prime)
         assert (moved - base * eta(dg2)).is_zero()
         answered += 1
-    assert answered == 1719
+    return answered
+
+
+def test_transfer_equivariance_on_2000_exact_samples():
+    assert equivariance_samples(3, 2, 2000) == 1719
+
+
+# a ramified delta at p = 3, and an inert and a ramified one at p = 5
+EXTENSIONS = [(3, 3), (5, 2), (5, 5)]
+
+
+@pytest.mark.parametrize("p, delta", EXTENSIONS)
+def test_transfer_equivariance_at_other_extensions(p, delta):
+    assert equivariance_samples(p, delta, 300) > 200
+
+
+def hilbert_symbol(a, b, p):
+    """(a, b)_p for nonzero rationals and odd p, by the closed formula
+    (-1)^(alpha beta (p - 1)/2) (u/p)^beta (w/p)^alpha for a = p^alpha u,
+    b = p^beta w: 1 exactly when a is a norm from F(sqrt b)."""
+    def split(x):
+        v = val_p(x, p)
+        u = Fraction(x) / Fraction(p) ** v
+        return v, u.numerator * pow(u.denominator, -1, p) % p
+
+    def legendre(u):
+        return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
+
+    (alpha, u), (beta, w) = split(a), split(b)
+    sign = -1 if alpha * beta * (p - 1) // 2 % 2 else 1
+    return sign * legendre(u) ** (beta % 2) * legendre(w) ** (alpha % 2)
+
+
+@pytest.mark.parametrize("p, delta", [(3, 2)] + EXTENSIONS)
+def test_matching_dichotomy_against_the_hilbert_symbol(p, delta):
+    # the suite's grid of invariant classes (a; b0, b1): exactly one form
+    # matches, the side is stable under conjugation by diag(2, 1), and it
+    # is the form whose discriminant has the Hilbert symbol of Delta
+    ext = make_ext(delta=delta, p=p)
+    eta = eta_for_extension(ext)
+    forms = separating_forms(ext, eta)
+    Rf = FractionRing()
+    grid = [Fraction(u) * Fraction(p) ** v for u in (1, 2) for v in (0, 1)]
+    sides = []
+    for a in [Fraction(0)] + grid:
+        for b0 in [Fraction(0)] + grid:
+            for b1 in grid + [-g for g in grid]:
+                Xf = section_sigma(Rf, (a,), (b0, b1))
+                try:
+                    side = match_side(ext, tau_scale(ext, Xf), eta, forms)
+                except NotRegularSemisimple:
+                    continue
+                Xc = mat([[Xf[0][0], Xf[0][1] * 2], [Xf[1][0] / 2, Xf[1][1]]])
+                assert match_side(ext, tau_scale(ext, Xc), eta, forms) == side
+                assert (hilbert_symbol(Delta(Rf, Xf), delta, p)
+                        == hilbert_symbol(forms[side].disc(), delta, p))
+                sides.append(side)
+    assert set(sides) == {0, 1}
