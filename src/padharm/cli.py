@@ -377,8 +377,7 @@ def cmd_oi_rs(config, payload):
                           "the dimension of /f")
     config.check_rank(k - 1, "/X")
     slack = read_int(payload.get("slack", 0), "/slack", low=0)
-    res = orbital_rs(X, f, config.eta(),
-                     budget=config.budgets["max_cosets"], slack=slack)
+    res = orbital_rs(X, f, config.eta(), slack=slack)
     return _orbital_json_in_measure(res, config, k - 1)
 
 
@@ -417,8 +416,7 @@ def cmd_germ_check(config, payload):
         raise SchemaError("/points: expected a nonempty list of [x1, y1, y0]")
     phi = make_dagger_scalar(ext, psi, m)
     rep = germ_constant_check(ext, psi, config.eta(), config.eta_prime(),
-                              phi, r, points,
-                              budget=config.budgets["max_cosets"])
+                              phi, r, points)
     return {
         "mu": cyc_json(rep["mu"]),
         "all_equal": rep["all_equal"],
@@ -442,9 +440,7 @@ def cmd_theorem_germ_gl(config, payload):
     if omega_tau not in (1, -1):
         raise SchemaError("/omega_tau: expected 1 or -1")
     phi = make_dagger_scalar(ext, psi, m)
-    rep = theorem_germ_gl(ext, psi, config.eta(), phi, r,
-                          omega_tau=omega_tau,
-                          budget=config.budgets["max_cosets"])
+    rep = theorem_germ_gl(ext, psi, config.eta(), phi, r, omega_tau=omega_tau)
     return {
         "lhs": cyc_json(rep["lhs"]),
         "rhs": cyc_json(rep["rhs"]),
@@ -583,7 +579,8 @@ def main(argv=None):
         if args.measure is not None:
             doc["measure"] = args.measure
         config = RunConfig(doc)
-        result = COMMANDS[args.command](config, _read_payload(args))
+        with config.scope():
+            result = COMMANDS[args.command](config, _read_payload(args))
     except ScaleExceeded as exc:
         _emit({"error": {"type": "ScaleExceeded", "message": str(exc)}},
               args.out, err=True)

@@ -18,14 +18,19 @@ all-or-nothing: a rejected document raises SchemaError (with a JSON
 pointer to the offending member) before anything is built, so a bad
 configuration never partially executes.
 
+`charge` checks every enumeration against `budgets.max_cosets` of the
+`with config.scope()` block the CLI or `run_suite` runs in (else the default).
+
 `read_int` and `read_fraction` are the readers of every value from
 outside the program: the CLI reads its payload fields and its
 `--seed`/`--measure` flags through them and through RunConfig.
 """
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import ScaleExceeded, SchemaError
 from .padic import FieldContext, QuadExtContext
 from .characters import (
     AdditiveCharacter,
@@ -47,6 +52,17 @@ DEFAULTS = {
 }
 
 _TOP_KEYS = set(DEFAULTS)
+
+_MAX_COSETS = ContextVar("max_cosets", default=DEFAULTS["budgets"]["max_cosets"])
+
+
+def charge(p, lams, what):
+    """ScaleExceeded(what) when p^lam summed over `lams` exceeds the
+    run's coset limit; an enumeration calls it once, before it starts."""
+    limit = _MAX_COSETS.get()
+    # p^lam > limit once lam reaches the limit's bit length
+    if sum(p ** min(lam, limit.bit_length()) for lam in lams) > limit:
+        raise ScaleExceeded(what)
 
 
 def _fail(pointer, message):
@@ -159,6 +175,15 @@ class RunConfig:
         out["r_pi"] = read_fraction(spec.get("r_pi", 0), f"{pointer}/r_pi")
         out["k"] = read_int(spec.get("k", 0), f"{pointer}/k", low=0)
         return out
+
+    @contextmanager
+    def scope(self):
+        """Make budgets/max_cosets the limit of `charge` in the block."""
+        token = _MAX_COSETS.set(self.budgets["max_cosets"])
+        try:
+            yield
+        finally:
+            _MAX_COSETS.reset(token)
 
     # -- lazily-built contexts ----------------------------------------
 

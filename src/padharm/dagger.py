@@ -16,6 +16,7 @@ import itertools
 from fractions import Fraction
 
 from .characters import shell_sum
+from .config import charge
 from .cyclotomic import CyclotomicScalar
 from .errors import InvalidLevel, SchemaError
 from .matrices import mat_mul
@@ -309,6 +310,7 @@ def compactness_W_direct(ext, psi, eta, theta_data, y):
     v = val_p(y, ext.F.p)
     lam = max(1, eta.conductor_exponent(),
               varphi1.shell_level(((0, 1 / y, 1),), v))
+    charge(ext.F.p, [lam], "compactness unit-coset budget")
     integral = shell_sum(lambda h: varphi1.evaluate((h / y, Fraction(0))),
                          eta, v, lam, ext.F.p)
     return hat * integral

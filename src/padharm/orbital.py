@@ -11,7 +11,7 @@ Three computation routes live here, each exact:
   cells with a determinant-valuation window certified through the
   delta_+ section (rank 2; the walk over the cells is in ``cells``).
   Rank-1 shells take range and level from the packet (``support_floor``,
-  ``shell_level``), and their cosets are charged to the budget first.
+  ``shell_level``); ``config.charge`` meters their cosets and the cells first.
 * the descent pipeline ``f_natural`` -> ``f_psi_natural`` ->
   ``mu_via_nilpotent`` / ``spherical_rhs``, used for the germ-constancy
   and spherical identities in rank 1.
@@ -33,13 +33,13 @@ from math import isqrt
 
 from .cells import cell_value, passing_cells
 from .characters import shell_sum
+from .config import charge
 from .cyclotomic import CyclotomicScalar, sqrt_rational_power
 from .errors import (
     InvalidLevel,
     NotAdmissible,
     NotInDomain,
     NotRegularSemisimple,
-    ScaleExceeded,
 )
 from .matrices import (
     Delta_plus,
@@ -300,19 +300,12 @@ def orbital_nilpotent(sign, f, eta):
 # regular semisimple integrals, rank 1
 
 
-def _charge(p, lams, budget):
-    """ScaleExceeded when p^lam summed over `lams` exceeds `budget`."""
-    # p^lam > budget once lam reaches its bit length
-    if sum(p ** min(lam, budget.bit_length()) for lam in lams) > budget:
-        raise ScaleExceeded("rank-1 unit-coset budget")
-
-
-def orbital_rs_n1(X, f, eta, budget=500000, slack=0):
+def orbital_rs_n1(X, f, eta, slack=0):
     """O(X, f, s) for 2x2 coordinates X = (x11, x12, x21, x22) regular
     semisimple (x12 x21 != 0), by exact enumeration of torus shells and
     unit cosets.  Returns an OrbitalResult in T = q^(-s); raises
     ScaleExceeded before enumerating when the unit cosets of all shells
-    exceed `budget`."""
+    exceed the run's coset limit."""
     _require_quadratic(eta)
     if _matrix_dim(f.space) != 2:
         raise NotInDomain("rank-1 path needs 2x2 coordinates")
@@ -331,7 +324,7 @@ def orbital_rs_n1(X, f, eta, budget=500000, slack=0):
     line = ((1, x12, 1), (2, x21, -1))
     lams = [max(1, eta.conductor_exponent(), f.shell_level(line, v)) + slack
             for v in range(lo, hi + 1)]
-    _charge(p, lams, budget)
+    charge(p, lams, "rank-1 unit-coset budget")
     pairs = []
     for v, lam in zip(range(lo, hi + 1), lams):
         shell = shell_sum(lambda h: f.evaluate((x11, x12 * h, x21 / h, x22)),
@@ -382,19 +375,19 @@ def _delta_plus_val_window(f, Xm, p):
     return windows, vdX, lo_adj, min(map(f.support_floor, range(k * k)))
 
 
-def orbital_rs(X, f, eta, budget=500000, slack=0):
+def orbital_rs(X, f, eta, slack=0):
     """O(X, f, s) for 3x3 coordinates (rank-2 group H = GL_2(F)) by additive
     cell enumeration of h over a box certified through the delta_+ section.
 
     The support of f must have certified-constant Delta_+ valuations; the
     determinant of h is then pinned to a finite window, the box of entry
     valuations is rigorous, and exactness is certified by computing at two
-    granularities.  The budget is charged for the nominal box of the larger
-    pass, whatever the cell walk prunes."""
+    granularities.  The run's coset limit is charged for the nominal box of
+    the larger pass, whatever the cell walk prunes."""
     _require_quadratic(eta)
     k = _matrix_dim(f.space)
     if k == 2:
-        return orbital_rs_n1(X, f, eta, budget=budget, slack=slack)
+        return orbital_rs_n1(X, f, eta, slack=slack)
     if k != 3:
         raise NotInDomain("cell enumeration is implemented for ranks 1 and 2")
     X = tuple(Fraction(t) for t in X)
@@ -409,8 +402,7 @@ def orbital_rs(X, f, eta, budget=500000, slack=0):
     a_max = max(max(t[2]) for t in f.terms)
     M = max(lo + 1, a_max + max(0, -2 * lo), max(det_window) + 1) + slack
     # the certificate pass at M + 1 is the larger one: refuse before either
-    if p ** (4 * (M + 1 - lo)) > budget:
-        raise ScaleExceeded("rank-2 cell budget")
+    charge(p, [4 * (M + 1 - lo)], "rank-2 cell budget")
     first = _orbital_rs_cells(X, f, eta, lo, M, det_window)
     second = _orbital_rs_cells(X, f, eta, lo, M + 1, det_window)
     if not (first == second):
@@ -563,13 +555,11 @@ def mu_via_nilpotent(ext, psi, eta, phi_data, r):
     return orbital_nilpotent("minus", g, eta).value0()
 
 
-def germ_constant_check(ext, psi, eta, eta_prime, phi_data, r, points,
-                        budget=500000):
+def germ_constant_check(ext, psi, eta, eta_prime, phi_data, r, points):
     """Local constancy of the regular semisimple orbital integral near the
     minus nilpotent: O(varrho(x, y), ghat, 0) at each sample point against
     the germ constant mu, with the transfer factor eta'(Delta_-) recorded
-    per point (constant on the section slice).  Each orbital integral
-    raises ScaleExceeded when its unit cosets exceed `budget`."""
+    per point (constant on the section slice)."""
     from .symspace import transfer_factor_lie
 
     g = f_psi_natural(ext, psi, phi_data, r).fourier()
@@ -577,7 +567,7 @@ def germ_constant_check(ext, psi, eta, eta_prime, phi_data, r, points,
     out = {"mu": mu, "points": [], "all_equal": True}
     for (x1, y1, y0) in points:
         X = varrho_point(x1, y1, y0)
-        val = orbital_rs_n1(X, g, eta, budget=budget).value0()
+        val = orbital_rs_n1(X, g, eta).value0()
         tf = transfer_factor_lie(
             ext,
             mat([[ext.scalar(0, X[0]), ext.scalar(0, X[1])],
@@ -595,11 +585,10 @@ def germ_constant_check(ext, psi, eta, eta_prime, phi_data, r, points,
     return out
 
 
-def spherical_rhs(ext, psi, eta, phi_data, omega_tau=1, budget=500000):
+def spherical_rhs(ext, psi, eta, phi_data, omega_tau=1):
     """The spectral side of the rank-1 germ identity: omega(tau) times the
     shell character sum of the full Fourier transform of the dagger scalar
-    along the minus axis, refused before the sum when its unit cosets
-    exceed `budget`,
+    along the minus axis, charged before the sum,
 
         omega(tau) * sum_{v(y) = s0} phihat((0, -y)) eta(y) d*y."""
     _require_quadratic(eta)
@@ -613,23 +602,21 @@ def spherical_rhs(ext, psi, eta, phi_data, omega_tau=1, budget=500000):
     hat = phi_data.packet.fourier()
     # y enters the minus coordinate as -y
     lam = max(1, eta.conductor_exponent(), hat.shell_level(((1, -1, 1),), s0))
-    _charge(p, [lam], budget)
+    charge(p, [lam], "rank-1 unit-coset budget")
     total = shell_sum(lambda y: hat.evaluate((Fraction(0), -y)), eta, s0, lam, p)
     return total * Fraction(omega_tau)
 
 
-def theorem_germ_gl(ext, psi, eta, phi_data, r, omega_tau=1, budget=500000):
+def theorem_germ_gl(ext, psi, eta, phi_data, r, omega_tau=1):
     """The rank-1 germ identity: the spectral shell sum equals
     |tau|_E^((d1+d2)/2) omega(tau) mu with both exponents 0 in rank 1.
     The two sides are computed by disjoint routes (a full 2-dimensional
     Fourier transform and shell sum against the orbital-integral
-    machinery with all descent constants).  The shell sum raises
-    ScaleExceeded when its unit cosets exceed `budget`."""
+    machinery with all descent constants)."""
     # mu first: its descent refuses a level r below 2m before the shell
     # sum of the spectral side does any work
     mu = mu_via_nilpotent(ext, psi, eta, phi_data, r)
-    lhs = spherical_rhs(ext, psi, eta, phi_data, omega_tau=omega_tau,
-                        budget=budget)
+    lhs = spherical_rhs(ext, psi, eta, phi_data, omega_tau=omega_tau)
     rhs = mu * Fraction(omega_tau)
     return {
         "lhs": lhs,

@@ -627,8 +627,8 @@ def run_suite(name, config=None, **flags):
 
     `flags` are the `verify-suite` flags the suite takes, each a positive
     integer, and `n` is bounded by budgets/max_n of `config` (default
-    RunConfig()).  A seeded suite takes the seed of `config`.  Any other
-    name or flag raises SchemaError before work starts."""
+    RunConfig()), whose seed and max_cosets the suite runs under.  Any
+    other name or flag raises SchemaError before work starts."""
     if name not in SUITES:
         raise SchemaError(f"/suite: unknown suite {name!r}; "
                           f"choose from {sorted(SUITES)}")
@@ -642,7 +642,8 @@ def run_suite(name, config=None, **flags):
         config.check_rank(flags["n"], "/n")
     if "seed" in params:
         flags["seed"] = config.seed
-    failures, stats = fn(**flags)
+    with config.scope():
+        failures, stats = fn(**flags)
     return {
         "suite": name,
         "passed": not failures,

@@ -12,7 +12,10 @@ import pytest
 
 from padharm import cli, orbital
 from padharm.cli import main
+from padharm.config import RunConfig
+from padharm.dagger import make_dagger_scalar
 from padharm.errors import ScaleExceeded, SchemaError
+from padharm.matrices import FractionRing, section_sigma
 from padharm.suites import SUITES, run_suite
 
 
@@ -345,6 +348,42 @@ def test_theorem_germ_gl_refuses_a_large_level_before_the_shell_sum(
     assert time.perf_counter() - start < 1
     doc = json.loads(capsys.readouterr().err)
     assert doc["error"]["type"] == "ScaleExceeded"
+
+
+# the suites that enumerate unit cosets or cells, with the message of
+# the first enumeration each one charges
+@pytest.mark.parametrize("suite, message", [
+    ("germ", "rank-1 unit-coset budget"),
+    ("theorem-germ-gl", "rank-1 unit-coset budget"),
+    ("local-constancy", "rank-2 cell budget"),
+    ("dagger", "compactness unit-coset budget"),
+])
+def test_suites_obey_the_coset_budget(suite, message):
+    with pytest.raises(ScaleExceeded, match=message):
+        run_suite(suite, RunConfig({"budgets": {"max_cosets": 1}}))
+
+
+def test_verify_suite_obeys_the_coset_budget(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budgets": {"max_cosets": 1}}))
+    code, _ = run_cli(["--config", str(cfg), "verify-suite", "dagger"],
+                      tmp_path=tmp_path)
+    assert code == 3
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"]["type"] == "ScaleExceeded"
+
+
+def test_the_coset_budget_ends_with_its_request(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budgets": {"max_cosets": 1}}))
+    code, _ = run_cli(["--config", str(cfg), "theorem-germ-gl"],
+                      {"m": 3, "r": 7}, tmp_path)
+    assert code == 3
+    # the next call in the same process runs at the default budget
+    config = RunConfig()
+    ext, psi = config.ext(), config.psi()
+    phi = make_dagger_scalar(ext, psi, 3)
+    assert orbital.theorem_germ_gl(ext, psi, config.eta(), phi, 7)["equal"]
 
 
 def test_rank_budget_exit_code(tmp_path, capsys):
@@ -697,3 +736,15 @@ def test_transfer_factor_prints_exact_invariants(matrix, invariants, tmp_path,
     code, doc = _call("transfer-factor", {"matrix": matrix}, tmp_path, capsys)
     assert code == 0
     assert doc["result"]["invariants"] == invariants
+
+
+def test_rank2_oi_rs_slack_is_bounded_before_the_cells(tmp_path, capsys):
+    S = section_sigma(FractionRing(), (1, 2), (1, 1, 2))
+    X = [str(Fraction(e)) for row in S for e in row]
+    payload = {"X": X, "slack": 10 ** 7,
+               "f": {"space": {"kind": "matrix-f", "k": 3},
+                     "terms": [{"coeff": 1, "exps": [1] * 9, "center": X}]}}
+    start = time.perf_counter()
+    code, doc = _call("oi-rs", payload, tmp_path, capsys)
+    assert code == 3 and doc["error"]["message"] == "rank-2 cell budget"
+    assert time.perf_counter() - start < 1

@@ -1,15 +1,17 @@
-"""Run-configuration validation: defaults, JSON-pointer error messages, and
-lazy context construction."""
+"""Run-configuration validation: defaults, JSON-pointer error messages,
+lazy context construction, and the coset limit of a run."""
 
+import itertools
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from padharm.config import DEFAULTS, RunConfig
-from padharm.errors import SchemaError
+from padharm.config import DEFAULTS, RunConfig, charge
+from padharm.errors import ScaleExceeded, SchemaError
 
 
 def test_empty_document_gets_defaults():
@@ -111,3 +113,53 @@ def test_lazy_contexts():
     cfg.check_rank(3)
     with pytest.raises(SchemaError, match="/n"):
         cfg.check_rank(4)
+
+
+def _limit(max_cosets):
+    return RunConfig({"budgets": {"max_cosets": max_cosets}}).scope()
+
+
+def _refuses(p, lams):
+    try:
+        charge(p, lams, "test budget")
+    except ScaleExceeded as exc:
+        assert str(exc) == "test budget"
+        return True
+    return False
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_charge_agrees_with_the_exact_sum(p):
+    # every one- and two-shell charge at lam 0..25, at the limits just
+    # below, at and above its exact sum and at the ends of [1, 10^6]
+    lam_lists = [[lam] for lam in range(26)] + [
+        list(pair) for pair in itertools.combinations_with_replacement(
+            range(26), 2)]
+    for lams in lam_lists:
+        exact = sum(p ** lam for lam in lams)
+        limits = {1, 2, 500000, 10 ** 6, exact - 1, exact, exact + 1}
+        for limit in sorted(x for x in limits if 1 <= x <= 10 ** 6):
+            with _limit(limit):
+                assert _refuses(p, lams) == (exact > limit), (lams, limit)
+
+
+def test_charge_caps_a_huge_exponent():
+    start = time.perf_counter()
+    assert _refuses(3, [10 ** 9])
+    with _limit(10 ** 6):
+        assert _refuses(5, [1, 10 ** 9])
+    assert time.perf_counter() - start < 1
+
+
+def test_the_limit_holds_only_inside_its_scope():
+    default = DEFAULTS["budgets"]["max_cosets"]
+    assert not _refuses(3, [11])  # 3^11 = 177147 <= 500000 = default
+    with _limit(10):
+        assert _refuses(3, [3]) and not _refuses(3, [2])
+        with _limit(default):
+            assert not _refuses(3, [11])
+        assert _refuses(3, [3])
+    with pytest.raises(ScaleExceeded):
+        with _limit(10):
+            charge(3, [3], "test budget")
+    assert not _refuses(3, [11]) and _refuses(3, [12])
