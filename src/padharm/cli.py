@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from math import isqrt
 
-from .cyclotomic import CyclotomicScalar
+from .cyclotomic import CyclotomicScalar, sqrt_prime
 from .errors import DomainError, ScaleExceeded, SchemaError
 from .config import RunConfig, read_fraction, read_int
 from .matrices import (
@@ -303,8 +303,28 @@ def cmd_match(config, payload):
             "disc_classes": [frac_str(w.disc()) for w in forms]}
 
 
+def _too_long(p, e):
+    """Whether p^e has more than MAX_PRINTED_BITS bits; p^e has more than
+    e bits, so it is computed only for e up to the bound."""
+    return e > MAX_PRINTED_BITS or (p ** e).bit_length() > MAX_PRINTED_BITS
+
+
 def cmd_fourier(config, payload):
     f = parse_packet(payload.get("packet"), config, "/packet")
+    # a row's new coefficient is c p^(k/2) psi(...); psi only moves keys,
+    # so each printed coefficient is p^w s, w the floor of k/2 and s a
+    # coefficient of c (c sqrt(p) for odd k).  p^|w + v(s)| divides its
+    # numerator or denominator: when that is too long, printing exits 3
+    # anyway, so refusing before p^w is built refuses no answer
+    sp = f.space
+    p = sp.F.p
+    for c, _, a, _ in f.rows:
+        k = sp.vol_exponent(a)
+        for s in (c * sqrt_prime(p) if k % 2 else c).coeffs.values():
+            if _too_long(p, abs(k // 2 + val_p(s, p))):
+                raise ScaleExceeded(
+                    f"/packet: a transformed coefficient has more than "
+                    f"{MAX_PRINTED_BITS} bits to print")
     return {"packet": packet_json(f.fourier())}
 
 
@@ -321,12 +341,10 @@ def cmd_dagger_gen(config, payload):
         raise SchemaError("/kind: expected scalar, column or matrix")
     # the packet holds the shell frequency, whose reduced denominator is
     # p^e, and a 1x1 matrix, which has no dagger entry, samples points
-    # that carry p^m: refuse before building either; p^e has more than e
-    # bits, so p^e is computed only for e up to the bound
+    # that carry p^m: refuse before building either
     one_by_one = kind == "matrix" and k == 1
     e = m if one_by_one else -shell_valuation(ext, psi, m)
-    if e > MAX_PRINTED_BITS or (
-            e > 0 and (config.p ** e).bit_length() > MAX_PRINTED_BITS):
+    if e > 0 and _too_long(config.p, e):
         raise ScaleExceeded(
             f"/m: p^m has more than {MAX_PRINTED_BITS} bits, and the "
             "invariance samples carry it" if one_by_one else
@@ -453,6 +471,8 @@ def cmd_theorem_germ_gl(config, payload):
 def cmd_local_factors(config, payload):
     q = read_int(payload.get("q", config.p), "/q", low=2)
     n_max = read_int(payload.get("n_max", 4), "/n_max", low=1)
+    # the table's work grows steeply with n_max: bound it like every rank
+    config.check_rank(n_max - 1, "/n_max")
     rows = [{"name": row["name"],
              "rational_function": qrational_json(row["rational_function"],
                                                  var="q^-1"),

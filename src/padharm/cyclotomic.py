@@ -3,25 +3,29 @@
 A CyclotomicScalar is a finite Q-linear combination of the unit-circle
 exponentials e(r) = exp(2*pi*i*r) with r in Q/Z.  Products follow
 e(r)e(r') = e(r+r'), and equality is decided exactly by reducing the
-exponent vector modulo the n-th cyclotomic polynomial, n = lcm of the
-denominators.  This ring contains every value we need: roots of unity,
-rationals, Gauss sums, and sqrt(p) for odd p.
+exponent vector modulo a cyclotomic polynomial.  This ring contains every
+value we need: roots of unity, rationals, Gauss sums, and sqrt(p) for odd
+p.
 
-Normal form: every instance holds `terms` as a dict {r: c} with Fraction
-keys r in [0, 1) and nonzero Fraction values c.  The public constructor
-brings arbitrary input to that form; the ring operations build their
-results directly in it and wrap them with the trusted `_normal`, so no
-result is normalized a second time.  The normal form is not unique
-(e(0) + e(1/2) is in normal form and equals 0), so equality is still
-decided by `is_zero`.  Instances are immutable: operations may return an
-operand itself or a cached value such as `sqrt_prime(p)`, so `terms` is
-never changed in place.
+Normal form: every instance holds a conductor `n` (an int >= 1) and a
+dict `coeffs` {k: c} with int keys k in [0, n), each standing for
+e(k/n), and nonzero Fraction values c.  The public constructor brings
+arbitrary input to that form; the ring operations build their results
+directly in it, rewriting operands at the lcm of their conductors, and
+wrap them with the trusted `_normal`.  The stored conductor is not part
+of the value: `terms`, the read-only view {k/n: c} that callers print,
+does not depend on it.  The normal form is not unique (e(0) + e(1/2)
+equals 0), so equality is decided by `is_zero`, which reduces an int
+vector at the least conductor of the keys.  Instances are immutable:
+operations may return an operand itself or a cached value such as
+`sqrt_prime(p)`, so `coeffs` is never changed in place.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 def _poly_divmod_int(num, den):
@@ -59,20 +63,14 @@ def cyclotomic_poly(n):
     return tuple(num)
 
 
-def _lcm(a, b):
-    from math import gcd
-    return a * b // gcd(a, b)
-
-
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 class CyclotomicScalar:
-    __slots__ = ("terms",)
+    __slots__ = ("n", "coeffs")
 
     def __init__(self, terms=None):
-        # terms: dict {Fraction r mod 1 : Fraction coeff}, zeros dropped
+        # terms: dict {r mod 1 : coeff}, any keys and values Fraction takes
         clean = {}
         if terms:
             for r, c in terms.items():
@@ -82,60 +80,71 @@ class CyclotomicScalar:
                     clean[r] = clean.get(r, Fraction(0)) + c
                     if not clean[r]:
                         del clean[r]
-        self.terms = clean
+        self.n = lcm(*[r.denominator for r in clean])
+        self.coeffs = {r.numerator * (self.n // r.denominator): c
+                       for r, c in clean.items()}
+
+    @property
+    def terms(self):
+        """The view {k/n: c}: Fraction keys in [0, 1), built on each read."""
+        n = self.n
+        return {Fraction(k, n): c for k, c in self.coeffs.items()}
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def from_rational(c):
         if not isinstance(c, Fraction):
             c = Fraction(c)
-        return _normal({_ZERO: c} if c else {})
+        return _normal(1, {0: c} if c else {})
 
     @staticmethod
     def root_of_unity(r):
         if not isinstance(r, Fraction):
             r = Fraction(r)
-        if r.numerator < 0 or r.numerator >= r.denominator:
-            r %= 1
-        return _normal({r: _ONE})
+        d = r.denominator
+        return _normal(d, {r.numerator % d: _ONE})
 
     @staticmethod
     def zero():
-        return _normal({})
+        return _normal(1, {})
 
     @staticmethod
     def one():
-        return _normal({_ZERO: _ONE})
+        return _normal(1, {0: _ONE})
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.terms, other.terms
+        a, b = self.coeffs, other.coeffs
         if not b:
             return self
         if not a:
             return other
+        n = self.n
+        if other.n != n:
+            n = lcm(n, other.n)
+            a, b = _at(self, n), _at(other, n)
         if len(a) < len(b):
             a, b = b, a
         t = dict(a)
-        for r, c in b.items():
-            s = t.get(r)
+        for k, c in b.items():
+            s = t.get(k)
             if s is None:
-                t[r] = c
+                t[k] = c
             else:
                 s += c
                 if s:
-                    t[r] = s
+                    t[k] = s
                 else:
-                    del t[r]
-        return _normal(t)
+                    del t[k]
+        return _normal(n, t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _normal({r: -c for r, c in self.terms.items()})
+        return _normal(self.n, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -150,76 +159,77 @@ class CyclotomicScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if len(self.terms) < len(other.terms):
+        if len(self.coeffs) < len(other.coeffs):
             self, other = other, self
-        a, b = self.terms, other.terms
+        n = self.n
+        a, b = self.coeffs, other.coeffs
+        if other.n != n:
+            n = lcm(n, other.n)
+            a, b = _at(self, n), _at(other, n)
         if len(b) == 1:
-            # a monomial c*e(s) rotates the other factor: no keys collide
+            # a monomial c*e(s/n) rotates the other factor: no keys collide
             ((s, c),) = b.items()
             if not s:
                 if c == 1:
                     return self
-                return _normal({r: x * c for r, x in a.items()})
-            # r + s mod 1 on numerators and denominators, one Fraction per
-            # key; c is 1 for every root of unity, psi's values included
-            sn, sd = s.numerator, s.denominator
-            keys = []
-            for r in a:
-                n, d = r.numerator, r.denominator
-                if d == sd:
-                    n += sn
-                else:
-                    n, d = n * sd + sn * d, d * sd
-                keys.append(Fraction(n - d if n >= d else n, d))
+                return _normal(n, {k: x * c for k, x in a.items()})
+            # c is 1 for every root of unity, psi's values included
             if c == 1:
-                return _normal(dict(zip(keys, a.values())))
-            return _normal({r: x * c for r, x in zip(keys, a.values())})
+                return _normal(n, {(k + s) % n: x for k, x in a.items()})
+            return _normal(n, {(k + s) % n: x * c for k, x in a.items()})
         t = {}
-        for r1, c1 in a.items():
-            for r2, c2 in b.items():
-                r = r1 + r2
-                if r.numerator >= r.denominator:
-                    r -= 1
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                if k >= n:
+                    k -= n
                 c = c1 * c2
-                s = t.get(r)
-                t[r] = c if s is None else s + c
-        return _normal({r: c for r, c in t.items() if c})
+                s = t.get(k)
+                t[k] = c if s is None else s + c
+        return _normal(n, {k: c for k, c in t.items() if c})
 
     __rmul__ = __mul__
 
     def conj(self):
-        return _normal({(_ONE - r if r else r): c
-                        for r, c in self.terms.items()})
+        n = self.n
+        return _normal(n, {(n - k if k else k): c
+                           for k, c in self.coeffs.items()})
 
     # -- decision procedures --------------------------------------------
     def _reduced(self):
-        """(n, remainder coeff list) with the element written in the power
-        basis 1, z, ..., z^(phi(n)-1) of Q(zeta_n)."""
-        if not self.terms:
+        """(m, remainder coeff list) with the element written in the power
+        basis 1, z, ..., z^(phi(m)-1) of Q(zeta_m), m the least conductor
+        of the keys.  The reduction runs on the int vector D * self, D the
+        common denominator of the coefficients; only the remainder is
+        divided by D."""
+        d = self.coeffs
+        if not d:
             return 1, []
-        n = 1
-        for r in self.terms:
-            n = _lcm(n, r.denominator)
-        vec = [Fraction(0)] * n
-        for r, c in self.terms.items():
-            vec[int(r * n) % n] += c
-        phi = list(cyclotomic_poly(n))
-        # remainder of vec modulo the monic integer polynomial phi
+        n = self.n
+        m = lcm(*[n // gcd(k, n) for k in d])
+        step = n // m  # k / n = (k // step) / m, exactly
+        den = lcm(*[c.denominator for c in d.values()])
+        vec = [0] * m
+        for k, c in d.items():
+            vec[k // step] += c.numerator * (den // c.denominator)
+        phi = cyclotomic_poly(m)
+        # remainder of vec modulo the monic phi, on its nonzero coefficients
         deg = len(phi) - 1
-        for i in range(n - 1, deg - 1, -1):
+        nonzero = [(j - deg, a) for j, a in enumerate(phi) if a]
+        for i in range(m - 1, deg - 1, -1):
             c = vec[i]
             if c:
-                for j in range(len(phi)):
-                    vec[i - deg + j] -= c * phi[j]
+                for j, a in nonzero:
+                    vec[i + j] -= c * a
         rem = vec[:deg]
         while rem and not rem[-1]:
             rem.pop()
-        return n, rem
+        return m, [Fraction(v, den) for v in rem]
 
     def is_zero(self):
-        if not self.terms:
+        if not self.coeffs:
             return True
-        if len(self.terms) == 1:
+        if len(self.coeffs) == 1:
             return False  # a single nonzero multiple of a root of unity
         _, rem = self._reduced()
         return not rem
@@ -242,10 +252,11 @@ class CyclotomicScalar:
 
     def as_rational(self):
         """Return self as a Fraction, or None if irrational."""
-        if not self.terms:
+        d = self.coeffs
+        if not d:
             return Fraction(0)
-        if set(self.terms) == {Fraction(0)}:
-            return self.terms[Fraction(0)]
+        if len(d) == 1 and 0 in d:
+            return d[0]
         _, rem = self._reduced()
         if not rem:
             return Fraction(0)
@@ -257,24 +268,35 @@ class CyclotomicScalar:
         return not self.is_zero()
 
     def __repr__(self):
-        if not self.terms:
+        if not self.coeffs:
             return "Cyc(0)"
+        n = self.n
         bits = []
-        for r in sorted(self.terms):
-            c = self.terms[r]
-            bits.append(f"{c}*e({r})" if r else f"{c}")
+        for k in sorted(self.coeffs):
+            c = self.coeffs[k]
+            bits.append(f"{c}*e({Fraction(k, n)})" if k else f"{c}")
         return "Cyc(" + " + ".join(bits) + ")"
 
 
 _new = object.__new__
 
 
-def _normal(terms):
-    """The trusted constructor: wrap a dict that is already in normal form
-    (Fraction keys in [0, 1), nonzero Fraction values) without checking it."""
+def _normal(n, coeffs):
+    """The trusted constructor: wrap a conductor and a dict that are
+    already in normal form (int keys in [0, n), nonzero Fraction values)
+    without checking them."""
     out = _new(CyclotomicScalar)
-    out.terms = terms
+    out.n = n
+    out.coeffs = coeffs
     return out
+
+
+def _at(x, n):
+    """x's coeffs written at conductor n, a multiple of x.n."""
+    if x.n == n:
+        return x.coeffs
+    step = n // x.n
+    return {k * step: c for k, c in x.coeffs.items()}
 
 
 def _coerce(x):

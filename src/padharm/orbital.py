@@ -427,13 +427,14 @@ def _orbital_rs_cells(X, f, eta, lo, M, det_window):
     counts the cells per (v(det J), eta's phase, term, psi's phase) and
     multiplies each count out once at the end.
 
-    Bytes.  A CyclotomicScalar is a dict from Fraction exponents to
-    Fraction coefficients, and + and * act on it as in the group ring
-    Q[Q/Z]: + merges coefficients per exponent, * adds exponents, and
-    neither reduces modulo a cyclotomic polynomial.  So the dict of a sum
-    does not depend on the order or the grouping of its summands, and the
-    counts give the dict of the cell-by-cell sum: the cell order of the
-    walk does not change the bytes.  The one step that is not a
+    Bytes.  A CyclotomicScalar prints its `terms` view, a dict from
+    Fraction exponents to Fraction coefficients that no stored conductor
+    enters, and + and * act on it as in the group ring Q[Q/Z]: + merges
+    coefficients per exponent, * adds exponents, and neither reduces
+    modulo a cyclotomic polynomial.  So the view of a sum does not depend
+    on the order or the grouping of its summands, and the counts give the
+    view of the cell-by-cell sum: the cell order of the walk does not
+    change the bytes.  The one step that is not a
     group-ring operation is dropping a cell whose value is zero.  A value
     with one passing term is coeff_t e(phase_t), never zero (a packet
     keeps no zero coefficient); a value with more can be zero in

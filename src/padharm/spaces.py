@@ -119,11 +119,13 @@ class Space:
         return tuple([-d - w - exps[j]
                       for w, j in zip(self._wv, self.pairing)])
 
+    def vol_exponent(self, exps):
+        """k with p^(k/2) the self-dual volume of prod p^{a_i} O."""
+        return -2 * sum(exps) - sum(self.psi.d + w for w in self._wv)
+
     def vol_lattice(self, exps):
         """Self-dual volume of the product lattice prod p^{a_i} O."""
-        d = self.psi.d
-        k = -2 * sum(exps) - sum(d + w for w in self._wv)
-        return sqrt_rational_power(self.F.p, k)
+        return sqrt_rational_power(self.F.p, self.vol_exponent(exps))
 
     def concat(self, other):
         if self.F != other.F or self.psi != other.psi:

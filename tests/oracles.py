@@ -8,14 +8,18 @@ another way:
   ``orbital.f_natural`` and ``orbital.f_psi_natural``;
 * ``dagger_mu_closed_form`` is the germ constant as a shell character
   sum, against ``orbital.mu_via_nilpotent`` and the pinned values of
-  ``spherical_rhs``.
+  ``spherical_rhs``;
+* ``FractionCyclotomic`` is the cyclotomic scalar keyed by Fraction
+  exponents and reduced in Fraction arithmetic, against
+  ``cyclotomic.CyclotomicScalar`` on int exponents at one conductor.
 """
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 from padharm.characters import shell_sum
-from padharm.cyclotomic import CyclotomicScalar
+from padharm.cyclotomic import CyclotomicScalar, cyclotomic_poly
 from padharm.dagger import shell_valuation
 from padharm.errors import NotInDomain
 from padharm.matrices import QuadExtRing, det, mat, mat_mul
@@ -154,3 +158,82 @@ def dagger_mu_closed_form(ext, psi, eta, phi_data):
         hat, eta, s0, ext.F.p, psi.d + vdelta
     )
     return c_psi_plus(ext, psi, m) * total
+
+
+class FractionCyclotomic:
+    """A sum of c e(r) held as a dict {r: c} with Fraction keys r in [0, 1)
+    and nonzero Fraction values, built from a dict already in that form."""
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def __add__(self, other):
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        t = dict(a)
+        for r, c in b.items():
+            s = t.get(r, 0) + c
+            if s:
+                t[r] = s
+            else:
+                del t[r]
+        return FractionCyclotomic(t)
+
+    def __neg__(self):
+        return FractionCyclotomic({r: -c for r, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        t = {}
+        for r1, c1 in a.items():
+            for r2, c2 in b.items():
+                r = (r1 + r2) % 1
+                t[r] = t.get(r, 0) + c1 * c2
+        return FractionCyclotomic({r: c for r, c in t.items() if c})
+
+    def conj(self):
+        return FractionCyclotomic({(1 - r if r else r): c
+                                   for r, c in self.terms.items()})
+
+    def _reduced(self):
+        """(n, remainder) in the power basis of Q(zeta_n), n the lcm of
+        the key denominators."""
+        if not self.terms:
+            return 1, []
+        n = 1
+        for r in self.terms:
+            n = n * r.denominator // gcd(n, r.denominator)
+        vec = [Fraction(0)] * n
+        for r, c in self.terms.items():
+            vec[int(r * n)] += c
+        phi = cyclotomic_poly(n)
+        deg = len(phi) - 1
+        for i in range(n - 1, deg - 1, -1):
+            c = vec[i]
+            if c:
+                for j in range(len(phi)):
+                    if phi[j]:
+                        vec[i - deg + j] -= c * phi[j]
+        rem = vec[:deg]
+        while rem and not rem[-1]:
+            rem.pop()
+        return n, rem
+
+    def as_rational(self):
+        _, rem = self._reduced()
+        if len(rem) > 1:
+            return None
+        return rem[0] if rem else Fraction(0)
+
+    def __repr__(self):
+        if not self.terms:
+            return "Cyc(0)"
+        return "Cyc(" + " + ".join(
+            f"{self.terms[r]}*e({r})" if r else f"{self.terms[r]}"
+            for r in sorted(self.terms)) + ")"

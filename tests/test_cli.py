@@ -1,6 +1,7 @@
 """Command-line interface: JSON in/out, determinism, exit codes."""
 
 import copy
+import hashlib
 import inspect
 import json
 import subprocess
@@ -694,6 +695,75 @@ def test_former_payload_escapes_name_their_field(command, payload, pointer,
 ])
 def test_big_numbers_end_in_json(command, text, code, tmp_path, capsys):
     assert _call(command, text, tmp_path, capsys)[0] == code
+
+
+def _fourier_payload(exps, coeff=1):
+    return {"packet": {"space": {"kind": "f", "dim": 1},
+                       "terms": [{"coeff": coeff, "exps": [exps]}]}}
+
+
+@pytest.mark.parametrize("exps", [10 ** 7, -10 ** 7, 8900])
+def test_fourier_refuses_a_volume_too_long_to_print(exps, tmp_path, capsys):
+    start = time.perf_counter()
+    code, doc = _call("fourier", _fourier_payload(exps), tmp_path, capsys)
+    assert code == 3 and doc["error"]["type"] == "ScaleExceeded"
+    assert time.perf_counter() - start < 1
+
+
+def test_fourier_below_the_print_bound_keeps_its_bytes(tmp_path):
+    code, text = run_cli(["fourier"], _fourier_payload(8000), tmp_path)
+    assert code == 0 and len(text) == 4259
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "17032c364d388cad215877dd24db7c091efaca219773d786d0cb066574da7e1a")
+
+
+def _prints(config, payload):
+    """Whether the transform, run without the command's early refusal,
+    prints: 0 when it does, 3 when a coefficient is too long."""
+    f = cli.parse_packet(payload["packet"], config, "/packet")
+    try:
+        cli.packet_json(f.fourier())
+    except ScaleExceeded:
+        return 3
+    return 0
+
+
+@pytest.mark.parametrize("psi_conductor", [0, 1])
+@pytest.mark.parametrize("exps, coeff", [
+    (8832, 1), (8833, 1), (8834, 1), (-8833, 1), (-8834, 1),
+    # a coefficient that cancels the volume: p^8900 has 4247 digits
+    (8900, 3 ** 8900), (8900, 3 ** 8899), (8900, 2 * 3 ** 8900),
+    (-8900, f"1/{3 ** 8900}"), (8900, {"terms": [["0", 3 ** 8900],
+                                                 ["1/3", 3 ** 8899]]}),
+])
+def test_fourier_refuses_exactly_what_would_not_print(
+        exps, coeff, psi_conductor, tmp_path, capsys):
+    doc = {"psi_conductor": psi_conductor}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    payload = _fourier_payload(exps, coeff)
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    code = main(["--config", str(cfg), "--payload", str(path), "fourier"])
+    capsys.readouterr()
+    assert code == _prints(RunConfig(doc), payload)
+
+
+@pytest.mark.parametrize("n_max, config, code", [
+    (4, {}, 0), (5, {}, 2), (200, {}, 2), (6, {"budgets": {"max_n": 5}}, 0)])
+def test_local_factors_bounds_n_max_by_max_n(n_max, config, code, tmp_path,
+                                             capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps({"q": 3, "n_max": n_max}))
+    start = time.perf_counter()
+    assert main(["--config", str(cfg), "--payload", str(path),
+                 "local-factors"]) == code
+    if code == 2:
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["message"].startswith("/n_max: exceeds")
+        assert time.perf_counter() - start < 1
 
 
 def test_an_over_long_integer_on_stdin_is_a_schema_error():

@@ -1,9 +1,16 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padharm.cyclotomic import CyclotomicScalar, sqrt_rational_power
+from oracles import FractionCyclotomic
+from padharm.cyclotomic import (
+    CyclotomicScalar,
+    _normal,
+    cyclotomic_poly,
+    sqrt_rational_power,
+)
 
 
 def e(r):
@@ -69,8 +76,13 @@ def test_conj_is_multiplicative(a, b):
 
 
 def assert_normal(x):
-    """Fraction keys in [0, 1), nonzero Fraction values, and nothing left
-    for the public constructor to normalize."""
+    """A conductor n >= 1, int keys in [0, n) and nonzero Fraction values;
+    a view with Fraction keys in [0, 1) and nothing left for the public
+    constructor to normalize."""
+    assert type(x.n) is int and x.n >= 1
+    for k, c in x.coeffs.items():
+        assert type(k) is int and 0 <= k < x.n
+        assert type(c) is Fraction and c != 0
     for r, c in x.terms.items():
         assert type(r) is Fraction and 0 <= r < 1
         assert type(c) is Fraction and c != 0
@@ -130,3 +142,79 @@ def test_rewriting_at_a_larger_conductor_keeps_eq_and_hash(terms, l, data):
     y = CyclotomicScalar(rewritten)
     assert y == x
     assert hash(y) == hash(x)
+
+
+def test_a_sum_at_a_larger_conductor_reduces_as_before():
+    a = e("1/3") + 2
+    x = a + e("1/5") - e("1/5")
+    assert (a.n, x.n) == (3, 15)
+    assert x.terms == a.terms and x._reduced() == a._reduced()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cycs, cycs)
+def test_adding_and_removing_b_keeps_the_reduced_form(a, b):
+    x = a + b - b
+    assert x.n % a.n == 0
+    assert x._reduced() == a._reduced()
+
+
+def test_cyclotomic_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 151):
+        want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+        assert list(cyclotomic_poly(n)) == [int(c) for c in reversed(want)]
+
+
+# -- against the Fraction-keyed oracle --------------------------------------
+
+ORACLE_CONDUCTORS = (1, 2, 3, 4, 5, 8, 9, 12, 25, 27, 36, 60)
+
+# c e(k/n), stored at conductor n even where k/n has a smaller denominator
+leaves = st.tuples(st.just("leaf"), st.sampled_from(ORACLE_CONDUCTORS),
+                   st.integers(min_value=0, max_value=59), rationals)
+chains = st.recursive(leaves, lambda kids: st.one_of(
+    st.tuples(st.sampled_from(("+", "-", "*")), kids, kids),
+    st.tuples(st.sampled_from(("neg", "conj")), kids)), max_leaves=8)
+
+
+def _both(chain, out):
+    """The value of chain in both implementations, appending the pair of
+    every node to out."""
+    op, *args = chain
+    if op == "leaf":
+        n, k, c = args
+        k %= n
+        pair = (_normal(n, {k: c} if c else {}),
+                FractionCyclotomic({Fraction(k, n): c} if c else {}))
+    elif op in ("neg", "conj"):
+        x, y = _both(args[0], out)
+        pair = (-x, -y) if op == "neg" else (x.conj(), y.conj())
+    else:
+        (x1, y1), (x2, y2) = _both(args[0], out), _both(args[1], out)
+        pair = {"+": (x1 + x2, y1 + y2), "-": (x1 - x2, y1 - y2),
+                "*": (x1 * x2, y1 * y2)}[op]
+    out.append(pair)
+    return pair
+
+
+@settings(max_examples=100, deadline=None)
+@given(chains, chains)
+def test_int_exponents_agree_with_the_fraction_oracle(chain1, chain2):
+    pairs = []
+    x, y = _both(chain1, pairs)
+    _both(("+", ("-", chain1, chain2), chain2), pairs)  # last: equal to x
+    assert pairs[-1][0] == x and hash(pairs[-1][0]) == hash(x)
+    for x2, y2 in pairs:
+        if not (y - y2)._reduced()[1]:
+            assert x == x2 and hash(x) == hash(x2)
+    for x, y in pairs:
+        assert_normal(x)
+        assert list(x.terms.items()) == list(y.terms.items())
+        assert repr(x) == repr(y)
+        assert x._reduced() == y._reduced()
+        assert x.is_zero() == (not y._reduced()[1])
+        assert x.as_rational() == y.as_rational()
+        r = y.as_rational()
+        assert hash(x) == (1 if r is None else hash(r))

@@ -14,6 +14,7 @@ RAISERS = {
     ("config.py", "charge"),
     ("cli.py", "frac_str"),
     ("cli.py", "cmd_dagger_gen"),
+    ("cli.py", "cmd_fourier"),
     ("spaces.py", "_merged"),
     ("spaces.py", "refined"),
     ("spaces.py", "riemann_fourier"),
