@@ -340,14 +340,15 @@ def cmd_dagger_gen(config, payload):
     if kind not in ("scalar", "column", "matrix"):
         raise SchemaError("/kind: expected scalar, column or matrix")
     # the packet holds the shell frequency, whose reduced denominator is
-    # p^e, and a 1x1 matrix, which has no dagger entry, samples points
-    # that carry p^m: refuse before building either
+    # p^e: refuse before building it.  A 1x1 matrix has no dagger entry;
+    # its level keeps the bound on p^m, which refuses an m with too many
+    # digits to print as shell_valuation
     one_by_one = kind == "matrix" and k == 1
     e = m if one_by_one else -shell_valuation(ext, psi, m)
     if e > 0 and _too_long(config.p, e):
         raise ScaleExceeded(
-            f"/m: p^m has more than {MAX_PRINTED_BITS} bits, and the "
-            "invariance samples carry it" if one_by_one else
+            f"/m: p^m has more than {MAX_PRINTED_BITS} bits, the bound on "
+            "a dagger level" if one_by_one else
             f"/m: the shell frequency has more than {MAX_PRINTED_BITS} "
             "bits to print")
     if kind == "scalar":
@@ -482,7 +483,10 @@ def cmd_local_factors(config, payload):
     return {"q": q, "table": rows}
 
 
-_SUITE_FLAGS = ("n", "samples", "pairs", "m", "r")
+# the parameters of the suites, in table order; their seed comes from
+# the top-level --seed
+_SUITE_FLAGS = tuple(dict.fromkeys(
+    flag for _, params in SUITES.values() for flag in params if flag != "seed"))
 
 
 def _int_or_text(text):

@@ -19,7 +19,6 @@ from .characters import shell_sum
 from .config import charge
 from .cyclotomic import CyclotomicScalar
 from .errors import InvalidLevel, SchemaError
-from .matrices import mat_mul
 from .padic import val_p
 from .spaces import WavePacket, e_space, matrix_space_e, riemann_fourier, tensor
 
@@ -78,15 +77,19 @@ def make_dagger_column(ext, psi, m, k):
     if m < 1:
         raise InvalidLevel("dagger level must be >= 1")
     theta = make_dagger_scalar(ext, psi, m)
-    entries = {}
-    packet = None
-    for i in range(k):
-        comp = theta.packet if i == k - 1 else indicator_E(ext, psi, (m, m))
-        entries[i] = comp
-        packet = comp if packet is None else tensor(packet, comp)
+    entries = {i: theta.packet if i == k - 1 else indicator_E(ext, psi, (m, m))
+               for i in range(k)}
+    return DaggerData("column", ext, psi, m, k, entries,
+                      column_packet(ext, psi, k, entries))
+
+
+def column_packet(ext, psi, k, entries):
+    """The tensor product of the k column entries, on e_space(ext, psi, k)."""
+    packet = entries[0]
+    for i in range(1, k):
+        packet = tensor(packet, entries[i])
     # the concatenated space coincides with e_space(ext, psi, k)
-    packet = WavePacket(e_space(ext, psi, k), packet.terms)
-    return DaggerData("column", ext, psi, m, k, entries, packet)
+    return WavePacket(e_space(ext, psi, k), packet.terms)
 
 
 def make_dagger_matrix(ext, psi, m, k):
@@ -103,9 +106,15 @@ def make_dagger_matrix(ext, psi, m, k):
                 entries[(i, j)] = make_dagger_scalar(ext, psi, m).packet
             else:
                 entries[(i, j)] = indicator_E(ext, psi, (m, m))
-    sp = matrix_space_e(ext, psi, k)
-    # assemble product terms; a frequency attached to entry (i,j) must be
-    # stored at position (j,i) because the space pairing is tr(XY)
+    return DaggerData("matrix", ext, psi, m, k, entries,
+                      matrix_packet(ext, psi, k, entries))
+
+
+def matrix_packet(ext, psi, k, entries):
+    """The product of the k x k entries, on matrix_space_e(ext, psi, k):
+    its value at g is the product of entries[(i, j)] at g_ij."""
+    # a frequency attached to entry (i,j) must be stored at position (j,i)
+    # because the space pairing is tr(XY)
     pos = {(i, j): 2 * (i * k + j) for i in range(k) for j in range(k)}
     terms = []
     for combo in itertools.product(
@@ -128,8 +137,7 @@ def make_dagger_matrix(ext, psi, m, k):
                     exps[base + t] = a[t]
                     freq[tbase + t] = f0[t]
         terms.append((coeff, tuple(center), tuple(exps), tuple(freq)))
-    packet = WavePacket(sp, terms)
-    return DaggerData("matrix", ext, psi, m, k, entries, packet)
+    return WavePacket(matrix_space_e(ext, psi, k), terms)
 
 
 # -- definitional predicates -----------------------------------------------
@@ -181,18 +189,55 @@ def is_admissible_scalar(ext, psi, m, packet):
 
 
 def is_admissible_column(data):
+    """The entrywise clauses, and the packet is the tensor product of the
+    entries."""
     if data.kind != "column":
         return False
     ext, psi, m, k = data.ext, data.psi, data.m, data.k
     for i in range(k - 1):
         if not data.entries[i].equals(indicator_E(ext, psi, (m, m))):
             return False
-    return is_admissible_scalar(ext, psi, m, data.entries[k - 1])
+    return (is_admissible_scalar(ext, psi, m, data.entries[k - 1])
+            and data.packet.equals(column_packet(ext, psi, k, data.entries)))
 
 
 def is_admissible_matrix(data):
-    """Entrywise clauses plus the derived invariance/decomposability
-    properties, the latter checked on pseudorandom exact sample points."""
+    """The entrywise clauses, and the packet is the product of the entries:
+    f(g) = prod f_ij(g_ij), with f_ii = 1_{1 + p^m O_E}, f_i,i+1 a dagger
+    scalar theta that passes is_admissible_scalar, and f_ij = 1_{p^m O_E}
+    elsewhere.
+
+    The derived properties then hold, so they are not checked apart.
+    Let S be the support of f: the g whose every entry lies in the support
+    of its factor.  Each entry of g in S lies in 1 + p^m O_E on the
+    diagonal and in p^m O_E off it.
+
+    Invariance.  The lower-unipotent congruence subgroup (strictly lower
+    entries in p^m O_E) is generated by the u = 1 + t E_ab with a > b and
+    t in p^m O_E, and 1 + p^m M_k(O_F) by the u = 1 + t E_ab with any
+    a, b and t in p^m O_F: LDU elimination stays in the group, as each
+    pivot lies in 1 + p^m O_F and each multiplier in p^m O_F.  The inverse
+    of a generator is a generator of the same kind.  Let g be in S.  The
+    product ug adds t g_bj to each entry (a, j), and gu adds g_ia t to
+    each entry (i, b).  So entry (a, b) moves by t + t (g_bb - 1) or
+    t + (g_aa - 1) t, that is by t and then by p^(2m) O_E, and every other
+    entry moves by t times an off-diagonal entry of g, in p^(2m) O_E.
+    Entry (a, b) is diagonal for a = b, plain for a > b, and for
+    b = a + 1, which only an F-rational u reaches, a dagger entry moved
+    by t in its plus coordinate.  Hence a generator, on either side, moves
+    a dagger entry by p^(2m) O_E, or in its plus coordinate by p^m O_F,
+    keeps a diagonal entry within 1 + p^m O_E and a plain entry within
+    p^m O_E.  The shift clauses make theta invariant under p^(2m) O_E and
+    under p^m O_F in the plus coordinate, and the indicators are constant
+    on those sets, so ug and gu lie in S with f(ug) = f(gu) = f(g).  Each
+    subgroup therefore preserves S, and off S the identity is 0 = 0.
+
+    Real-part decomposability.  Replacing Re g by another element of
+    1 + p^m M_k(O_F) moves each plus coordinate by p^m O_F, within
+    1 + p^m O_F on the diagonal and within p^m O_F off it, which leaves
+    each factor unchanged; and when Re g lies outside 1 + p^m M_k(O_F),
+    some plus coordinate leaves that set, where its factor vanishes.  So
+    f(g) = 1_{1 + p^m M_k(O_F)}(Re g) f(1 + tau Im g)."""
     if data.kind != "matrix":
         return False
     ext, psi, m, k = data.ext, data.psi, data.m, data.k
@@ -208,88 +253,7 @@ def is_admissible_matrix(data):
             else:
                 if not e.equals(indicator_E(ext, psi, (m, m))):
                     return False
-    return matrix_invariance_report(data)["ok"]
-
-
-def _sample_support_point(data, rng):
-    """A pseudorandom E-matrix in 1 + p^m M_k(O_E)."""
-    ext, m, k = data.ext, data.m, data.k
-    p = ext.F.p
-    pm = Fraction(p) ** m
-    A = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            x = Fraction(rng.randrange(p ** 2)) * pm + (1 if i == j else 0)
-            y = Fraction(rng.randrange(p ** 2)) * pm
-            row.append(ext.scalar(x, y))
-        A.append(row)
-    return A
-
-
-def _coords(A):
-    """The matrix_space_e coordinates of a matrix over E."""
-    return tuple(t for row in A for z in row for t in (z.x, z.y))
-
-
-INVARIANCE_SAMPLES = 8
-
-
-def matrix_invariance_report(data):
-    """Derived properties of admissible matrix data, checked on
-    INVARIANCE_SAMPLES points of a generator seeded with 0: invariance
-    under the lower-unipotent congruence subgroup and under
-    1 + p^m M_k(O_F), and decomposability of the real part."""
-    import random
-
-    rng = random.Random(0)
-    ext, m, k = data.ext, data.m, data.k
-    p = ext.F.p
-    pm = Fraction(p) ** m
-    f = data.packet
-    ok = True
-    for _ in range(INVARIANCE_SAMPLES):
-        g = _sample_support_point(data, rng)
-        base = f.evaluate(_coords(g))
-        # lower-unipotent congruence factor
-        v = [
-            [
-                ext.scalar(
-                    Fraction(1) if i == j else
-                    (Fraction(rng.randrange(p)) * pm if i > j else Fraction(0)),
-                    Fraction(rng.randrange(p)) * pm if i > j else Fraction(0))
-                for j in range(k)
-            ]
-            for i in range(k)
-        ]
-        for prod in (mat_mul(v, g), mat_mul(g, v)):
-            if f.evaluate(_coords(prod)) != base:
-                ok = False
-        # F-rational congruence factor
-        h = [
-            [
-                ext.scalar((Fraction(1) if i == j else Fraction(0))
-                           + Fraction(rng.randrange(p)) * pm)
-                for j in range(k)
-            ]
-            for i in range(k)
-        ]
-        for prod in (mat_mul(h, g), mat_mul(g, h)):
-            if f.evaluate(_coords(prod)) != base:
-                ok = False
-        # real part: replacing the F-part of g by another element of
-        # 1 + p^m M_k(O_F) leaves the value unchanged
-        g2 = [
-            [
-                ext.scalar((Fraction(1) if i == j else Fraction(0))
-                           + Fraction(rng.randrange(p ** 2)) * pm, g[i][j].y)
-                for j in range(k)
-            ]
-            for i in range(k)
-        ]
-        if f.evaluate(_coords(g2)) != base:
-            ok = False
-    return {"ok": ok, "samples": INVARIANCE_SAMPLES}
+    return data.packet.equals(matrix_packet(ext, psi, k, data.entries))
 
 
 # -- the compactness identity at n = 2 ---------------------------------------

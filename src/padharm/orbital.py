@@ -199,9 +199,7 @@ def _require_quadratic(eta):
 
 def _inv_vol(space, exps):
     """1 / vol_lattice(exps), as a cyclotomic scalar."""
-    d = space.psi.d
-    k = 2 * sum(exps) + sum(d + w for w in space._wv)
-    return sqrt_rational_power(space.F.p, k)
+    return sqrt_rational_power(space.F.p, -space.vol_exponent(exps))
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +514,12 @@ def c_psi_plus(ext, psi, m):
     return f_space(ext.F, psi, 1).vol_lattice((m,))
 
 
+def _check_descent_level(m, r):
+    """The descent of a level-m dagger scalar needs the level r >= 2m."""
+    if r < max(2 * m, m + 1):
+        raise InvalidLevel("need r >= 2m for translation invariance")
+
+
 def f_psi_natural(ext, psi, phi_data, r):
     """The descent of the degenerate-Whittaker average of the level-r
     congruence pair against the dagger scalar phi.
@@ -525,8 +529,7 @@ def f_psi_natural(ext, psi, phi_data, r):
     int phi-(w) 1_{p^r}(x12 + w) dw in the (1,2) slot, all times
     c(Psi+) and the descent normalization."""
     m = phi_data.m
-    if r < max(2 * m, m + 1):
-        raise InvalidLevel("need r >= 2m for translation invariance")
+    _check_descent_level(m, r)
     base = f_natural(ext, psi, r)
     (c0, _, _, _), = base.terms
     phi_minus = _phi_minus_packet(phi_data)
@@ -564,8 +567,8 @@ def germ_constant_check(ext, psi, eta, eta_prime, phi_data, r, points):
     from .symspace import transfer_factor_lie
 
     g = f_psi_natural(ext, psi, phi_data, r).fourier()
-    mu = mu_via_nilpotent(ext, psi, eta, phi_data, r)
-    out = {"mu": mu, "points": [], "all_equal": True}
+    # the charged shell sums run before mu, which nothing charges
+    rows = []
     for (x1, y1, y0) in points:
         X = varrho_point(x1, y1, y0)
         val = orbital_rs_n1(X, g, eta).value0()
@@ -576,14 +579,12 @@ def germ_constant_check(ext, psi, eta, eta_prime, phi_data, r, points):
             eta_prime,
             sign="minus",
         )
-        ok = (val - mu).is_zero()
-        out["points"].append(
-            {"point": (x1, y1, y0), "value": val, "transfer_factor": tf,
-             "equal": ok}
-        )
-        if not ok:
-            out["all_equal"] = False
-    return out
+        rows.append(((x1, y1, y0), val, tf))
+    mu = orbital_nilpotent("minus", g, eta).value0()
+    out = [{"point": point, "value": val, "transfer_factor": tf,
+            "equal": (val - mu).is_zero()} for point, val, tf in rows]
+    return {"mu": mu, "points": out,
+            "all_equal": all(pt["equal"] for pt in out)}
 
 
 def spherical_rhs(ext, psi, eta, phi_data, omega_tau=1):
@@ -614,10 +615,11 @@ def theorem_germ_gl(ext, psi, eta, phi_data, r, omega_tau=1):
     The two sides are computed by disjoint routes (a full 2-dimensional
     Fourier transform and shell sum against the orbital-integral
     machinery with all descent constants)."""
-    # mu first: its descent refuses a level r below 2m before the shell
-    # sum of the spectral side does any work
-    mu = mu_via_nilpotent(ext, psi, eta, phi_data, r)
+    # the level rule first, then the charged shell sum of the spectral
+    # side, then mu, which nothing charges
+    _check_descent_level(phi_data.m, r)
     lhs = spherical_rhs(ext, psi, eta, phi_data, omega_tau=omega_tau)
+    mu = mu_via_nilpotent(ext, psi, eta, phi_data, r)
     rhs = mu * Fraction(omega_tau)
     return {
         "lhs": lhs,

@@ -224,7 +224,7 @@ def test_dagger_gen_refuses_a_huge_level_at_once(kind, tmp_path):
     assert time.perf_counter() - start < 1
 
 
-# a 1x1 matrix has no shell frequency; its invariance samples carry p^m,
+# a 1x1 matrix has no shell frequency; its level is bounded by p^m,
 # and 3^8833 has 14000 bits, 3^8834 has 14002
 @pytest.mark.parametrize("m, code", [(8833, 0), (8834, 3), (100000, 3)])
 def test_dagger_gen_one_by_one_matrix_level_bound(m, code, tmp_path, capsys):
@@ -349,6 +349,34 @@ def test_theorem_germ_gl_refuses_a_large_level_before_the_shell_sum(
     assert time.perf_counter() - start < 1
     doc = json.loads(capsys.readouterr().err)
     assert doc["error"]["type"] == "ScaleExceeded"
+
+
+# mu, which nothing charges, once ran before the charged shell sums and
+# ended in a traceback: its result sorts on a repr with over 4300 digits
+@pytest.mark.parametrize("argv, payload", [
+    (["theorem-germ-gl"], {"m": 10000, "r": 20000}),
+    (["germ-check"], {"m": 10000, "r": 20001}),
+    (["verify-suite", "theorem-germ-gl", "--m", "100000", "--r", "200001"],
+     None),
+])
+def test_large_germ_levels_are_charged_before_mu(argv, payload, tmp_path,
+                                                 capsys):
+    code, _ = run_cli(argv, payload, tmp_path)
+    assert code == 3
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == {"type": "ScaleExceeded",
+                            "message": "rank-1 unit-coset budget"}
+
+
+def test_germ_check_refuses_a_low_level_before_any_shell_work(
+        tmp_path, capsys, monkeypatch):
+    def charge(*args):
+        raise AssertionError("a shell sum was charged")
+
+    monkeypatch.setattr(orbital, "charge", charge)
+    code, _ = run_cli(["germ-check"], {"m": 12, "r": 3}, tmp_path)
+    assert code == 2
+    assert "need r >= 2m for translation invariance" in capsys.readouterr().err
 
 
 # the suites that enumerate unit cosets or cells, with the message of

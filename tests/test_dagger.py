@@ -9,6 +9,7 @@ import pytest
 from padharm.padic import FieldContext, QuadExtContext
 from padharm.characters import AdditiveCharacter, eta_for_extension
 from padharm.dagger import (
+    DaggerData,
     _constant_in_plus,
     _invariant_under_shifts,
     compactness_W_closed,
@@ -54,13 +55,41 @@ def test_scalar_admissibility():
 
 
 def test_column_and_matrix_admissibility():
+    # every generated scalar, column and matrix, inert and ramified
+    for delta in (2, 3):
+        ext, psi = setup_ctx(delta=delta)
+        for m in (1, 2):
+            theta = make_dagger_scalar(ext, psi, m)
+            assert is_admissible_scalar(ext, psi, m, theta.packet)
+            for k in (1, 2, 3):
+                assert is_admissible_column(make_dagger_column(ext, psi, m, k))
+            for k in (1, 2):
+                assert is_admissible_matrix(make_dagger_matrix(ext, psi, m, k))
+
+
+def with_packet(data, packet):
+    """The same entries, with another packet."""
+    return DaggerData(data.kind, data.ext, data.psi, data.m, data.k,
+                      data.entries, packet)
+
+
+def test_a_doubled_matrix_packet_is_not_admissible():
     ext, psi = setup_ctx()
-    for m in (1, 2):
-        for k in (2, 3):
-            col = make_dagger_column(ext, psi, m, k)
-            assert is_admissible_column(col)
-        matd = make_dagger_matrix(ext, psi, m, 2)
-        assert is_admissible_matrix(matd)
+    data = make_dagger_matrix(ext, psi, 1, 2)
+    assert not is_admissible_matrix(with_packet(data, data.packet.scale(2)))
+
+
+def test_a_level_2_matrix_packet_on_level_1_entries_is_not_admissible():
+    ext, psi = setup_ctx()
+    data = make_dagger_matrix(ext, psi, 1, 2)
+    finer = make_dagger_matrix(ext, psi, 2, 2).packet
+    assert not is_admissible_matrix(with_packet(data, finer))
+
+
+def test_a_scaled_column_packet_is_not_admissible():
+    ext, psi = setup_ctx()
+    data = make_dagger_column(ext, psi, 1, 2)
+    assert not is_admissible_column(with_packet(data, data.packet.scale(2)))
 
 
 def test_ramified_scalar_admissibility():
