@@ -218,8 +218,6 @@ class ExtCharacter:
     def __call__(self, z):
         return CyclotomicScalar.root_of_unity(self.phase(z))
 
-    def __pow__(self, n):
-        return ExtCharacter(self.ext, self.r_pi * n, self.k * n)
 
 def _ext_pow(z, n):
     out = z.ext.one()
@@ -253,26 +251,6 @@ def gauss_sum(eta, psi):
     for a in range(1, p):
         total = total + eta(a) * psi(Fraction(a, p))
     return total
-
-
-def shell_sum(value, eta, v, lam, p):
-    """q^-lam * sum of value(a) eta(a) over a = u p^v, u in [1, p^lam)
-    prime to p: the integral of value * eta over the shell v(a) = v
-    against the unnormalized d*a (shell measure 1 - 1/q), exact when
-    value * eta is constant on the cosets a(1 + p^lam O).  Cells where
-    value vanishes are skipped."""
-    q = Fraction(p)
-    pv = q ** v
-    total = CyclotomicScalar.zero()
-    for u in range(1, p ** lam):
-        if u % p == 0:
-            continue
-        a = u * pv
-        val = value(a)
-        if val.is_zero():
-            continue
-        total = total + val * eta(a)
-    return total * q ** (-lam)
 
 
 def epsilon_half(eta, psi):

@@ -139,7 +139,8 @@ class CyclotomicScalar:
                     t[k] = s
                 else:
                     del t[k]
-        return _normal(n, t)
+        # zero has one stored form, at conductor 1
+        return _normal(n if t else 1, t)
 
     __radd__ = __add__
 
@@ -151,9 +152,6 @@ class CyclotomicScalar:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -186,7 +184,8 @@ class CyclotomicScalar:
                 c = c1 * c2
                 s = t.get(k)
                 t[k] = c if s is None else s + c
-        return _normal(n, {k: c for k, c in t.items() if c})
+        t = {k: c for k, c in t.items() if c}
+        return _normal(n if t else 1, t)
 
     __rmul__ = __mul__
 

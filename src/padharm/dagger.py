@@ -15,8 +15,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .characters import shell_sum
-from .config import charge
 from .cyclotomic import CyclotomicScalar
 from .errors import InvalidLevel, SchemaError
 from .padic import val_p
@@ -271,12 +269,9 @@ def compactness_W_direct(ext, psi, eta, theta_data, y):
     y = Fraction(y)
     hat = riemann_fourier(theta_data.packet, (Fraction(0), -y))
     varphi1 = indicator_E(ext, psi, (m, m), (1, 0))
-    v = val_p(y, ext.F.p)
-    lam = max(1, eta.conductor_exponent(),
-              varphi1.shell_level(((0, 1 / y, 1),), v))
-    charge(ext.F.p, [lam], "compactness unit-coset budget")
-    integral = shell_sum(lambda h: varphi1.evaluate((h / y, Fraction(0))),
-                         eta, v, lam, ext.F.p)
+    (integral,) = varphi1.shell_integrals(
+        (0, 0), ((0, 1 / y, 1),), eta, [val_p(y, ext.F.p)],
+        "compactness unit-coset budget")
     return hat * integral
 
 

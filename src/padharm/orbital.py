@@ -10,8 +10,9 @@ Three computation routes live here, each exact:
   finite enumeration of torus shells (rank 1) or of additive matrix
   cells with a determinant-valuation window certified through the
   delta_+ section (rank 2; the walk over the cells is in ``cells``).
-  Rank-1 shells take range and level from the packet (``support_floor``,
-  ``shell_level``); ``config.charge`` meters their cosets and the cells first.
+  Rank-1 shells take their range from ``support_floor`` and are summed
+  by ``WavePacket.shell_integrals``, which charges their cosets first;
+  ``config.charge`` meters the rank-2 cells first.
 * the descent pipeline ``f_natural`` -> ``f_psi_natural`` ->
   ``mu_via_nilpotent`` / ``spherical_rhs``, used for the germ-constancy
   and spherical identities in rank 1.
@@ -32,7 +33,6 @@ from fractions import Fraction
 from math import isqrt
 
 from .cells import cell_value, passing_cells
-from .characters import shell_sum
 from .config import charge
 from .cyclotomic import CyclotomicScalar, sqrt_rational_power
 from .errors import (
@@ -308,7 +308,7 @@ def orbital_rs_n1(X, f, eta, slack=0):
     if _matrix_dim(f.space) != 2:
         raise NotInDomain("rank-1 path needs 2x2 coordinates")
     X = tuple(Fraction(t) for t in X)
-    x11, x12, x21, x22 = X
+    _, x12, x21, _ = X
     if x12 == 0 or x21 == 0:
         raise NotRegularSemisimple("off-diagonal entries must not vanish")
     p = f.space.F.p
@@ -319,16 +319,11 @@ def orbital_rs_n1(X, f, eta, slack=0):
     lo = f.support_floor(1) - val_p(x12, p)
     hi = val_p(x21, p) - f.support_floor(2)
     # h enters x12 as x12 h and x21 as x21 / h
-    line = ((1, x12, 1), (2, x21, -1))
-    lams = [max(1, eta.conductor_exponent(), f.shell_level(line, v)) + slack
-            for v in range(lo, hi + 1)]
-    charge(p, lams, "rank-1 unit-coset budget")
-    pairs = []
-    for v, lam in zip(range(lo, hi + 1), lams):
-        shell = shell_sum(lambda h: f.evaluate((x11, x12 * h, x21 / h, x22)),
-                          eta, v, lam, p)
-        if not shell.is_zero():
-            pairs.append((shell, QRational.monomial(1, v)))
+    shells = range(lo, hi + 1)
+    sums = f.shell_integrals(X, ((1, x12, 1), (2, x21, -1)), eta, shells,
+                             "rank-1 unit-coset budget", slack)
+    pairs = [(shell, QRational.monomial(1, v))
+             for v, shell in zip(shells, sums) if not shell.is_zero()]
     return OrbitalResult(pairs, {"n": 1, "shells": [lo, hi], "variable": "q^-s"})
 
 
@@ -599,13 +594,11 @@ def spherical_rhs(ext, psi, eta, phi_data, omega_tau=1):
     if omega_tau not in (1, -1):
         raise NotInDomain("omega(tau) must be a sign for a quadratic"
                           " central character trivial on F^*")
-    p = ext.F.p
     s0 = shell_valuation(ext, psi, phi_data.m)
     hat = phi_data.packet.fourier()
     # y enters the minus coordinate as -y
-    lam = max(1, eta.conductor_exponent(), hat.shell_level(((1, -1, 1),), s0))
-    charge(p, [lam], "rank-1 unit-coset budget")
-    total = shell_sum(lambda y: hat.evaluate((Fraction(0), -y)), eta, s0, lam, p)
+    (total,) = hat.shell_integrals((0, 0), ((1, -1, 1),), eta, [s0],
+                                   "rank-1 unit-coset budget")
     return total * Fraction(omega_tau)
 
 

@@ -246,9 +246,6 @@ class QuadExtScalar:
         return _reduced(self.ext, self.a * e - other.a * d,
                         self.b * e - other.b * d, d * e)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if type(other) is not QuadExtScalar or other.ext is not self.ext:
             other = self._coerce(other)
@@ -282,12 +279,6 @@ class QuadExtScalar:
         if m < 0:
             m, k = -m, -k
         return _reduced(self.ext, self.a * k, -self.b * k, m)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
 
     def __eq__(self, other):
         try:

@@ -61,9 +61,6 @@ class Poly:
     def __neg__(self):
         return Poly._of([-x for x in self.c])
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
             return Poly()

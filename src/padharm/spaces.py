@@ -33,7 +33,8 @@ pairing on numerators and denominators, the phase by
 when its representative modulo the term's lattice is the center, so
 `evaluate` and the product compare pairs, and `equals` compares rows.
 `support_floor` and `shell_level` read a torus shell's range and
-unit-coset level off the rows, for every shell integral of the library.
+unit-coset level off the rows, and `shell_integrals`, the one rank-1
+shell integral of the library, charges and sums at that level.
 The only `Fraction`s built are psi's root-of-unity keys, the `terms`
 view, and `shift`'s, which reads an outside vector; `riemann_fourier`
 reads the `terms` view with `Space.pair` and psi, so it stays an
@@ -49,6 +50,7 @@ from math import gcd
 from operator import itemgetter
 
 from .characters import frac_part_ratio
+from .config import charge
 from .cyclotomic import CyclotomicScalar, sqrt_rational_power
 from .errors import ScaleExceeded, SchemaError
 from .padic import strip_p, val_p
@@ -370,25 +372,11 @@ class WavePacket:
                 total = total + coeff * _psi_pair(sp, G, x)
         return total
 
-    def __add__(self, other):
-        if not isinstance(other, WavePacket) or other.space != self.space:
-            return NotImplemented
-        return WavePacket._of(self.space, [
-            ((e, C, G), c) for c, C, e, G in self.rows + other.rows])
-
     def scale(self, c):
         if not isinstance(c, CyclotomicScalar):
             c = CyclotomicScalar.from_rational(c)
         return WavePacket._of(self.space, [
             ((e, C, G), c * r) for r, C, e, G in self.rows])
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        if not isinstance(other, WavePacket) or other.space != self.space:
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         """Pointwise product."""
@@ -490,6 +478,37 @@ class WavePacket:
                 if G[j][0]:
                     lam = max(lam, -d - sp._wv[j] - _val_pair(G[j], p) - vx)
         return lam
+
+    def shell_integrals(self, point, line, eta, shells, what, slack=0):
+        """The integrals of f(x(h)) eta(h) d*h (unnormalized) over the
+        shells v(h) = v, v in `shells`, x(h) being `point` with x_t = c h^e
+        for each (t, c, e) in `line`.  `config.charge` refuses under `what`
+        first at p per shell, which needs no level, then at p^lam per
+        shell, lam = max(1, conductor of eta, `shell_level`) + slack.  An
+        integral is q^-lam times the sum over h = u p^v, u in [1, p^lam)
+        prime to p, skipping the cells where f vanishes."""
+        p = self.space.F.p
+        charge(p, [1] * len(shells), what)
+        floor = max(1, eta.conductor_exponent())
+        lams = [max(floor, self.shell_level(line, v)) + slack for v in shells]
+        charge(p, lams, what)
+        x = list(point)
+        q = Fraction(p)
+        out = []
+        for v, lam in zip(shells, lams):
+            pv = q ** v
+            total = CyclotomicScalar.zero()
+            for u in range(1, p ** lam):
+                if u % p == 0:
+                    continue
+                h = u * pv
+                for t, c, e in line:
+                    x[t] = c * h if e == 1 else c / h
+                val = self.evaluate(x)
+                if not val.is_zero():
+                    total = total + val * eta(h)
+            out.append(total * q ** (-lam))
+        return out
 
     # -- structure -----------------------------------------------------------
     def refined(self, exps):

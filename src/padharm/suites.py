@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicScalar
-from .config import RunConfig, read_int
+from .config import RunConfig, charge, read_int
 from .errors import DomainError, NotRegularSemisimple, SchemaError
 from .qrational import QRational, geometric_tail
 from .matrices import (
@@ -628,21 +628,24 @@ def run_suite(name, config=None, **flags):
     `flags` are the `verify-suite` flags the suite takes, each a positive
     integer, and `n` is bounded by budgets/max_n of `config` (default
     RunConfig()), whose seed and max_cosets the suite runs under.  Any
-    other name or flag raises SchemaError before work starts."""
+    other name or flag raises SchemaError before work starts, and a given
+    `samples` or `pairs` count is charged first, one coset per sample."""
     if name not in SUITES:
         raise SchemaError(f"/suite: unknown suite {name!r}; "
                           f"choose from {sorted(SUITES)}")
     fn, params = SUITES[name]
     config = config or RunConfig()
-    for key, value in flags.items():
-        if key == "seed" or key not in params:
-            raise SchemaError(f"/{key}: not a flag of suite {name!r}")
-        read_int(value, f"/{key}", low=1)
-    if "n" in flags:
-        config.check_rank(flags["n"], "/n")
-    if "seed" in params:
-        flags["seed"] = config.seed
     with config.scope():
+        for key, value in flags.items():
+            if key == "seed" or key not in params:
+                raise SchemaError(f"/{key}: not a flag of suite {name!r}")
+            read_int(value, f"/{key}", low=1)
+            if key in ("samples", "pairs"):
+                charge(value, [1], f"{name} --{key} budget")  # value^1 cosets
+        if "n" in flags:
+            config.check_rank(flags["n"], "/n")
+        if "seed" in params:
+            flags["seed"] = config.seed
         failures, stats = fn(**flags)
     return {
         "suite": name,

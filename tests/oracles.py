@@ -6,6 +6,9 @@ another way:
 * ``f_natural_direct`` and ``f_psi_natural_direct`` enumerate the rank-1
   descent integrals cell by cell, against the product forms
   ``orbital.f_natural`` and ``orbital.f_psi_natural``;
+* ``shell_sum`` enumerates one valuation shell of a callback at a given
+  unit-coset level, against ``spaces.WavePacket.shell_integrals``, which
+  sums a packet along a line at the level it derives;
 * ``dagger_mu_closed_form`` is the germ constant as a shell character
   sum, against ``orbital.mu_via_nilpotent`` and the pinned values of
   ``spherical_rhs``;
@@ -18,7 +21,6 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from padharm.characters import shell_sum
 from padharm.cyclotomic import CyclotomicScalar, cyclotomic_poly
 from padharm.dagger import shell_valuation
 from padharm.errors import NotInDomain
@@ -128,6 +130,26 @@ def f_psi_natural_direct(ext, psi, eta_prime, phi_data, r, X):
                 * uvol
             )
     return c2 * total
+
+
+def shell_sum(value, eta, v, lam, p):
+    """q^-lam * sum of value(a) eta(a) over a = u p^v, u in [1, p^lam)
+    prime to p: the integral of value * eta over the shell v(a) = v
+    against the unnormalized d*a (shell measure 1 - 1/q), exact when
+    value * eta is constant on the cosets a(1 + p^lam O).  Cells where
+    value vanishes are skipped."""
+    q = Fraction(p)
+    pv = q ** v
+    total = CyclotomicScalar.zero()
+    for u in range(1, p ** lam):
+        if u % p == 0:
+            continue
+        a = u * pv
+        val = value(a)
+        if val.is_zero():
+            continue
+        total = total + val * eta(a)
+    return total * q ** (-lam)
 
 
 def _shell_character_sum(packet, eta, shell, p, d):

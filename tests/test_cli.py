@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from padharm import cli, orbital
+from padharm import cli, orbital, spaces
 from padharm.cli import main
 from padharm.config import RunConfig
 from padharm.dagger import make_dagger_scalar
@@ -374,6 +374,7 @@ def test_germ_check_refuses_a_low_level_before_any_shell_work(
         raise AssertionError("a shell sum was charged")
 
     monkeypatch.setattr(orbital, "charge", charge)
+    monkeypatch.setattr(spaces, "charge", charge)
     code, _ = run_cli(["germ-check"], {"m": 12, "r": 3}, tmp_path)
     assert code == 2
     assert "need r >= 2m for translation invariance" in capsys.readouterr().err
@@ -390,6 +391,21 @@ def test_germ_check_refuses_a_low_level_before_any_shell_work(
 def test_suites_obey_the_coset_budget(suite, message):
     with pytest.raises(ScaleExceeded, match=message):
         run_suite(suite, RunConfig({"budgets": {"max_cosets": 1}}))
+
+
+@pytest.mark.parametrize("suite, flag", [("fourier", "--samples"),
+                                         ("local-constancy", "--pairs")])
+def test_verify_suite_charges_a_given_sample_count(suite, flag, tmp_path,
+                                                   capsys):
+    # one coset per sample exceeds the default limit of 500000 at once
+    start = time.perf_counter()
+    code, _ = run_cli(["verify-suite", suite, flag, "100000000"],
+                      tmp_path=tmp_path)
+    assert code == 3
+    assert time.perf_counter() - start < 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == {"type": "ScaleExceeded",
+                            "message": f"{suite} {flag} budget"}
 
 
 def test_verify_suite_obeys_the_coset_budget(tmp_path, capsys):

@@ -417,8 +417,13 @@ def test_refinement_and_equality_against_the_fraction_formulas(
         else (lo + 1,) * n
     _assert_rows(f.refined(common), ref_refined(space, tf, common))
     ff = f.fourier().fourier()
+
+    def total(*packets):
+        return WavePacket(space, [t for h in packets for t in h.terms])
+
     for a, b in ((f, g), (ff, f.reflect()), (f, f.refined(common)),
-                 (f, f + g - g), (f + g, g + f.scale(2) - f)):
+                 (f, total(f, g, g.scale(-1))),
+                 (total(f, g), total(g, f.scale(2), f.scale(-1)))):
         assert a.equals(b) == ref_equals(space, list(a.terms), list(b.terms))
     assert ff.equals(f.reflect())
     assert f.equals(f.refined(common))

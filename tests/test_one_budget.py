@@ -1,8 +1,11 @@
 """One work budget: no function in padharm takes a `budget` parameter, and
 ScaleExceeded is raised only by `config.charge` (the coset limit of the
 run), by the print bound of the CLI and by the packet-size caps of
-`spaces`.  A threaded budget or a second inline comparison against the
-coset limit fails here.
+`spaces`.  `charge` is called by the rank-1 shell integral, the rank-2
+cell enumeration and the suite driver alone, and the shell level is
+read only where the shell integral is.  A threaded budget, a second
+inline comparison against the coset limit, or a caller that charges or
+derives a shell level itself fails here.
 """
 
 import ast
@@ -20,6 +23,12 @@ RAISERS = {
     ("spaces.py", "riemann_fourier"),
 }
 
+CHARGERS = {
+    ("spaces.py", "shell_integrals"),
+    ("orbital.py", "orbital_rs"),
+    ("suites.py", "run_suite"),
+}
+
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -28,18 +37,38 @@ def _trees():
         yield path.name, ast.parse(path.read_text())
 
 
-def _raises(node, where):
-    """(file, innermost enclosing function) of each raise of
-    ScaleExceeded under `node`."""
-    for child in ast.iter_child_nodes(node):
-        inner = where
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            inner = (where[0], child.name)
-        if isinstance(child, ast.Raise) and child.exc is not None:
-            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-            if isinstance(exc, ast.Name) and exc.id == "ScaleExceeded":
+def _places(hit):
+    """(file, innermost enclosing function) of each node of padharm for
+    which hit(node) holds."""
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = (where[0], child.name)
+            if hit(child):
                 yield where
-        yield from _raises(child, inner)
+            yield from walk(child, inner)
+
+    return {place for name, tree in _trees()
+            for place in walk(tree, (name, None))}
+
+
+def _raises_scale_exceeded(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "ScaleExceeded"
+
+
+def _calls(name):
+    """A test for a call of a function or method called `name`."""
+    def hit(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return getattr(func, "id", getattr(func, "attr", None)) == name
+
+    return hit
 
 
 def test_no_function_takes_a_budget():
@@ -55,8 +84,13 @@ def test_no_function_takes_a_budget():
 
 
 def test_scale_exceeded_is_raised_only_by_the_known_bounds():
-    places = set()
-    for name, tree in _trees():
-        places.update(_raises(tree, (name, None)))
+    places = _places(_raises_scale_exceeded)
     assert ("config.py", "charge") in places
     assert places <= RAISERS, sorted(places - RAISERS)
+
+
+def test_charge_and_shell_level_have_one_caller_each():
+    charges = _places(_calls("charge"))
+    assert charges == CHARGERS, sorted(charges ^ CHARGERS)
+    levels = _places(_calls("shell_level"))
+    assert {file for file, _ in levels} == {"spaces.py"}, sorted(levels)

@@ -189,7 +189,7 @@ def test_integer_kernel_matches_fraction_pairs(ext, x1, y1, x2, y2, r):
     assert _matches(z + w, zr + wr) and _matches(z - w, zr - wr)
     assert _matches(z * w, zr * wr) and _matches(-z, PairRef(ext.delta, 0, 0) - zr)
     assert _matches(z + r, zr + rr) and _matches(r + z, zr + rr)
-    assert _matches(z - r, zr - rr) and _matches(r - z, rr - zr)
+    assert _matches(z - r, zr - rr) and _matches(r + (-z), rr - zr)
     assert _matches(z * r, zr * rr) and _matches(r * z, zr * rr)
     assert _matches(z.conj(), zr.conj())
     assert z.is_zero() == zr.is_zero()
@@ -198,18 +198,16 @@ def test_integer_kernel_matches_fraction_pairs(ext, x1, y1, x2, y2, r):
     if wr.is_zero():
         with pytest.raises(NotInDomain):
             w.inverse()
-        with pytest.raises(NotInDomain):
-            z / w
     else:
         assert _matches(w.inverse(), wr.inverse())
-        assert _matches(z / w, zr * wr.inverse())
+        assert _matches(z * w.inverse(), zr * wr.inverse())
     if zr.is_zero():
         with pytest.raises(NotInDomain):
             z.valuation_E()
     else:
         assert z.valuation_E() == zr.valuation_E(ext.F.p, ext.e)
     if r:
-        assert _matches(z / r, zr * rr.inverse())
+        assert _matches(z * ext.scalar(r).inverse(), zr * rr.inverse())
 
 
 def test_elements_of_different_extensions_do_not_mix():
@@ -217,7 +215,7 @@ def test_elements_of_different_extensions_do_not_mix():
     e2, e3 = QuadExtContext(F, 2), QuadExtContext(F, 3)
     # once e2.tau() * e3.tau() was 2, e3.tau() * e2.tau() was 3, and
     # e2.tau() == e3.tau() held
-    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+    for op in (operator.add, operator.sub, operator.mul):
         for z, w in ((e2.tau(), e3.tau()), (e3.tau(), e2.tau())):
             with pytest.raises(NotInDomain):
                 op(z, w)

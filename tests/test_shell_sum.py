@@ -1,30 +1,34 @@
-"""The rank-1 shell sum and the integrals built on it.
+"""The rank-1 shell integral and the integrals built on it.
 
 CyclotomicScalar has no unique normal form, so the reprs below (which the
 CLI prints) pin the representation of each value as well as the value.
-They were frozen from the per-caller loops that shell_sum replaced.  Each
-caller takes its unit-coset level lam from `WavePacket.shell_level` and
-the conductor of eta; the last tests check that level against a finer
-one at three primes and extensions and three conductors of psi.
+They were frozen from the per-caller loops that the shell sum replaced.
+Each caller is one call of `WavePacket.shell_integrals`, which takes its
+unit-coset level from `WavePacket.shell_level` and the conductor of eta;
+the last tests check each caller against that method two levels up and
+against the oracle enumeration `shell_sum` at a fixed finer level, at
+three primes and extensions and three conductors of psi.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from padharm.characters import AdditiveCharacter, eta_for_extension, shell_sum
+from padharm.characters import AdditiveCharacter, eta_for_extension
+from padharm.config import RunConfig
 from padharm.cyclotomic import CyclotomicScalar
 from padharm.dagger import (
     compactness_W_direct,
     indicator_E,
     make_dagger_scalar,
 )
-from padharm.errors import NotInDomain
-from padharm.orbital import orbital_rs_n1, spherical_rhs
+from padharm.errors import NotInDomain, ScaleExceeded
+from padharm.orbital import OrbitalResult, orbital_rs_n1, spherical_rhs
 from padharm.padic import FieldContext, QuadExtContext, val_p
+from padharm.qrational import QRational
 from padharm.spaces import WavePacket, f_space, matrix_space_f, riemann_fourier
 
-from oracles import dagger_mu_closed_form
+from oracles import dagger_mu_closed_form, shell_sum
 
 
 def setup_ctx(delta, p=3, d=0):
@@ -42,11 +46,17 @@ def one(a):
 @pytest.mark.parametrize("lam", [1, 2])
 def test_shell_measure(v, lam):
     # unramified eta is eta(p)^v on the shell; ramified eta averages to 0
-    _, _, _, eta = setup_ctx(2)
+    F, psi, _, eta = setup_ctx(2)
     expected = Fraction(2, 3) * (-1) ** (v % 2)
     assert shell_sum(one, eta, v, lam, 3).as_rational() == expected
     _, _, _, eta_ram = setup_ctx(3)
     assert shell_sum(one, eta_ram, v, lam, 3).is_zero()
+    # the packet 1 on p^-5 O is one on the shell, constant at level 1
+    ones = WavePacket.indicator(f_space(F, psi, 1), -5)
+    for e, want in ((eta, expected), (eta_ram, 0)):
+        (got,) = ones.shell_integrals((0,), ((0, 1, 1),), e, [v], "test",
+                                      slack=lam - 1)
+        assert got.as_rational() == want
 
 
 def test_vanishing_values_are_skipped():
@@ -94,6 +104,21 @@ def test_orbital_rs_n1_with_frequencies_is_pinned(delta):
     assert repr(orbital_rs_n1(X, f, eta).pairs) == RS_PAIRS[delta]
 
 
+def test_orbital_rs_n1_refuses_many_shells_before_any_level(monkeypatch):
+    # shells 0..5 of the level-0 indicator: 6 * p = 18 cosets at least,
+    # more than a limit of 10, which refuses before any shell level
+    F, psi, _, eta = setup_ctx(2)
+    f = WavePacket.indicator(matrix_space_f(F, psi, 2), 0)
+
+    def shell_level(*args):
+        raise AssertionError("a shell level was computed")
+
+    monkeypatch.setattr(WavePacket, "shell_level", shell_level)
+    with RunConfig({"budgets": {"max_cosets": 10}}).scope():
+        with pytest.raises(ScaleExceeded, match="rank-1 unit-coset budget"):
+            orbital_rs_n1((0, 1, 3 ** 5, 0), f, eta)
+
+
 MU = {2: "Cyc(1/27)", 3: "Cyc(1/81*e(7/12) + -1/81*e(11/12))"}
 MU_NEG = {2: "Cyc(-1/27)", 3: "Cyc(-1/81*e(7/12) + 1/81*e(11/12))"}
 
@@ -125,11 +150,13 @@ def test_compactness_direct_is_pinned(delta):
     assert repr(got) == W[delta]
 
 
-# The derived level against a finer one: each caller's integral at
-# shell_level must equal, dict for dict, the same shell sum two levels up.
+# Each caller at its derived level against the method two levels up and
+# against the oracle enumeration at ORACLE_LEVEL.  The rule derives
+# levels 1 to 3 for these cases, so the oracle is at least one finer.
 LEVEL_CASES = [(p, delta, d) for p, delta in ((3, 2), (3, 3), (5, 5))
                for d in (0, 1, 2)]
 LEVEL_IDS = [f"p{p}-delta{delta}-d{d}" for p, delta, d in LEVEL_CASES]
+ORACLE_LEVEL = 4
 
 
 @pytest.mark.parametrize("p, delta, d", LEVEL_CASES, ids=LEVEL_IDS)
@@ -146,11 +173,15 @@ def test_orbital_rs_n1_level_is_stable_under_slack(p, delta, d):
     X = (Fraction(0), Fraction(1), Fraction(p), Fraction(0))
     exact = orbital_rs_n1(X, f, eta)
     assert not exact.is_zero()
-    assert repr(orbital_rs_n1(X, f, eta, slack=2).pairs) == repr(exact.pairs)
-
-
-def _level(eta, packet, line, v):
-    return max(1, eta.conductor_exponent(), packet.shell_level(line, v))
+    lo, hi = exact.metadata["shells"]
+    shells = range(lo, hi + 1)
+    finer = f.shell_integrals(X, ((1, 1, 1), (2, p, -1)), eta, shells,
+                              "test", slack=2)
+    oracle = [shell_sum(lambda h: f.evaluate((0, h, p / h, 0)),
+                        eta, v, ORACLE_LEVEL, p) for v in shells]
+    for got in (finer, oracle):
+        pairs = [(s, QRational.monomial(1, v)) for v, s in zip(shells, got)]
+        assert repr(OrbitalResult(pairs).pairs) == repr(exact.pairs)
 
 
 @pytest.mark.parametrize("p, delta, d", LEVEL_CASES, ids=LEVEL_IDS)
@@ -160,12 +191,13 @@ def test_spherical_rhs_level_is_stable(p, delta, d):
     phi = make_dagger_scalar(ext, psi, 2)
     hat = phi.packet.fourier()
     s0 = -4 - d - val_p(ext.delta, p)
-    lam = _level(eta, hat, ((1, -1, 1),), s0)
-    finer = shell_sum(lambda y: hat.evaluate((Fraction(0), -y)),
-                      eta, s0, lam + 2, p)
     got = spherical_rhs(ext, psi, eta, phi)
     assert not got.is_zero()
-    assert got.terms == finer.terms
+    (finer,) = hat.shell_integrals((0, 0), ((1, -1, 1),), eta, [s0], "test",
+                                   slack=2)
+    oracle = shell_sum(lambda y: hat.evaluate((Fraction(0), -y)),
+                       eta, s0, ORACLE_LEVEL, p)
+    assert got.terms == finer.terms == oracle.terms
 
 
 @pytest.mark.parametrize("p, delta, d", LEVEL_CASES, ids=LEVEL_IDS)
@@ -176,10 +208,11 @@ def test_compactness_direct_level_is_stable(p, delta, d):
     v = -4 - d - val_p(ext.delta, p)
     y = Fraction(p) ** v
     varphi1 = indicator_E(ext, psi, (2, 2), (1, 0))
-    lam = _level(eta, varphi1, ((0, 1 / y, 1),), v)
-    finer = shell_sum(lambda h: varphi1.evaluate((h / y, Fraction(0))),
-                      eta, v, lam + 2, p)
-    want = riemann_fourier(theta.packet, (Fraction(0), -y)) * finer
+    hat = riemann_fourier(theta.packet, (Fraction(0), -y))
     got = compactness_W_direct(ext, psi, eta, theta, y)
     assert not got.is_zero()
-    assert got.terms == want.terms
+    (finer,) = varphi1.shell_integrals((0, 0), ((0, 1 / y, 1),), eta, [v],
+                                       "test", slack=2)
+    oracle = shell_sum(lambda h: varphi1.evaluate((h / y, Fraction(0))),
+                       eta, v, ORACLE_LEVEL, p)
+    assert got.terms == (hat * finer).terms == (hat * oracle).terms
