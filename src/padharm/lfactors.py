@@ -3,11 +3,11 @@
 Everything here is exact rational-function arithmetic in U = q^(-1)
 (reusing the QRational machinery with the variable reinterpreted), plus
 cyclotomic values for the epsilon-type constant kappa.  At an inert
-unramified place: zeta(i) = (1 - U^i)^(-1), L(i, eta^i) alternates
-between (1 + U^i)^(-1) (i odd) and zeta(i) (i even), and the standard
-product Delta_m = prod_{i=1}^m L(i, eta^i) controls the hyperspecial
-volume of the unitary group through the point count over the residue
-field.
+unramified place: zeta(i) = (1 - U^i)^(-1), the geometric series in U^i;
+L(i, eta^i) alternates between (1 + U^i)^(-1) (i odd) and zeta(i)
+(i even); and the standard product Delta_m = prod_{i=1}^m L(i, eta^i)
+controls the hyperspecial volume of the unitary group through the point
+count over the residue field.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from math import comb
 from .cyclotomic import sqrt_rational_power
 from .errors import NotInDomain
 from .padic import val_p
-from .qrational import QRational
+from .qrational import QRational, geometric_tail
 
 
 def _one_minus(coeff, k):
@@ -27,17 +27,18 @@ def _one_minus(coeff, k):
 
 
 def zeta_local(i):
-    """zeta_v(i) for the base field, as a rational function of U = q^(-1)."""
+    """zeta_v(i) = sum_v U^(iv) for the base field, as a rational function
+    of U = q^(-1)."""
     if i < 1:
         raise NotInDomain("zeta argument must be a positive integer")
-    return _one_minus(1, i).inverse()
+    return geometric_tail(1, i, 0)
 
 
 def l_eta(i):
     """L(i, eta^i) at an inert place: the eta power is trivial for even i."""
     if i % 2 == 0:
         return zeta_local(i)
-    return _one_minus(-1, i).inverse()
+    return geometric_tail(-1, i, 0)
 
 
 def delta_constant(m):
@@ -158,9 +159,13 @@ def lfactor_table(q, n_max=4):
     for i in range(1, n_max + 1):
         add(f"zeta({i})", zeta_local(i))
         add(f"L({i},eta^{i})", l_eta(i), exponent=i % 2)
+    # Delta_m = Delta_(m-1) L(m, eta^m), and the hyperspecial volume is
+    # hyperspecial_volume(m)'s L(1, eta) Delta_m^(-1) on the same product
+    delta = QRational.const(1)
     for m in range(1, n_max + 1):
-        add(f"Delta_{m}", delta_constant(m))
+        delta = delta * l_eta(m)
+        add(f"Delta_{m}", delta)
         add(f"vol(GL_{m}(O))", vol_gl(m))
-        add(f"vol(U_{m} hyperspecial)", hyperspecial_volume(m))
+        add(f"vol(U_{m} hyperspecial)", l_eta(1) * delta.inverse())
     add("vol([U(1)])", vol_u1_global())
     return rows

@@ -51,7 +51,7 @@ from .matrices import (
     mat_inv,
 )
 from .padic import val_p
-from .qrational import Poly, QRational
+from .qrational import QRational, geometric_tail
 from .spaces import (
     WavePacket,
     e_minus_space,
@@ -257,26 +257,18 @@ def orbital_nilpotent(sign, f, eta):
         if any(center[t] for t in range(k * k) if t not in active):
             continue
         cf = coeff
-        qr = QRational.const(1)
-        for t in x_coords:
-            qr = qr * QRational.const(q ** (-exps[t]))
+        qr = QRational.const(q ** -sum(exps[t] for t in x_coords))
         for l, t in b_coords:
             a = exps[t]
             beta = center[t]
             e = l % 2
             if beta == 0:
-                # full lattice p^a O
+                # full lattice p^a O: (1 - 1/q) sum_{v >= a} (s q^(l-1) T^l)^v
                 if e and not eta.is_unramified:
                     break
                 s = eta_p if e else 1
-                num = QRational.monomial(
-                    (1 - 1 / q) * Fraction(s) ** (a % 2) * q ** ((l - 1) * a),
-                    l * a,
-                )
-                den = Poly(
-                    [Fraction(1)] + [Fraction(0)] * (l - 1) + [-s * q ** (l - 1)]
-                )
-                qr = qr * num / QRational(den)
+                qr = qr * QRational.const(1 - 1 / q) * geometric_tail(
+                    s * q ** (l - 1), l, a)
             else:
                 v = val_p(beta, p)
                 if e:

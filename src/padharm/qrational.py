@@ -1,128 +1,194 @@
-"""Rational functions in one variable over Q, reduced and normalized.
+"""Rational functions in one variable over Q, in an integer normal form.
 
 Used for regularized integrals as functions of T = q^(-s): geometric
 series sum to these exactly, poles are located exactly (including at
 T = q^(-1/2), handled by reduction mod T^2 - 1/q), and real poles in an
 interval are counted with a Sturm sequence.
+
+A QRational stores two int tuples, N and D: the little-endian
+coefficients of a numerator and a denominator in Z[T], in the normal
+form
+
+* lc(D) > 0;
+* no integer > 1 divides every coefficient of N and D together;
+* gcd(N, D) = 1 in Q[T];
+
+with zero stored as N = (), D = (1,).  The form is unique.  If N/D and
+N'/D' are the same function and both pairs are in normal form, then
+N D' = N' D, and since N and D are coprime over Q, D' = c D and N' = c N
+for a rational c = u/v in lowest terms.  Both pairs are integral, so v
+divides the content of (N, D), which is 1, and u divides the content of
+(N', D') = c (N, D), which is also 1; so c = +-1, and lc(D), lc(D') > 0
+leave c = 1.  Equal functions therefore have identical tuples, and
+`__eq__` and `__hash__` compare tuples.
+
+All arithmetic is on ints: coefficient products and sums, gcds by the
+primitive polynomial remainder sequence (G. E. Collins, J. ACM 14, 1967;
+W. S. Brown, J. ACM 18, 1971) with exact division over Z (a quotient by
+a primitive divisor is integral, by Gauss's lemma), values by
+homogeneous Horner, u^deg P(t/u) for T = t/u, and Sturm chains whose
+pseudo-remainders carry the positive multiplier |lc|^(delta + 1), so
+every member is a positive multiple of the chain over Q and has its
+signs.
+
+`num` and `den` are the monic view of the same function: N and D over
+lc(D) as `Fraction` coefficient lists, as the CLI prints them and `repr`
+shows them.  The view is built when asked for and feeds no arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from numbers import Rational
 
 from .errors import PoleAtEvaluationPoint
 
 
-def _trimmed(c):
-    while c and not c[-1]:
-        c.pop()
-    return c
+# -- int polynomial kernels: little-endian tuples, no zero leading term -------
+
+
+def _trim(c):
+    n = len(c)
+    while n and not c[n - 1]:
+        n -= 1
+    return tuple(c[:n])
+
+
+def _add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, x in enumerate(b):
+        out[i] += x
+    return _trim(out)
+
+
+def _neg(a):
+    return tuple(-x for x in a)
+
+
+def _mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _derivative(a):
+    return tuple(i * x for i, x in enumerate(a))[1:]
+
+
+def _order(a):
+    """The exponent of the largest power of T dividing nonzero a."""
+    i = 0
+    while not a[i]:
+        i += 1
+    return i
+
+
+def _primitive(a):
+    """a over the gcd of its coefficients, with a positive leading
+    coefficient."""
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else tuple(x // g for x in a)
+
+
+def _quo(a, b):
+    """a / b for b primitive and dividing a in Q[T]; the quotient is then
+    in Z[T], so every step divides exactly."""
+    r = list(a)
+    nb, lb = len(b) - 1, b[-1]
+    q = [0] * (len(r) - nb)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + nb] // lb
+        if c:
+            q[i] = c
+            for j in range(nb):
+                r[i + j] -= c * b[j]
+    return tuple(q)
+
+
+def _prem(a, b):
+    """The pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, for
+    deg a >= deg b."""
+    r = list(a)
+    nb, lb = len(b) - 1, b[-1]
+    e = len(r) - nb
+    while len(r) > nb:
+        t = r.pop()
+        k = len(r) - nb
+        if lb != 1:
+            r = [lb * x for x in r]
+        for j in range(nb):
+            r[k + j] -= t * b[j]
+        e -= 1
+        while r and not r[-1]:
+            r.pop()
+    if e and lb != 1:
+        f = lb ** e
+        r = [f * x for x in r]
+    return tuple(r)
+
+
+def _gcd(a, b):
+    """gcd(a, b) in Q[T] for nonzero a and b, as a primitive int
+    polynomial with a positive leading coefficient.  The power of T comes
+    off first; the rest is the primitive remainder sequence."""
+    i, j = _order(a), _order(b)
+    shift = (0,) * min(i, j)
+    a, b = a[i:], b[j:]
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return shift + (1,)
+    a, b = _primitive(a), _primitive(b)
+    while True:
+        r = _prem(a, b)
+        if not r:
+            return shift + b
+        if len(r) == 1:
+            return shift + (1,)
+        a, b = b, _primitive(r)
+
+
+def _homogeneous(p, t, u):
+    """u^deg(p) * p(t/u), an int; the sign of p(t/u) when u > 0."""
+    if not p:
+        return 0
+    v = p[-1]
+    w = 1
+    for i in range(len(p) - 2, -1, -1):
+        w *= u
+        v = v * t + p[i] * w
+    return v
+
+
+def _lowest(N, D):
+    """The QRational N/D, for N and D coprime in Q[T] and D nonzero: the
+    common content goes and lc(D) turns positive."""
+    g = gcd(*N, *D)
+    if D[-1] < 0:
+        g = -g
+    if g != 1:
+        N, D = tuple(x // g for x in N), tuple(x // g for x in D)
+    return QRational._of(N, D)
 
 
 class Poly:
-    """Dense polynomial over Q, little-endian coefficients."""
+    """One side of the monic view of a QRational: `c` is its list of
+    Fraction coefficients, little-endian.  It carries no arithmetic."""
 
     __slots__ = ("c",)
 
-    def __init__(self, coeffs=()):
-        self.c = _trimmed([Fraction(x) for x in coeffs])
-
-    @staticmethod
-    def _of(c):
-        """Trusted constructor: `c` is a fresh list of Fractions."""
-        out = Poly.__new__(Poly)
-        out.c = _trimmed(c)
-        return out
-
-    @staticmethod
-    def const(x):
-        return Poly([x])
-
-    @staticmethod
-    def monomial(coeff, k):
-        return Poly([0] * k + [coeff])
-
-    def degree(self):
-        return len(self.c) - 1  # -1 for the zero polynomial
-
-    def is_zero(self):
-        return not self.c
-
-    def __add__(self, other):
-        n = max(len(self.c), len(other.c))
-        return Poly._of(
-            [
-                (self.c[i] if i < len(self.c) else 0)
-                + (other.c[i] if i < len(other.c) else 0)
-                for i in range(n)
-            ]
-        )
-
-    def __neg__(self):
-        return Poly._of([-x for x in self.c])
-
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.c) + len(other.c) - 1)
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in enumerate(other.c):
-                    out[i + j] += a * b
-        return Poly._of(out)
-
-    def scale(self, k):
-        return Poly._of([x * k for x in self.c])
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.c)
-        d = other.c
-        q = [Fraction(0)] * max(len(r) - len(d) + 1, 0)
-        for i in range(len(r) - len(d), -1, -1):
-            coef = r[i + len(d) - 1] / d[-1]
-            q[i] = coef
-            if coef:
-                for j in range(len(d)):
-                    r[i + j] -= coef * d[j]
-        return Poly._of(q), Poly._of(r)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.scale(1 / a.c[-1])
-
-    def derivative(self):
-        return Poly._of([i * x for i, x in enumerate(self.c)][1:])
-
-    def eval(self, t):
-        out = Fraction(0)
-        for x in reversed(self.c):
-            out = out * t + x
-        return out
-
-    def eval_mod_quadratic(self, s0):
-        """Evaluate at a root of T^2 = s0: returns (a, b) meaning a + b*T."""
-        a, b = Fraction(0), Fraction(0)
-        for i, x in enumerate(self.c):
-            if i % 2 == 0:
-                a += x * s0 ** (i // 2)
-            else:
-                b += x * s0 ** ((i - 1) // 2)
-        return a, b
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.c == other.c
-
-    def __hash__(self):
-        return hash(tuple(self.c))
+    def __init__(self, c):
+        self.c = c
 
     def __repr__(self):
         if not self.c:
@@ -133,76 +199,95 @@ class Poly:
 
 
 class QRational:
-    """num/den with den monic and gcd(num, den) = 1.  The variable is
+    """N/D in the normal form of the module docstring.  The variable is
     T = q^(-s); Laurent monomials are allowed via denominators T^k.
 
-    Every operation builds its result in this normal form directly and
-    hands it to `_normal`, which does no gcd; only a sum, and the public
-    constructor with a non-constant denominator, run a polynomial gcd."""
+    Every operation builds a pair coprime over Q and hands it to
+    `_lowest`, which takes out the content; a product runs a gcd only
+    across non-constant factors, and a sum runs Henrici's two gcds (of
+    the denominators, then of the new numerator with their gcd; P.
+    Henrici, J. ACM 3, 1956)."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("N", "D")
 
-    def __init__(self, num, den=None):
-        if not isinstance(num, Poly):
-            num = Poly.const(num)
-        if den is None:
-            den = _ONE
-        elif not isinstance(den, Poly):
-            den = Poly.const(den)
-        if den.is_zero():
+    def __init__(self, N, D):
+        """N/D for int coefficient sequences, little-endian, D nonzero."""
+        N, D = _trim(N), _trim(D)
+        if not D:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num, self.den = num, _ONE
-            return
-        if den.degree() > 0:
-            g = num.gcd(den)
-            if g.degree() > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-        lead = den.c[-1]
-        if lead != 1:
-            num, den = num.scale(1 / lead), den.scale(1 / lead)
-        self.num, self.den = num, den
+        if not N:
+            D = (1,)
+        elif len(N) > 1 and len(D) > 1:
+            g = _gcd(N, D)
+            if len(g) > 1:
+                N, D = _quo(N, g), _quo(D, g)
+        out = _lowest(N, D)
+        self.N, self.D = out.N, out.D
 
     @staticmethod
-    def _normal(num, den):
-        """Trusted constructor: den monic and coprime to num, den = 1 when
-        num is zero."""
+    def _of(N, D):
+        """Trusted constructor: (N, D) is in normal form."""
         out = QRational.__new__(QRational)
-        out.num, out.den = num, den
+        out.N, out.D = N, D
         return out
 
     @staticmethod
     def const(x):
-        return QRational._normal(Poly.const(x), _ONE)
+        x = Fraction(x)
+        return QRational._of((x.numerator,) if x else (), (x.denominator,))
 
     @staticmethod
     def monomial(coeff, k):
         """coeff * T^k, any integer k."""
-        num = Poly.const(coeff)
-        if num.is_zero() or k == 0:
-            return QRational._normal(num, _ONE)
+        c = Fraction(coeff)
+        if not c or k == 0:
+            return QRational.const(c)
         if k > 0:
-            return QRational._normal(Poly._of([Fraction(0)] * k + num.c), _ONE)
-        return QRational._normal(num, Poly.monomial(1, -k))
+            return QRational._of((0,) * k + (c.numerator,), (c.denominator,))
+        return QRational._of((c.numerator,), (0,) * -k + (c.denominator,))
+
+    @property
+    def num(self):
+        """The numerator of the monic view."""
+        return Poly([Fraction(x, self.D[-1]) for x in self.N])
+
+    @property
+    def den(self):
+        """The monic denominator of the view."""
+        return Poly([Fraction(x, self.D[-1]) for x in self.D])
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.N
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.degree() == 0 and other.den.degree() == 0:
-            return QRational._normal(self.num + other.num, _ONE)
-        return QRational(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        N1, D1, N2, D2 = self.N, self.D, other.N, other.D
+        if not N1:
+            return other
+        if not N2:
+            return self
+        # Henrici: with g = gcd(D1, D2) and Di = g di, the sum is
+        # (N1 d2 + N2 d1) / (g d1 d2), and only g can share a factor with
+        # its numerator (the sum is 0 only when D1 and D2 are constants)
+        g = _gcd(D1, D2)
+        if len(g) == 1:
+            return _lowest(_add(_mul(N1, D2), _mul(N2, D1)), _mul(D1, D2))
+        d1, d2 = _quo(D1, g), _quo(D2, g)
+        t = _add(_mul(N1, d2), _mul(N2, d1))
+        if not t:
+            return _ZERO
+        if len(t) > 1:
+            h = _gcd(t, g)
+            if len(h) > 1:
+                t, g = _quo(t, h), _quo(g, h)
+        return _lowest(t, _mul(_mul(d1, d2), g))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QRational._normal(-self.num, self.den)
+        return QRational._of(_neg(self.N), self.D)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -217,20 +302,29 @@ class QRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # cancel across: gcd(n1, d2) and gcd(n2, d1) are monic, and each
-        # factor was already reduced, so the product is in normal form (a
-        # zero factor has den 1 and cancels the other den to 1)
-        n1, d2 = _cancel(self.num, other.den)
-        n2, d1 = _cancel(other.num, self.den)
-        return QRational._normal(n1 * n2, d1 * d2)
+        N1, D1, N2, D2 = self.N, self.D, other.N, other.D
+        if not N1 or not N2:
+            return _ZERO
+        # cancel across: each factor is reduced, so after gcd(N1, D2) and
+        # gcd(N2, D1) go the product is coprime over Q
+        if len(N1) > 1 and len(D2) > 1:
+            g = _gcd(N1, D2)
+            if len(g) > 1:
+                N1, D2 = _quo(N1, g), _quo(D2, g)
+        if len(N2) > 1 and len(D1) > 1:
+            g = _gcd(N2, D1)
+            if len(g) > 1:
+                N2, D1 = _quo(N2, g), _quo(D1, g)
+        return _lowest(_mul(N1, N2), _mul(D1, D2))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
+        if not self.N:
             raise ZeroDivisionError("inverse of zero")
-        inv = 1 / self.num.c[-1]
-        return QRational._normal(self.den.scale(inv), self.num.scale(inv))
+        if self.N[-1] < 0:
+            return QRational._of(_neg(self.D), _neg(self.N))
+        return QRational._of(self.D, self.N)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -242,136 +336,133 @@ class QRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.N == other.N and self.D == other.D
 
     def __hash__(self):
-        return hash((tuple(self.num.c), tuple(self.den.c)))
+        # a constant equals its int or Fraction value, so it hashes as one
+        if len(self.N) <= 1 and len(self.D) == 1:
+            return hash(Fraction(self.N[0], self.D[0])) if self.N else 0
+        return hash((self.N, self.D))
 
     def evaluate(self, t):
         """Exact value at a rational T = t; raises at poles with a report."""
         t = Fraction(t)
-        d = self.den.eval(t)
-        if d == 0:
-            order = 0
-            den = self.den
-            while den.eval(t) == 0:
+        a, b = t.numerator, t.denominator
+        d = _homogeneous(self.D, a, b)
+        if not d:
+            order, den = 0, self.D
+            while not _homogeneous(den, a, b):
                 order += 1
-                den = den.derivative()
+                den = _derivative(den)
             raise PoleAtEvaluationPoint(
                 f"pole of order {order} at T={t}",
                 report={"T": t, "order": order},
             )
-        return self.num.eval(t) / d
+        # N(t)/D(t) = b^-deg N * n / (b^-deg D * d)
+        n, k = _homogeneous(self.N, a, b), len(self.D) - len(self.N)
+        if k >= 0:
+            return Fraction(n * b ** k, d)
+        return Fraction(n, d * b ** -k)
 
     def substitute_reciprocal(self):
-        """R(1/T) as a QRational in T."""
-        n = max(self.num.degree(), self.den.degree(), 0)
-        rn = Poly(list(reversed(self.num.c + [Fraction(0)] * (n - self.num.degree()))))
-        rd = Poly(list(reversed(self.den.c + [Fraction(0)] * (n - self.den.degree()))))
-        return QRational(rn, rd)
+        """R(1/T) as a QRational in T: both sides reversed at the common
+        degree n, i.e. T^n N(1/T) / T^n D(1/T).  The pair stays coprime
+        (at most one side gains a factor T, and a nonzero common root r
+        would make 1/r a common root of N and D) and keeps its content,
+        so only the sign of the new lc(D) needs fixing."""
+        N, D = self.N, self.D
+        n = max(len(N), len(D))
+        N = _trim(tuple(reversed(N + (0,) * (n - len(N)))))
+        D = _trim(tuple(reversed(D + (0,) * (n - len(D)))))
+        if D[-1] < 0:
+            N, D = _neg(N), _neg(D)
+        return QRational._of(N, D)
 
     def pole_order_at_sqrt(self, s0, sign=+1):
-        """Order of the pole at T = sign*sqrt(s0) (s0 a positive rational),
-        decided exactly by reduction mod T^2 - s0."""
-        s0 = Fraction(s0)
-        den = self.den
-        order = 0
-        while True:
-            a, b = den.eval_mod_quadratic(s0)
-            if sign < 0:
-                b = -b
-            if a == 0 and b == 0:
-                order += 1
-                den = den.derivative()
-                continue
-            # no longer vanishing; also confirm numerator does not vanish
-            if order:
-                na, nb = self.num.eval_mod_quadratic(s0)
-                if sign < 0:
-                    nb = -nb
-                if na == 0 and nb == 0:
-                    raise ArithmeticError("unreduced common sqrt factor")
-            return order
+        """Order of the pole at T = sign*sqrt(s0), for s0 a positive
+        rational that is not a square, decided exactly by reduction mod
+        T^2 - s0: P(sqrt(s0)) = A + B sqrt(s0) vanishes iff A = B = 0,
+        which is the same at both signs.  With s0 = t/u, u^K A and u^K B
+        are the homogeneous values at t/u of the even and of the odd
+        coefficients."""
+        t, u = s0.numerator, s0.denominator
+
+        def vanishes(p):
+            return not (_homogeneous(p[0::2], t, u)
+                        or _homogeneous(p[1::2], t, u))
+
+        den, order = self.D, 0
+        while vanishes(den):
+            order += 1
+            den = _derivative(den)
+        if order and vanishes(self.N):
+            raise ArithmeticError("unreduced common sqrt factor")
+        return order
 
     def real_pole_count(self, a, b):
         """Number of distinct real roots of the denominator in (a, b]."""
-        return sturm_root_count(self.den, Fraction(a), Fraction(b))
+        return sturm_root_count(self.D, a, b)
 
     def __repr__(self):
         return f"QRational({self.num!r} / {self.den!r})"
 
 
-_ONE = Poly([1])
-
-
-def _cancel(num, den):
-    """num / g and den / g for g = gcd(num, den), with no gcd when either
-    is constant (den is monic, so g is then 1)."""
-    if num.degree() == 0 or den.degree() == 0:
-        return num, den
-    g = num.gcd(den)
-    if g.degree() == 0:
-        return num, den
-    return num.divmod(g)[0], den.divmod(g)[0]
+_ZERO = QRational._of((), (1,))
 
 
 def _coerce(x):
     if isinstance(x, QRational):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, Rational):
         return QRational.const(x)
-    if isinstance(x, Poly):
-        return QRational(x)
     return NotImplemented
 
 
 def sturm_root_count(poly, a, b):
-    """Distinct real roots of poly in the half-open interval (a, b]."""
-    if poly.degree() <= 0:
+    """Distinct real roots in the half-open interval (a, b] of the int
+    polynomial `poly`, for rational a < b."""
+    if len(poly) <= 1:
         return 0
     # square-free part
-    g = poly.gcd(poly.derivative())
-    if g.degree() > 0:
-        poly = poly.divmod(g)[0]
-    chain = [poly, poly.derivative()]
-    while chain[-1].degree() > 0:
-        rem = chain[-2] % chain[-1]
-        if rem.is_zero():
+    g = _gcd(poly, _derivative(poly))
+    if len(g) > 1:
+        poly = _quo(poly, g)
+    chain = [poly, _derivative(poly)]
+    while len(chain[-1]) > 1:
+        f, h = chain[-2], chain[-1]
+        rem = _prem(f, h)
+        if not rem:
             break
-        chain.append(-rem)
+        # -(f mod h) up to a positive factor: the pseudo-remainder's
+        # multiplier lc(h)^(deg f - deg h + 1) may be negative
+        c = gcd(*rem)
+        if h[-1] > 0 or (len(f) - len(h)) % 2:
+            c = -c
+        chain.append(tuple(x // c for x in rem))
 
-    def signs_at(t):
-        out = []
-        for f in chain:
-            v = f.eval(t)
-            if v:
-                out.append(1 if v > 0 else -1)
-        changes = 0
-        for i in range(1, len(out)):
-            if out[i] != out[i - 1]:
-                changes += 1
-        return changes
+    def sign_changes(t):
+        signs = [v > 0 for v in (_homogeneous(f, t.numerator, t.denominator)
+                                 for f in chain) if v]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
 
-    count = signs_at(a) - signs_at(b)
-    # Sturm counts roots in (a, b]; adjust for a root exactly at a (not
-    # counted) -- standard statement already excludes a and includes b.
-    return count
+    # with zero values dropped, the count runs over (a, b]
+    return sign_changes(a) - sign_changes(b)
 
 
 def geometric_tail(coeff, power, start):
-    """Sum over v >= start of (coeff * T^power)^v, as a QRational.
+    """Sum over v >= start of (coeff * T^power)^v, as a QRational, for a
+    nonzero rational coeff and power >= 1.
 
     This is the exact regularization of the geometric series: the value
-    (coeff*T^power)^start / (1 - coeff*T^power) as a rational function.
+    x^start / (1 - x) for x = coeff*T^power.  With coeff = c/w it is
+    c^start w T^(power start) / (w^start (w - c T^power)), built directly:
+    a monomial is coprime to w - c T^power, whose constant term is not 0,
+    so no gcd runs.
     """
-    x = QRational.monomial(Fraction(coeff), power)
-    num = _qr_pow(x, start)
-    return num * (QRational.const(1) - x).inverse()
-
-
-def _qr_pow(x, n):
-    out = QRational.const(1)
-    base = x if n >= 0 else x.inverse()
-    for _ in range(abs(n)):
-        out = out * base
-    return out
+    c, w = coeff.numerator, coeff.denominator
+    one_minus = (w,) + (0,) * (power - 1) + (-c,)
+    if start >= 0:
+        return _lowest((0,) * (power * start) + (c ** start * w,),
+                       tuple(x * w ** start for x in one_minus))
+    return _lowest((w ** -start * w,), (0,) * (-power * start)
+                   + tuple(x * c ** -start for x in one_minus))

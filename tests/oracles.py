@@ -14,7 +14,12 @@ another way:
   ``spherical_rhs``;
 * ``FractionCyclotomic`` is the cyclotomic scalar keyed by Fraction
   exponents and reduced in Fraction arithmetic, against
-  ``cyclotomic.CyclotomicScalar`` on int exponents at one conductor.
+  ``cyclotomic.CyclotomicScalar`` on int exponents at one conductor;
+* ``FractionQRational`` is the rational function as a monic Fraction
+  denominator over a Fraction numerator, reduced by the Euclidean gcd
+  over Q (``FractionPoly``), with its own evaluation, reduction mod
+  T^2 - s0 and Sturm chain, against ``qrational.QRational`` on coprime
+  int numerator and denominator tuples.
 """
 
 import itertools
@@ -23,7 +28,7 @@ from math import gcd
 
 from padharm.cyclotomic import CyclotomicScalar, cyclotomic_poly
 from padharm.dagger import shell_valuation
-from padharm.errors import NotInDomain
+from padharm.errors import NotInDomain, PoleAtEvaluationPoint
 from padharm.matrices import QuadExtRing, det, mat, mat_mul
 from padharm.orbital import (
     _inv_vol,
@@ -259,3 +264,189 @@ class FractionCyclotomic:
         return "Cyc(" + " + ".join(
             f"{self.terms[r]}*e({r})" if r else f"{self.terms[r]}"
             for r in sorted(self.terms)) + ")"
+
+
+class FractionPoly:
+    """Dense polynomial over Q, little-endian Fraction coefficients."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs=()):
+        c = [Fraction(x) for x in coeffs]
+        while c and not c[-1]:
+            c.pop()
+        self.c = c
+
+    def degree(self):
+        return len(self.c) - 1  # -1 for the zero polynomial
+
+    def is_zero(self):
+        return not self.c
+
+    def __add__(self, other):
+        n = max(len(self.c), len(other.c))
+        return FractionPoly(
+            (self.c[i] if i < len(self.c) else 0)
+            + (other.c[i] if i < len(other.c) else 0) for i in range(n))
+
+    def __neg__(self):
+        return FractionPoly(-x for x in self.c)
+
+    def __mul__(self, other):
+        if self.is_zero() or other.is_zero():
+            return FractionPoly()
+        out = [Fraction(0)] * (len(self.c) + len(other.c) - 1)
+        for i, a in enumerate(self.c):
+            for j, b in enumerate(other.c):
+                out[i + j] += a * b
+        return FractionPoly(out)
+
+    def scale(self, k):
+        return FractionPoly(x * k for x in self.c)
+
+    def divmod(self, other):
+        r = list(self.c)
+        d = other.c
+        q = [Fraction(0)] * max(len(r) - len(d) + 1, 0)
+        for i in range(len(r) - len(d), -1, -1):
+            coef = r[i + len(d) - 1] / d[-1]
+            q[i] = coef
+            for j in range(len(d)):
+                r[i + j] -= coef * d[j]
+        return FractionPoly(q), FractionPoly(r)
+
+    def gcd(self, other):
+        """The monic gcd, by Euclid's algorithm over Q."""
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, a.divmod(b)[1]
+        return a.scale(1 / a.c[-1]) if a.c else a
+
+    def derivative(self):
+        return FractionPoly([i * x for i, x in enumerate(self.c)][1:])
+
+    def eval(self, t):
+        out = Fraction(0)
+        for x in reversed(self.c):
+            out = out * t + x
+        return out
+
+    def eval_mod_quadratic(self, s0):
+        """Evaluate at a root of T^2 = s0: returns (a, b) meaning a + b*T."""
+        a, b = Fraction(0), Fraction(0)
+        for i, x in enumerate(self.c):
+            if i % 2 == 0:
+                a += x * s0 ** (i // 2)
+            else:
+                b += x * s0 ** ((i - 1) // 2)
+        return a, b
+
+
+class FractionQRational:
+    """num/den with den monic and gcd(num, den) = 1, both FractionPolys;
+    every operation reduces by the gcd over Q.  Its `num.c` and `den.c`
+    are the monic view that `QRational` prints."""
+
+    def __init__(self, num, den=None):
+        den = den if den is not None else FractionPoly([1])
+        if num.is_zero():
+            num, den = num, FractionPoly([1])
+        else:
+            g = num.gcd(den)
+            num, den = num.divmod(g)[0], den.divmod(g)[0]
+            lead = den.c[-1]
+            num, den = num.scale(1 / lead), den.scale(1 / lead)
+        self.num, self.den = num, den
+
+    @staticmethod
+    def const(x):
+        return FractionQRational(FractionPoly([x]))
+
+    @staticmethod
+    def monomial(coeff, k):
+        """coeff * T^k, any integer k."""
+        if k >= 0:
+            return FractionQRational(FractionPoly([0] * k + [coeff]))
+        return FractionQRational(FractionPoly([coeff]),
+                                 FractionPoly([0] * -k + [1]))
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def __add__(self, other):
+        return FractionQRational(self.num * other.den + other.num * self.den,
+                                 self.den * other.den)
+
+    def __neg__(self):
+        return FractionQRational(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return FractionQRational(self.num * other.num, self.den * other.den)
+
+    def inverse(self):
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        return FractionQRational(self.den, self.num)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def __eq__(self, other):
+        return self.num.c == other.num.c and self.den.c == other.den.c
+
+    def evaluate(self, t):
+        t = Fraction(t)
+        d = self.den.eval(t)
+        if d == 0:
+            order, den = 0, self.den
+            while den.eval(t) == 0:
+                order += 1
+                den = den.derivative()
+            raise PoleAtEvaluationPoint(f"pole of order {order} at T={t}",
+                                        report={"T": t, "order": order})
+        return self.num.eval(t) / d
+
+    def substitute_reciprocal(self):
+        """R(1/T): both sides reversed at the common degree."""
+        n = max(self.num.degree(), self.den.degree(), 0)
+        return FractionQRational(
+            FractionPoly(reversed(self.num.c + [0] * (n - self.num.degree()))),
+            FractionPoly(reversed(self.den.c + [0] * (n - self.den.degree()))))
+
+    def pole_order_at_sqrt(self, s0):
+        """Order of the pole at T = +-sqrt(s0) for a non-square s0, by
+        reduction mod T^2 - s0 (both signs have the same order)."""
+        s0 = Fraction(s0)
+        den, order = self.den, 0
+        while True:
+            a, b = den.eval_mod_quadratic(s0)
+            if a or b:
+                return order
+            order += 1
+            den = den.derivative()
+
+    def real_pole_count(self, a, b):
+        return fraction_sturm_root_count(self.den, Fraction(a), Fraction(b))
+
+
+def fraction_sturm_root_count(poly, a, b):
+    """Distinct real roots of poly in (a, b], by a Sturm chain over Q."""
+    if poly.degree() <= 0:
+        return 0
+    g = poly.gcd(poly.derivative())
+    poly = poly.divmod(g)[0]
+    chain = [poly, poly.derivative()]
+    while chain[-1].degree() > 0:
+        rem = chain[-2].divmod(chain[-1])[1]
+        if rem.is_zero():
+            break
+        chain.append(-rem)
+
+    def sign_changes(t):
+        signs = [v > 0 for v in (f.eval(t) for f in chain) if v]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    return sign_changes(a) - sign_changes(b)
