@@ -17,15 +17,18 @@ from math import lcm
 from .cyclotomic import CyclotomicScalar
 from .padic import strip_p, val_p
 
-_ZERO = Fraction(0)
+_NO_PHASE = (0, 0)
 
 
 def cell_value(f, hits):
-    """f at a cell on which the terms of `hits`, (index, psi phase) pairs
-    in term order, pass: the sum f.evaluate builds there."""
+    """f at a cell on which the terms of `hits`, (index, (n, k)) pairs in
+    term order with psi's phase n / p^k, pass: the sum f.evaluate builds
+    there."""
+    p = f.space.F.p
     total = CyclotomicScalar.zero()
-    for t, phase in hits:
-        total = total + f.terms[t][0] * CyclotomicScalar.root_of_unity(phase)
+    for t, (n, k) in hits:
+        total = total + f.terms[t][0] * CyclotomicScalar.root_of_unity(
+            Fraction(n, p ** k))
     return total
 
 
@@ -33,7 +36,10 @@ def passing_cells(X, f, lo, M, det_window):
     """The cells J in [0, p^e)^4, e = M - lo, of one pass on which some
     term of f passes its coset test, with v(det h) = 2 lo + v(det J) in
     det_window.  Yields (J, det J, v(det J), hits), hits the list of
-    (term index, psi phase) of the passing terms in term order.
+    (term index, (n, k)) of the passing terms in term order, with psi's
+    phase n / p^k at the cell as an int pair, 0 <= n < p^k; (0, 0) is
+    the phase 0 of a term with no frequency, or with S = 0 or k <= 0
+    below.  No Fraction is built per cell.
 
     Integer model.  With X = Xi / D (D the positive common denominator of
     the coordinates) and L = |lo|, every coordinate of
@@ -46,8 +52,10 @@ def passing_cells(X, f, lo, M, det_window):
     frequencies weights[i] freq[i] at j = pairing[i] over their common
     denominator G.  The p-part of G Den is p^w with
     w = v(G) + v(D) + v(det J) + L, so psi's phase is frac_part_p's
-    formula on ints: with G Den = p^w U and k = w - d,
-    phase = (S U^-1 mod p^k) / p^k.
+    formula on ints: with G Den = p^w U and k = w - d, the phase is
+    n / p^k with n = S U^-1 mod p^k, yielded as the pair (n, k) when
+    S != 0 and k > 0.  The pair need not be in lowest terms (p may divide
+    n); n / p^k is the phase all the same.
 
     Pruning.  J is found one residue level at a time, depth first: the
     classes below r mod p^l are r + p^l d mod p^(l + 1), d in [0, p)^4.
@@ -126,14 +134,14 @@ def passing_cells(X, f, lo, M, det_window):
     def phase(t, N, vj, u):
         ph = phases[t]
         if ph is None:
-            return _ZERO
+            return _NO_PHASE
         g, k0, uGD = ph
         S = sum(gj * N[j] for j, gj in g)
         k = k0 + vj
         if not S or k <= 0:
-            return _ZERO
+            return _NO_PHASE
         pk = p ** k
-        return Fraction(S * pow(uGD * u, -1, pk) % pk, pk)
+        return S * pow(uGD * u, -1, pk) % pk, k
 
     stack = [(0, (0, 0, 0, 0))]  # (level l, J mod p^l) still to refine
     while stack:

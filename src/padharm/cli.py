@@ -606,15 +606,26 @@ def main(argv=None):
         with config.scope():
             result = COMMANDS[args.command](config, _read_payload(args))
     except ScaleExceeded as exc:
-        _emit({"error": {"type": "ScaleExceeded", "message": str(exc)}},
-              args.out, err=True)
-        return 3
+        return _finish(_error(exc), args.out, 3)
     except DomainError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}},
-              args.out, err=True)
+        return _finish(_error(exc), args.out, 2)
+    return _finish({"command": args.command, "result": result}, args.out, 0)
+
+
+def _error(exc):
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
+def _finish(obj, out_path, code):
+    """Emit obj (an error document when code is nonzero) and return code;
+    an --out path that cannot be written ends as a SchemaError (exit 2)."""
+    try:
+        _emit(obj, out_path, err=bool(code))
+    except OSError as exc:
+        error = SchemaError(f"/out: cannot write {out_path}: {exc}")
+        _emit(_error(error), None, err=True)
         return 2
-    _emit({"command": args.command, "result": result}, args.out)
-    return 0
+    return code
 
 
 def _emit(obj, out_path, err=False):

@@ -139,9 +139,19 @@ class OrbitalResult:
         )
 
     def __eq__(self, other):
+        """Equal iff each R_i carries the same coefficient on both sides:
+        the pairs hold distinct R_i and no zero coefficient, so this is
+        (self - other).is_zero() without building the difference."""
         if not isinstance(other, OrbitalResult):
             return NotImplemented
-        return (self - other).is_zero()
+        if len(self.pairs) != len(other.pairs):
+            return False
+        theirs = {qr: c for c, qr in other.pairs}
+        for c, qr in self.pairs:
+            d = theirs.get(qr)
+            if d is None or not (c - d).is_zero():
+                return False
+        return True
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -397,6 +407,13 @@ def orbital_rs(X, f, eta, slack=0):
     return first
 
 
+def _cell_volume(p, d, M):
+    """The self-dual volume p^((-8M - 4d)/2) of p^M M_2(O) under psi of
+    conductor d: `Space.vol_exponent` of the unit-weight 4-dim space,
+    without building the space."""
+    return sqrt_rational_power(p, -8 * M - 4 * d)
+
+
 def _orbital_rs_cells(X, f, eta, lo, M, det_window):
     """One granularity pass of the rank-2 cell enumeration: the cells of h
     are p^M M_2(O) cosets of h = p^lo J with J an integer matrix in
@@ -404,13 +421,15 @@ def _orbital_rs_cells(X, f, eta, lo, M, det_window):
     collected by v(det h) in det_window.
 
     `cells.passing_cells` yields the cells on which some term of f passes
-    its coset test, with psi's phase for each such term; its docstring
-    proves that dropping a residue class mod p^l as it does loses no such
-    cell.  The value of f at a cell is sum_t coeff_t e(phase_t)
-    (`cells.cell_value`).  eta is tame, so eta(det h) depends only on
-    v(det J) and the residue mod p of the unit part of det J.  The pass
-    counts the cells per (v(det J), eta's phase, term, psi's phase) and
-    multiplies each count out once at the end.
+    its coset test, with psi's phase n / p^k for each such term as the
+    int pair (n, k); its docstring proves that dropping a residue class
+    mod p^l as it does loses no such cell.  The value of f at a cell is
+    sum_t coeff_t e(n_t / p^k_t) (`cells.cell_value`).  eta is tame, so
+    eta(det h) depends only on v(det J) and the residue u0 mod p of the
+    unit part of det J.  The pass counts the cells per int key
+    (v(det J), u0, term, n, k), and builds eta's phase, the Fraction
+    phase and the product once per distinct key at the end; each cell
+    has the volume `_cell_volume`.
 
     Bytes.  A CyclotomicScalar prints its `terms` view, a dict from
     Fraction exponents to Fraction coefficients that no stored conductor
@@ -418,11 +437,12 @@ def _orbital_rs_cells(X, f, eta, lo, M, det_window):
     coefficients per exponent, * adds exponents, and neither reduces
     modulo a cyclotomic polynomial.  So the view of a sum does not depend
     on the order or the grouping of its summands, and the counts give the
-    view of the cell-by-cell sum: the cell order of the walk does not
-    change the bytes.  The one step that is not a
-    group-ring operation is dropping a cell whose value is zero.  A value
-    with one passing term is coeff_t e(phase_t), never zero (a packet
-    keeps no zero coefficient); a value with more can be zero in
+    view of the cell-by-cell sum: neither the cell order of the walk nor
+    the keys the cells are counted under (two keys may name one phase,
+    as (n, k) and (pn, k + 1) do) change the bytes.  The one step that is
+    not a group-ring operation is dropping a cell whose value is zero.  A
+    value with one passing term is coeff_t e(phase_t), never zero (a
+    packet keeps no zero coefficient); a value with more can be zero in
     Q(zeta) and not as a dict, so those cells are tested with is_zero, as
     a cell-by-cell sum of f.evaluate values tests them.
 
@@ -433,22 +453,23 @@ def _orbital_rs_cells(X, f, eta, lo, M, det_window):
     p = f.space.F.p
     q = Fraction(p)
     counts = Counter()
-    eta_phases = {}
     for _, dJ, vj, hits in passing_cells(X, f, lo, M, det_window):
         if len(hits) > 1 and cell_value(f, hits).is_zero():
             continue
-        key = (vj, dJ // p ** vj % p)
-        r = eta_phases.get(key)
-        if r is None:
-            r = eta_phases[key] = eta.phase(dJ * q ** (2 * lo))
-        for t, phase in hits:
-            counts[vj, r, t, phase] += 1
-    vol = f_space(f.space.F, f.space.psi, 4).vol_lattice((M,) * 4)
+        u0 = dJ // p ** vj % p
+        for t, (n, k) in hits:
+            counts[vj, u0, t, n, k] += 1
+    vol = _cell_volume(p, f.space.psi.d, M)
+    eta_phases = {}
     pairs = {}
-    for (vj, r, t, phase), n in counts.items():
+    for (vj, u0, t, n, k), count in counts.items():
         vd = 2 * lo + vj
-        c = (f.terms[t][0] * CyclotomicScalar.root_of_unity(phase + r)
-             * (n * q ** (2 * vd)))
+        r = eta_phases.get((vj, u0))
+        if r is None:
+            r = eta_phases[vj, u0] = eta.phase(u0 * q ** vd)
+        c = (f.terms[t][0]
+             * CyclotomicScalar.root_of_unity(Fraction(n, p ** k) + r)
+             * (count * q ** (2 * vd)))
         pairs[vd] = pairs.get(vd, CyclotomicScalar.zero()) + c
     out = []
     for vd, c in pairs.items():

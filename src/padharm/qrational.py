@@ -39,7 +39,7 @@ shows them.  The view is built when asked for and feeds no arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from numbers import Rational
 
 from .errors import PoleAtEvaluationPoint
@@ -380,16 +380,24 @@ class QRational:
 
     def pole_order_at_sqrt(self, s0, sign=+1):
         """Order of the pole at T = sign*sqrt(s0), for s0 a positive
-        rational that is not a square, decided exactly by reduction mod
-        T^2 - s0: P(sqrt(s0)) = A + B sqrt(s0) vanishes iff A = B = 0,
-        which is the same at both signs.  With s0 = t/u, u^K A and u^K B
-        are the homogeneous values at t/u of the even and of the odd
-        coefficients."""
+        rational, decided exactly.  With s0 = t/u in lowest terms, s0 is
+        a square iff t and u are; then the root is the rational
+        sign*sqrt(t)/sqrt(u) and P vanishes there iff its homogeneous
+        value does.  Otherwise reduce mod T^2 - s0: P(sqrt(s0)) =
+        A + B sqrt(s0) vanishes iff A = B = 0, which is the same at both
+        signs, and u^K A and u^K B are the homogeneous values at t/u of
+        the even and of the odd coefficients."""
         t, u = s0.numerator, s0.denominator
+        rt, ru = isqrt(t), isqrt(u)
+        if rt * rt == t and ru * ru == u:
+            r = sign * rt
 
-        def vanishes(p):
-            return not (_homogeneous(p[0::2], t, u)
-                        or _homogeneous(p[1::2], t, u))
+            def vanishes(p):
+                return not _homogeneous(p, r, ru)
+        else:
+            def vanishes(p):
+                return not (_homogeneous(p[0::2], t, u)
+                            or _homogeneous(p[1::2], t, u))
 
         den, order = self.D, 0
         while vanishes(den):

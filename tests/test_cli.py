@@ -304,6 +304,23 @@ def test_schema_error_exit_code(tmp_path, capsys):
     assert "/matrix" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_an_out_path_that_cannot_be_written_is_a_schema_error(
+        where, tmp_path, capsys):
+    payload = tmp_path / "payload.json"
+    payload.write_text("{}")
+    out = tmp_path / "no" / "such" / "x.json" if where == "missing-dir" \
+        else tmp_path
+    code = main(["--payload", str(payload), "--out", str(out),
+                 "local-factors"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "SchemaError"
+    assert error["message"].startswith(f"/out: cannot write {out}: ")
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p": 2}))

@@ -375,16 +375,79 @@ MIXED_CANCELLING = WavePacket(SPACE, CERTIFICATE_PACKETS["mixed"].terms
     (1, 2, packet(BASE_D3, -2, True)),
 ])
 def test_every_cell_value_is_f_evaluate_there(lo, M, f):
-    # the integer model's value of each passing cell, psi's phase from
-    # S / (G Den) on ints, against f.evaluate at the cell's Fraction point
+    # the integer model's value of each passing cell, psi's phase n / p^k
+    # from S / (G Den) as an int pair, against f.evaluate at the cell's
+    # Fraction point
     cells = 0
     for J, dJ, vj, hits in passing_cells(BASE_D3, f, lo, M, WINDOW):
         assert dJ == J[0] * J[3] - J[1] * J[2] and val_p(dJ, P) == vj
+        for _, (n, k) in hits:
+            assert type(n) is int and type(k) is int
+            assert k >= 0 and 0 <= n < P ** k
         want = f.evaluate(_conjugate_by(_h(J, lo), BASE_D3))
         got = cell_value(f, hits)
         assert got == want and repr(got) == repr(want)
         cells += 1
     assert cells > 0
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_cell_volume_is_the_four_dim_lattice_volume(p, d):
+    F = FieldContext(p)
+    space = f_space(F, AdditiveCharacter(F, d), 4)
+    for M in range(-3, 7):
+        got = orbital._cell_volume(p, d, M)
+        want = space.vol_lattice((M,) * 4)
+        assert got == want and repr(got) == repr(want)
+
+
+# OrbitalResult equality against the difference it no longer builds: a
+# few rational functions, and values with several stored forms each
+# (1 = 2 + e(1/2) = -e(1/3) - e(2/3), i = e(1/4) = -e(3/4),
+# sqrt(3) = e(1/12) - e(5/12) = e(11/12) - e(7/12), 0 = 1 + e(1/2))
+RESULT_QRS = [QRational.monomial(1, k) for k in (-1, 0, 1, 2)] + [
+    QRational.monomial(1, 1) / (QRational.const(1) - QRational.monomial(
+        Fraction(1, 3), 2))]
+VALUE_FORMS = [
+    [CyclotomicScalar.one(), CyclotomicScalar({0: 2, Fraction(1, 2): 1}),
+     CyclotomicScalar({Fraction(1, 3): -1, Fraction(2, 3): -1})],
+    [CyclotomicScalar.root_of_unity(Fraction(1, 4)),
+     CyclotomicScalar({Fraction(3, 4): -1})],
+    [CyclotomicScalar({Fraction(1, 12): 1, Fraction(5, 12): -1}),
+     CyclotomicScalar({Fraction(11, 12): 1, Fraction(7, 12): -1})],
+    [CyclotomicScalar.from_rational(Fraction(-2, 3))],
+    [CyclotomicScalar.zero(), CyclotomicScalar({0: 1, Fraction(1, 2): 1})],
+]
+result_terms = st.lists(st.tuples(
+    st.integers(0, len(VALUE_FORMS) - 1), st.integers(0, 2),
+    st.integers(0, len(RESULT_QRS) - 1)), max_size=4)
+
+
+def _result(terms, qrs=RESULT_QRS):
+    return OrbitalResult([(VALUE_FORMS[v][form % len(VALUE_FORMS[v])],
+                           qrs[i % len(qrs)]) for v, form, i in terms])
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=result_terms, b=result_terms,
+       case=st.sampled_from(["independent", "reformed", "perturbed",
+                             "disjoint"]),
+       shift=st.integers(1, len(VALUE_FORMS) - 1))
+def test_result_equality_is_a_zero_difference(a, b, case, shift):
+    if case == "reformed":
+        # the same value on the same function, in other stored forms
+        b = [(v, form + 1, i) for v, form, i in a]
+    elif case == "perturbed":
+        # the same functions, the first coefficient another value
+        b = [((v + shift) % len(VALUE_FORMS) if j == 0 else v, form, i)
+             for j, (v, form, i) in enumerate(a)]
+    x = _result(a, RESULT_QRS[:2] if case == "disjoint" else RESULT_QRS)
+    y = _result(b, RESULT_QRS[2:] if case == "disjoint" else RESULT_QRS)
+    want = (x - y).is_zero()
+    assert (x == y) is want and (y == x) is want
+    if case == "reformed":
+        assert want
 
 
 # ---------------------------------------------------------------------------

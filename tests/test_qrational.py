@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +63,35 @@ def test_pole_order_at_sqrt():
     assert x.pole_order_at_sqrt(Fraction(1, 5), +1) == 0
     sq = x * x
     assert sq.pole_order_at_sqrt(Fraction(1, 3), +1) == 2
+
+
+def _root_order(den, r):
+    """The multiplicity of the rational root r of a FractionPoly."""
+    order = 0
+    while den.eval(r) == 0:
+        order += 1
+        den = den.derivative()
+    return order
+
+
+@pytest.mark.parametrize("s0", [Fraction(1, 4), Fraction(4, 9), Fraction(9)])
+def test_pole_order_at_a_rational_square_root(s0):
+    # 1 / ((1 - T/r)^2 (1 + T/r)) has a double pole at T = r = sqrt(s0)
+    # and a simple one at -r; at a square s0 the two signs differ
+    r = Fraction(isqrt(s0.numerator), isqrt(s0.denominator))
+    assert r * r == s0
+    one = QRational.const(1)
+    below = one - T(1, 1 / r)
+    x = (below * below * (one + T(1, 1 / r))).inverse()
+    assert x.pole_order_at_sqrt(s0, +1) == 2
+    assert x.pole_order_at_sqrt(s0, -1) == 1
+    den = FractionPoly([Fraction(c) for c in x.D])
+    for sign in (1, -1):
+        assert x.pole_order_at_sqrt(s0, sign) == _root_order(den, sign * r)
+    # (1 - 2T)^(-1) at s0 = 1/4: a simple pole at 1/2, none at -1/2
+    y = (one - T(1, 2)).inverse()
+    assert y.pole_order_at_sqrt(Fraction(1, 4), +1) == 1
+    assert y.pole_order_at_sqrt(Fraction(1, 4), -1) == 0
 
 
 def test_geometric_tail():
