@@ -11,7 +11,6 @@ adds up their values.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import lcm
 
 from .cyclotomic import CyclotomicScalar
@@ -27,8 +26,8 @@ def cell_value(f, hits):
     p = f.space.F.p
     total = CyclotomicScalar.zero()
     for t, (n, k) in hits:
-        total = total + f.terms[t][0] * CyclotomicScalar.root_of_unity(
-            Fraction(n, p ** k))
+        total = total + f.terms[t][0] * CyclotomicScalar.root_of_unity_ratio(
+            n, p ** k)
     return total
 
 
@@ -51,7 +50,7 @@ def passing_cells(X, f, lo, M, det_window):
     S / (G Den) with S = sum_j g_j N_j, where g_j / G are the weighted
     frequencies weights[i] freq[i] at j = pairing[i] over their common
     denominator G.  The p-part of G Den is p^w with
-    w = v(G) + v(D) + v(det J) + L, so psi's phase is frac_part_p's
+    w = v(G) + v(D) + v(det J) + L, so psi's phase is frac_part_ratio's
     formula on ints: with G Den = p^w U and k = w - d, the phase is
     n / p^k with n = S U^-1 mod p^k, yielded as the pair (n, k) when
     S != 0 and k > 0.  The pair need not be in lowest terms (p may divide

@@ -16,39 +16,30 @@ from .cyclotomic import CyclotomicScalar, legendre
 from .errors import NotInDomain, UnsupportedConductor
 from .padic import strip_p, unit_residue, val_p
 
-_ZERO = Fraction(0)
-
-
-def frac_part_p(x, p, d=0):
-    """The p-power fractional part of p^d x: r in [0,1) with p-power
-    denominator and p^d x - r integral at p, for rational x and any
-    integer d."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    return frac_part_ratio(x.numerator, x.denominator, p, d)
-
 
 def frac_part_ratio(num, den, p, d):
-    """`frac_part_p` of x = num / den, for ints with den > 0 and not
-    necessarily coprime.
+    """The p-power fractional part of p^d x, x = num / den: the r in
+    [0, 1) with p-power denominator and p^d x - r integral at p, as an
+    int pair (m, p^k) with r = m / p^k and 0 <= m < p^k; (0, 1) when r is
+    0.  num and den > 0 are ints, not necessarily coprime, d is any int,
+    and m / p^k need not be in lowest terms.
 
     Integer kernel: den = p^v u with p not dividing u, so p^d x has the
     p-power denominator p^k, k = v - d (less when p divides num), and
-    r = (num * u^-1 mod p^k) / p^k, which is the same rational when
-    num / den is not in lowest terms.  The one Fraction built is r.  A
-    denominator prime to p costs one modulo; any other is split by
-    `strip_p`.
+    m = num * u^-1 mod p^k, which names the same rational when num / den
+    is not in lowest terms.  A denominator prime to p costs one modulo;
+    any other is split by `strip_p`.
     """
     if not num:
-        return _ZERO
+        return 0, 1
     k = -d
     if den % p == 0:
         v, den = strip_p(den, p)
         k += v
     if k <= 0:
-        return _ZERO
+        return 0, 1
     pk = p ** k
-    return Fraction(num * pow(den, -1, pk) % pk, pk)
+    return num * pow(den, -1, pk) % pk, pk
 
 
 class AdditiveCharacter:
@@ -68,12 +59,19 @@ class AdditiveCharacter:
     def __hash__(self):
         return hash((self.F, self.d))
 
+    def _phase_pair(self, x):
+        """(m, p^k) with psi(x) = e(m / p^k), for rational x."""
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        return frac_part_ratio(x.numerator, x.denominator, self.F.p, self.d)
+
     def phase(self, x):
         """The argument r in Q/Z with psi(x) = e(r), for rational x."""
-        return frac_part_p(x, self.F.p, self.d)
+        return Fraction(*self._phase_pair(x))
 
     def __call__(self, x):
-        return CyclotomicScalar.root_of_unity(self.phase(x))
+        # built from the int pair, with no Fraction per value
+        return CyclotomicScalar.root_of_unity_ratio(*self._phase_pair(x))
 
 
 @lru_cache(maxsize=None)

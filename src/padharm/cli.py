@@ -313,15 +313,18 @@ def cmd_fourier(config, payload):
     f = parse_packet(payload.get("packet"), config, "/packet")
     # a row's new coefficient is c p^(k/2) psi(...); psi only moves keys,
     # so each printed coefficient is p^w s, w the floor of k/2 and s a
-    # coefficient of c (c sqrt(p) for odd k).  p^|w + v(s)| divides its
-    # numerator or denominator: when that is too long, printing exits 3
-    # anyway, so refusing before p^w is built refuses no answer
+    # coefficient of c (c sqrt(p) for odd k), stored as an int over c.den.
+    # p^|w + v(s)| divides its numerator or denominator: when that is too
+    # long, printing exits 3 anyway, so refusing before p^w is built
+    # refuses no answer
     sp = f.space
     p = sp.F.p
     for c, _, a, _ in f.rows:
         k = sp.vol_exponent(a)
-        for s in (c * sqrt_prime(p) if k % 2 else c).coeffs.values():
-            if _too_long(p, abs(k // 2 + val_p(s, p))):
+        c = c * sqrt_prime(p) if k % 2 else c
+        w = k // 2 - val_p(c.den, p)
+        for s in c.coeffs.values():
+            if _too_long(p, abs(w + val_p(s, p))):
                 raise ScaleExceeded(
                     f"/packet: a transformed coefficient has more than "
                     f"{MAX_PRINTED_BITS} bits to print")

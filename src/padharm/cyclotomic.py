@@ -7,18 +7,25 @@ exponent vector modulo a cyclotomic polynomial.  This ring contains every
 value we need: roots of unity, rationals, Gauss sums, and sqrt(p) for odd
 p.
 
-Normal form: every instance holds a conductor `n` (an int >= 1) and a
-dict `coeffs` {k: c} with int keys k in [0, n), each standing for
-e(k/n), and nonzero Fraction values c.  The public constructor brings
-arbitrary input to that form; the ring operations build their results
-directly in it, rewriting operands at the lcm of their conductors, and
-wrap them with the trusted `_normal`.  The stored conductor is not part
-of the value: `terms`, the read-only view {k/n: c} that callers print,
-does not depend on it.  The normal form is not unique (e(0) + e(1/2)
-equals 0), so equality is decided by `is_zero`, which reduces an int
-vector at the least conductor of the keys.  Instances are immutable:
-operations may return an operand itself or a cached value such as
-`sqrt_prime(p)`, so `coeffs` is never changed in place.
+Normal form: every instance holds a conductor `n` (an int >= 1), a dict
+`coeffs` {k: c} with int keys k in [0, n), each standing for e(k/n), and
+nonzero int values c, and one denominator `den` (an int > 0) with
+gcd(den, *coeffs.values()) == 1; the element is the sum of the
+(c / den) e(k/n).  Zero has one stored form: n = 1, {} and den = 1.  The
+public constructors bring rational input to that form.  The ring
+operations build their results directly in it, on ints, rewriting
+operands at the lcm of their conductors: + takes one lcm of the two
+denominators, merges, and divides out one gcd when two keys met; * keeps
+a monomial fast path that only rotates (and rescales) the other
+operand's keys.  The trusted `_normal` wraps the result; no operation
+builds a Fraction.  The stored conductor is not part of the value:
+`terms`, the read-only view {k/n: c/den} with Fraction keys and values
+that callers print, does not depend on it.  The normal form is not
+unique (e(0) + e(1/2) equals 0), so equality is decided by `is_zero`,
+which reduces the int vector at the least conductor of the keys.
+Instances are immutable: operations may return an operand itself or a
+cached value such as `sqrt_prime(p)`, so `coeffs` is never changed in
+place.
 """
 
 from __future__ import annotations
@@ -63,54 +70,69 @@ def cyclotomic_poly(n):
     return tuple(num)
 
 
-_ONE = Fraction(1)
-
-
 class CyclotomicScalar:
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "coeffs", "den")
 
     def __init__(self, terms=None):
-        # terms: dict {r mod 1 : coeff}, any keys and values Fraction takes
+        # terms: dict {r mod 1 : coeff}, any keys and values `_exact` takes
         clean = {}
         if terms:
             for r, c in terms.items():
-                r = Fraction(r) % 1
-                c = Fraction(c)
+                r = _exact(r) % 1
+                c = _exact(c)
                 if c:
-                    clean[r] = clean.get(r, Fraction(0)) + c
+                    clean[r] = clean.get(r, 0) + c
                     if not clean[r]:
                         del clean[r]
-        self.n = lcm(*[r.denominator for r in clean])
-        self.coeffs = {r.numerator * (self.n // r.denominator): c
+        # over the lcm of lowest-terms denominators the numerators have no
+        # common factor with it
+        self.n = n = lcm(*[r.denominator for r in clean])
+        self.den = den = lcm(*[c.denominator for c in clean.values()])
+        self.coeffs = {r.numerator * (n // r.denominator):
+                       c.numerator * (den // c.denominator)
                        for r, c in clean.items()}
 
     @property
     def terms(self):
-        """The view {k/n: c}: Fraction keys in [0, 1), built on each read."""
-        n = self.n
-        return {Fraction(k, n): c for k, c in self.coeffs.items()}
+        """The view {k/n: c/den}: Fraction keys in [0, 1) and Fraction
+        values, built on each read."""
+        n, den = self.n, self.den
+        return {Fraction(k, n): Fraction(c, den)
+                for k, c in self.coeffs.items()}
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def from_rational(c):
-        if not isinstance(c, Fraction):
-            c = Fraction(c)
-        return _normal(1, {0: c} if c else {})
+        if not isinstance(c, (int, Fraction)):
+            c = _exact(c)
+        if not c:
+            return _ZERO
+        return _normal(1, {0: c.numerator}, c.denominator)
 
     @staticmethod
     def root_of_unity(r):
         if not isinstance(r, Fraction):
-            r = Fraction(r)
-        d = r.denominator
-        return _normal(d, {r.numerator % d: _ONE})
+            r = _exact(r)
+        return CyclotomicScalar.root_of_unity_ratio(r.numerator,
+                                                    r.denominator)
+
+    @staticmethod
+    def root_of_unity_ratio(num, den):
+        """e(num / den) for ints num and den > 0, not necessarily coprime,
+        built on ints: stored at the conductor den / gcd(num, den)."""
+        g = gcd(num, den)
+        if g != 1:
+            num //= g
+            den //= g
+        return _normal(den, {num % den: 1}, 1)
 
     @staticmethod
     def zero():
-        return _normal(1, {})
+        return _ZERO
 
     @staticmethod
     def one():
-        return _normal(1, {0: _ONE})
+        return _ONE
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other):
@@ -126,26 +148,45 @@ class CyclotomicScalar:
         if other.n != n:
             n = lcm(n, other.n)
             a, b = _at(self, n), _at(other, n)
+        den = self.den
+        if other.den != den:
+            den = lcm(den, other.den)
+            sa, sb = den // self.den, den // other.den
+            if sa != 1:
+                a = {k: c * sa for k, c in a.items()}
+            if sb != 1:
+                b = {k: c * sb for k, c in b.items()}
         if len(a) < len(b):
             a, b = b, a
         t = dict(a)
+        met = False
         for k, c in b.items():
             s = t.get(k)
             if s is None:
                 t[k] = c
             else:
+                met = True
                 s += c
                 if s:
                     t[k] = s
                 else:
                     del t[k]
-        # zero has one stored form, at conductor 1
-        return _normal(n if t else 1, t)
+        if not t:
+            return _ZERO
+        # scaled to the lcm, some coefficient of one operand is still prime
+        # to each prime of den, so only a sum of two can share a factor
+        if met and den != 1:
+            g = gcd(den, *t.values())
+            if g != 1:
+                den //= g
+                t = {k: c // g for k, c in t.items()}
+        return _normal(n, t, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _normal(self.n, {k: -c for k, c in self.coeffs.items()})
+        return _normal(self.n, {k: -c for k, c in self.coeffs.items()},
+                       self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -159,22 +200,38 @@ class CyclotomicScalar:
             return NotImplemented
         if len(self.coeffs) < len(other.coeffs):
             self, other = other, self
-        n = self.n
-        a, b = self.coeffs, other.coeffs
-        if other.n != n:
-            n = lcm(n, other.n)
-            a, b = _at(self, n), _at(other, n)
+        b = other.coeffs
+        if not b:
+            return _ZERO
+        a = self.coeffs
+        n, m = self.n, other.n
         if len(b) == 1:
-            # a monomial c*e(s/n) rotates the other factor: no keys collide
+            # a monomial (c / db) e(s/m) rotates the other factor: no keys
+            # collide, and only the other factor's keys are rewritten
             ((s, c),) = b.items()
-            if not s:
-                if c == 1:
+            db = other.den
+            if m != n:
+                l = lcm(n, m)
+                step, s, n = l // n, s * (l // m), l
+            else:
+                step = 1
+            if c == 1 and db == 1:
+                # every root of unity, psi's values included
+                if not s and step == 1:
                     return self
-                return _normal(n, {k: x * c for k, x in a.items()})
-            # c is 1 for every root of unity, psi's values included
-            if c == 1:
-                return _normal(n, {(k + s) % n: x for k, x in a.items()})
-            return _normal(n, {(k + s) % n: x * c for k, x in a.items()})
+                return _normal(n, {(k * step + s) % n: x
+                                   for k, x in a.items()}, self.den)
+            # gcd(c, db) = 1 and gcd(da, coeffs) = 1, so the common factor
+            # of den = da db and the products is gcd(c, da) gcd(db, coeffs)
+            g = gcd(c, self.den)
+            h = gcd(db, *a.values()) if db != 1 else 1
+            c //= g
+            return _normal(n, {(k * step + s) % n: x // h * c
+                               for k, x in a.items()},
+                           self.den // g * (db // h))
+        if m != n:
+            n = lcm(n, m)
+            a, b = _at(self, n), _at(other, n)
         t = {}
         for k1, c1 in a.items():
             for k2, c2 in b.items():
@@ -185,32 +242,38 @@ class CyclotomicScalar:
                 s = t.get(k)
                 t[k] = c if s is None else s + c
         t = {k: c for k, c in t.items() if c}
-        return _normal(n if t else 1, t)
+        if not t:
+            return _ZERO
+        den = self.den * other.den
+        if den != 1:
+            g = gcd(den, *t.values())
+            if g != 1:
+                den //= g
+                t = {k: c // g for k, c in t.items()}
+        return _normal(n, t, den)
 
     __rmul__ = __mul__
 
     def conj(self):
         n = self.n
         return _normal(n, {(n - k if k else k): c
-                           for k, c in self.coeffs.items()})
+                           for k, c in self.coeffs.items()}, self.den)
 
     # -- decision procedures --------------------------------------------
     def _reduced(self):
-        """(m, remainder coeff list) with the element written in the power
-        basis 1, z, ..., z^(phi(m)-1) of Q(zeta_m), m the least conductor
-        of the keys.  The reduction runs on the int vector D * self, D the
-        common denominator of the coefficients; only the remainder is
-        divided by D."""
+        """(m, rem): den * self written in the power basis 1, z, ...,
+        z^(phi(m)-1) of Q(zeta_m), m the least conductor of the keys, as an
+        int list without trailing zeros; self is the sum of the
+        (rem[i] / den) z^i."""
         d = self.coeffs
         if not d:
             return 1, []
         n = self.n
         m = lcm(*[n // gcd(k, n) for k in d])
         step = n // m  # k / n = (k // step) / m, exactly
-        den = lcm(*[c.denominator for c in d.values()])
         vec = [0] * m
         for k, c in d.items():
-            vec[k // step] += c.numerator * (den // c.denominator)
+            vec[k // step] = c
         phi = cyclotomic_poly(m)
         # remainder of vec modulo the monic phi, on its nonzero coefficients
         deg = len(phi) - 1
@@ -223,7 +286,7 @@ class CyclotomicScalar:
         rem = vec[:deg]
         while rem and not rem[-1]:
             rem.pop()
-        return m, [Fraction(v, den) for v in rem]
+        return m, rem
 
     def is_zero(self):
         if not self.coeffs:
@@ -255,12 +318,12 @@ class CyclotomicScalar:
         if not d:
             return Fraction(0)
         if len(d) == 1 and 0 in d:
-            return d[0]
+            return Fraction(d[0], self.den)
         _, rem = self._reduced()
         if not rem:
             return Fraction(0)
         if len(rem) == 1:
-            return rem[0]
+            return Fraction(rem[0], self.den)
         return None
 
     def __bool__(self):
@@ -269,10 +332,10 @@ class CyclotomicScalar:
     def __repr__(self):
         if not self.coeffs:
             return "Cyc(0)"
-        n = self.n
+        n, den = self.n, self.den
         bits = []
         for k in sorted(self.coeffs):
-            c = self.coeffs[k]
+            c = Fraction(self.coeffs[k], den)
             bits.append(f"{c}*e({Fraction(k, n)})" if k else f"{c}")
         return "Cyc(" + " + ".join(bits) + ")"
 
@@ -280,14 +343,20 @@ class CyclotomicScalar:
 _new = object.__new__
 
 
-def _normal(n, coeffs):
-    """The trusted constructor: wrap a conductor and a dict that are
-    already in normal form (int keys in [0, n), nonzero Fraction values)
-    without checking them."""
+def _normal(n, coeffs, den):
+    """The trusted constructor: wrap a conductor, a dict and a denominator
+    that are already in normal form (int keys in [0, n), nonzero int
+    values, den > 0 with no factor common to all of them) without checking
+    them."""
     out = _new(CyclotomicScalar)
     out.n = n
     out.coeffs = coeffs
+    out.den = den
     return out
+
+
+_ZERO = _normal(1, {}, 1)
+_ONE = _normal(1, {0: 1}, 1)
 
 
 def _at(x, n):
@@ -296,6 +365,16 @@ def _at(x, n):
         return x.coeffs
     step = n // x.n
     return {k * step: c for k, c in x.coeffs.items()}
+
+
+def _exact(x):
+    """x as a Fraction, for any input Fraction takes but a float: the float
+    0.1 is the binary fraction 3602879701896397 / 2^55, whose denominator
+    would become a conductor or the denominator of every later result."""
+    if isinstance(x, float):
+        raise TypeError(f"CyclotomicScalar takes exact rationals, not the "
+                        f"float {x!r}")
+    return Fraction(x)
 
 
 def _coerce(x):
@@ -325,13 +404,11 @@ def sqrt_prime(p):
     """
     if p == 2 or p % 2 == 0:
         raise ValueError("odd prime required")
-    g = CyclotomicScalar(
-        {Fraction(a, p): Fraction(legendre(a, p)) for a in range(1, p)}
-    )
+    g = _normal(p, {a: legendre(a, p) for a in range(1, p)}, 1)
     if p % 4 == 1:
         return g
     # divide by i, i.e. multiply by e(-1/4)
-    return g * CyclotomicScalar.root_of_unity(Fraction(-1, 4))
+    return g * CyclotomicScalar.root_of_unity_ratio(-1, 4)
 
 
 @lru_cache(maxsize=256)

@@ -131,17 +131,10 @@ class OrbitalResult:
             [(c * c0, qr) for c0, qr in self.pairs], self.metadata
         )
 
-    def __add__(self, other):
-        if not isinstance(other, OrbitalResult):
-            return NotImplemented
-        return OrbitalResult(
-            list(self.pairs) + list(other.pairs), self.metadata
-        )
-
     def __eq__(self, other):
         """Equal iff each R_i carries the same coefficient on both sides:
         the pairs hold distinct R_i and no zero coefficient, so this is
-        (self - other).is_zero() without building the difference."""
+        the difference being zero, decided without building it."""
         if not isinstance(other, OrbitalResult):
             return NotImplemented
         if len(self.pairs) != len(other.pairs):
@@ -152,9 +145,6 @@ class OrbitalResult:
             if d is None or not (c - d).is_zero():
                 return False
         return True
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def __hash__(self):
         return hash(self.pairs)
@@ -427,9 +417,10 @@ def _orbital_rs_cells(X, f, eta, lo, M, det_window):
     sum_t coeff_t e(n_t / p^k_t) (`cells.cell_value`).  eta is tame, so
     eta(det h) depends only on v(det J) and the residue u0 mod p of the
     unit part of det J.  The pass counts the cells per int key
-    (v(det J), u0, term, n, k), and builds eta's phase, the Fraction
-    phase and the product once per distinct key at the end; each cell
-    has the volume `_cell_volume`.
+    (v(det J), u0, term, n, k), and builds eta's phase, the root of unity
+    of the summed phase (on ints, by `root_of_unity_ratio`) and the
+    product once per distinct key at the end; each cell has the volume
+    `_cell_volume`.
 
     Bytes.  A CyclotomicScalar prints its `terms` view, a dict from
     Fraction exponents to Fraction coefficients that no stored conductor
@@ -467,8 +458,11 @@ def _orbital_rs_cells(X, f, eta, lo, M, det_window):
         r = eta_phases.get((vj, u0))
         if r is None:
             r = eta_phases[vj, u0] = eta.phase(u0 * q ** vd)
+        # e(n / p^k + r) on ints: r = a / b is eta's phase
+        pk, b = p ** k, r.denominator
         c = (f.terms[t][0]
-             * CyclotomicScalar.root_of_unity(Fraction(n, p ** k) + r)
+             * CyclotomicScalar.root_of_unity_ratio(
+                 n * b + r.numerator * pk, pk * b)
              * (count * q ** (2 * vd)))
         pairs[vd] = pairs.get(vd, CyclotomicScalar.zero()) + c
     out = []

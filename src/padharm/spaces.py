@@ -35,10 +35,13 @@ when its representative modulo the term's lattice is the center, so
 `support_floor` and `shell_level` read a torus shell's range and
 unit-coset level off the rows, and `shell_integrals`, the one rank-1
 shell integral of the library, charges and sums at that level.
-The only `Fraction`s built are psi's root-of-unity keys, the `terms`
-view, and `shift`'s, which reads an outside vector; `riemann_fourier`
-reads the `terms` view with `Space.pair` and psi, so it stays an
-independent route.
+psi's values are built from the int pair of `frac_part_ratio` by
+`CyclotomicScalar.root_of_unity_ratio`, and the coefficients compute on
+ints, so the calculus on rows builds no `Fraction`.  Fractions appear
+only at its edges: the `terms` view, the points read from outside
+(`evaluate`, `shift`), the points `shell_integrals` moves along a line,
+and `riemann_fourier`, which reads the `terms` view with `Space.pair`
+and psi, so it stays an independent route.
 """
 
 from __future__ import annotations
@@ -252,8 +255,8 @@ def _psi_pair(sp, x, y):
                     n += tn
                 else:
                     n, d = n * td + tn * d, d * td
-    return CyclotomicScalar.root_of_unity(
-        frac_part_ratio(n, d, sp.F.p, sp.psi.d))
+    return CyclotomicScalar.root_of_unity_ratio(
+        *frac_part_ratio(n, d, sp.F.p, sp.psi.d))
 
 
 def _freq_moved(sp, G, b):
@@ -592,9 +595,10 @@ def riemann_fourier(f, w):
             [x0[i] + Fraction(j * p ** a[i]) for j in range(counts[i])]
             for i in range(sp.dim)
         ]
+        cv = coeff * vol
         for pt in itertools.product(*ranges):
             phase = sp.psi(sp.pair(f0, pt)) * sp.psi(sp.pair(pt, w))
-            total = total + coeff * phase * vol
+            total = total + cv * phase
     return total
 
 

@@ -14,7 +14,11 @@ another way:
   ``spherical_rhs``;
 * ``FractionCyclotomic`` is the cyclotomic scalar keyed by Fraction
   exponents and reduced in Fraction arithmetic, against
-  ``cyclotomic.CyclotomicScalar`` on int exponents at one conductor;
+  ``cyclotomic.CyclotomicScalar`` on int exponents at one conductor and
+  int coefficients over one denominator;
+* ``result_difference`` is the difference of two ``OrbitalResult``s,
+  built by merging their pairs, against ``OrbitalResult.__eq__``, which
+  compares coefficients per R_i without building it;
 * ``FractionQRational`` is the rational function as a monic Fraction
   denominator over a Fraction numerator, reduced by the Euclidean gcd
   over Q (``FractionPoly``), with its own evaluation, reduction mod
@@ -31,6 +35,7 @@ from padharm.dagger import shell_valuation
 from padharm.errors import NotInDomain, PoleAtEvaluationPoint
 from padharm.matrices import QuadExtRing, det, mat, mat_mul
 from padharm.orbital import (
+    OrbitalResult,
     _inv_vol,
     _phi_minus_packet,
     _require_quadratic,
@@ -185,6 +190,13 @@ def dagger_mu_closed_form(ext, psi, eta, phi_data):
         hat, eta, s0, ext.F.p, psi.d + vdelta
     )
     return c_psi_plus(ext, psi, m) * total
+
+
+def result_difference(a, b):
+    """a - b for OrbitalResults: the pairs of a and the negated pairs of b,
+    merged per R_i by the constructor, which drops zero coefficients."""
+    return OrbitalResult(list(a.pairs) + [(-c, qr) for c, qr in b.pairs],
+                         a.metadata)
 
 
 class FractionCyclotomic:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -76,13 +77,18 @@ def test_conj_is_multiplicative(a, b):
 
 
 def assert_normal(x):
-    """A conductor n >= 1, int keys in [0, n) and nonzero Fraction values;
-    a view with Fraction keys in [0, 1) and nothing left for the public
-    constructor to normalize."""
+    """A conductor n >= 1, int keys in [0, n), nonzero int values and one
+    denominator den >= 1 that shares no factor with all of them, zero
+    stored only as (1, {}, 1); a view with Fraction keys in [0, 1) and
+    nothing left for the public constructor to normalize."""
     assert type(x.n) is int and x.n >= 1
+    assert type(x.den) is int and x.den >= 1
     for k, c in x.coeffs.items():
         assert type(k) is int and 0 <= k < x.n
-        assert type(c) is Fraction and c != 0
+        assert type(c) is int and c != 0
+    assert gcd(x.den, *x.coeffs.values()) == 1
+    if not x.coeffs:
+        assert (x.n, x.den) == (1, 1)
     for r, c in x.terms.items():
         assert type(r) is Fraction and 0 <= r < 1
         assert type(c) is Fraction and c != 0
@@ -161,6 +167,55 @@ def test_adding_and_removing_b_keeps_the_reduced_form(a, b):
     assert x._reduced() == a._reduced()
 
 
+def _moebius(n):
+    mu, m, d = 1, n, 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return -mu if m > 1 else mu
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _exact_quotient(num, den):
+    """num / den for int polynomials (little-endian), den monic; the
+    remainder must be zero."""
+    num = list(num)
+    q = [0] * (len(num) - len(den) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = num[i + len(den) - 1]
+        for j, d in enumerate(den):
+            num[i + j] -= c * d
+    assert not any(num)
+    return q
+
+
+def test_cyclotomic_poly_matches_the_moebius_product():
+    # Phi_n = prod over d | n of (x^d - 1)^mu(n/d), on int polynomials and
+    # independent of the library's repeated division; runs without sympy
+    for n in range(1, 151):
+        num, den = [1], [1]
+        for d in range(1, n + 1):
+            mu = _moebius(n // d) if n % d == 0 else 0
+            if mu:
+                factor = [-1] + [0] * (d - 1) + [1]
+                if mu == 1:
+                    num = _poly_mul(num, factor)
+                else:
+                    den = _poly_mul(den, factor)
+        assert list(cyclotomic_poly(n)) == _exact_quotient(num, den)
+
+
 def test_cyclotomic_poly_matches_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
@@ -188,7 +243,8 @@ def _both(chain, out):
     if op == "leaf":
         n, k, c = args
         k %= n
-        pair = (_normal(n, {k: c} if c else {}),
+        pair = (_normal(n, {k: c.numerator}, c.denominator) if c
+                else CyclotomicScalar.zero(),
                 FractionCyclotomic({Fraction(k, n): c} if c else {}))
     elif op in ("neg", "conj"):
         x, y = _both(args[0], out)
@@ -215,7 +271,8 @@ def test_int_exponents_agree_with_the_fraction_oracle(chain1, chain2):
         assert_normal(x)
         assert list(x.terms.items()) == list(y.terms.items())
         assert repr(x) == repr(y)
-        assert x._reduced() == y._reduced()
+        m, rem = x._reduced()
+        assert (m, [Fraction(v, x.den) for v in rem]) == y._reduced()
         assert x.is_zero() == (not y._reduced()[1])
         assert x.as_rational() == y.as_rational()
         r = y.as_rational()

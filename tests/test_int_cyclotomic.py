@@ -1,0 +1,248 @@
+"""CyclotomicScalar computes on ints: int coefficients over one
+denominator.  No function of cyclotomic.py names `Fraction` except the
+few that take a rational in or hand one out (`__init__`,
+`from_rational`, `root_of_unity`, `_exact` and `_coerce` read their
+input, `as_rational` returns a value, `terms` and `__repr__` build the
+view, and `sqrt_rational_power` reads its exponent), and no function
+divides with `/`.  psi's values
+are built from int pairs, through `root_of_unity_ratio`.  An edit that
+brings Fraction arithmetic back into an operation, the reduction or a
+psi value fails here; the differential test checks every operation
+against the Fraction-keyed oracle.
+"""
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import FractionCyclotomic
+from padharm.cyclotomic import CyclotomicScalar, _normal
+from test_cyclotomic import assert_normal
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "padharm"
+
+FRACTION_USERS = {
+    ("CyclotomicScalar", "__init__"),
+    ("CyclotomicScalar", "terms"),
+    ("CyclotomicScalar", "from_rational"),
+    ("CyclotomicScalar", "root_of_unity"),
+    ("CyclotomicScalar", "as_rational"),
+    ("CyclotomicScalar", "__repr__"),
+    (None, "_exact"),
+    (None, "_coerce"),
+    (None, "sqrt_rational_power"),
+}
+
+# the arithmetic that must stay on ints; listed so that a rename cannot
+# take a kernel out of the check unnoticed
+KERNELS = {
+    (None, name) for name in (
+        "_normal", "_at", "_poly_divmod_int", "cyclotomic_poly", "legendre",
+        "sqrt_prime")
+} | {
+    ("CyclotomicScalar", name) for name in (
+        "root_of_unity_ratio", "zero", "one", "__add__", "__neg__",
+        "__sub__", "__mul__", "conj", "_reduced", "is_zero", "__eq__",
+        "__ne__", "__hash__", "__bool__")
+}
+
+# the functions that build psi's values, per module
+PSI_BUILDERS = {
+    "characters.py": [("AdditiveCharacter", "__call__")],
+    "spaces.py": [(None, "_psi_pair")],
+    "cells.py": [(None, "cell_value")],
+}
+
+
+def _functions(tree):
+    """(class or None, name) -> node of each top-level function and
+    method; nested functions belong to the one around them."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out[None, node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            out.update({(node.name, item.name): item for item in node.body
+                        if isinstance(item, ast.FunctionDef)})
+    return out
+
+
+def _tree(name="cyclotomic.py"):
+    return ast.parse((SRC / name).read_text())
+
+
+def _names(node):
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_only_the_input_output_and_view_name_fraction():
+    functions = _functions(_tree())
+    assert KERNELS <= set(functions), sorted(KERNELS - set(functions))
+    users = {key for key, node in functions.items()
+             if "Fraction" in _names(node)}
+    assert users <= FRACTION_USERS, sorted(users - FRACTION_USERS)
+    assert not users & KERNELS
+
+
+def test_no_true_division():
+    divisions = [node.lineno for node in ast.walk(_tree())
+                 if isinstance(node, (ast.BinOp, ast.AugAssign))
+                 and isinstance(node.op, ast.Div)]
+    assert divisions == []
+
+
+def test_psi_values_are_built_from_int_pairs():
+    # the psi routes reach root_of_unity_ratio with an int pair, that of
+    # frac_part_ratio or of the cell walk; none builds a Fraction phase
+    for module, keys in PSI_BUILDERS.items():
+        functions = _functions(_tree(module))
+        for key in keys:
+            names = _names(functions[key])
+            assert "root_of_unity_ratio" in names, (module, key)
+            assert not names & {"Fraction", "root_of_unity", "phase"}
+    ratio = _functions(_tree("characters.py"))[None, "frac_part_ratio"]
+    assert "Fraction" not in _names(ratio)
+
+
+def test_floats_are_refused():
+    # 0.1 is the binary fraction 3602879701896397 / 2^55, which would
+    # become the conductor
+    for terms in ({0.1: 1, 0: 1}, {0: 0.5}, {Fraction(1, 3): 2.0}):
+        with pytest.raises(TypeError):
+            CyclotomicScalar(terms)
+    with pytest.raises(TypeError):
+        CyclotomicScalar.from_rational(0.1)
+    with pytest.raises(TypeError):
+        CyclotomicScalar.root_of_unity(0.1)
+    with pytest.raises(TypeError):
+        CyclotomicScalar.one() + 0.5
+    with pytest.raises(TypeError):
+        CyclotomicScalar.one() * 0.5
+
+
+def test_the_public_constructor_takes_exact_input():
+    x = CyclotomicScalar({"1/10": 1, Fraction(-9, 10): 2, 0: Fraction(3, 4),
+                          Fraction(1, 6): "5/6"})
+    assert x.terms == {Fraction(0): Fraction(3, 4), Fraction(1, 10): 3,
+                       Fraction(1, 6): Fraction(5, 6)}
+    assert (x.n, x.den) == (30, 12)
+    assert_normal(x)
+
+
+# -- against the Fraction-keyed oracle --------------------------------------
+
+# divisors of 360, so that no reduction goes past conductor 360
+CONDUCTORS = tuple(d for d in range(1, 361) if 360 % d == 0)
+rationals = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-40, max_value=40, max_denominator=72))
+
+
+def _oracle_terms(pairs):
+    """The oracle's {r in [0, 1): c} of a list of (r, c): a key whose sum
+    reaches zero is dropped and, if it comes back, comes back last."""
+    t = {}
+    for r, c in pairs:
+        r = Fraction(r) % 1
+        c = t.get(r, 0) + Fraction(c)
+        if c:
+            t[r] = c
+        else:
+            t.pop(r, None)
+    return t
+
+
+leaves = st.one_of(
+    # c e(k/n) stored at conductor n, even where k/n has a smaller
+    # denominator
+    st.tuples(st.just("stored"), st.sampled_from(CONDUCTORS),
+              st.integers(0, 359), rationals),
+    # e(num / den), num and den not necessarily coprime
+    st.tuples(st.just("ratio"), st.integers(-400, 400),
+              st.sampled_from(CONDUCTORS)),
+    st.tuples(st.just("rational"), rationals),
+    # the public constructor on raw keys, colliding ones included
+    st.tuples(st.just("public"), st.lists(st.tuples(
+        st.fractions(min_value=-2, max_value=2, max_denominator=12),
+        rationals), max_size=4)),
+)
+chains = st.recursive(leaves, lambda kids: st.one_of(
+    st.tuples(st.sampled_from(("+", "-", "*")), kids, kids),
+    st.tuples(st.sampled_from(("+q", "q+", "*q", "q*", "-q")), kids,
+              rationals),
+    st.tuples(st.sampled_from(("neg", "conj")), kids)), max_leaves=8)
+
+
+def _both(chain, out):
+    """The value of chain in both implementations, appending the pair of
+    every node to out."""
+    op, *args = chain
+    if op == "stored":
+        n, k, c = args
+        k %= n
+        c = Fraction(c)
+        pair = (_normal(n, {k: c.numerator}, c.denominator) if c
+                else CyclotomicScalar.zero(),
+                FractionCyclotomic(_oracle_terms([(Fraction(k, n), c)])))
+    elif op == "ratio":
+        num, den = args
+        pair = (CyclotomicScalar.root_of_unity_ratio(num, den),
+                FractionCyclotomic({Fraction(num, den) % 1: Fraction(1)}))
+    elif op == "rational":
+        (c,) = args
+        pair = (CyclotomicScalar.from_rational(c),
+                FractionCyclotomic(_oracle_terms([(0, c)])))
+    elif op == "public":
+        (pairs,) = args
+        raw = {}
+        for r, c in pairs:
+            raw[r] = raw.get(r, 0) + c
+        pair = (CyclotomicScalar(raw),
+                FractionCyclotomic(_oracle_terms(raw.items())))
+    elif op in ("neg", "conj"):
+        x, y = _both(args[0], out)
+        pair = (-x, -y) if op == "neg" else (x.conj(), y.conj())
+    elif op in ("+", "-", "*"):
+        (x1, y1), (x2, y2) = _both(args[0], out), _both(args[1], out)
+        pair = {"+": (x1 + x2, y1 + y2), "-": (x1 - x2, y1 - y2),
+                "*": (x1 * x2, y1 * y2)}[op]
+    else:
+        (x, y), q = _both(args[0], out), args[1]
+        yq = FractionCyclotomic(_oracle_terms([(0, q)]))
+        # q + x is x.__radd__(q), which is x + q: the same dict order
+        pair = {"+q": (x + q, y + yq), "q+": (q + x, y + yq),
+                "*q": (x * q, y * yq), "q*": (q * x, y * yq),
+                "-q": (x - q, y - yq)}[op]
+    out.append(pair)
+    return pair
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains, chains)
+def test_int_coefficients_agree_with_the_fraction_oracle(chain1, chain2):
+    pairs = []
+    _both(chain1, pairs)
+    _both(chain2, pairs)
+    for x, y in pairs:
+        assert_normal(x)
+        assert list(x.terms.items()) == list(y.terms.items())
+        assert repr(x) == repr(y)
+        m, rem = x._reduced()
+        assert (m, [Fraction(v, x.den) for v in rem]) == y._reduced()
+        assert x.is_zero() == (not y._reduced()[1]) == (not x)
+        r = y.as_rational()
+        assert x.as_rational() == r
+        if r is not None:
+            assert hash(x) == hash(r)
+            assert x == r and r == x
+    for x1, y1 in pairs:
+        for x2, y2 in pairs:
+            equal = not (y1 - y2)._reduced()[1]
+            assert (x1 == x2) is equal and (x1 != x2) is not equal
+            if equal:
+                assert hash(x1) == hash(x2)

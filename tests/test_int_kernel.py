@@ -17,7 +17,7 @@ from operator import itemgetter
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padharm.characters import AdditiveCharacter, frac_part_p
+from padharm.characters import AdditiveCharacter, frac_part_ratio
 from padharm.cyclotomic import CyclotomicScalar
 from padharm.padic import FieldContext, QuadExtContext, val_p
 from padharm.spaces import (
@@ -181,7 +181,12 @@ def _spaces(p, d):
 @example(Fraction(9, 2), 3, -1)
 def test_phase_and_fractional_part(x, p, d):
     psi = AdditiveCharacter(FIELDS[p], d)
-    assert _same(frac_part_p(x, p), ref_frac_part_p(x, p))
+    # the int pair, also of num / den not in lowest terms
+    for scale in (1, 6 * p):
+        m, pk = frac_part_ratio(x.numerator * scale, x.denominator * scale,
+                                p, 0)
+        assert 0 <= m < pk
+        assert _same(Fraction(m, pk), ref_frac_part_p(x, p))
     assert _same(psi.phase(x), ref_phase(psi, x))
     assert psi(x).terms == CyclotomicScalar.root_of_unity(
         ref_phase(psi, x)).terms

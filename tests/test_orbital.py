@@ -27,7 +27,12 @@ from padharm.dagger import make_dagger_scalar
 from padharm.qrational import QRational, geometric_tail
 from padharm.spaces import WavePacket, matrix_space_f
 
-from oracles import dagger_mu_closed_form, f_natural_direct, f_psi_natural_direct
+from oracles import (
+    dagger_mu_closed_form,
+    f_natural_direct,
+    f_psi_natural_direct,
+    result_difference,
+)
 
 
 def setup_ctx(delta=2, p=3):
@@ -111,7 +116,7 @@ def test_nilpotent_minus_sign_matches_plus_at_even_points():
     plus = orbital_nilpotent("plus", f, eta)
     minus = orbital_nilpotent("minus", f, eta)
     # for the symmetric unit-lattice indicator the two regularizations agree
-    assert (plus - minus).is_zero() or \
+    assert result_difference(plus, minus).is_zero() or \
         plus.value0().as_rational() == minus.value0().as_rational()
 
 
@@ -195,6 +200,7 @@ def test_orbital_result_algebra():
     a = OrbitalResult([(CyclotomicScalar.from_rational(Fraction(1, 2)), one)])
     b = OrbitalResult([(CyclotomicScalar.from_rational(Fraction(1, 2)), one),
                        (CyclotomicScalar.one(), T)])
-    assert (b - a).value_at(Fraction(1, 3)).as_rational() == Fraction(1, 3)
-    assert (a + a).value0().as_rational() == 1
+    assert result_difference(b, a).value_at(Fraction(1, 3)).as_rational() \
+        == Fraction(1, 3)
+    assert a.scale(2).value0().as_rational() == 1
     assert OrbitalResult.zero().is_zero()

@@ -24,6 +24,8 @@ from padharm.padic import FieldContext, QuadExtContext, val_p
 from padharm.qrational import QRational
 from padharm.spaces import WavePacket, f_space, matrix_space_f
 
+from oracles import result_difference
+
 P = 3
 F = FieldContext(P)
 PSI = AdditiveCharacter(F, 0)
@@ -402,8 +404,9 @@ def test_cell_volume_is_the_four_dim_lattice_volume(p, d):
         assert got == want and repr(got) == repr(want)
 
 
-# OrbitalResult equality against the difference it no longer builds: a
-# few rational functions, and values with several stored forms each
+# OrbitalResult equality against the difference that `result_difference`
+# builds and `__eq__` does not: a few rational functions, and values with
+# several stored forms each
 # (1 = 2 + e(1/2) = -e(1/3) - e(2/3), i = e(1/4) = -e(3/4),
 # sqrt(3) = e(1/12) - e(5/12) = e(11/12) - e(7/12), 0 = 1 + e(1/2))
 RESULT_QRS = [QRational.monomial(1, k) for k in (-1, 0, 1, 2)] + [
@@ -444,7 +447,7 @@ def test_result_equality_is_a_zero_difference(a, b, case, shift):
              for j, (v, form, i) in enumerate(a)]
     x = _result(a, RESULT_QRS[:2] if case == "disjoint" else RESULT_QRS)
     y = _result(b, RESULT_QRS[2:] if case == "disjoint" else RESULT_QRS)
-    want = (x - y).is_zero()
+    want = result_difference(x, y).is_zero()
     assert (x == y) is want and (y == x) is want
     if case == "reformed":
         assert want
