@@ -65,10 +65,6 @@ class AdditiveCharacter:
             x = Fraction(x)
         return frac_part_ratio(x.numerator, x.denominator, self.F.p, self.d)
 
-    def phase(self, x):
-        """The argument r in Q/Z with psi(x) = e(r), for rational x."""
-        return Fraction(*self._phase_pair(x))
-
     def __call__(self, x):
         # built from the int pair, with no Fraction per value
         return CyclotomicScalar.root_of_unity_ratio(*self._phase_pair(x))

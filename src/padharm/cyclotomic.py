@@ -2,10 +2,10 @@
 
 A CyclotomicScalar is a finite Q-linear combination of the unit-circle
 exponentials e(r) = exp(2*pi*i*r) with r in Q/Z.  Products follow
-e(r)e(r') = e(r+r'), and equality is decided exactly by reducing the
-exponent vector modulo a cyclotomic polynomial.  This ring contains every
-value we need: roots of unity, rationals, Gauss sums, and sqrt(p) for odd
-p.
+e(r)e(r') = e(r+r'), and equality is decided exactly, one small prime p
+at a time, by the relation 1 + w + ... + w^(p-1) = 0 of w = e(1/p).
+This ring contains every value we need: roots of unity, rationals, Gauss
+sums, and sqrt(p) for odd p.
 
 Normal form: every instance holds a conductor `n` (an int >= 1), a dict
 `coeffs` {k: c} with int keys k in [0, n), each standing for e(k/n), and
@@ -22,7 +22,7 @@ builds a Fraction.  The stored conductor is not part of the value:
 `terms`, the read-only view {k/n: c/den} with Fraction keys and values
 that callers print, does not depend on it.  The normal form is not
 unique (e(0) + e(1/2) equals 0), so equality is decided by `is_zero`,
-which reduces the int vector at the least conductor of the keys.
+whose work depends on the number of keys and not on the conductor.
 Instances are immutable: operations may return an operand itself or a
 cached value such as `sqrt_prime(p)`, so `coeffs` is never changed in
 place.
@@ -33,41 +33,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-
-def _poly_divmod_int(num, den):
-    # Exact division of integer polynomials (den monic up to leading unit);
-    # coefficient lists are little-endian.
-    num = list(num)
-    lead = den[-1]
-    q = [0] * (max(len(num) - len(den) + 1, 0))
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        c //= lead
-        q[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(n):
-    """Integer coefficients (little-endian) of the n-th cyclotomic polynomial."""
-    if n == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = _poly_divmod_int(num, list(cyclotomic_poly(d)))
-            if r:
-                raise ArithmeticError("cyclotomic division left a remainder")
-            num = q
-    return tuple(num)
 
 
 class CyclotomicScalar:
@@ -261,40 +226,42 @@ class CyclotomicScalar:
 
     # -- decision procedures --------------------------------------------
     def _reduced(self):
-        """(m, rem): den * self written in the power basis 1, z, ...,
-        z^(phi(m)-1) of Q(zeta_m), m the least conductor of the keys, as an
-        int list without trailing zeros; self is the sum of the
-        (rem[i] / den) z^i."""
-        d = self.coeffs
-        if not d:
-            return 1, []
-        n = self.n
-        m = lcm(*[n // gcd(k, n) for k in d])
-        step = n // m  # k / n = (k // step) / m, exactly
-        vec = [0] * m
-        for k, c in d.items():
-            vec[k // step] = c
-        phi = cyclotomic_poly(m)
-        # remainder of vec modulo the monic phi, on its nonzero coefficients
-        deg = len(phi) - 1
-        nonzero = [(j - deg, a) for j, a in enumerate(phi) if a]
-        for i in range(m - 1, deg - 1, -1):
-            c = vec[i]
-            if c:
-                for j, a in nonzero:
-                    vec[i + j] -= c * a
-        rem = vec[:deg]
-        while rem and not rem[-1]:
-            rem.pop()
-        return m, rem
+        """den * self, an int, when self is rational; else None.
+
+        Write n = q m with q = p^e prime to m.  The automorphism zeta_n ->
+        zeta_n^(m + q) keeps zero and each rational value, and sends e(k/n)
+        to e(j/q) e(k/m), j = k mod q = r + b p^(e-1) with r < p^(e-1).  The
+        image is the sum over r of e(r/q) y_r, y_r the sum of a_rb w^b with
+        w = e(1/p) and a_rb in Q(zeta_m) gathering the keys at j.  The e(r/q)
+        are a basis over Q(zeta_mp), and Phi_p stays the minimal polynomial
+        of w over Q(zeta_m).  So self is the rational c exactly when each
+        row r != 0 has its p entries a_rb equal, and row 0 has a_01 = ... =
+        a_0(p-1) = a_00 - c, an absent entry being 0: the same test one
+        factor down, on at most K = len(coeffs) keys.  A row is full (its
+        entries b >= 1 all present) only if p <= K + 1; else each entry is
+        0 but a_00 = c.  So n is trial-divided only up to K + 1; the rest,
+        whose primes all exceed K + 1, is split as one factor whose rows are
+        never full, as splitting its primes in turn shows.
+        """
+        d, n = self.coeffs, self.n
+        factors = []  # (q, q / p, p) for q = p^e exactly dividing n
+        for p in range(2, len(d) + 2):
+            if not n % p:
+                q = p
+                while not n % (q * p):
+                    q *= p
+                n //= q
+                factors.append((q, q // p, p))
+        if n > 1:
+            factors.append((n, n, n))  # one entry per row: never full
+        return _rational(d, self.n, factors)
 
     def is_zero(self):
         if not self.coeffs:
             return True
         if len(self.coeffs) == 1:
             return False  # a single nonzero multiple of a root of unity
-        _, rem = self._reduced()
-        return not rem
+        return self._reduced() == 0
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -307,8 +274,9 @@ class CyclotomicScalar:
         return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
-        # the reduced form depends on the conductor it is written at, so
-        # only the rational value, which does not, may enter the hash
+        # equal values may be stored with different keys (e(0) + e(1/2) is
+        # 0), so only the rational value, which the keys decide, may enter
+        # the hash
         r = self.as_rational()
         return 1 if r is None else hash(r)
 
@@ -319,12 +287,8 @@ class CyclotomicScalar:
             return Fraction(0)
         if len(d) == 1 and 0 in d:
             return Fraction(d[0], self.den)
-        _, rem = self._reduced()
-        if not rem:
-            return Fraction(0)
-        if len(rem) == 1:
-            return Fraction(rem[0], self.den)
-        return None
+        v = self._reduced()
+        return None if v is None else Fraction(v, self.den)
 
     def __bool__(self):
         return not self.is_zero()
@@ -365,6 +329,46 @@ def _at(x, n):
         return x.coeffs
     step = n // x.n
     return {k * step: c for k, c in x.coeffs.items()}
+
+
+def _minus(x, y):
+    """x - y for dicts {k: c}, zero values dropped."""
+    t = dict(x)
+    for k, c in y.items():
+        t[k] = t.get(k, 0) - c
+        if not t[k]:
+            del t[k]
+    return t
+
+
+def _rational(d, n, factors):
+    """The int value of the sum of c e(k/n) over d = {k: c}, or None if it
+    is irrational; n is the product of the q of factors, each (q, step, p)
+    split by the rule of `CyclotomicScalar._reduced`."""
+    if not factors:
+        return d.get(0, 0)  # n = 1
+    (q, step, p), rest = factors[0], factors[1:]
+    m = n // q
+    rows = {}  # {r: {b: {k mod m: c}}}, k mod q = r + b step; no keys meet
+    for k, c in d.items():
+        b, r = divmod(k % q, step)
+        rows.setdefault(r, {}).setdefault(b, {})[k % m] = c
+    value = 0
+    for r, row in rows.items():
+        base = row.pop(0, {})
+        zeros = list(row.values())
+        if len(zeros) == p - 1:  # full: each entry b >= 1 equals the least
+            a = min(zeros, key=len)
+            base = _minus(base, a)
+            zeros = [_minus(x, a) for x in zeros if x is not a]
+        if any(_rational(x, m, rest) != 0 for x in zeros):
+            return None
+        v = _rational(base, m, rest)
+        if v is None or (r and v):
+            return None
+        if not r:
+            value = v
+    return value
 
 
 def _exact(x):

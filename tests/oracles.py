@@ -13,9 +13,12 @@ another way:
   sum, against ``orbital.mu_via_nilpotent`` and the pinned values of
   ``spherical_rhs``;
 * ``FractionCyclotomic`` is the cyclotomic scalar keyed by Fraction
-  exponents and reduced in Fraction arithmetic, against
-  ``cyclotomic.CyclotomicScalar`` on int exponents at one conductor and
-  int coefficients over one denominator;
+  exponents and reduced in Fraction arithmetic modulo the dense
+  ``cyclotomic_poly``, against ``cyclotomic.CyclotomicScalar`` on int
+  exponents at one conductor and int coefficients over one denominator,
+  whose zero test splits the conductor prime by prime;
+* ``trace_rational`` decides the same questions by the trace form, at a
+  cost that depends on the number of terms and not on the conductor;
 * ``result_difference`` is the difference of two ``OrbitalResult``s,
   built by merging their pairs, against ``OrbitalResult.__eq__``, which
   compares coefficients per R_i without building it;
@@ -28,9 +31,10 @@ another way:
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 
-from padharm.cyclotomic import CyclotomicScalar, cyclotomic_poly
+from padharm.cyclotomic import CyclotomicScalar
 from padharm.dagger import shell_valuation
 from padharm.errors import NotInDomain, PoleAtEvaluationPoint
 from padharm.matrices import QuadExtRing, det, mat, mat_mul
@@ -197,6 +201,98 @@ def result_difference(a, b):
     merged per R_i by the constructor, which drops zero coefficients."""
     return OrbitalResult(list(a.pairs) + [(-c, qr) for c, qr in b.pairs],
                          a.metadata)
+
+
+def _poly_divmod_int(num, den):
+    # Exact division of integer polynomials (den monic up to leading unit);
+    # coefficient lists are little-endian.
+    num = list(num)
+    lead = den[-1]
+    q = [0] * (max(len(num) - len(den) + 1, 0))
+    for i in range(len(num) - len(den), -1, -1):
+        c = num[i + len(den) - 1]
+        if c % lead != 0:
+            raise ArithmeticError("non-exact polynomial division")
+        c //= lead
+        q[i] = c
+        if c:
+            for j, d in enumerate(den):
+                num[i + j] -= c * d
+    while num and num[-1] == 0:
+        num.pop()
+    return q, num
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_poly(n):
+    """Integer coefficients (little-endian) of the n-th cyclotomic polynomial."""
+    if n == 1:
+        return (-1, 1)
+    num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            q, r = _poly_divmod_int(num, list(cyclotomic_poly(d)))
+            if r:
+                raise ArithmeticError("cyclotomic division left a remainder")
+            num = q
+    return tuple(num)
+
+
+def _primes(n):
+    """The prime factors of n, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if not n % d:
+            out.append(d)
+            while not n % d:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def _phi(n):
+    for p in _primes(n):
+        n = n // p * (p - 1)
+    return n
+
+
+@lru_cache(maxsize=4096)
+def _ramanujan(n, g):
+    """The trace from Q(zeta_n) to Q of e(g/n), g a divisor of n: the
+    Ramanujan sum mu(n/g) phi(n) / phi(n/g)."""
+    m = n // g
+    primes = _primes(m)
+    if any(not m % (p * p) for p in primes):
+        return 0
+    return (-1) ** len(primes) * _phi(n) // _phi(m)
+
+
+def trace_rational(terms):
+    """The value of the sum of c e(r) over terms {r: c} (Fraction keys and
+    values) as a Fraction, or None if it is irrational.
+
+    For y in Q(zeta_n), Tr(y conj(y)) is the sum of |sigma(y)|^2 over the
+    embeddings sigma, since complex conjugation commutes with each: it is 0
+    exactly when y is.  x is rational exactly when y = x - Tr(x) / phi(n)
+    is 0.  Neither step reduces by a cyclotomic polynomial or splits n.
+    """
+    n = lcm(1, *[r.denominator for r in terms])
+    den = lcm(1, *[c.denominator for c in terms.values()])
+    x = {r.numerator * (n // r.denominator): int(c * den)
+         for r, c in terms.items()}
+
+    def trace(j):
+        return _ramanujan(n, gcd(j, n))
+
+    phi = _phi(n)
+    t = sum(c * trace(k) for k, c in x.items())
+    # phi(n) y, on ints
+    y = {k: c * phi for k, c in x.items()}
+    y[0] = y.get(0, 0) - t
+    norm = sum(a * b * trace(k1 - k2)
+               for k1, a in y.items() for k2, b in y.items())
+    assert norm >= 0
+    return Fraction(t, phi * den) if norm == 0 else None
 
 
 class FractionCyclotomic:

@@ -277,6 +277,15 @@ def test_fourier_repeated_exponents_add_up(coeff_terms, tmp_path):
     assert term["coeff"]["terms"] == [["0", "2"]]
 
 
+def test_fourier_takes_a_coefficient_key_of_a_huge_conductor(tmp_path):
+    # deciding the sum's zero is as quick at conductor 10^20 + 39 as at 3
+    key = "1/100000000000000000039"
+    code, text = _fourier_coeff([[key, "1"], ["0", "1"]], tmp_path)
+    assert code == 0
+    (term,) = json.loads(text)["result"]["packet"]["terms"]
+    assert term["coeff"]["terms"] == [["0", "1"], [key, "1"]]
+
+
 @pytest.mark.parametrize("coeff_terms, pointer", [
     ([["0"]], "/packet/terms/0/coeff/terms/0"),
     ([["0", "1"], "1"], "/packet/terms/0/coeff/terms/1"),

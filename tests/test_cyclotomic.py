@@ -5,13 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import FractionCyclotomic
-from padharm.cyclotomic import (
-    CyclotomicScalar,
-    _normal,
-    cyclotomic_poly,
-    sqrt_rational_power,
-)
+from oracles import FractionCyclotomic, cyclotomic_poly
+from padharm.cyclotomic import CyclotomicScalar, _normal, sqrt_rational_power
 
 
 def e(r):
@@ -38,6 +33,39 @@ def test_as_rational():
     assert e("1/3").as_rational() is None
     # e(1/3) + e(2/3) = -1 is rational even though neither term is
     assert (e("1/3") + e("2/3")).as_rational() == -1
+
+
+def test_the_prime_bound_of_the_zero_test_is_k_plus_one():
+    # a row of p - 1 = K keys meets the relation of p = K + 1: -e(1/2) and
+    # -(e(1/p) + ... + e((p-1)/p)) are 1
+    assert (-e("1/2")).as_rational() == 1
+    for p in (3, 5, 7):
+        x = -sum((e(Fraction(b, p)) for b in range(1, p)),
+                 CyclotomicScalar.zero())
+        assert len(x.coeffs) == p - 1 and x.as_rational() == 1
+        assert (x - 1).is_zero() and x == 1
+
+
+P, Q = 10 ** 20 + 39, 10 ** 19 + 51  # primes
+
+
+def test_conductors_far_past_any_dense_vector():
+    # the zero test reads the keys, not a vector of length n
+    x = e(Fraction(1, P)) + e(Fraction(2, P))
+    assert x.n == P and not x.is_zero() and x.as_rational() is None
+    assert x == e(Fraction(2, P)) + e(Fraction(1, P)) and x != 2
+    y = e(Fraction(1, P)) * e(Fraction(1, Q))
+    assert y.n == P * Q and y - e(Fraction(P + Q, P * Q)) == 0
+    # e(1/(2P)) + e(1/(2P) + 1/2) is 0
+    assert (e(Fraction(1, 2 * P)) + e(Fraction(P + 1, 2 * P))).is_zero()
+    # e(1/3) + e(2/3) = -1, stored at 3 P Q
+    w = e(Fraction(1, P)) + e(Fraction(1, Q))
+    z = e("1/3") + e("2/3") + w
+    assert z.n == 3 * P * Q and len(z.coeffs) == 4
+    assert z.as_rational() is None and not z.is_zero()
+    assert (z - w).n == 3 * P * Q and (z - w).as_rational() == -1
+    assert z - w == -1 and z - w + 1 == 0 and z != w - 1 + e(Fraction(1, P))
+    assert hash(z - w) == hash(-1)
 
 
 def test_conj_negates_rotation():
@@ -154,7 +182,7 @@ def test_a_sum_at_a_larger_conductor_reduces_as_before():
     a = e("1/3") + 2
     x = a + e("1/5") - e("1/5")
     assert (a.n, x.n) == (3, 15)
-    assert x.terms == a.terms and x._reduced() == a._reduced()
+    assert x.terms == a.terms and x._reduced() == a._reduced() and x == a
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,7 +192,7 @@ def test_a_sum_at_a_larger_conductor_reduces_as_before():
 def test_adding_and_removing_b_keeps_the_reduced_form(a, b):
     x = a + b - b
     assert x.n % a.n == 0
-    assert x._reduced() == a._reduced()
+    assert x._reduced() == a._reduced() and x == a
 
 
 def _moebius(n):
@@ -271,9 +299,8 @@ def test_int_exponents_agree_with_the_fraction_oracle(chain1, chain2):
         assert_normal(x)
         assert list(x.terms.items()) == list(y.terms.items())
         assert repr(x) == repr(y)
-        m, rem = x._reduced()
-        assert (m, [Fraction(v, x.den) for v in rem]) == y._reduced()
-        assert x.is_zero() == (not y._reduced()[1])
-        assert x.as_rational() == y.as_rational()
         r = y.as_rational()
+        assert x._reduced() == (None if r is None else r * x.den)
+        assert x.is_zero() == (not y._reduced()[1])
+        assert x.as_rational() == r
         assert hash(x) == (1 if r is None else hash(r))

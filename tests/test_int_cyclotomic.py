@@ -6,9 +6,10 @@ input, `as_rational` returns a value, `terms` and `__repr__` build the
 view, and `sqrt_rational_power` reads its exponent), and no function
 divides with `/`.  psi's values
 are built from int pairs, through `root_of_unity_ratio`.  An edit that
-brings Fraction arithmetic back into an operation, the reduction or a
+brings Fraction arithmetic back into an operation, the zero test or a
 psi value fails here; the differential test checks every operation
-against the Fraction-keyed oracle.
+against the Fraction-keyed oracle, and every zero and rational value
+against the trace form, at conductors with primes up to 13.
 """
 
 import ast
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FractionCyclotomic
+from oracles import FractionCyclotomic, trace_rational
 from padharm.cyclotomic import CyclotomicScalar, _normal
 from test_cyclotomic import assert_normal
 
@@ -41,7 +42,7 @@ FRACTION_USERS = {
 # take a kernel out of the check unnoticed
 KERNELS = {
     (None, name) for name in (
-        "_normal", "_at", "_poly_divmod_int", "cyclotomic_poly", "legendre",
+        "_normal", "_at", "_minus", "_rational", "legendre",
         "sqrt_prime")
 } | {
     ("CyclotomicScalar", name) for name in (
@@ -134,10 +135,11 @@ def test_the_public_constructor_takes_exact_input():
     assert_normal(x)
 
 
-# -- against the Fraction-keyed oracle --------------------------------------
+# -- against the Fraction-keyed oracle and the trace form --------------------
 
-# divisors of 360, so that no reduction goes past conductor 360
-CONDUCTORS = tuple(d for d in range(1, 361) if 360 % d == 0)
+# divisors of 360, and 7 11 13 and 2 3 5 7 11, so that primes above the
+# key bound K + 1 of the zero test are drawn
+CONDUCTORS = tuple(d for d in range(1, 361) if 360 % d == 0) + (1001, 2310)
 rationals = st.one_of(
     st.integers(-6, 6),
     st.fractions(min_value=-40, max_value=40, max_denominator=72))
@@ -161,11 +163,16 @@ leaves = st.one_of(
     # c e(k/n) stored at conductor n, even where k/n has a smaller
     # denominator
     st.tuples(st.just("stored"), st.sampled_from(CONDUCTORS),
-              st.integers(0, 359), rationals),
+              st.integers(0, 2309), rationals),
     # e(num / den), num and den not necessarily coprime
     st.tuples(st.just("ratio"), st.integers(-400, 400),
               st.sampled_from(CONDUCTORS)),
     st.tuples(st.just("rational"), rationals),
+    # c (e(1/p) + ... + e((p-1)/p)) e(k/n), which is -c e(k/n): a full
+    # row of the zero test at p
+    st.tuples(st.just("relation"), st.sampled_from(CONDUCTORS),
+              st.integers(0, 2309), st.sampled_from((2, 3, 5, 7, 11, 13)),
+              rationals),
     # the public constructor on raw keys, colliding ones included
     st.tuples(st.just("public"), st.lists(st.tuples(
         st.fractions(min_value=-2, max_value=2, max_denominator=12),
@@ -197,6 +204,11 @@ def _both(chain, out):
         (c,) = args
         pair = (CyclotomicScalar.from_rational(c),
                 FractionCyclotomic(_oracle_terms([(0, c)])))
+    elif op == "relation":
+        n, k, p, c = args
+        raw = {Fraction(k, n) + Fraction(b, p): c for b in range(1, p)}
+        pair = (CyclotomicScalar(raw),
+                FractionCyclotomic(_oracle_terms(raw.items())))
     elif op == "public":
         (pairs,) = args
         raw = {}
@@ -232,17 +244,20 @@ def test_int_coefficients_agree_with_the_fraction_oracle(chain1, chain2):
         assert_normal(x)
         assert list(x.terms.items()) == list(y.terms.items())
         assert repr(x) == repr(y)
-        m, rem = x._reduced()
-        assert (m, [Fraction(v, x.den) for v in rem]) == y._reduced()
-        assert x.is_zero() == (not y._reduced()[1]) == (not x)
-        r = y.as_rational()
+        # the trace form, which scales to these conductors, and the dense
+        # reduction where it is cheap
+        r = trace_rational(y.terms)
+        if 360 % x.n == 0:
+            assert y.as_rational() == r
+        assert x._reduced() == (None if r is None else r * x.den)
+        assert x.is_zero() == (r == 0) == (not x)
         assert x.as_rational() == r
         if r is not None:
             assert hash(x) == hash(r)
             assert x == r and r == x
     for x1, y1 in pairs:
         for x2, y2 in pairs:
-            equal = not (y1 - y2)._reduced()[1]
+            equal = trace_rational((y1 - y2).terms) == 0
             assert (x1 == x2) is equal and (x1 != x2) is not equal
             if equal:
                 assert hash(x1) == hash(x2)
