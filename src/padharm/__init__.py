@@ -25,7 +25,7 @@ from .errors import (
 )
 from .cyclotomic import CyclotomicScalar
 from .padic import FieldContext, QuadExtContext
-from .qrational import QRational, Poly
+from .qrational import QRational
 from .config import RunConfig
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "FieldContext",
     "QuadExtContext",
     "QRational",
-    "Poly",
     "RunConfig",
     "__version__",
 ]

@@ -11,7 +11,7 @@ adds up their values.
 from __future__ import annotations
 
 import itertools
-from math import lcm
+from math import gcd, lcm
 
 from .cyclotomic import CyclotomicScalar
 from .padic import strip_p, val_p
@@ -26,7 +26,7 @@ def cell_value(f, hits):
     p = f.space.F.p
     total = CyclotomicScalar.zero()
     for t, (n, k) in hits:
-        total = total + f.terms[t][0] * CyclotomicScalar.root_of_unity_ratio(
+        total = total + f.rows[t][0] * CyclotomicScalar.root_of_unity_ratio(
             n, p ** k)
     return total
 
@@ -86,30 +86,31 @@ def passing_cells(X, f, lo, M, det_window):
     for w in det_window:
         vj = w - 2 * lo
         compiled = []
-        for _, center, exps, _ in f.terms:
+        for _, C, exps, _ in f.rows:
             checks = []
-            for t in range(9):
-                c = center[t]
-                k = exps[t] + val_p(c.denominator, p) + vD + vj + L
+            for t, (cn, cd) in enumerate(C):
+                k = exps[t] + val_p(cd, p) + vD + vj + L
                 if k > 0:
-                    checks.append((t, c.denominator, c.numerator * D * pL,
-                                   p ** k))
+                    checks.append((t, cd, cn * D * pL, p ** k))
             compiled.append(checks)
         tests[vj] = compiled
     # psi's phase of each term: its nonzero (j, g_j) pairs, v(G) + v(D) +
     # L - d and the p-free part of G D; None for a term with no frequency
     sp = f.space
     phases = []
-    for _, _, _, freq in f.terms:
-        g = {j: sp.weights[i] * freq[i]
-             for i, j in enumerate(sp.pairing) if freq[i]}
+    for _, _, _, freq in f.rows:
+        g = {}
+        for (n, d), w, j in zip(freq, sp.weights, sp.pairing):
+            if n:
+                n, d = w.numerator * n, w.denominator * d
+                h = gcd(n, d)
+                g[j] = n // h, d // h
         if not g:
             phases.append(None)
             continue
-        G = lcm(*(x.denominator for x in g.values()))
+        G = lcm(*(d for _, d in g.values()))
         vG, uG = strip_p(G, p)
-        phases.append(([(j, x.numerator * (G // x.denominator))
-                        for j, x in g.items()],
+        phases.append(([(j, n * (G // d)) for j, (n, d) in g.items()],
                        vG + vD + L - sp.psi.d, uG * uD))
 
     def coords(j11, j12, j21, j22, dJ):

@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .cyclotomic import CyclotomicScalar, sqrt_prime
 from .errors import DomainError, ScaleExceeded, SchemaError
@@ -81,27 +81,37 @@ from . import __version__
 MAX_PRINTED_BITS = 14000
 
 
-def frac_str(x):
-    x = Fraction(x)
-    n, d = x.as_integer_ratio()
+def ratio_str(n, d):
+    """n / d as its `Fraction` prints, for ints n and d > 0."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
     if (abs(n) | d).bit_length() > MAX_PRINTED_BITS:  # the longer of n, d
         raise ScaleExceeded(
             f"a result has more than {MAX_PRINTED_BITS} bits to print")
-    return str(x)
+    return f"{n}/{d}" if d != 1 else str(n)
+
+
+def frac_str(x):
+    x = Fraction(x)
+    return ratio_str(x.numerator, x.denominator)
 
 
 def cyc_json(c):
+    """The (v / den) e(k / n), sorted by k, hence by exponent."""
+    n, den = c.n, c.den
     return {
         "kind": "cyclotomic",
-        "terms": [[frac_str(r), frac_str(v)]
-                  for r, v in sorted(c.terms.items())],
+        "terms": [[ratio_str(k, n), ratio_str(v, den)]
+                  for k, v in sorted(c.coeffs.items())],
     }
 
 
 def qrational_json(qr, var="q^-s"):
+    """N and D over lc(D), the monic denominator."""
+    lc = qr.D[-1]
     return {
-        "num": [frac_str(c) for c in qr.num.c],
-        "den": [frac_str(c) for c in qr.den.c],
+        "num": [ratio_str(x, lc) for x in qr.N],
+        "den": [ratio_str(x, lc) for x in qr.D],
         "var": var,
     }
 
@@ -126,11 +136,11 @@ def packet_json(packet):
         "terms": [
             {
                 "coeff": cyc_json(c),
-                "center": [frac_str(x) for x in x0],
+                "center": [ratio_str(*x) for x in x0],
                 "exps": list(a),
-                "freq": [frac_str(x) for x in f0],
+                "freq": [ratio_str(*x) for x in f0],
             }
-            for c, x0, a, f0 in packet.terms
+            for c, x0, a, f0 in packet.rows
         ]
     }
 
@@ -229,6 +239,15 @@ def matrix_json(X):
     return [[frac_str(x) for x in row] for row in X]
 
 
+def check_positive_rank(config, n, pointer):
+    """`config.check_rank` for n >= 1: at n = 0 Delta_+ is a 0 x 0
+    determinant, and sigma' and varrho have no (n+1) x (n+1) shape."""
+    if n < 1:
+        raise SchemaError(f"{pointer}: expected rank n >= 1, a matrix of "
+                          "size 2 or more")
+    return config.check_rank(n, pointer)
+
+
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -242,7 +261,7 @@ def cmd_invariants(config, payload):
 
 def cmd_classify(config, payload):
     X = parse_matrix(payload.get("matrix"), "/matrix")
-    config.check_rank(len(X) - 1, "/matrix")
+    check_positive_rank(config, len(X) - 1, "/matrix")
     return {"class": classify_nilpotent(FractionRing(), X)}
 
 
@@ -254,7 +273,10 @@ def cmd_section(config, payload):
         raise SchemaError(f"/kind: expected one of {sorted(builders)}")
     a = parse_list(payload.get("a"), "/a")
     b = parse_list(payload.get("b"), "/b", length=len(a) + 1)
-    config.check_rank(len(a), "/a")
+    if kind == "sigma":
+        config.check_rank(len(a), "/a")
+    else:
+        check_positive_rank(config, len(a), "/a")
     X = builders[kind](FractionRing(), a, b)
     return {"kind": kind, "matrix": matrix_json(X)}
 
@@ -270,7 +292,7 @@ def cmd_transfer_factor(config, payload):
         omega = transfer_factor_group(ext, g1, g2, eta_prime)
         return {"omega": cyc_json(omega), "side": "group"}
     X = parse_matrix(payload.get("matrix"), "/matrix", e_entry(ext))
-    config.check_rank(len(X) - 1, "/matrix")
+    check_positive_rank(config, len(X) - 1, "/matrix")
     if setting == "s":
         omega = transfer_factor_S(ext, X, eta_prime)
     elif setting == "lie":
@@ -289,7 +311,7 @@ def cmd_transfer_factor(config, payload):
 def cmd_match(config, payload):
     ext = config.ext()
     X = parse_matrix(payload.get("matrix"), "/matrix", e_entry(ext))
-    config.check_rank(len(X) - 1, "/matrix")
+    check_positive_rank(config, len(X) - 1, "/matrix")
     eta = config.eta()
     if "forms" in payload:
         forms = [HermitianForm(ext, diag) for diag in parse_list(

@@ -19,10 +19,10 @@ denominators, merges, and divides out one gcd when two keys met; * keeps
 a monomial fast path that only rotates (and rescales) the other
 operand's keys.  The trusted `_normal` wraps the result; no operation
 builds a Fraction.  The stored conductor is not part of the value:
-`terms`, the read-only view {k/n: c/den} with Fraction keys and values
-that callers print, does not depend on it.  The normal form is not
-unique (e(0) + e(1/2) equals 0), so equality is decided by `is_zero`,
-whose work depends on the number of keys and not on the conductor.
+the exponents k/n and coefficients c/den in lowest terms, which `repr`
+and the CLI print, do not depend on it.  The normal form is not unique
+(e(0) + e(1/2) equals 0), so equality is decided by `is_zero`, whose
+work depends on the number of keys and not on the conductor.
 Instances are immutable: operations may return an operand itself or a
 cached value such as `sqrt_prime(p)`, so `coeffs` is never changed in
 place.
@@ -56,14 +56,6 @@ class CyclotomicScalar:
         self.coeffs = {r.numerator * (n // r.denominator):
                        c.numerator * (den // c.denominator)
                        for r, c in clean.items()}
-
-    @property
-    def terms(self):
-        """The view {k/n: c/den}: Fraction keys in [0, 1) and Fraction
-        values, built on each read."""
-        n, den = self.n, self.den
-        return {Fraction(k, n): Fraction(c, den)
-                for k, c in self.coeffs.items()}
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -101,9 +93,10 @@ class CyclotomicScalar:
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CyclotomicScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not b:
             return self
@@ -154,15 +147,17 @@ class CyclotomicScalar:
                        self.den)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CyclotomicScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CyclotomicScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if len(self.coeffs) < len(other.coeffs):
             self, other = other, self
         b = other.coeffs
@@ -268,10 +263,6 @@ class CyclotomicScalar:
         if other is NotImplemented:
             return NotImplemented
         return (self - other).is_zero()
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
         # equal values may be stored with different keys (e(0) + e(1/2) is

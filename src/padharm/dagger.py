@@ -18,7 +18,8 @@ from fractions import Fraction
 from .cyclotomic import CyclotomicScalar
 from .errors import InvalidLevel, SchemaError
 from .padic import val_p
-from .spaces import WavePacket, e_space, matrix_space_e, riemann_fourier, tensor
+from .spaces import (WavePacket, e_space, matrix_space_e, riemann_fourier,
+                     tensor, val_pair)
 
 
 # -- generators ----------------------------------------------------------------
@@ -82,12 +83,12 @@ def make_dagger_column(ext, psi, m, k):
 
 
 def column_packet(ext, psi, k, entries):
-    """The tensor product of the k column entries, on e_space(ext, psi, k)."""
+    """The tensor product of the k column entries, on the concatenated
+    space, which equals e_space(ext, psi, k)."""
     packet = entries[0]
     for i in range(1, k):
         packet = tensor(packet, entries[i])
-    # the concatenated space coincides with e_space(ext, psi, k)
-    return WavePacket(e_space(ext, psi, k), packet.terms)
+    return packet
 
 
 def make_dagger_matrix(ext, psi, m, k):
@@ -110,32 +111,27 @@ def make_dagger_matrix(ext, psi, m, k):
 
 def matrix_packet(ext, psi, k, entries):
     """The product of the k x k entries, on matrix_space_e(ext, psi, k):
-    its value at g is the product of entries[(i, j)] at g_ij."""
-    # a frequency attached to entry (i,j) must be stored at position (j,i)
-    # because the space pairing is tr(XY)
-    pos = {(i, j): 2 * (i * k + j) for i in range(k) for j in range(k)}
-    terms = []
-    for combo in itertools.product(
-        *[entries[(i, j)].terms for i in range(k) for j in range(k)]
-    ):
+    its value at g is the product of entries[(i, j)] at g_ij.
+
+    A frequency attached to entry (i,j) must be stored at position (j,i)
+    because the space pairing is tr(XY).  Both positions have the weights
+    of the entry's space, and the lattice at (i,j) is the entry's, so the
+    dual lattice at (j,i) is too: the rows built from canonical entry rows
+    are canonical."""
+    slots = [(i, j) for i in range(k) for j in range(k)]
+    size = 2 * k * k
+    keyed = []
+    for combo in itertools.product(*[entries[ij].rows for ij in slots]):
         coeff = CyclotomicScalar.one()
-        center = [Fraction(0)] * (2 * k * k)
-        exps = [0] * (2 * k * k)
-        freq = [Fraction(0)] * (2 * k * k)
-        idx = 0
-        for i in range(k):
-            for j in range(k):
-                c, x0, a, f0 = combo[idx]
-                idx += 1
-                coeff = coeff * c
-                base = pos[(i, j)]
-                tbase = pos[(j, i)]
-                for t in range(2):
-                    center[base + t] = x0[t]
-                    exps[base + t] = a[t]
-                    freq[tbase + t] = f0[t]
-        terms.append((coeff, tuple(center), tuple(exps), tuple(freq)))
-    return WavePacket(matrix_space_e(ext, psi, k), terms)
+        center, exps, freq = [None] * size, [0] * size, [None] * size
+        for (c, x0, a, f0), (i, j) in zip(combo, slots):
+            coeff = coeff * c
+            base, tbase = 2 * (i * k + j), 2 * (j * k + i)
+            center[base:base + 2] = x0
+            exps[base:base + 2] = a
+            freq[tbase:tbase + 2] = f0
+        keyed.append(((tuple(exps), tuple(center), tuple(freq)), coeff))
+    return WavePacket._of(matrix_space_e(ext, psi, k), keyed)
 
 
 # -- definitional predicates -----------------------------------------------
@@ -183,7 +179,7 @@ def is_admissible_scalar(ext, psi, m, packet):
     # a nonzero center is a representative: v(w0) < b, so the whole coset
     # lies on the shell v = s0
     return fh.support_floor(0) >= -m - psi.d and all(
-        w0[1] != 0 and val_p(w0[1], p) == s0 for _, w0, _, _ in fh.terms)
+        w0[1][0] and val_pair(w0[1], p) == s0 for _, w0, _, _ in fh.rows)
 
 
 def is_admissible_column(data):

@@ -59,6 +59,7 @@ from .spaces import (
     matrix_space_e,
     s_space,
     transposition,
+    val_pair,
 )
 
 
@@ -175,21 +176,15 @@ def _matrix_dim(space):
 def packet_transpose(f):
     """g(X) = f(X^t) on a square-coordinate space whose pairing is the
     transposition map (trace pairing); centers, exponents and frequencies
-    all move by the same index permutation."""
+    all move by the same index permutation.  The pairing is that weight-
+    preserving permutation, so each permuted row is canonical."""
     perm = transposition(_matrix_dim(f.space))
     if f.space.pairing != perm:
         raise NotInDomain("space pairing is not the transposition")
-    out = []
-    for c, x0, a, f0 in f.terms:
-        out.append(
-            (
-                c,
-                tuple(x0[t] for t in perm),
-                tuple(a[t] for t in perm),
-                tuple(f0[t] for t in perm),
-            )
-        )
-    return WavePacket(f.space, out)
+    return WavePacket._of(f.space, [
+        ((tuple([a[t] for t in perm]), tuple([C[t] for t in perm]),
+          tuple([G[t] for t in perm])), c)
+        for c, C, a, G in f.rows])
 
 
 def _require_quadratic(eta):
@@ -247,14 +242,14 @@ def orbital_nilpotent(sign, f, eta):
     active = {t for _, t in b_coords} | set(x_coords)
 
     pairs = []
-    for coeff, center, exps, freq in f.terms:
+    for coeff, center, exps, freq in f.rows:
         for t in active:
-            if freq[pair[t]] != 0:
+            if freq[pair[t]][0]:
                 raise NotInDomain(
                     "oscillation against an integrated coordinate"
                 )
         # pinned coordinates: 0 must lie in the coset, so the center is 0
-        if any(center[t] for t in range(k * k) if t not in active):
+        if any(center[t][0] for t in range(k * k) if t not in active):
             continue
         cf = coeff
         qr = QRational.const(q ** -sum(exps[t] for t in x_coords))
@@ -262,7 +257,7 @@ def orbital_nilpotent(sign, f, eta):
             a = exps[t]
             beta = center[t]
             e = l % 2
-            if beta == 0:
+            if not beta[0]:
                 # full lattice p^a O: (1 - 1/q) sum_{v >= a} (s q^(l-1) T^l)^v
                 if e and not eta.is_unramified:
                     break
@@ -270,9 +265,9 @@ def orbital_nilpotent(sign, f, eta):
                 qr = qr * QRational.const(1 - 1 / q) * geometric_tail(
                     s * q ** (l - 1), l, a)
             else:
-                v = val_p(beta, p)
+                v = val_pair(beta, p)
                 if e:
-                    cf = cf * eta(beta)
+                    cf = cf * eta(Fraction(*beta))
                 qr = qr * QRational.monomial(q ** (v * l - a), v * l)
         else:
             pairs.append((cf, qr))
@@ -332,7 +327,6 @@ def _delta_plus_val_window(f, Xm, p):
     and return {v(Delta_+(X)) - vd} U entry bounds via the section
     delta_+: h = delta_+(Y) delta_+(X)^(-1), det h = Delta_+(Y)/Delta_+(X)."""
     R = FractionRing()
-    k = 3
     DX = delta_plus(R, mat_from_scalars(R, Xm))
     dX = det(R, DX)
     if dX == 0:
@@ -343,21 +337,25 @@ def _delta_plus_val_window(f, Xm, p):
     lo_adj = min(val_p(t, p) for t in adj_entries if t != 0)
 
     windows = set()
-    for (c, C, exps, G), (_, center, _, _) in zip(f.rows, f.terms):
-        # the least valuation of an entry on this term's coset
-        row = WavePacket._of(f.space, [((exps, C, G), c)])
-        c_min = min([row.support_floor(t) for t in range(k * k)])
+    floors = []
+    for _, C, exps, _ in f.rows:
+        # the least valuation of an entry on this term's coset, as in
+        # `WavePacket.support_floor`
+        c_min = min([val_pair(x, p) if x[0] else a for x, a in zip(C, exps)])
+        floors.append(c_min)
         a_min = min(exps)
+        center = [Fraction(n, d) for n, d in C]
         dY = Delta_plus(R, mat_from_scalars(R, _mat2_from_coords(center)))
         # integer-coefficient polynomial of degree 3 in the entries:
         # perturbing by p^a_min moves Delta_+ inside p^(a_min + 2 min(0, c_min))
         bound = a_min + 2 * min(0, c_min)
-        if dY == 0 or val_p(dY, p) >= bound:
+        vdY = val_p(dY, p) if dY else bound
+        if vdY >= bound:
             raise NotInDomain(
                 "Delta_+ valuation is not certified constant on the support"
             )
-        windows.add(val_p(dY, p))
-    return windows, vdX, lo_adj, min(map(f.support_floor, range(k * k)))
+        windows.add(vdY)
+    return windows, vdX, lo_adj, min(floors)
 
 
 def orbital_rs(X, f, eta, slack=0):
@@ -378,13 +376,13 @@ def orbital_rs(X, f, eta, slack=0):
     X = tuple(Fraction(t) for t in X)
     Xm = _mat2_from_coords(X)
     p = f.space.F.p
-    if not f.terms:
+    if not f.rows:
         return OrbitalResult.zero({"n": 2})
     windows, vdX, lo_adj, m0 = _delta_plus_val_window(f, Xm, p)
     det_window = {vd - vdX for vd in windows}
     mu = min(0, m0)
     lo = (m0 + mu) + lo_adj - vdX  # h = delta_+(Y) adj(delta_+(X)) / Delta_+(X)
-    a_max = max(max(t[2]) for t in f.terms)
+    a_max = max(max(r[2]) for r in f.rows)
     M = max(lo + 1, a_max + max(0, -2 * lo), max(det_window) + 1) + slack
     # the certificate pass at M + 1 is the larger one: refuse before either
     charge(p, [4 * (M + 1 - lo)], "rank-2 cell budget")
@@ -422,20 +420,21 @@ def _orbital_rs_cells(X, f, eta, lo, M, det_window):
     product once per distinct key at the end; each cell has the volume
     `_cell_volume`.
 
-    Bytes.  A CyclotomicScalar prints its `terms` view, a dict from
-    Fraction exponents to Fraction coefficients that no stored conductor
-    enters, and + and * act on it as in the group ring Q[Q/Z]: + merges
-    coefficients per exponent, * adds exponents, and neither reduces
-    modulo a cyclotomic polynomial.  So the view of a sum does not depend
-    on the order or the grouping of its summands, and the counts give the
-    view of the cell-by-cell sum: neither the cell order of the walk nor
-    the keys the cells are counted under (two keys may name one phase,
-    as (n, k) and (pn, k + 1) do) change the bytes.  The one step that is
-    not a group-ring operation is dropping a cell whose value is zero.  A
-    value with one passing term is coeff_t e(phase_t), never zero (a
-    packet keeps no zero coefficient); a value with more can be zero in
-    Q(zeta) and not as a dict, so those cells are tested with is_zero, as
-    a cell-by-cell sum of f.evaluate values tests them.
+    Bytes.  A CyclotomicScalar prints as its exponents k / n and
+    coefficients c / den in lowest terms: an element of the group ring
+    Q[Q/Z], which no stored conductor enters, and + and * act on it as in
+    that ring: + merges coefficients per exponent, * adds exponents, and
+    neither reduces modulo a cyclotomic polynomial.  So the printed form
+    of a sum does not depend on the order or the grouping of its
+    summands, and the counts give that of the cell-by-cell sum: neither
+    the cell order of the walk nor the keys the cells are counted under
+    (two keys may name one phase, as (n, k) and (pn, k + 1) do) change
+    the bytes.  The one step that is not a group-ring operation is
+    dropping a cell whose value is zero.  A value with one passing term
+    is coeff_t e(phase_t), never zero (a packet keeps no zero
+    coefficient); a value with more can be zero in Q(zeta) and not as a
+    dict, so those cells are tested with is_zero, as a cell-by-cell sum
+    of f.evaluate values tests them.
 
     The certificate is unchanged: the coset tests are exact, so each pass
     adds exactly the nonzero cell values of an enumeration in Fraction
@@ -460,7 +459,7 @@ def _orbital_rs_cells(X, f, eta, lo, M, det_window):
             r = eta_phases[vj, u0] = eta.phase(u0 * q ** vd)
         # e(n / p^k + r) on ints: r = a / b is eta's phase
         pk, b = p ** k, r.denominator
-        c = (f.terms[t][0]
+        c = (f.rows[t][0]
              * CyclotomicScalar.root_of_unity_ratio(
                  n * b + r.numerator * pk, pk * b)
              * (count * q ** (2 * vd)))
@@ -502,12 +501,14 @@ def _phi_minus_packet(phi_data):
     if phi_data.kind != "scalar":
         raise NotAdmissible("need a dagger scalar")
     ext, psi, m = phi_data.ext, phi_data.psi, phi_data.m
+    # the minus coordinate has the same weight and lattices on both
+    # spaces, so its part of a canonical row is a canonical row
     out = []
-    for c, x0, a, f0 in phi_data.packet.terms:
-        if x0[0] != 0 or a[0] != m or f0[0] != 0:
+    for c, C, a, G in phi_data.packet.rows:
+        if C[0][0] or a[0] != m or G[0][0]:
             raise NotAdmissible("plus factor is not the level-m indicator")
-        out.append((c, (x0[1],), (a[1],), (f0[1],)))
-    return WavePacket(e_minus_space(ext, psi, 1), out)
+        out.append((((a[1],), (C[1],), (G[1],)), c))
+    return WavePacket._of(e_minus_space(ext, psi, 1), out)
 
 
 def c_psi_plus(ext, psi, m):
@@ -533,24 +534,19 @@ def f_psi_natural(ext, psi, phi_data, r):
     m = phi_data.m
     _check_descent_level(m, r)
     base = f_natural(ext, psi, r)
-    (c0, _, _, _), = base.terms
+    (c0, _, _, _), = base.rows
     phi_minus = _phi_minus_packet(phi_data)
     ind = WavePacket.indicator(e_minus_space(ext, psi, 1), (r,))
     slot = ind.convolve_add(phi_minus.reflect())
     cp = c_psi_plus(ext, psi, m)
-    sp = s_space(ext, psi, 2)
-    out = []
-    for c2, (w0,), (aw,), (fw,) in slot.terms:
-        out.append(
-            (
-                c0 * c2 * cp,
-                (Fraction(0), w0, Fraction(0), Fraction(0)),
-                (r, aw, r, r),
-                # the phase against x12 sits at the paired position (2,1)
-                (Fraction(0), Fraction(0), fw, Fraction(0)),
-            )
-        )
-    return WavePacket(sp, out)
+    zero = (0, 1)
+    # the (1,2) slot and its paired position (2,1) have the weight and the
+    # lattices of the minus coordinate of `slot`, so the rows are canonical
+    return WavePacket._of(s_space(ext, psi, 2), [
+        (((r, aw, r, r), (zero, w0, zero, zero),
+          # the phase against x12 sits at the paired position (2,1)
+          (zero, zero, fw, zero)), c0 * c2 * cp)
+        for c2, (w0,), (aw,), (fw,) in slot.rows])
 
 
 def mu_via_nilpotent(ext, psi, eta, phi_data, r):

@@ -31,9 +31,9 @@ pseudo-remainders carry the positive multiplier |lc|^(delta + 1), so
 every member is a positive multiple of the chain over Q and has its
 signs.
 
-`num` and `den` are the monic view of the same function: N and D over
-lc(D) as `Fraction` coefficient lists, as the CLI prints them and `repr`
-shows them.  The view is built when asked for and feeds no arithmetic.
+`repr` and the CLI show N and D over lc(D), which makes the shown
+denominator monic; they format each coefficient over lc(D) from the
+ints.
 """
 
 from __future__ import annotations
@@ -181,21 +181,16 @@ def _lowest(N, D):
     return QRational._of(N, D)
 
 
-class Poly:
-    """One side of the monic view of a QRational: `c` is its list of
-    Fraction coefficients, little-endian.  It carries no arithmetic."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c):
-        self.c = c
-
-    def __repr__(self):
-        if not self.c:
-            return "Poly(0)"
-        return "Poly(" + " + ".join(
-            f"{x}*T^{i}" if i else f"{x}" for i, x in enumerate(self.c) if x
-        ) + ")"
+def _poly_repr(P, lc):
+    """P over lc as `repr` shows it: Poly(c0 + c1*T^1 + ...) with the zero
+    coefficients left out, each c_i printed as its Fraction prints."""
+    bits = []
+    for i, x in enumerate(P):
+        if x:
+            g = gcd(x, lc)
+            c = f"{x // g}/{lc // g}" if lc != g else f"{x // g}"
+            bits.append(f"{c}*T^{i}" if i else c)
+    return "Poly(" + (" + ".join(bits) if bits else "0") + ")"
 
 
 class QRational:
@@ -245,16 +240,6 @@ class QRational:
         if k > 0:
             return QRational._of((0,) * k + (c.numerator,), (c.denominator,))
         return QRational._of((c.numerator,), (0,) * -k + (c.denominator,))
-
-    @property
-    def num(self):
-        """The numerator of the monic view."""
-        return Poly([Fraction(x, self.D[-1]) for x in self.N])
-
-    @property
-    def den(self):
-        """The monic denominator of the view."""
-        return Poly([Fraction(x, self.D[-1]) for x in self.D])
 
     def is_zero(self):
         return not self.N
@@ -412,7 +397,8 @@ class QRational:
         return sturm_root_count(self.D, a, b)
 
     def __repr__(self):
-        return f"QRational({self.num!r} / {self.den!r})"
+        num, den = (_poly_repr(P, self.D[-1]) for P in (self.N, self.D))
+        return f"QRational({num} / {den})"
 
 
 _ZERO = QRational._of((), (1,))

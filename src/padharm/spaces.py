@@ -38,9 +38,9 @@ shell integral of the library, charges and sums at that level.
 psi's values are built from the int pair of `frac_part_ratio` by
 `CyclotomicScalar.root_of_unity_ratio`, and the coefficients compute on
 ints, so the calculus on rows builds no `Fraction`.  Fractions appear
-only at its edges: the `terms` view, the points read from outside
-(`evaluate`, `shift`), the points `shell_integrals` moves along a line,
-and `riemann_fourier`, which reads the `terms` view with `Space.pair`
+only at its edges: the points read from outside (`evaluate`, `shift`),
+the points `shell_integrals` moves along a line, and `riemann_fourier`,
+the one reader of the `terms` view, which it reads with `Space.pair`
 and psi, so it stays an independent route.
 """
 
@@ -299,9 +299,11 @@ def _merged(keyed):
     return rows
 
 
-def _val_pair(x, p):
-    """v_p(n / d) for a nonzero pair (n, d) in lowest terms."""
-    return val_p(x[0], p) - val_p(x[1], p)
+def val_pair(x, p):
+    """v_p(n / d) for a nonzero pair (n, d) in lowest terms, where p
+    divides at most one of n and d."""
+    n, d = x
+    return -val_p(d, p) if d % p == 0 else val_p(n, p)
 
 
 def _as_pair(x):
@@ -415,14 +417,18 @@ class WavePacket:
             for c, C, a, G in self.rows])
 
     def shift(self, t):
-        """g(x) = f(x - t)."""
-        t = tuple(Fraction(u) for u in t)
+        """g(x) = f(x - t): the centers move by t, and each row takes the
+        phase psi(-<G, t>)."""
         sp = self.space
-        out = []
-        for c, x0, a, f0 in self.terms:
-            phase = sp.psi(-sp.pair(f0, t))
-            out.append((c * phase, tuple(x + u for x, u in zip(x0, t)), a, f0))
-        return WavePacket(sp, out)
+        p = sp.F.p
+        t = tuple(map(_as_pair, t))
+        if len(t) != sp.dim:
+            raise SchemaError("shift dimension mismatch")
+        return WavePacket._of(sp, [
+            ((a, tuple([_mod_lattice(*_pair_sum(x, u), e, p)
+                        for x, u, e in zip(C, t, a)]), G),
+             c * _psi_pair(sp, [(-n, d) for n, d in G], t))
+            for c, C, a, G in self.rows])
 
     # -- integral calculus -----------------------------------------------------
     def fourier(self):
@@ -458,7 +464,7 @@ class WavePacket:
         a nonzero center C_t is a representative, so v(C_t) < a_t is the
         valuation of the whole coset; a zero C_t leaves p^a_t O."""
         p = self.space.F.p
-        return min([_val_pair(C[t], p) if C[t][0] else a[t]
+        return min([val_pair(C[t], p) if C[t][0] else a[t]
                     for _, C, a, _ in self.rows])
 
     def shell_level(self, line, v):
@@ -479,7 +485,7 @@ class WavePacket:
             for _, _, a, G in self.rows:
                 lam = max(lam, a[t] - vx)
                 if G[j][0]:
-                    lam = max(lam, -d - sp._wv[j] - _val_pair(G[j], p) - vx)
+                    lam = max(lam, -d - sp._wv[j] - val_pair(G[j], p) - vx)
         return lam
 
     def shell_integrals(self, point, line, eta, shells, what, slack=0):

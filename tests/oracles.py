@@ -19,6 +19,8 @@ another way:
   whose zero test splits the conductor prime by prime;
 * ``trace_rational`` decides the same questions by the trace form, at a
   cost that depends on the number of terms and not on the conductor;
+  ``cyc_terms`` reads a ``CyclotomicScalar`` into the Fraction-keyed dict
+  that both take;
 * ``result_difference`` is the difference of two ``OrbitalResult``s,
   built by merging their pairs, against ``OrbitalResult.__eq__``, which
   compares coefficients per R_i without building it;
@@ -26,7 +28,8 @@ another way:
   denominator over a Fraction numerator, reduced by the Euclidean gcd
   over Q (``FractionPoly``), with its own evaluation, reduction mod
   T^2 - s0 and Sturm chain, against ``qrational.QRational`` on coprime
-  int numerator and denominator tuples.
+  int numerator and denominator tuples, which ``monic_view`` reads into
+  the oracle's form.
 """
 
 import itertools
@@ -194,6 +197,20 @@ def dagger_mu_closed_form(ext, psi, eta, phi_data):
         hat, eta, s0, ext.F.p, psi.d + vdelta
     )
     return c_psi_plus(ext, psi, m) * total
+
+
+def cyc_terms(x):
+    """A CyclotomicScalar's value as the dict {k/n: c/den} of Fraction
+    exponents in [0, 1) and nonzero Fraction coefficients, in the order of
+    its keys: the form `FractionCyclotomic` and `trace_rational` hold."""
+    return {Fraction(k, x.n): Fraction(c, x.den) for k, c in x.coeffs.items()}
+
+
+def monic_view(x):
+    """A QRational's N and D over lc(D), as lists of Fraction coefficients:
+    the form `FractionQRational`'s `num.c` and `den.c` hold."""
+    lc = x.D[-1]
+    return [Fraction(c, lc) for c in x.N], [Fraction(c, lc) for c in x.D]
 
 
 def result_difference(a, b):
@@ -388,6 +405,14 @@ class FractionPoly:
     def degree(self):
         return len(self.c) - 1  # -1 for the zero polynomial
 
+    def __repr__(self):
+        # as QRational shows a side: the zero coefficients left out
+        if not self.c:
+            return "Poly(0)"
+        return "Poly(" + " + ".join(
+            f"{x}*T^{i}" if i else f"{x}" for i, x in enumerate(self.c) if x
+        ) + ")"
+
     def is_zero(self):
         return not self.c
 
@@ -453,7 +478,7 @@ class FractionPoly:
 class FractionQRational:
     """num/den with den monic and gcd(num, den) = 1, both FractionPolys;
     every operation reduces by the gcd over Q.  Its `num.c` and `den.c`
-    are the monic view that `QRational` prints."""
+    are what `QRational` prints, and its repr is `QRational`'s."""
 
     def __init__(self, num, den=None):
         den = den if den is not None else FractionPoly([1])
@@ -465,6 +490,9 @@ class FractionQRational:
             lead = den.c[-1]
             num, den = num.scale(1 / lead), den.scale(1 / lead)
         self.num, self.den = num, den
+
+    def __repr__(self):
+        return f"QRational({self.num!r} / {self.den!r})"
 
     @staticmethod
     def const(x):

@@ -466,6 +466,37 @@ def test_rank_budget_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+RANK_ZERO = [
+    ("classify", {"matrix": [[0]]}, "/matrix"),
+    ("transfer-factor", {"matrix": [[[0, 0]]]}, "/matrix"),
+    ("match", {"matrix": [[[0, 1]]]}, "/matrix"),
+    ("section", {"kind": "sigma-prime", "a": [], "b": [1]}, "/a"),
+    ("section", {"kind": "varrho", "a": [], "b": [1]}, "/a"),
+]
+
+
+@pytest.mark.parametrize("command, payload, pointer", RANK_ZERO,
+                         ids=[f"{c}-{p.get('kind', 'matrix')}"
+                              for c, p, _ in RANK_ZERO])
+def test_rank_zero_is_refused_at_its_pointer(command, payload, pointer,
+                                             tmp_path, capsys):
+    # a 1 x 1 matrix, or a section with no a, has rank n = 0: Delta_+ and
+    # the (n+1) x (n+1) sections need n >= 1
+    code, _ = run_cli([command], payload, tmp_path)
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "SchemaError"
+    assert error["message"].startswith(pointer + ":")
+
+
+def test_rank_zero_answers_where_it_means_something(tmp_path):
+    for command, payload in (("invariants", {"matrix": [[3]]}),
+                             ("section", {"kind": "sigma", "a": [],
+                                          "b": [3]})):
+        code, _ = run_cli([command], payload, tmp_path)
+        assert code == 0
+
+
 def test_verify_suite_small(tmp_path):
     code, text = run_cli(
         ["verify-suite", "section-identities", "--n", "2", "--samples", "5"],

@@ -2,10 +2,12 @@
 denominator.  No function of cyclotomic.py names `Fraction` except the
 few that take a rational in or hand one out (`__init__`,
 `from_rational`, `root_of_unity`, `_exact` and `_coerce` read their
-input, `as_rational` returns a value, `terms` and `__repr__` build the
-view, and `sqrt_rational_power` reads its exponent), and no function
-divides with `/`.  psi's values
-are built from int pairs, through `root_of_unity_ratio`.  An edit that
+input, `as_rational` returns a value, `__repr__` prints, and
+`sqrt_rational_power` reads its exponent), and no function divides with
+`/`.  psi's values are built from int pairs, through
+`root_of_unity_ratio`.  The library reads no Fraction view: no `.terms`
+of a scalar or a packet is read in orbital, cells, dagger or the CLI,
+and the scalar has no `terms`.  An edit that
 brings Fraction arithmetic back into an operation, the zero test or a
 psi value fails here; the differential test checks every operation
 against the Fraction-keyed oracle, and every zero and rational value
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FractionCyclotomic, trace_rational
+from oracles import FractionCyclotomic, cyc_terms, trace_rational
 from padharm.cyclotomic import CyclotomicScalar, _normal
 from test_cyclotomic import assert_normal
 
@@ -28,7 +30,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "padharm"
 
 FRACTION_USERS = {
     ("CyclotomicScalar", "__init__"),
-    ("CyclotomicScalar", "terms"),
     ("CyclotomicScalar", "from_rational"),
     ("CyclotomicScalar", "root_of_unity"),
     ("CyclotomicScalar", "as_rational"),
@@ -48,7 +49,7 @@ KERNELS = {
     ("CyclotomicScalar", name) for name in (
         "root_of_unity_ratio", "zero", "one", "__add__", "__neg__",
         "__sub__", "__mul__", "conj", "_reduced", "is_zero", "__eq__",
-        "__ne__", "__hash__", "__bool__")
+        "__hash__", "__bool__")
 }
 
 # the functions that build psi's values, per module
@@ -110,6 +111,18 @@ def test_psi_values_are_built_from_int_pairs():
     assert "Fraction" not in _names(ratio)
 
 
+def test_the_library_reads_no_fraction_view():
+    # packets are read as their int rows and scalars as their int keys and
+    # coefficients; only spaces.riemann_fourier, an independent route,
+    # reads the packet's `terms`
+    for module in ("orbital.py", "cells.py", "dagger.py", "cli.py"):
+        reads = [node.lineno for node in ast.walk(_tree(module))
+                 if isinstance(node, ast.Attribute) and node.attr == "terms"]
+        assert reads == [], module
+    assert ("CyclotomicScalar", "terms") not in _functions(_tree())
+    assert not hasattr(CyclotomicScalar, "terms")
+
+
 def test_floats_are_refused():
     # 0.1 is the binary fraction 3602879701896397 / 2^55, which would
     # become the conductor
@@ -129,7 +142,7 @@ def test_floats_are_refused():
 def test_the_public_constructor_takes_exact_input():
     x = CyclotomicScalar({"1/10": 1, Fraction(-9, 10): 2, 0: Fraction(3, 4),
                           Fraction(1, 6): "5/6"})
-    assert x.terms == {Fraction(0): Fraction(3, 4), Fraction(1, 10): 3,
+    assert cyc_terms(x) == {Fraction(0): Fraction(3, 4), Fraction(1, 10): 3,
                        Fraction(1, 6): Fraction(5, 6)}
     assert (x.n, x.den) == (30, 12)
     assert_normal(x)
@@ -242,7 +255,7 @@ def test_int_coefficients_agree_with_the_fraction_oracle(chain1, chain2):
     _both(chain2, pairs)
     for x, y in pairs:
         assert_normal(x)
-        assert list(x.terms.items()) == list(y.terms.items())
+        assert list(cyc_terms(x).items()) == list(y.terms.items())
         assert repr(x) == repr(y)
         # the trace form, which scales to these conductors, and the dense
         # reduction where it is cheap

@@ -17,6 +17,7 @@ from operator import itemgetter
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import cyc_terms
 from padharm.characters import AdditiveCharacter, frac_part_ratio
 from padharm.cyclotomic import CyclotomicScalar
 from padharm.padic import FieldContext, QuadExtContext, val_p
@@ -188,8 +189,8 @@ def test_phase_and_fractional_part(x, p, d):
         assert 0 <= m < pk
         assert _same(Fraction(m, pk), ref_frac_part_p(x, p))
     assert _same(Fraction(*psi._phase_pair(x)), ref_phase(psi, x))
-    assert psi(x).terms == CyclotomicScalar.root_of_unity(
-        ref_phase(psi, x)).terms
+    assert cyc_terms(psi(x)) == cyc_terms(CyclotomicScalar.root_of_unity(
+        ref_phase(psi, x)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -244,11 +245,11 @@ scalars = st.dictionaries(keys, coefficients.filter(bool), max_size=5).map(
 def test_monomial_rotation(a, s, c):
     m = CyclotomicScalar({s: c})
     # rotating a by m, in a's order (a single key when a is a monomial)
-    ref = ref_rotate(a.terms, s, c)
+    ref = ref_rotate(cyc_terms(a), s, c)
     for prod in (a * m, m * a):
-        assert list(prod.terms.items()) == list(ref.items())
+        assert list(cyc_terms(prod).items()) == list(ref.items())
         assert all(type(r) is Fraction and type(v) is Fraction
-                   for r, v in prod.terms.items())
+                   for r, v in cyc_terms(prod).items())
 
 
 def _assert_canonical_form(space, terms):
@@ -256,7 +257,8 @@ def _assert_canonical_form(space, terms):
     ref = ref_canonical_terms(space, terms)
     assert len(f.terms) == len(ref)
     for got, want in zip(f.terms, ref):
-        assert list(got[0].terms.items()) == list(want[0].terms.items())
+        assert list(cyc_terms(got[0]).items()) == list(
+            cyc_terms(want[0]).items())
         assert got[1:] == want[1:]
         assert all(type(t) is Fraction for t in got[1] + got[3])
     return f
@@ -311,6 +313,14 @@ def ref_fourier(space, terms):
 def ref_reflect(space, terms):
     return ref_canonical_terms(space, [
         (c, tuple(-t for t in x0), a, tuple(-t for t in f0))
+        for c, x0, a, f0 in terms])
+
+
+def ref_shift(space, terms, t):
+    return ref_canonical_terms(space, [
+        (c * CyclotomicScalar.root_of_unity(
+            ref_phase(space.psi, -ref_pair(space, f0, t))),
+         tuple(x + u for x, u in zip(x0, t)), a, f0)
         for c, x0, a, f0 in terms])
 
 
@@ -370,7 +380,7 @@ def _assert_rows(f, ref):
 
     assert len(f.rows) == len(ref) == len(f.terms)
     for (c, C, a, G), (rc, x0, ra, f0), view in zip(f.rows, ref, f.terms):
-        assert list(c.terms.items()) == list(rc.terms.items())
+        assert list(cyc_terms(c).items()) == list(cyc_terms(rc).items())
         assert (C, a, G) == (pairs(x0), ra, pairs(f0))
         assert all(type(n) is int and type(d) is int for n, d in C + G)
         assert view[1:] == (x0, ra, f0) and view[0] is c
@@ -398,11 +408,14 @@ def test_packet_operations_against_the_fraction_formulas(p, d, which, data):
     _assert_rows(f.fourier(), ref_fourier(space, tf))
     _assert_rows(f.reflect(), ref_reflect(space, tf))
     _assert_rows(f * g, ref_product(space, tf, tg))
+    t = tuple(Fraction(u) for u in data.draw(
+        st.lists(rationals, min_size=n, max_size=n)))
+    _assert_rows(f.shift(t), ref_shift(space, tf, t))
     for x in (data.draw(st.lists(rationals, min_size=n, max_size=n)),
               tf[0][1] if tf else (0,) * n):
         x = tuple(Fraction(t) for t in x)
         got, want = f.evaluate(x), ref_evaluate(space, tf, x)
-        assert list(got.terms.items()) == list(want.terms.items())
+        assert list(cyc_terms(got).items()) == list(cyc_terms(want).items())
 
 
 @settings(max_examples=40, deadline=None)

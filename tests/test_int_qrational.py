@@ -1,15 +1,17 @@
 """QRational computes on ints: no function of qrational.py names
 `Fraction` except the few that take a rational in or hand one out
 (`const` and `monomial` read their input, `evaluate` returns a value,
-`num` and `den` build the monic view, and `__hash__` hashes a constant
-as its Fraction value), no function divides with `/`, and the view
-class carries no arithmetic.  An edit that brings Fraction arithmetic
-back into an operation, the gcd, the remainders or the Sturm chain
-fails here.
+and `__hash__` hashes a constant as its Fraction value), no function
+divides with `/`, and there is no Fraction view beside the int tuples:
+no `Poly` class and no `num` or `den`.  An edit that brings Fraction
+arithmetic back into an operation, the gcd, the remainders or the Sturm
+chain fails here.
 """
 
 import ast
 from pathlib import Path
+
+from padharm.qrational import QRational
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "padharm" / "qrational.py"
 
@@ -17,8 +19,6 @@ FRACTION_USERS = {
     ("QRational", "const"),
     ("QRational", "monomial"),
     ("QRational", "evaluate"),
-    ("QRational", "num"),
-    ("QRational", "den"),
     ("QRational", "__hash__"),
 }
 
@@ -28,7 +28,7 @@ KERNELS = {
     (None, name) for name in (
         "_add", "_mul", "_neg", "_derivative", "_primitive", "_quo", "_prem",
         "_gcd", "_homogeneous", "_lowest", "sturm_root_count",
-        "geometric_tail", "_coerce")
+        "geometric_tail", "_coerce", "_poly_repr")
 } | {
     ("QRational", name) for name in (
         "__init__", "__add__", "__neg__", "__sub__", "__rsub__", "__mul__",
@@ -78,7 +78,15 @@ def test_no_true_division_and_no_fractions_module():
     assert imports == [("fractions", ["Fraction"])]
 
 
-def test_the_view_has_no_arithmetic():
-    view = _functions(_tree())
-    methods = {name for cls, name in view if cls == "Poly"}
-    assert methods == {"__init__", "__repr__"}
+def test_no_fraction_view_beside_the_int_tuples():
+    # repr and the CLI format N and D over lc(D) from the ints
+    tree = _tree()
+    body = tree.body + [item for node in tree.body
+                        if isinstance(node, ast.ClassDef)
+                        for item in node.body]
+    defined = {node.name for node in body
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    defined |= {t.id for node in body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    assert not defined & {"Poly", "num", "den"}
+    assert QRational.__slots__ == ("N", "D")

@@ -15,7 +15,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "padharm"
 
 RAISERS = {
     ("config.py", "charge"),
-    ("cli.py", "frac_str"),
+    ("cli.py", "ratio_str"),
     ("cli.py", "cmd_dagger_gen"),
     ("cli.py", "cmd_fourier"),
     ("spaces.py", "_merged"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FractionPoly, FractionQRational
+from oracles import FractionPoly, FractionQRational, monic_view
 from padharm.errors import PoleAtEvaluationPoint
 from padharm.qrational import (
     QRational,
@@ -150,12 +150,13 @@ def test_qrational_eval_consistency(num, den, t):
 def assert_normal_form(x, num, den):
     """x is num/den for int coefficient tuples: the same tuples as the
     public reducing constructor, and the same monic view, all of it
-    Fractions, as the Fraction oracle's generic reduction."""
+    Fractions, and repr as the Fraction oracle's generic reduction."""
     generic = QRational(num, den)
     assert (x.N, x.D) == (generic.N, generic.D)
     want = FractionQRational(FractionPoly(num), FractionPoly(den))
-    assert (x.num.c, x.den.c) == (want.num.c, want.den.c)
-    assert all(type(c) is Fraction for c in x.num.c + x.den.c)
+    assert monic_view(x) == (want.num.c, want.den.c)
+    assert all(type(c) is Fraction for c in sum(monic_view(x), []))
+    assert repr(x) == repr(want)
 
 
 def mul(a, b):
@@ -219,11 +220,11 @@ def test_operations_build_the_generic_normal_form(x, y):
 def test_constants_and_monomials_are_in_normal_form(c, k):
     c = Fraction(c)
     x = QRational.const(c)
-    assert (x.num.c, x.den.c) == ([c] if c else [], [1])
+    assert monic_view(x) == ([c] if c else [], [1])
     assert (x.N, x.D) == ((c.numerator,) if c else (), (c.denominator,))
     want = FractionQRational.monomial(c, k)
     got = QRational.monomial(c, k)
-    assert (got.num.c, got.den.c) == (want.num.c, want.den.c)
+    assert monic_view(got) == (want.num.c, want.den.c)
     assert_stored_form(got)
 
 
@@ -271,8 +272,9 @@ POINTS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2),
 
 def assert_matches(x, ox):
     assert_stored_form(x)
-    assert (x.num.c, x.den.c) == (ox.num.c, ox.den.c)
-    assert all(type(c) is Fraction for c in x.num.c + x.den.c)
+    assert monic_view(x) == (ox.num.c, ox.den.c)
+    assert all(type(c) is Fraction for c in sum(monic_view(x), []))
+    assert repr(x) == repr(ox)
 
 
 def value_or_pole(qr, t):
