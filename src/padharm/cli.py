@@ -67,7 +67,7 @@ from .orbital import (
 )
 from .lfactors import lfactor_table
 from .padic import val_p
-from .suites import GERM_POINTS, SUITES, run_suite
+from .suites import GERM_POINTS, SUITES, run_suite, suite_flags
 from . import __version__
 
 
@@ -308,14 +308,36 @@ def cmd_transfer_factor(config, payload):
     return {"omega": cyc_json(omega), "side": setting, "invariants": inv}
 
 
+def _s_entry(ext):
+    """The entry reader for s, the -1 eigenspace of M(E): a [0, minus]
+    pair, tau times a rational."""
+    def read(value, pointer):
+        plus, minus = parse_list(value, pointer, length=2)
+        if plus:
+            raise SchemaError(
+                f"{pointer}/0: the plus part of an entry of s must be 0")
+        return ext.scalar(plus, minus)
+    return read
+
+
+def _form_entry(value, pointer):
+    """A diagonal entry of a Hermitian form: a nonzero rational."""
+    x = read_fraction(value, pointer)
+    if not x:
+        raise SchemaError(
+            f"{pointer}: a form's diagonal entry must be nonzero")
+    return x
+
+
 def cmd_match(config, payload):
     ext = config.ext()
-    X = parse_matrix(payload.get("matrix"), "/matrix", e_entry(ext))
+    X = parse_matrix(payload.get("matrix"), "/matrix", _s_entry(ext))
     check_positive_rank(config, len(X) - 1, "/matrix")
     eta = config.eta()
     if "forms" in payload:
         forms = [HermitianForm(ext, diag) for diag in parse_list(
-            payload["forms"], "/forms", parse_list)]
+            payload["forms"], "/forms",
+            functools.partial(parse_list, entry=_form_entry))]
         if not forms:
             raise SchemaError("/forms: expected a nonempty list of diagonal forms")
     else:
@@ -479,7 +501,7 @@ def cmd_germ_check(config, payload):
 def cmd_theorem_germ_gl(config, payload):
     ext, psi = config.ext(), config.psi()
     m = read_int(payload.get("m", 1), "/m", low=1)
-    r = read_int(payload.get("r", 3), "/r", low=1)
+    r = read_int(payload.get("r", 2 * m + 1), "/r", low=1)
     omega_tau = read_int(payload.get("omega_tau", 1), "/omega_tau")
     if omega_tau not in (1, -1):
         raise SchemaError("/omega_tau: expected 1 or -1")
@@ -508,10 +530,10 @@ def cmd_local_factors(config, payload):
     return {"q": q, "table": rows}
 
 
-# the parameters of the suites, in table order; their seed comes from
-# the top-level --seed
+# the flags of the suites, in table order; their seed comes from the
+# top-level --seed
 _SUITE_FLAGS = tuple(dict.fromkeys(
-    flag for _, params in SUITES.values() for flag in params if flag != "seed"))
+    flag for name in SUITES for flag in suite_flags(name)))
 
 
 def _int_or_text(text):

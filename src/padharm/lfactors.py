@@ -115,7 +115,8 @@ def unramified_identity(n):
     """The unramified volume bookkeeping, with the central L-value ratio
     kept as a formal symbol: the split-group side collapses to 1 and the
     unitary side to L(1, eta), so the two local distributions differ by
-    exactly L(1, eta).  Every ratio is computed, none is assumed."""
+    exactly L(1, eta).  Every ratio is computed, none is assumed; the
+    `local-factors` suite compares I with 1 and J with L(1, eta)."""
     # split-group side: spherical projector volume ratio, the Whittaker
     # functional volume, and the inner-product volumes over E
     vol_G_prime = vol_gl(n, degree=2) * vol_gl(n + 1, degree=2)
@@ -127,18 +128,8 @@ def unramified_identity(n):
         * (vol_H2 / (vol_gl(n, degree=2) * vol_gl(n + 1, degree=2)))
     )
     # unitary side: projector ratio times the spherical period constant
-    hyper = hyperspecial_volume(n + 1, via="points")
-    j_coeff = hyper * delta_constant(n + 1)
-    report = {
-        "n": n,
-        "I_coefficient": i_coeff,
-        "J_coefficient": j_coeff,
-        "I_is_one": i_coeff == QRational.const(1),
-        "J_is_L1eta": j_coeff == l_eta(1),
-        "identity": i_coeff == l_eta(1).inverse() * j_coeff,
-        "hyperspecial_consistent": hyper == hyperspecial_volume(n + 1),
-    }
-    return report
+    j_coeff = hyperspecial_volume(n + 1, via="points") * delta_constant(n + 1)
+    return {"n": n, "I_coefficient": i_coeff, "J_coefficient": j_coeff}
 
 
 def lfactor_table(q, n_max=4):

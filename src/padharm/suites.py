@@ -1,14 +1,20 @@
 """Named verification suites.
 
-Each suite re-derives an identity from scratch (often against a
-brute-force or closed-form oracle) at its own fixed p, N and delta, and
-returns `(failures, stats)`.  `SUITES` maps each name to its suite and
-the parameters it takes; `run_suite` checks those and builds the report
+Each suite checks identities by two independent routes.  A suite is a
+generator: it yields `(label, route A value, route B value)` once per
+check and returns its stats.  `run_suite` owns the rest: it checks the
+flags, charges a given sample count, supplies the fixed context and the
+seed, compares the two values of every check by one rule (`.equals` for
+wave packets, `==` otherwise) and builds the report
 
     {"suite": name, "passed": bool, "failures": [...], "stats": {...}}
 
-The CLI `verify-suite` command, the acceptance tests and CI all go
-through `run_suite`.
+whose failures are the labels of the checks whose routes differ.
+`SUITES` maps each name to its suite.  A suite's parameters with a
+default are its `verify-suite` flags; the others are `ctx`, the fixed
+context (the default RunConfig: p = 3, delta = 2), and `seed`, the run
+seed.  The CLI `verify-suite` command, the acceptance tests and CI all
+go through `run_suite`.
 """
 
 import random
@@ -80,12 +86,10 @@ from . import lfactors
 # sections and isomorphisms
 
 
-def suite_section_identities(n=3, samples=500, seed=0):
+def suite_section_identities(seed, n=3, samples=500):
     """pi o sigma = id, delta_+ o sigma = 1, and both chart round trips,
     on random data over Z/p^5 for p = 3, 5 at every rank up to n."""
     Npow = 5
-    failures = []
-    checked = 0
     for rank in range(1, n + 1):
         for p in (3, 5):
             R = IntModRing(p, Npow)
@@ -115,11 +119,9 @@ def suite_section_identities(n=3, samples=500, seed=0):
                           for j in range(rank)] for i in range(rank)])
                 return mat_mul(mat_mul(low, d), up)
 
-            def red_vec(v):
-                return tuple(int(x) % mod for x in v)
-
-            def red_mat(X):
-                return tuple(tuple(int(x) % mod for x in row) for row in X)
+            def red(x):
+                """A residue, or nested tuples or lists of them, mod p^N."""
+                return x % mod if isinstance(x, int) else tuple(map(red, x))
 
             for _ in range(samples):
                 a = tuple(rng.randrange(mod) for _ in range(rank))
@@ -127,26 +129,20 @@ def suite_section_identities(n=3, samples=500, seed=0):
                 tag = f"n={rank} p={p} a={a} b={b}"
                 X0 = section_sigma(R, a, b)
                 ga, gb = invariants_of(R, X0)
-                if (red_vec(ga), red_vec(gb)) != (a, b):
-                    failures.append(f"pi o sigma != id at {tag}")
-                if red_mat(delta_plus(R, X0)) != red_mat(one):
-                    failures.append(f"delta_+ o sigma != 1 at {tag}")
+                yield f"pi o sigma != id at {tag}", red((ga, gb)), (a, b)
+                yield (f"delta_+ o sigma != 1 at {tag}",
+                       red(delta_plus(R, X0)), red(one))
                 h = rand_gl()
-                X = iota(R, h, a, b)
-                h2, (a2, b2) = iota_inverse(R, X)
-                if (red_mat(h2), red_vec(a2), red_vec(b2)) != (
-                        red_mat(h), a, b):
-                    failures.append(f"plus-chart round trip failed at {tag}")
+                h2, (a2, b2) = iota_inverse(R, iota(R, h, a, b))
+                yield (f"plus-chart round trip failed at {tag}",
+                       red((h2, a2, b2)), (red(h), a, b))
                 Xp = conjugate(R, h, section_sigma_prime(R, a, b))
                 h3, (a3, b3) = iota_prime_inverse(R, Xp)
-                if (red_vec(a3), red_vec(b3)) != (a, b) or red_mat(
-                        conjugate(R, h3, section_sigma_prime(R, a3, b3))
-                ) != red_mat(Xp):
-                    failures.append(f"prime-chart round trip failed at {tag}")
-                checked += 1
-    return failures, {"samples": checked,
-                      "n_values": list(range(1, n + 1)),
-                      "p_values": [3, 5], "N": Npow}
+                back = conjugate(R, h3, section_sigma_prime(R, a3, b3))
+                yield (f"prime-chart round trip failed at {tag}",
+                       red((a3, b3, back)), (a, b, red(Xp)))
+    return {"samples": 2 * n * samples, "n_values": list(range(1, n + 1)),
+            "p_values": [3, 5], "N": Npow}
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +164,7 @@ def _unipotent_from(R, n, coords, upper):
     return mat([[entry(i, j) for j in range(n)] for i in range(n)])
 
 
-def suite_triangularity(samples=10000, seed=0):
+def suite_triangularity(seed, samples=10000):
     """The three coordinate maps are bijections of (Z/9)^m with fiber
     size one: the invariant chart pi o sigma', the lower-unipotent cell
     map nu'_(a,b), and the upper-unipotent cone map nu_+."""
@@ -176,7 +172,18 @@ def suite_triangularity(samples=10000, seed=0):
     R = IntModRing(p, Npow)
     mod = p ** Npow
     rng = random.Random(seed)
-    checks = []  # (label, stats key, map, number of coordinates m)
+    stats = {}
+
+    def bijection(label, key, phi, m):
+        """(label, the fault triangular_check finds in phi's fibers,
+        None): a bijection has none, and its report goes to stats[key]."""
+        fault = None
+        try:
+            stats[key] = triangular_check(phi, m, p, Npow,
+                                          samples=samples, seed=seed)
+        except ArithmeticError as exc:
+            fault = str(exc)
+        return f"{label}: {fault}", fault, None
 
     # pi o sigma' on invariants, m = 2n+1
     for n in (1, 2):
@@ -185,8 +192,8 @@ def suite_triangularity(samples=10000, seed=0):
             a2, b2 = invariants_of(R, section_sigma_prime(R, a, b))
             return a2 + b2
 
-        checks.append((f"pi o sigma' n={n}", f"pi_sigma_prime_n{n}",
-                       phi_inv, 2 * n + 1))
+        yield bijection(f"pi o sigma' n={n}", f"pi_sigma_prime_n{n}",
+                        phi_inv, 2 * n + 1)
 
     # nu_+ : u -> entries of u xi_+ u^-1 above the superdiagonal
     for n in (2, 3, 4):
@@ -196,8 +203,8 @@ def suite_triangularity(samples=10000, seed=0):
             Y = nu_plus(R, _unipotent_from(R, n, x, upper=True))
             return tuple(Y[i][j] for i, j in pos)
 
-        checks.append((f"nu_+ n={n}", f"nu_plus_n{n}",
-                       phi_nu_plus, n * (n - 1) // 2))
+        yield bijection(f"nu_+ n={n}", f"nu_plus_n{n}",
+                        phi_nu_plus, n * (n - 1) // 2)
 
     # nu'_(a,b) : lower unipotent -> below-diagonal coordinates of the slice
     for n in (2, 3):
@@ -210,17 +217,9 @@ def suite_triangularity(samples=10000, seed=0):
             Y = conjugate(R, _unipotent_from(R, n, x, upper=False), sig)
             return tuple(Y[i][j] for i, j in pos)
 
-        checks.append((f"nu'_(a,b) n={n}", f"nu_prime_n{n}",
-                       phi_nu_prime, n * (n - 1) // 2))
-
-    failures, stats = [], {}
-    for label, key, phi, m in checks:
-        try:
-            stats[key] = triangular_check(phi, m, p, Npow,
-                                          samples=samples, seed=seed)
-        except ArithmeticError as exc:
-            failures.append(f"{label}: {exc}")
-    return failures, stats
+        yield bijection(f"nu'_(a,b) n={n}", f"nu_prime_n{n}",
+                        phi_nu_prime, n * (n - 1) // 2)
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +230,6 @@ def suite_nilpotent_orbits():
     """Over F_3 and F_5, n = 2: the nilpotent cone splits as
     orbit(xi_+) = {Delta_+ != 0}, orbit(xi_-) = {Delta_- != 0}, and an
     irregular remainder, by exhaustive enumeration."""
-    failures = []
     stats = {}
     for p in (3, 5):
         R = IntModRing(p, 1)
@@ -244,26 +242,21 @@ def suite_nilpotent_orbits():
         plus = {key(X) for X in cone if Delta_plus(R, X) % p}
         minus = {key(X) for X in cone if Delta_minus(R, X) % p}
         rest = {key(X) for X in cone} - plus - minus
-        orb_plus = orbit_of(R, xi_plus(R, 3), group)
-        orb_minus = orbit_of(R, xi_minus(R, 3), group)
-        if plus != orb_plus:
-            failures.append(f"p={p}: Delta_+ locus != orbit(xi_+)")
-        if minus != orb_minus:
-            failures.append(f"p={p}: Delta_- locus != orbit(xi_-)")
-        if plus & minus:
-            failures.append(f"p={p}: Delta_+ and Delta_- loci meet")
-        for X in cone:
-            if key(X) in rest:
-                if Delta_plus(R, X) % p or Delta_minus(R, X) % p:
-                    failures.append(f"p={p}: remainder is regular")
-                    break
+        yield (f"p={p}: Delta_+ locus != orbit(xi_+)",
+               plus, orbit_of(R, xi_plus(R, 3), group))
+        yield (f"p={p}: Delta_- locus != orbit(xi_-)",
+               minus, orbit_of(R, xi_minus(R, 3), group))
+        yield f"p={p}: Delta_+ and Delta_- loci meet", plus & minus, set()
+        yield (f"p={p}: remainder is regular",
+               any(Delta_plus(R, X) % p or Delta_minus(R, X) % p
+                   for X in cone if key(X) in rest), False)
         stats[f"p{p}"] = {
             "cone": len(plus) + len(minus) + len(rest),
             "plus_orbit": len(plus),
             "minus_orbit": len(minus),
             "irregular": len(rest),
         }
-    return failures, stats
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +281,10 @@ def _random_packet(space, rng, p):
     return WavePacket(space, terms)
 
 
-def suite_fourier(samples=200, seed=0):
+def suite_fourier(ctx, seed, samples=200):
     """Double Fourier transform = reflection on random wave packets, and
     the self-duality of the unit lattice for an unramified character."""
-    config = RunConfig()
-    F, psi, ext = config.field(), config.psi(), config.ext()
+    F, psi, ext = ctx.field(), ctx.psi(), ctx.ext()
     spaces = [
         f_space(F, psi, 1), f_space(F, psi, 2),
         f_space(F, psi, 3), f_space(F, psi, 4),
@@ -300,54 +292,45 @@ def suite_fourier(samples=200, seed=0):
         matrix_space_f(F, psi, 2), s_space(ext, psi, 1),
     ]
     rng = random.Random(seed)
-    failures = []
     for i in range(samples):
-        sp = spaces[i % len(spaces)]
-        f = _random_packet(sp, rng, config.p)
-        if not f.fourier().fourier().equals(f.reflect()):
-            failures.append(f"double transform != reflection (sample {i})")
+        f = _random_packet(spaces[i % len(spaces)], rng, ctx.p)
+        yield (f"double transform != reflection (sample {i})",
+               f.fourier().fourier(), f.reflect())
     unit = WavePacket.indicator(f_space(F, psi, 1), (0,))
-    if not unit.fourier().equals(unit):
-        failures.append("fourier(1_O) != 1_O for unramified psi")
-    return failures, {"samples": samples, "spaces": len(spaces)}
+    yield "fourier(1_O) != 1_O for unramified psi", unit.fourier(), unit
+    return {"samples": samples, "spaces": len(spaces)}
 
 
 # ---------------------------------------------------------------------------
 # nilpotent orbital integrals
 
 
-def suite_oi_nilpotent():
+def suite_oi_nilpotent(ctx):
     """n = 1 closed form against an independent geometric-series oracle;
     n = 2 pole located exactly at s = 1/2 within [0, 1)."""
-    failures = []
-    config = RunConfig()
-    F, psi, eta = config.field(), config.psi(), config.eta()
-    q = Fraction(config.p)
+    F, psi, eta = ctx.field(), ctx.psi(), ctx.eta()
+    q = Fraction(ctx.p)
 
     f1 = WavePacket.indicator(matrix_space_f(F, psi, 2), 0)
     got1 = orbital_nilpotent("plus", f1, eta).as_qrational()
     # oracle: the weight eta(b)|b|^s over v(b) >= 0 is a geometric series
     # in (eta(pi) T), each valuation shell having d*-measure 1 - 1/q
-    oracle = QRational.const(1 - 1 / q) * geometric_tail(-1, 1, 0)
-    if got1 != oracle:
-        failures.append("n=1 closed form disagrees with the series oracle")
+    yield ("n=1 closed form disagrees with the series oracle", got1,
+           QRational.const(1 - 1 / q) * geometric_tail(-1, 1, 0))
 
     f2 = WavePacket.indicator(matrix_space_f(F, psi, 3), 0)
-    res2 = orbital_nilpotent("plus", f2, eta)
-    qr2 = res2.as_qrational()
+    qr2 = orbital_nilpotent("plus", f2, eta).as_qrational()
     # poles inside s in [0, 1), i.e. T in (1/q, 1]: exactly one, at s = 1/2
     n_real = qr2.real_pole_count(Fraction(1, q), 1)
     half_order = qr2.pole_order_at_sqrt(Fraction(1, q), +1)
-    if n_real != 1:
-        failures.append(f"n=2: expected one real pole in (1/q, 1], got {n_real}")
-    if half_order != 1:
-        failures.append(f"n=2: pole order at s=1/2 is {half_order}, expected 1")
-    try:
-        qr2.evaluate(Fraction(1))  # s = 0 is regular
-    except DomainError:
-        failures.append("n=2: unexpected pole at s=0")
-    return failures, {"n1": repr(got1), "n2": repr(qr2),
-                      "n2_pole_order_at_half": half_order}
+    yield (f"n=2: expected one real pole in (1/q, 1], got {n_real}",
+           n_real, 1)
+    yield (f"n=2: pole order at s=1/2 is {half_order}, expected 1",
+           half_order, 1)
+    # s = 0 is T = 1
+    yield "n=2: unexpected pole at s=0", qr2.pole_order_at_sqrt(Fraction(1)), 0
+    return {"n1": repr(got1), "n2": repr(qr2),
+            "n2_pole_order_at_half": half_order}
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +342,13 @@ def _rand_ext_scalar(ext, rng):
                       Fraction(rng.randrange(-3, 4)))
 
 
-def suite_transfer(samples=100, seed=0):
+def suite_transfer(ctx, seed, samples=100):
     """Omega(h1 gamma h2) = eta(h2) Omega(gamma) on random group pairs at
     n = 1, plus the matching dichotomy (exactly one Hermitian form, stable
     under conjugation) over a grid of invariant classes."""
-    config = RunConfig()
-    p, ext = config.p, config.ext()
-    eta, eta_prime = config.eta(), config.eta_prime()
+    p, ext = ctx.p, ctx.ext()
+    eta, eta_prime = ctx.eta(), ctx.eta_prime()
     rng = random.Random(seed)
-    failures = []
     done = 0
     while done < samples:
         gamma1 = mat([[_rand_ext_scalar(ext, rng)]])
@@ -391,9 +372,8 @@ def suite_transfer(samples=100, seed=0):
             moved = transfer_factor_group(ext, gamma1b, gamma2b, eta_prime)
         except DomainError:
             continue
-        if not (moved - base * eta(dg2)).is_zero():
-            failures.append(
-                f"equivariance failed: gamma1={gamma1}, t={t}, det g2={dg2}")
+        yield (f"equivariance failed: gamma1={gamma1}, t={t}, det g2={dg2}",
+               moved, base * eta(dg2))
         done += 1
 
     # matching dichotomy over invariant classes (a; b0, b1)
@@ -411,43 +391,39 @@ def suite_transfer(samples=100, seed=0):
                 except NotRegularSemisimple:
                     continue
                 except DomainError as exc:
-                    failures.append(f"dichotomy failed at {(a, b0, b1)}: {exc}")
+                    # no form, or both, matches: the refusal is the fault
+                    yield (f"dichotomy failed at {(a, b0, b1)}: {exc}",
+                           str(exc), None)
                     continue
                 # conjugation invariance under diag(c, 1)
                 c = Fraction(2)
                 Xc = mat([[Xf[0][0], Xf[0][1] * c],
                           [Xf[1][0] / c, Xf[1][1]]])
-                side2 = match_side(ext, tau_scale(ext, Xc), eta, forms)
-                if side2 != side:
-                    failures.append(
-                        f"matching not conjugation-invariant at {(a, b0, b1)}")
+                yield (f"matching not conjugation-invariant at {(a, b0, b1)}",
+                       match_side(ext, tau_scale(ext, Xc), eta, forms), side)
                 classes += 1
-    return failures, {"equivariance_samples": done,
-                      "invariant_classes": classes}
+    return {"equivariance_samples": done, "invariant_classes": classes}
 
 
 # ---------------------------------------------------------------------------
 # dagger data and compactness
 
 
-def suite_dagger():
+def suite_dagger(ctx):
     """Generated dagger data pass the definitional predicates for m = 1, 2;
     the direct smoothed Whittaker evaluation equals its closed form on a
     grid of 20 points."""
-    config = RunConfig()
-    p, psi, ext, eta = config.p, config.psi(), config.ext(), config.eta()
-    failures = []
+    p, psi, ext, eta = ctx.p, ctx.psi(), ctx.ext(), ctx.eta()
     for m in (1, 2):
         theta = make_dagger_scalar(ext, psi, m)
-        if not is_admissible_scalar(ext, psi, m, theta.packet):
-            failures.append(f"scalar m={m} fails its predicate")
+        yield (f"scalar m={m} fails its predicate",
+               is_admissible_scalar(ext, psi, m, theta.packet), True)
         for k in (2, 3):
-            col = make_dagger_column(ext, psi, m, k)
-            if not is_admissible_column(col):
-                failures.append(f"column m={m} k={k} fails its predicate")
-        matd = make_dagger_matrix(ext, psi, m, 2)
-        if not is_admissible_matrix(matd):
-            failures.append(f"matrix m={m} fails its predicate")
+            yield (f"column m={m} k={k} fails its predicate",
+                   is_admissible_column(make_dagger_column(ext, psi, m, k)),
+                   True)
+        yield (f"matrix m={m} fails its predicate",
+               is_admissible_matrix(make_dagger_matrix(ext, psi, m, 2)), True)
 
     theta = make_dagger_scalar(ext, psi, 1)
     ys = []
@@ -455,11 +431,10 @@ def suite_dagger():
         for v in (-2, -1, 0, 1):
             ys.append(Fraction(u) * Fraction(p) ** v)
     for y in ys:
-        direct = compactness_W_direct(ext, psi, eta, theta, y)
-        closed = compactness_W_closed(ext, psi, eta, theta, y)
-        if not (direct - closed).is_zero():
-            failures.append(f"compactness identity fails at y={y}")
-    return failures, {"m_values": [1, 2], "points": len(ys)}
+        yield (f"compactness identity fails at y={y}",
+               compactness_W_direct(ext, psi, eta, theta, y),
+               compactness_W_closed(ext, psi, eta, theta, y))
+    return {"m_values": [1, 2], "points": len(ys)}
 
 
 # ---------------------------------------------------------------------------
@@ -470,40 +445,35 @@ GERM_POINTS = ((0, 1, 0), (1, 1, 0), (0, 1, 1), (1, 1, 1), (0, 2, 0),
                (3, 1, 0))
 
 
-def suite_germ(m=1, r=3):
+def suite_germ(ctx, m=1, r=None):
     """Local constancy near the minus nilpotent: the regular semisimple
     integrals of the smoothed descent agree at every point of
     GERM_POINTS and equal the germ constant, with the transfer factor
     constant on the slice and equal to its value at the nilpotent
-    representative."""
-    delta = 2
-    config = RunConfig({"delta": delta})
-    psi, ext = config.psi(), config.ext()
-    eta, eta_prime = config.eta(), config.eta_prime()
+    representative.  The level r defaults to 2m + 1."""
+    r = 2 * m + 1 if r is None else r
+    psi, ext = ctx.psi(), ctx.ext()
+    eta, eta_prime = ctx.eta(), ctx.eta_prime()
     phi = make_dagger_scalar(ext, psi, m)
     rep = germ_constant_check(ext, psi, eta, eta_prime, phi, r,
                               list(GERM_POINTS))
-    failures = []
-    if not rep["all_equal"]:
-        bad = [pt["point"] for pt in rep["points"] if not pt["equal"]]
-        failures.append(f"orbital integral differs from mu at {bad}")
     tf_xi = transfer_factor_lie(ext, xi_minus_s(ext, 2), eta_prime,
                                 sign="minus")
     for pt in rep["points"]:
-        if not (pt["transfer_factor"] - tf_xi).is_zero():
-            failures.append(
-                f"transfer factor not constant on the slice at {pt['point']}")
-    return failures, {"mu": repr(rep["mu"]), "points": len(rep["points"]),
-                      "delta": delta, "m": m, "r": r}
+        yield (f"orbital integral differs from mu at {pt['point']}",
+               pt["value"], rep["mu"])
+        yield (f"transfer factor not constant on the slice at {pt['point']}",
+               pt["transfer_factor"], tf_xi)
+    return {"mu": repr(rep["mu"]), "points": len(rep["points"]),
+            "delta": int(ctx.delta_fraction), "m": m, "r": r}
 
 
-def suite_theorem_germ_gl(m=1, r=3):
+def suite_theorem_germ_gl(ctx, m=1, r=None):
     """The rank-1 spectral/geometric germ identity for the trivial central
-    datum and one nontrivial sign."""
-    config = RunConfig()
-    psi, ext, eta = config.psi(), config.ext(), config.eta()
+    datum and one nontrivial sign, at the level r (default 2m + 1)."""
+    r = 2 * m + 1 if r is None else r
+    psi, ext, eta = ctx.psi(), ctx.ext(), ctx.eta()
     phi = make_dagger_scalar(ext, psi, m)
-    failures = []
     stats = {}
     for omega_tau in (1, -1):
         rep = theorem_germ_gl(ext, psi, eta, phi, r, omega_tau=omega_tau)
@@ -511,43 +481,41 @@ def suite_theorem_germ_gl(m=1, r=3):
             "lhs": repr(rep["lhs"]), "rhs": repr(rep["rhs"]),
             "equal": rep["equal"],
         }
-        if not rep["equal"]:
-            failures.append(f"identity fails for omega(tau) = {omega_tau}")
-    return failures, stats
+        yield (f"identity fails for omega(tau) = {omega_tau}",
+               rep["lhs"], rep["rhs"])
+    return stats
 
 
 # ---------------------------------------------------------------------------
 # local factors
 
 
-def suite_local_factors():
+def suite_local_factors(ctx):
     """Point count vs. L-factor product for the unitary hyperspecial
     volume, the unramified bookkeeping identity, and kappa = 1 on
     all-unramified data."""
-    failures = []
     for m in range(1, 5):
-        pc = QRational.monomial(1, m * m) * lfactors.unitary_point_count(m)
-        if pc != lfactors.delta_constant(m).inverse():
-            failures.append(f"q^(-m^2)|U_m| != Delta_m^(-1) at m={m}")
-        if lfactors.hyperspecial_volume(m, via="points") != \
-                lfactors.hyperspecial_volume(m, via="lfactor"):
-            failures.append(f"hyperspecial volume routes differ at m={m}")
-        if lfactors.vol_gl(m) * _zeta_prod(m) != QRational.const(1):
-            failures.append(f"vol(GL_m(O)) zeta product != 1 at m={m}")
+        yield (f"q^(-m^2)|U_m| != Delta_m^(-1) at m={m}",
+               QRational.monomial(1, m * m) * lfactors.unitary_point_count(m),
+               lfactors.delta_constant(m).inverse())
+        yield (f"hyperspecial volume routes differ at m={m}",
+               lfactors.hyperspecial_volume(m, via="points"),
+               lfactors.hyperspecial_volume(m, via="lfactor"))
+        yield (f"vol(GL_m(O)) zeta product != 1 at m={m}",
+               lfactors.vol_gl(m) * _zeta_prod(m), 1)
     for n in (1, 2):
+        # I = 1 and J = L(1, eta); the hyperspecial volume the identity
+        # uses is the m = n + 1 check above
         rep = lfactors.unramified_identity(n)
-        if not (rep["I_is_one"] and rep["J_is_L1eta"] and rep["identity"]
-                and rep["hyperspecial_consistent"]):
-            failures.append(f"unramified identity fails at n={n}")
-    config = RunConfig()
-    psi, ext = config.psi(), config.ext()
-    eta, eta_prime = config.eta(), config.eta_prime()
-    one = CyclotomicScalar.one()
+        yield (f"unramified identity fails at n={n}",
+               (rep["I_coefficient"], rep["J_coefficient"]),
+               (1, lfactors.l_eta(1)))
+    psi, ext = ctx.psi(), ctx.ext()
+    eta, eta_prime = ctx.eta(), ctx.eta_prime()
     for n in range(1, 5):
-        k = lfactors.kappa(n, ext, eta, eta_prime, psi)
-        if not (k - one).is_zero():
-            failures.append(f"kappa != 1 on unramified data at n={n}")
-    return failures, {"m_max": 4, "kappa_n_max": 4}
+        yield (f"kappa != 1 on unramified data at n={n}",
+               lfactors.kappa(n, ext, eta, eta_prime, psi), 1)
+    return {"m_max": 4, "kappa_n_max": 4}
 
 
 def _zeta_prod(m):
@@ -561,13 +529,12 @@ def _zeta_prod(m):
 # local constancy of regular semisimple integrals, rank 2
 
 
-def suite_local_constancy(pairs=10, seed=0):
+def suite_local_constancy(ctx, seed, pairs=10):
     """O(sigma(x), f) at n = 2 is unchanged when the invariants x move by
     p^level, level = 3, for f an indicator of a unit-scale coset around a
     regular base point (so supp f stays inside the Delta_+ != 0 locus)."""
     level = 3
-    config = RunConfig()
-    p, psi, eta = config.p, config.psi(), config.eta()
+    p, psi, eta = ctx.p, ctx.psi(), ctx.eta()
     Rf = FractionRing()
 
     def sigma_coords(a, b):
@@ -576,12 +543,11 @@ def suite_local_constancy(pairs=10, seed=0):
 
     a0, b0 = (1, 2), (1, 1, 2)
     Y0 = sigma_coords(a0, b0)
-    f = WavePacket.indicator(matrix_space_f(config.field(), psi, 3), 1,
+    f = WavePacket.indicator(matrix_space_f(ctx.field(), psi, 3), 1,
                              center=Y0)
     rng = random.Random(seed)
     eps = p ** level
-    failures = []
-    checked = 0
+
     def moved():
         d = [rng.randrange(-1, 2) * eps for _ in range(5)]
         return ((a0[0] + d[0], a0[1] + d[1]),
@@ -589,37 +555,47 @@ def suite_local_constancy(pairs=10, seed=0):
 
     for _ in range(pairs):
         xa, xb = moved(), moved()
-        r1 = orbital_rs(sigma_coords(*xa), f, eta)
-        r2 = orbital_rs(sigma_coords(*xb), f, eta)
-        if r1 != r2:
-            failures.append(f"value jumps between {xa} and {xb}")
-        checked += 1
-    return failures, {"pairs": checked, "perturbation_level": level,
-                      "base": [list(a0), list(b0)]}
+        yield (f"value jumps between {xa} and {xb}",
+               orbital_rs(sigma_coords(*xa), f, eta),
+               orbital_rs(sigma_coords(*xb), f, eta))
+    return {"pairs": pairs, "perturbation_level": level,
+            "base": [list(a0), list(b0)]}
 
 
 # ---------------------------------------------------------------------------
 # registry and driver
 
 
-# name -> (suite, the parameters it takes).  `seed` is the run seed (the
-# top-level `--seed`, or `seed` in the config); the others are
-# `verify-suite` flags.  Everything else about a suite is fixed.
 SUITES = {
-    "section-identities": (suite_section_identities, ("n", "samples", "seed")),
-    "triangularity": (suite_triangularity, ("samples", "seed")),
-    "nilpotent-orbits": (suite_nilpotent_orbits, ()),
-    "fourier": (suite_fourier, ("samples", "seed")),
-    "oi-nilpotent": (suite_oi_nilpotent, ()),
-    "transfer": (suite_transfer, ("samples", "seed")),
-    "dagger": (suite_dagger, ()),
-    "germ": (suite_germ, ("m", "r")),
-    "theorem-germ-gl": (suite_theorem_germ_gl, ("m", "r")),
-    "local-factors": (suite_local_factors, ()),
-    "local-constancy": (suite_local_constancy, ("pairs", "seed")),
+    "section-identities": suite_section_identities,
+    "triangularity": suite_triangularity,
+    "nilpotent-orbits": suite_nilpotent_orbits,
+    "fourier": suite_fourier,
+    "oi-nilpotent": suite_oi_nilpotent,
+    "transfer": suite_transfer,
+    "dagger": suite_dagger,
+    "germ": suite_germ,
+    "theorem-germ-gl": suite_theorem_germ_gl,
+    "local-factors": suite_local_factors,
+    "local-constancy": suite_local_constancy,
 }
 
 MAX_REPORTED_FAILURES = 20
+
+
+def _parameters(fn):
+    """(the parameters run_suite supplies, {flag: default}) of suite fn:
+    its parameters without a default, and those with one."""
+    code, defaults = fn.__code__, fn.__defaults__ or ()
+    names = code.co_varnames[:code.co_argcount]
+    split = len(names) - len(defaults)
+    return names[:split], dict(zip(names[split:], defaults))
+
+
+def suite_flags(name):
+    """{flag: default} of suite `name`, in parameter order.  A default of
+    None is derived from the other flags (the germ level r = 2m + 1)."""
+    return _parameters(SUITES[name])[1]
 
 
 def run_suite(name, config=None, **flags):
@@ -633,24 +609,32 @@ def run_suite(name, config=None, **flags):
     if name not in SUITES:
         raise SchemaError(f"/suite: unknown suite {name!r}; "
                           f"choose from {sorted(SUITES)}")
-    fn, params = SUITES[name]
+    fn = SUITES[name]
+    supplied, taken = _parameters(fn)
     config = config or RunConfig()
     with config.scope():
         for key, value in flags.items():
-            if key == "seed" or key not in params:
+            if key not in taken:
                 raise SchemaError(f"/{key}: not a flag of suite {name!r}")
             read_int(value, f"/{key}", low=1)
             if key in ("samples", "pairs"):
                 charge(value, [1], f"{name} --{key} budget")  # value^1 cosets
         if "n" in flags:
             config.check_rank(flags["n"], "/n")
-        if "seed" in params:
-            flags["seed"] = config.seed
-        failures, stats = fn(**flags)
+        context = {"ctx": RunConfig(), "seed": config.seed}
+        checks = fn(*(context[key] for key in supplied), **flags)
+        failures = []
+        while True:
+            try:
+                label, a, b = next(checks)
+            except StopIteration as done:
+                stats = done.value
+                break
+            if not (a.equals(b) if isinstance(a, WavePacket) else a == b):
+                failures.append(label)
     return {
         "suite": name,
         "passed": not failures,
         "failures": failures[:MAX_REPORTED_FAILURES],
         "stats": stats,
     }
-

@@ -17,7 +17,7 @@ from padharm.config import RunConfig
 from padharm.dagger import make_dagger_scalar
 from padharm.errors import ScaleExceeded, SchemaError
 from padharm.matrices import FractionRing, section_sigma
-from padharm.suites import SUITES, run_suite
+from padharm.suites import SUITES, run_suite, suite_flags
 
 
 def run_cli(argv, payload=None, tmp_path=None):
@@ -155,9 +155,17 @@ def test_theorem_germ_gl_refuses_a_low_level_before_the_shell_sum(
         raise AssertionError("spherical_rhs was called")
 
     monkeypatch.setattr(orbital, "spherical_rhs", spherical_rhs)
-    code, _ = run_cli(["theorem-germ-gl"], {"m": 12}, tmp_path)
+    code, _ = run_cli(["theorem-germ-gl"], {"m": 12, "r": 3}, tmp_path)
     assert code == 2
     assert "need r >= 2m for translation invariance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["germ-check", "theorem-germ-gl"])
+def test_germ_commands_default_to_level_2m_plus_1(command, tmp_path):
+    # r = 3 for every m once made theorem-germ-gl {"m": 2} exit 2
+    code, text = run_cli([command], {"m": 2}, tmp_path)
+    assert code == 0
+    assert text == run_cli([command], {"m": 2, "r": 5}, tmp_path)[1]
 
 
 def test_local_factors_table(tmp_path):
@@ -616,12 +624,16 @@ ALL_FLAGS = ("n", "samples", "pairs", "m", "r")
 
 
 def test_suite_table_declares_the_documented_flags():
-    declared = {name: set(params) - {"seed"}
-                for name, (_, params) in SUITES.items()}
+    declared = {name: set(suite_flags(name)) for name in SUITES}
     assert declared == SUITE_FLAGS
-    # and each suite takes exactly the parameters its row lists
-    for fn, params in SUITES.values():
-        assert tuple(inspect.signature(fn).parameters) == params
+    # suite_flags reads the parameters that have a default, as inspect
+    # does; the others are the ones run_suite supplies
+    for name, fn in SUITES.items():
+        params = inspect.signature(fn).parameters.values()
+        assert suite_flags(name) == {
+            p.name: p.default for p in params if p.default is not p.empty}
+        assert {p.name for p in params if p.default is p.empty} <= {
+            "ctx", "seed"}
 
 
 @pytest.mark.parametrize("suite,flag", [
@@ -740,7 +752,11 @@ def _call(command, payload, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code in (0, 2, 3), (command, payload, code)
     assert "Traceback" not in out + err
-    return code, json.loads(out if code == 0 else err)
+    doc = json.loads(out if code == 0 else err)
+    # a payload that is not well formed is refused at its pointer
+    if code == 2 and doc["error"]["type"] == "SchemaError":
+        assert doc["error"]["message"].startswith("/"), (command, payload)
+    return code, doc
 
 
 @pytest.mark.parametrize("command", sorted(CONTRACT_PAYLOADS))
@@ -777,11 +793,18 @@ def test_a_boolean_is_not_an_integer(command, pointer, tmp_path, capsys):
     # bounded before its k^2 coordinates are built
     ("fourier", {"packet": {"space": {"kind": "matrix-f", "k": 300},
                             "terms": [{"coeff": 1}]}}, "/packet/space/dim"),
+    # tau times a matrix of F has plus parts 0, and a form's entries are
+    # nonzero: both were NotInDomain with no pointer
+    ("match", {"matrix": [[[0, 1], [0, 1]], [[1, 1], [0, 2]]]},
+     "/matrix/1/0/0"),
+    ("match", {"matrix": CONTRACT_PAYLOADS["match"]["matrix"],
+               "forms": [[1, 1], [0, 3]]}, "/forms/1/0"),
 ])
 def test_former_payload_escapes_name_their_field(command, payload, pointer,
                                                  tmp_path, capsys):
     code, doc = _call(command, payload, tmp_path, capsys)
     assert code == 2
+    assert doc["error"]["type"] == "SchemaError"
     assert doc["error"]["message"].startswith(pointer + ":")
 
 

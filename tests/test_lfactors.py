@@ -64,12 +64,14 @@ def test_d_binomial():
 
 
 def test_unramified_identity():
+    l1 = lfactors.l_eta(1)
     for n in (1, 2):
         rep = lfactors.unramified_identity(n)
-        assert rep["I_is_one"]
-        assert rep["J_is_L1eta"]
-        assert rep["identity"]
-        assert rep["hyperspecial_consistent"]
+        assert rep["I_coefficient"] == QRational.const(1)
+        assert rep["J_coefficient"] == l1
+        assert rep["I_coefficient"] == l1.inverse() * rep["J_coefficient"]
+        assert lfactors.hyperspecial_volume(n + 1, via="points") == \
+            lfactors.hyperspecial_volume(n + 1)
 
 
 def test_kappa_unramified_is_one():
