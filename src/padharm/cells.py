@@ -2,15 +2,16 @@
 
 `orbital.orbital_rs` integrates over h in GL_2(F) by cells: the cosets
 h + p^M M_2(O) with h = p^lo J in a box of integer matrices J.  This
-module finds the cells on which some term of the packet passes its coset
-test, on ints, by a depth-first walk of J's residues that drops a residue
-class as soon as no cell in it can pass; `orbital._orbital_rs_cells`
-adds up their values.
+module counts, on ints, the cells on which terms of the packet pass
+their coset tests, by a depth-first walk of J's residues that drops a
+residue class as soon as no cell in it can pass;
+`orbital._orbital_rs_cells` builds the scalars from the counts.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import gcd, lcm
 
 from .cyclotomic import CyclotomicScalar
@@ -31,14 +32,16 @@ def cell_value(f, hits):
     return total
 
 
-def passing_cells(X, f, lo, M, det_window):
+def cell_counts(X, f, lo, M, det_window):
     """The cells J in [0, p^e)^4, e = M - lo, of one pass on which some
     term of f passes its coset test, with v(det h) = 2 lo + v(det J) in
-    det_window.  Yields (J, det J, v(det J), hits), hits the list of
-    (term index, (n, k)) of the passing terms in term order, with psi's
-    phase n / p^k at the cell as an int pair, 0 <= n < p^k; (0, 0) is
-    the phase 0 of a term with no frequency, or with S = 0 or k <= 0
-    below.  No Fraction is built per cell.
+    det_window, counted per int key (v(det J), u0, t, n, k): u0 is the
+    unit part of det J mod p, and each passing term t adds 1 under psi's
+    phase n / p^k at the cell, 0 <= n < p^k ((0, 0) for a term with no
+    frequency, or with S = 0 or k <= 0 below).  One term's value
+    coeff_t e(n / p^k) is never zero; a cell on which several pass is
+    dropped when its value (`cell_value`) is zero in Q(zeta).  No
+    Fraction is built per cell.
 
     Integer model.  With X = Xi / D (D the positive common denominator of
     the coordinates) and L = |lo|, every coordinate of
@@ -52,7 +55,7 @@ def passing_cells(X, f, lo, M, det_window):
     denominator G.  The p-part of G Den is p^w with
     w = v(G) + v(D) + v(det J) + L, so psi's phase is frac_part_ratio's
     formula on ints: with G Den = p^w U and k = w - d, the phase is
-    n / p^k with n = S U^-1 mod p^k, yielded as the pair (n, k) when
+    n / p^k with n = S U^-1 mod p^k, counted as the pair (n, k) when
     S != 0 and k > 0.  The pair need not be in lowest terms (p may divide
     n); n / p^k is the phase all the same.
 
@@ -67,8 +70,8 @@ def passing_cells(X, f, lo, M, det_window):
     v(det J) = v(det r); otherwise v(det J) >= l, so the window values
     from l up are the candidates.  Such a class is dropped with all it
     contains; at the last level each cell runs the full test.  Every
-    passing cell is yielded once, as by a walk over the whole box, and the
-    walk holds at most e p^4 classes."""
+    passing cell is counted once, as by a walk over the whole box, and
+    the walk holds at most e p^4 classes."""
     p = f.space.F.p
     e = M - lo
     L = abs(lo)
@@ -143,6 +146,7 @@ def passing_cells(X, f, lo, M, det_window):
         pk = p ** k
         return S * pow(uGD * u, -1, pk) % pk, k
 
+    counts = Counter()
     stack = [(0, (0, 0, 0, 0))]  # (level l, J mod p^l) still to refine
     while stack:
         l, (r11, r12, r21, r22) = stack.pop()
@@ -156,17 +160,20 @@ def passing_cells(X, f, lo, M, det_window):
             if l < e:
                 dl = dJ % pl
                 if dl:
-                    vj = val_p(dl, p)
-                    vjs = (vj,) if vj in tests else ()
+                    candidates = tests.get(val_p(dl, p))
                 else:
-                    vjs = [vj for vj in tests if vj >= l]
-                if not vjs:
+                    candidates = [cs for vj, c in tests.items() if vj >= l
+                                  for cs in c]
+                if not candidates:
                     continue
                 N = coords(j11, j12, j21, j22, dJ)
-                if any(all((N[t] * cd - cnD * dJ) % (m if m < pl else pl) == 0
-                           for t, cd, cnD, m in checks)
-                       for vj in vjs for checks in tests[vj]):
-                    stack.append((l, (j11, j12, j21, j22)))
+                for checks in candidates:
+                    for t, cd, cnD, m in checks:
+                        if (N[t] * cd - cnD * dJ) % (m if m < pl else pl):
+                            break
+                    else:
+                        stack.append((l, (j11, j12, j21, j22)))
+                        break
                 continue
             if dJ == 0:
                 # singular J: v(det J) is past the window by the choice of M
@@ -176,9 +183,15 @@ def passing_cells(X, f, lo, M, det_window):
             if compiled is None:
                 continue
             N = coords(j11, j12, j21, j22, dJ)
-            hits = [(t, phase(t, N, vj, u))
-                    for t, checks in enumerate(compiled)
-                    if all((N[s] * cd - cnD * dJ) % m == 0
-                           for s, cd, cnD, m in checks)]
-            if hits:
-                yield (j11, j12, j21, j22), dJ, vj, hits
+            hits = []
+            for t, checks in enumerate(compiled):
+                for s, cd, cnD, m in checks:
+                    if (N[s] * cd - cnD * dJ) % m:
+                        break
+                else:
+                    hits.append((t, phase(t, N, vj, u)))
+            if not hits or len(hits) > 1 and cell_value(f, hits).is_zero():
+                continue
+            for t, (n, k) in hits:
+                counts[vj, u % p, t, n, k] += 1
+    return counts

@@ -16,7 +16,8 @@ A configuration is a single JSON document
 Every field has a default, so the empty document is valid.  Validation is
 all-or-nothing: a rejected document raises SchemaError (with a JSON
 pointer to the offending member) before anything is built, so a bad
-configuration never partially executes.
+configuration never partially executes.  A p or delta that the field or
+extension, built on first use, refuses is a SchemaError at /p or /delta.
 
 `charge` checks every enumeration against `budgets.max_cosets` of the
 `with config.scope()` block the CLI or `run_suite` runs in (else the default).
@@ -30,7 +31,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 
-from .errors import ScaleExceeded, SchemaError
+from .errors import DomainError, ScaleExceeded, SchemaError
 from .padic import FieldContext, QuadExtContext
 from .characters import (
     AdditiveCharacter,
@@ -189,12 +190,19 @@ class RunConfig:
 
     def field(self):
         if self._field is None:
-            self._field = FieldContext(self.p)
+            try:
+                self._field = FieldContext(self.p)
+            except DomainError as exc:
+                _fail("/p", str(exc))
         return self._field
 
     def ext(self):
         if self._ext is None:
-            self._ext = QuadExtContext(self.field(), self.delta_fraction)
+            F = self.field()
+            try:
+                self._ext = QuadExtContext(F, self.delta_fraction)
+            except DomainError as exc:
+                _fail("/delta", str(exc))
         return self._ext
 
     def psi(self):

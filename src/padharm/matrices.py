@@ -104,10 +104,6 @@ def mat(rows):
     return tuple(tuple(r) for r in rows)
 
 
-def mat_from_scalars(R, rows):
-    return mat([[R.coerce(x) for x in r] for r in rows])
-
-
 def identity(R, n):
     return mat(
         [[R.one() if i == j else R.zero() for j in range(n)] for i in range(n)]

@@ -28,11 +28,10 @@ the entry x_ij is stored at position (j,i).
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
-from .cells import cell_value, passing_cells
+from .cells import cell_counts
 from .config import charge
 from .cyclotomic import CyclotomicScalar, sqrt_rational_power
 from .errors import (
@@ -41,15 +40,7 @@ from .errors import (
     NotInDomain,
     NotRegularSemisimple,
 )
-from .matrices import (
-    Delta_plus,
-    FractionRing,
-    delta_plus,
-    det,
-    mat,
-    mat_from_scalars,
-    mat_inv,
-)
+from .matrices import mat
 from .padic import val_p
 from .qrational import QRational, geometric_tail
 from .spaces import (
@@ -318,23 +309,24 @@ def orbital_rs_n1(X, f, eta, slack=0):
 # regular semisimple integrals, rank 2 (cell enumeration)
 
 
-def _mat2_from_coords(X):
-    return [[X[0], X[1], X[2]], [X[3], X[4], X[5]], [X[6], X[7], X[8]]]
+def _delta_plus_2x2(x):
+    """delta_+ = (A u, u) of the 3x3 coordinates x, as its entries
+    ((Au)_0, u_0, (Au)_1, u_1) in row order, and Delta_+ = det delta_+."""
+    a00, a01, u0, a10, a11, u1 = x[:6]
+    au0, au1 = a00 * u0 + a01 * u1, a10 * u0 + a11 * u1
+    return (au0, u0, au1, u1), au0 * u1 - u0 * au1
 
 
-def _delta_plus_val_window(f, Xm, p):
+def _delta_plus_val_window(f, X, p):
     """Certify that Delta_+ has constant valuation on each term of supp f
     and return {v(Delta_+(X)) - vd} U entry bounds via the section
-    delta_+: h = delta_+(Y) delta_+(X)^(-1), det h = Delta_+(Y)/Delta_+(X)."""
-    R = FractionRing()
-    DX = delta_plus(R, mat_from_scalars(R, Xm))
-    dX = det(R, DX)
+    delta_+: h = delta_+(Y) delta_+(X)^(-1), det h = Delta_+(Y)/Delta_+(X).
+    delta_+(X) is 2x2, so its adjugate has its entries up to sign."""
+    entries, dX = _delta_plus_2x2(X)
     if dX == 0:
         raise NotRegularSemisimple("Delta_+(X) = 0")
     vdX = val_p(dX, p)
-    adjX = mat_inv(R, DX)
-    adj_entries = [e * dX for row in adjX for e in row]
-    lo_adj = min(val_p(t, p) for t in adj_entries if t != 0)
+    lo_adj = min(val_p(t, p) for t in entries if t != 0)
 
     windows = set()
     floors = []
@@ -344,8 +336,7 @@ def _delta_plus_val_window(f, Xm, p):
         c_min = min([val_pair(x, p) if x[0] else a for x, a in zip(C, exps)])
         floors.append(c_min)
         a_min = min(exps)
-        center = [Fraction(n, d) for n, d in C]
-        dY = Delta_plus(R, mat_from_scalars(R, _mat2_from_coords(center)))
+        _, dY = _delta_plus_2x2([Fraction(n, d) for n, d in C])
         # integer-coefficient polynomial of degree 3 in the entries:
         # perturbing by p^a_min moves Delta_+ inside p^(a_min + 2 min(0, c_min))
         bound = a_min + 2 * min(0, c_min)
@@ -374,11 +365,10 @@ def orbital_rs(X, f, eta, slack=0):
     if k != 3:
         raise NotInDomain("cell enumeration is implemented for ranks 1 and 2")
     X = tuple(Fraction(t) for t in X)
-    Xm = _mat2_from_coords(X)
     p = f.space.F.p
     if not f.rows:
         return OrbitalResult.zero({"n": 2})
-    windows, vdX, lo_adj, m0 = _delta_plus_val_window(f, Xm, p)
+    windows, vdX, lo_adj, m0 = _delta_plus_val_window(f, X, p)
     det_window = {vd - vdX for vd in windows}
     mu = min(0, m0)
     lo = (m0 + mu) + lo_adj - vdX  # h = delta_+(Y) adj(delta_+(X)) / Delta_+(X)
@@ -408,17 +398,16 @@ def _orbital_rs_cells(X, f, eta, lo, M, det_window):
     [0, p^(M - lo))^4, each weighted by eta(det h) |det h|^(-2) and
     collected by v(det h) in det_window.
 
-    `cells.passing_cells` yields the cells on which some term of f passes
-    its coset test, with psi's phase n / p^k for each such term as the
-    int pair (n, k); its docstring proves that dropping a residue class
-    mod p^l as it does loses no such cell.  The value of f at a cell is
-    sum_t coeff_t e(n_t / p^k_t) (`cells.cell_value`).  eta is tame, so
-    eta(det h) depends only on v(det J) and the residue u0 mod p of the
-    unit part of det J.  The pass counts the cells per int key
-    (v(det J), u0, term, n, k), and builds eta's phase, the root of unity
-    of the summed phase (on ints, by `root_of_unity_ratio`) and the
-    product once per distinct key at the end; each cell has the volume
-    `_cell_volume`.
+    `cells.cell_counts` counts the cells of nonzero value on which terms
+    of f pass their coset tests, per int key (v(det J), u0, term, n, k):
+    psi's phase n / p^k of each passing term, and the residue u0 mod p
+    of the unit part of det J; its docstring proves that dropping a
+    residue class mod p^l as it does loses no such cell.  The value of f
+    at a cell is sum_t coeff_t e(n_t / p^k_t) (`cells.cell_value`).  eta
+    is tame, so eta(det h) depends only on v(det J) and u0.  The pass
+    builds eta's phase, the root of unity of the summed phase (on ints,
+    by `root_of_unity_ratio`) and the product once per distinct key;
+    each cell has the volume `_cell_volume`.
 
     Bytes.  A CyclotomicScalar prints as its exponents k / n and
     coefficients c / den in lowest terms: an element of the group ring
@@ -430,11 +419,8 @@ def _orbital_rs_cells(X, f, eta, lo, M, det_window):
     the cell order of the walk nor the keys the cells are counted under
     (two keys may name one phase, as (n, k) and (pn, k + 1) do) change
     the bytes.  The one step that is not a group-ring operation is
-    dropping a cell whose value is zero.  A value with one passing term
-    is coeff_t e(phase_t), never zero (a packet keeps no zero
-    coefficient); a value with more can be zero in Q(zeta) and not as a
-    dict, so those cells are tested with is_zero, as a cell-by-cell sum
-    of f.evaluate values tests them.
+    dropping a cell whose value is zero, which the walk does with the
+    is_zero test that a cell-by-cell sum of f.evaluate values runs.
 
     The certificate is unchanged: the coset tests are exact, so each pass
     adds exactly the nonzero cell values of an enumeration in Fraction
@@ -442,13 +428,7 @@ def _orbital_rs_cells(X, f, eta, lo, M, det_window):
     M + 1 passes exactly."""
     p = f.space.F.p
     q = Fraction(p)
-    counts = Counter()
-    for _, dJ, vj, hits in passing_cells(X, f, lo, M, det_window):
-        if len(hits) > 1 and cell_value(f, hits).is_zero():
-            continue
-        u0 = dJ // p ** vj % p
-        for t, (n, k) in hits:
-            counts[vj, u0, t, n, k] += 1
+    counts = cell_counts(X, f, lo, M, det_window)
     vol = _cell_volume(p, f.space.psi.d, M)
     eta_phases = {}
     pairs = {}

@@ -29,14 +29,20 @@ another way:
   over Q (``FractionPoly``), with its own evaluation, reduction mod
   T^2 - s0 and Sturm chain, against ``qrational.QRational`` on coprime
   int numerator and denominator tuples, which ``monic_view`` reads into
-  the oracle's form.
+  the oracle's form;
+* ``passing_cells`` is the rank-2 cell walk that yields each passing
+  cell with its hits, its coset tests as ``all``/``any`` generators,
+  and ``cell_counts_of`` counts its cells, against ``cells.cell_counts``,
+  which counts inside the walk with early-exit loops.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from padharm.cells import cell_value
 from padharm.cyclotomic import CyclotomicScalar
 from padharm.dagger import shell_valuation
 from padharm.errors import NotInDomain, PoleAtEvaluationPoint
@@ -48,7 +54,7 @@ from padharm.orbital import (
     _require_quadratic,
     c_psi_plus,
 )
-from padharm.padic import val_p
+from padharm.padic import strip_p, val_p
 from padharm.spaces import e_space, f_space, matrix_space_e
 
 
@@ -586,3 +592,140 @@ def fraction_sturm_root_count(poly, a, b):
         return sum(x != y for x, y in zip(signs, signs[1:]))
 
     return sign_changes(a) - sign_changes(b)
+
+
+def passing_cells(X, f, lo, M, det_window):
+    """The cells J in [0, p^e)^4, e = M - lo, of one pass on which some
+    term of f passes its coset test, with v(det h) = 2 lo + v(det J) in
+    det_window.  Yields (J, det J, v(det J), hits), hits the list of
+    (term index, (n, k)) of the passing terms in term order, with psi's
+    phase n / p^k at the cell.  The integer model and the pruning lemma
+    are those of `cells.cell_counts`."""
+    p = f.space.F.p
+    e = M - lo
+    L = abs(lo)
+    D = lcm(*(x.denominator for x in X))
+    Xi = [x.numerator * (D // x.denominator) for x in X]
+    a00, a01, b0, a10, a11, b1, c0, c1, x22 = Xi
+    pL = p ** L
+    sb = p ** (lo + L)  # scale of the h X column
+    sc = p ** (L - lo)  # scale of the X diag(h)^(-1) row
+    vD, uD = strip_p(D, p)
+    # det(J) valuations that put v(det h) = 2 lo + v(det J) in the window,
+    # each with the precompiled coset tests of every term: (t, cd_t,
+    # cn_t D p^L, p^k), keeping the coordinates with k > 0
+    tests = {}
+    for w in det_window:
+        vj = w - 2 * lo
+        compiled = []
+        for _, C, exps, _ in f.rows:
+            checks = []
+            for t, (cn, cd) in enumerate(C):
+                k = exps[t] + val_p(cd, p) + vD + vj + L
+                if k > 0:
+                    checks.append((t, cd, cn * D * pL, p ** k))
+            compiled.append(checks)
+        tests[vj] = compiled
+    # psi's phase of each term: its nonzero (j, g_j) pairs, v(G) + v(D) +
+    # L - d and the p-free part of G D; None for a term with no frequency
+    sp = f.space
+    phases = []
+    for _, _, _, freq in f.rows:
+        g = {}
+        for (n, d), w, j in zip(freq, sp.weights, sp.pairing):
+            if n:
+                n, d = w.numerator * n, w.denominator * d
+                h = gcd(n, d)
+                g[j] = n // h, d // h
+        if not g:
+            phases.append(None)
+            continue
+        G = lcm(*(d for _, d in g.values()))
+        vG, uG = strip_p(G, p)
+        phases.append(([(j, n * (G // d)) for j, (n, d) in g.items()],
+                       vG + vD + L - sp.psi.d, uG * uD))
+
+    def coords(j11, j12, j21, j22, dJ):
+        # N_t for Y = diag(J,1) Xi diag(adj J,1) scaled to Den = D dJ p^L
+        r00 = j11 * a00 + j12 * a10
+        r01 = j11 * a01 + j12 * a11
+        r10 = j21 * a00 + j22 * a10
+        r11 = j21 * a01 + j22 * a11
+        return (
+            pL * (r00 * j22 - r01 * j21),
+            pL * (r01 * j11 - r00 * j12),
+            sb * dJ * (j11 * b0 + j12 * b1),
+            pL * (r10 * j22 - r11 * j21),
+            pL * (r11 * j11 - r10 * j12),
+            sb * dJ * (j21 * b0 + j22 * b1),
+            sc * (c0 * j22 - c1 * j21),
+            sc * (c1 * j11 - c0 * j12),
+            pL * dJ * x22,
+        )
+
+    def phase(t, N, vj, u):
+        ph = phases[t]
+        if ph is None:
+            return (0, 0)
+        g, k0, uGD = ph
+        S = sum(gj * N[j] for j, gj in g)
+        k = k0 + vj
+        if not S or k <= 0:
+            return (0, 0)
+        pk = p ** k
+        return S * pow(uGD * u, -1, pk) % pk, k
+
+    stack = [(0, (0, 0, 0, 0))]  # (level l, J mod p^l) still to refine
+    while stack:
+        l, (r11, r12, r21, r22) = stack.pop()
+        step = p ** l
+        l += 1
+        pl = step * p
+        for d11, d12, d21, d22 in itertools.product(range(0, pl, step),
+                                                     repeat=4):
+            j11, j12, j21, j22 = r11 + d11, r12 + d12, r21 + d21, r22 + d22
+            dJ = j11 * j22 - j12 * j21
+            if l < e:
+                dl = dJ % pl
+                if dl:
+                    vj = val_p(dl, p)
+                    vjs = (vj,) if vj in tests else ()
+                else:
+                    vjs = [vj for vj in tests if vj >= l]
+                if not vjs:
+                    continue
+                N = coords(j11, j12, j21, j22, dJ)
+                if any(all((N[t] * cd - cnD * dJ) % (m if m < pl else pl) == 0
+                           for t, cd, cnD, m in checks)
+                       for vj in vjs for checks in tests[vj]):
+                    stack.append((l, (j11, j12, j21, j22)))
+                continue
+            if dJ == 0:
+                # singular J: v(det J) is past the window by the choice of M
+                continue
+            vj, u = strip_p(dJ, p)
+            compiled = tests.get(vj)
+            if compiled is None:
+                continue
+            N = coords(j11, j12, j21, j22, dJ)
+            hits = [(t, phase(t, N, vj, u))
+                    for t, checks in enumerate(compiled)
+                    if all((N[s] * cd - cnD * dJ) % m == 0
+                           for s, cd, cnD, m in checks)]
+            if hits:
+                yield (j11, j12, j21, j22), dJ, vj, hits
+
+
+def cell_counts_of(X, f, lo, M, det_window):
+    """The counts per (v(det J), u0, term, n, k) of the cells that
+    `passing_cells` yields, a cell with several passing terms counted
+    only when its value is not zero."""
+    p = f.space.F.p
+    counts = Counter()
+    for _, dJ, vj, hits in passing_cells(X, f, lo, M, det_window):
+        if len(hits) > 1 and cell_value(f, hits).is_zero():
+            continue
+        u0 = dJ // p ** vj % p
+        for t, (n, k) in hits:
+            counts[vj, u0, t, n, k] += 1
+    return counts

@@ -347,6 +347,29 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "/p" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("oi-nilpotent", {"n": 1}),
+    ("transfer-factor", {}),
+], ids=["field-first", "extension-first"])
+@pytest.mark.parametrize("config, pointer", [
+    ({"p": 4, "budgets": {"max_p": 5}}, "/p"),
+    ({"delta": 4}, "/delta"),
+    ({"delta": {"val": 1, "unit": 3}}, "/delta"),
+], ids=["p-not-prime", "delta-square", "delta-valuation-2"])
+def test_a_field_or_extension_refusal_names_its_pointer(
+        config, pointer, command, payload, tmp_path, capsys):
+    # the field and extension contexts are built when a command first asks
+    # for them, and a refusal of either is a schema error at its own field,
+    # whichever of the two the command asks for first
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, _ = run_cli(["--config", str(cfg), command], payload, tmp_path)
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "SchemaError"
+    assert error["message"].startswith(f"{pointer}: ")
+
+
 def test_germ_check_obeys_the_coset_budget(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"budgets": {"max_cosets": 10}}))

@@ -1,7 +1,9 @@
-"""The rank-2 cell kernel of orbital_rs against two oracles: the Fraction
-enumeration, and the integer enumeration of the whole box without
-pruning.  Also each cell value against f.evaluate, a frozen value at the
-local-constancy base point, and the cell budget refusal."""
+"""The rank-2 cell kernel of orbital_rs against three oracles: the
+Fraction enumeration, the integer enumeration of the whole box without
+pruning, and the per-cell walk whose cells are counted outside it.  Also
+each cell value against f.evaluate, the Delta_+ window against the
+matrix route, a frozen value at the local-constancy base point, and the
+cell budget refusal."""
 
 import itertools
 import json
@@ -13,18 +15,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padharm import orbital
-from padharm.cells import cell_value, passing_cells
+from padharm.cells import cell_counts, cell_value
 from padharm.characters import AdditiveCharacter, eta_for_extension
 from padharm.cli import main
 from padharm.cyclotomic import CyclotomicScalar
 from padharm.errors import ScaleExceeded
-from padharm.matrices import FractionRing, section_sigma
+from padharm.matrices import Delta_plus, FractionRing, delta_plus, section_sigma
 from padharm.orbital import OrbitalResult, _orbital_rs_cells, orbital_rs
 from padharm.padic import FieldContext, QuadExtContext, val_p
 from padharm.qrational import QRational
 from padharm.spaces import WavePacket, f_space, matrix_space_f
 
-from oracles import result_difference
+from oracles import cell_counts_of, passing_cells, result_difference
 
 P = 3
 F = FieldContext(P)
@@ -166,7 +168,15 @@ def integer_cells(X, f, eta, lo, M, det_window, budget):
     return OrbitalResult(out, {"variable": "q^-s"})
 
 
+def assert_same_counts(X, f, lo, M, det_window):
+    # the walk's counts against those of the per-cell oracle's cells
+    got = cell_counts(X, f, lo, M, det_window)
+    assert got == cell_counts_of(X, f, lo, M, det_window)
+    return got
+
+
 def assert_same_cells(X, f, eta, lo, M, det_window, oracle=reference_cells):
+    assert_same_counts(X, f, lo, M, det_window)
     got = _orbital_rs_cells(X, f, eta, lo, M, det_window)
     want = oracle(X, f, eta, lo, M, det_window, 10 ** 6)
     assert repr(got.pairs) == repr(want.pairs)
@@ -379,7 +389,8 @@ MIXED_CANCELLING = WavePacket(SPACE, CERTIFICATE_PACKETS["mixed"].terms
 def test_every_cell_value_is_f_evaluate_there(lo, M, f):
     # the integer model's value of each passing cell, psi's phase n / p^k
     # from S / (G Den) as an int pair, against f.evaluate at the cell's
-    # Fraction point
+    # Fraction point, on the per-cell oracle's cells
+    assert_same_counts(BASE_D3, f, lo, M, WINDOW)
     cells = 0
     for J, dJ, vj, hits in passing_cells(BASE_D3, f, lo, M, WINDOW):
         assert dJ == J[0] * J[3] - J[1] * J[2] and val_p(dJ, P) == vj
@@ -402,6 +413,32 @@ def test_cell_volume_is_the_four_dim_lattice_volume(p, d):
         got = orbital._cell_volume(p, d, M)
         want = space.vol_lattice((M,) * 4)
         assert got == want and repr(got) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# the Delta_+ window
+
+
+@settings(max_examples=50, deadline=None)
+@given(X=st.tuples(*[small_rationals] * 9))
+def test_closed_form_delta_plus_is_the_matrix_route(X):
+    R = FractionRing()
+    Xm = [list(X[0:3]), list(X[3:6]), list(X[6:9])]
+    entries, dX = orbital._delta_plus_2x2(X)
+    assert entries == tuple(e for row in delta_plus(R, Xm) for e in row)
+    assert dX == Delta_plus(R, Xm)
+
+
+def test_box_floor_is_the_least_row_floor():
+    # rows of floors 0 and -1: BASE has a unit entry, and its conjugate by
+    # diag(1/p, 1) has x12 = 1/p; each row's Delta_+ is certified
+    twisted = _conjugate_by([[Fraction(1, P), 0], [0, 1]], BASE)
+    rows = [(1, BASE, (1,) * 9, (0,) * 9), (1, twisted, (2,) * 9, (0,) * 9)]
+    floors = [orbital._delta_plus_val_window(WavePacket(SPACE, [row]), BASE,
+                                             P)[3] for row in rows]
+    assert floors == [0, -1]
+    got = orbital._delta_plus_val_window(WavePacket(SPACE, rows), BASE, P)
+    assert got == ({0, -1}, 0, 0, -1)
 
 
 # OrbitalResult equality against the difference that `result_difference`
@@ -486,6 +523,8 @@ def test_local_constancy_at_other_extensions(p, delta, twisted):
     base = orbital_rs(BASE, f, eta)
     assert not base.is_zero()
     assert base.metadata["granularity"] == 1
+    for M in (1, 2):
+        assert_same_counts(BASE, f, 0, M, set(base.metadata["det_window"]))
     want = reference_cells(BASE, f, eta, 0, 1, set(base.metadata["det_window"]),
                            10 ** 6)
     assert repr(base.pairs) == repr(want.pairs)
@@ -523,3 +562,21 @@ def test_cli_refuses_lattice_exponent_two_with_exit_3(tmp_path, monkeypatch):
     path.write_text(json.dumps(payload))
     assert main(["--payload", str(path), "--out", str(tmp_path / "out.json"),
                  "oi-rs"]) == 3
+
+
+# cli-queries' planned refusal: rank-2 oi-rs with exps [2] * 9 at a
+# sigma(a, b) point under the default config; the charge of the M + 1
+# pass refuses it whatever the cell walk does
+@pytest.mark.parametrize("a, b", [((0, 0), (0, 0, 0)), ((1, 2), (1, 1, 2)),
+                                  ((-4, 4), (4, -4, 3)), ((3, -3), (-3, 0, 1))])
+def test_cli_queries_over_budget_request_exits_3(a, b, tmp_path, capsys):
+    X = [str(x) for x in sigma_coords(a, b)]
+    payload = {"X": X, "f": {"space": {"kind": "matrix-f", "k": 3},
+                             "terms": [{"coeff": 1, "exps": [2] * 9,
+                                        "center": X}]}}
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    assert main(["--payload", str(path), "--out", str(out), "oi-rs"]) == 3
+    assert "rank-2 cell budget" in json.loads(out.read_text())["error"][
+        "message"]
