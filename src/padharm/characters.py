@@ -56,9 +56,6 @@ class AdditiveCharacter:
             and self.d == other.d
         )
 
-    def __hash__(self):
-        return hash((self.F, self.d))
-
     def _phase_pair(self, x):
         """(m, p^k) with psi(x) = e(m / p^k), for rational x."""
         if not isinstance(x, (int, Fraction)):

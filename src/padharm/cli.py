@@ -461,13 +461,13 @@ def cmd_oi_nilpotent(config, payload):
             matrix_space_f(config.field(), config.psi(), n + 1), 0)
     res = orbital_nilpotent(sign, f, config.eta())
     out = _orbital_json_in_measure(res, config, n)
+    # per summand: the pole order of its denominator at T = +q^(-1/2),
+    # i.e. s = 1/2, and a Sturm count of its real roots in (0, 1]
+    q_inv = Fraction(1, config.p)
     out["pole_report"] = [
-        {
-            "real_poles_in_unit_interval": entry["real_roots_in_unit"],
-            "orders": {f"s={s0}{'+' if sg > 0 else '-'}": order
-                       for (s0, sg), order in sorted(entry["orders"].items())},
-        }
-        for entry in res.pole_report(config.p)
+        {"real_poles_in_unit_interval": qr.real_pole_count(0, 1),
+         "orders": {"s=1/2+": qr.pole_order_at_sqrt(q_inv, 1)}}
+        for _, qr in res.pairs
     ]
     return out
 

@@ -15,9 +15,10 @@ A configuration is a single JSON document
 
 Every field has a default, so the empty document is valid.  Validation is
 all-or-nothing: a rejected document raises SchemaError (with a JSON
-pointer to the offending member) before anything is built, so a bad
-configuration never partially executes.  A p or delta that the field or
-extension, built on first use, refuses is a SchemaError at /p or /delta.
+pointer to the offending member) before any command runs, so a bad
+configuration never partially executes.  The constructor builds the
+field and then the extension, so a p or delta that they refuse is a
+SchemaError at /p or /delta whatever the command.
 
 `charge` checks every enumeration against `budgets.max_cosets` of the
 `with config.scope()` block the CLI or `run_suite` runs in (else the default).
@@ -98,7 +99,7 @@ def read_fraction(value, pointer):
 
 
 class RunConfig:
-    """Validated configuration; exposes lazily-built context objects."""
+    """Validated configuration, with its field and extension built."""
 
     def __init__(self, document=None):
         doc = dict(document or {})
@@ -155,8 +156,15 @@ class RunConfig:
         if self.p > self.budgets["max_p"]:
             _fail("/p", f"exceeds budgets/max_p = {self.budgets['max_p']}")
 
-        self._field = None
-        self._ext = None
+        # the field first, so that a refused p is reported at /p
+        try:
+            self._field = FieldContext(self.p)
+        except DomainError as exc:
+            _fail("/p", str(exc))
+        try:
+            self._ext = QuadExtContext(self._field, self.delta_fraction)
+        except DomainError as exc:
+            _fail("/delta", str(exc))
 
     @staticmethod
     def _character_spec(spec, pointer, kinds):
@@ -186,23 +194,12 @@ class RunConfig:
         finally:
             _MAX_COSETS.reset(token)
 
-    # -- lazily-built contexts ----------------------------------------
+    # -- contexts --------------------------------------------------------
 
     def field(self):
-        if self._field is None:
-            try:
-                self._field = FieldContext(self.p)
-            except DomainError as exc:
-                _fail("/p", str(exc))
         return self._field
 
     def ext(self):
-        if self._ext is None:
-            F = self.field()
-            try:
-                self._ext = QuadExtContext(F, self.delta_fraction)
-            except DomainError as exc:
-                _fail("/delta", str(exc))
         return self._ext
 
     def psi(self):

@@ -46,11 +46,8 @@ class SchemaError(DomainError):
 
 
 class PoleAtEvaluationPoint(DomainError):
-    """Evaluating a rational function at a pole.  Carries a pole report."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """Evaluating a rational function at a pole; the message names the
+    point and the pole's order."""
 
 
 class ScaleExceeded(PadharmError):

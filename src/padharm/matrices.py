@@ -3,7 +3,9 @@ matrices, with exact sections.
 
 Matrices are tuples of tuples over a ring adapter (exact rationals, the
 exact quadratic extension E = F(sqrt delta), or Z/p^k for brute-force
-oracles); every adapter decides zero exactly.  The block form is
+oracles); every adapter decides zero exactly.  The sections read their
+inputs through `coerce`, which only the rational and Z/p^k adapters
+have: no section is built over E.  The block form is
 X = [[A, u], [v, w]] with A of size n.  Invariants: a_i = (-1)^(i-1)
 tr Lambda^i A read from det(T*1 + A), and b_0 = w, b_j = v A^(j-1) u.
 The moment matrices are delta_plus(X) = (A^(n-1)u, ..., Au, u) as
@@ -17,7 +19,6 @@ import random
 from fractions import Fraction
 
 from .errors import NotInDomain, NotRegular
-from .padic import QuadExtScalar
 
 # ---------------------------------------------------------------------------
 # ring adapters
@@ -82,9 +83,6 @@ class QuadExtRing:
 
     def one(self):
         return self.ext.one()
-
-    def coerce(self, x):
-        return x if isinstance(x, QuadExtScalar) else self.ext.scalar(x, 0)
 
     def is_zero(self, x):
         return x.is_zero()

@@ -82,13 +82,6 @@ class OrbitalResult:
         )
         self.metadata = dict(metadata or {})
 
-    @staticmethod
-    def zero(metadata=None):
-        return OrbitalResult([], metadata)
-
-    def is_zero(self):
-        return not self.pairs
-
     def value_at(self, t):
         """Exact value at a rational point T = t, as a cyclotomic scalar."""
         total = CyclotomicScalar.zero()
@@ -137,20 +130,6 @@ class OrbitalResult:
             if d is None or not (c - d).is_zero():
                 return False
         return True
-
-    def __hash__(self):
-        return hash(self.pairs)
-
-    def pole_report(self, q):
-        """The pole order of each summand denominator at T = q^(-1/2)
-        (s = 1/2), plus a Sturm count of its real roots in (0, 1]."""
-        t2 = Fraction(1, q)
-        return [{"real_roots_in_unit": qr.real_pole_count(0, 1),
-                 "orders": {(Fraction(1, 2), 1): qr.pole_order_at_sqrt(t2, 1)}}
-                for _, qr in self.pairs]
-
-    def __repr__(self):
-        return f"OrbitalResult({len(self.pairs)} summands)"
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +270,7 @@ def orbital_rs_n1(X, f, eta, slack=0):
         raise NotRegularSemisimple("off-diagonal entries must not vanish")
     p = f.space.F.p
     if not f.rows:
-        return OrbitalResult.zero({"n": 1, "shells": []})
+        return OrbitalResult([], {"n": 1, "shells": []})
 
     # shell range from the support of f at the off-diagonal coordinates
     lo = f.support_floor(1) - val_p(x12, p)
@@ -367,7 +346,7 @@ def orbital_rs(X, f, eta, slack=0):
     X = tuple(Fraction(t) for t in X)
     p = f.space.F.p
     if not f.rows:
-        return OrbitalResult.zero({"n": 2})
+        return OrbitalResult([], {"n": 2})
     windows, vdX, lo_adj, m0 = _delta_plus_val_window(f, X, p)
     det_window = {vd - vdX for vd in windows}
     mu = min(0, m0)

@@ -192,8 +192,11 @@ class QuadExtScalar:
     are the exact `Fraction` coordinates.  The constructor trusts its
     triple to be normal: build values through `QuadExtContext.scalar`
     or the arithmetic.  Instances are immutable, and they are not
-    hashable.  Arithmetic between elements of two different extensions
-    raises NotInDomain, and they compare unequal."""
+    hashable.  Both operands of the arithmetic are elements of E: an int
+    or a Fraction is not converted (`ext.scalar` builds it), so it is a
+    TypeError there and compares unequal.  Arithmetic between elements
+    of two different extensions raises NotInDomain, and they compare
+    unequal."""
 
     __slots__ = ("ext", "a", "b", "d")
 
@@ -212,16 +215,14 @@ class QuadExtScalar:
         return Fraction(self.b, self.d)
 
     def _coerce(self, other):
-        """other as an element of this E, or None for a type that is not
-        a scalar; an element of another extension raises NotInDomain."""
-        if type(other) is QuadExtScalar:
-            if other.ext is self.ext or other.ext == self.ext:
-                return other
+        """other, an element of an equal E, or None for a type that is not
+        an E-scalar; an element of another extension raises NotInDomain."""
+        if type(other) is not QuadExtScalar:
+            return None
+        if other.ext != self.ext:
             raise NotInDomain(f"an element of {other.ext!r} is not in "
                               f"{self.ext!r}")
-        if isinstance(other, (int, Fraction)):
-            return self.ext.scalar(other)
-        return None
+        return other
 
     def __add__(self, other):
         if type(other) is not QuadExtScalar or other.ext is not self.ext:
@@ -231,8 +232,6 @@ class QuadExtScalar:
         d, e = self.d, other.d
         return _reduced(self.ext, self.a * e + other.a * d,
                         self.b * e + other.b * d, d * e)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return QuadExtScalar(self.ext, -self.a, -self.b, self.d)
@@ -257,8 +256,6 @@ class QuadExtScalar:
         return _reduced(ext, a * c * dd + ext._dnum * b * e,
                         (a * e + b * c) * dd, self.d * other.d * dd)
 
-    __rmul__ = __mul__
-
     def conj(self):
         return QuadExtScalar(self.ext, self.a, -self.b, self.d)
 
@@ -281,13 +278,10 @@ class QuadExtScalar:
         return _reduced(self.ext, self.a * k, -self.b * k, m)
 
     def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except NotInDomain:
-            return False
-        if other is None:
+        if type(other) is not QuadExtScalar:
             return NotImplemented
-        return (self.a, self.b, self.d) == (other.a, other.b, other.d)
+        return ((self.a, self.b, self.d) == (other.a, other.b, other.d)
+                and (other.ext is self.ext or other.ext == self.ext))
 
     def valuation_E(self):
         """Normalized valuation on E (v_E(uniformizer of E) = 1):

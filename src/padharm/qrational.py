@@ -201,23 +201,10 @@ class QRational:
     `_lowest`, which takes out the content; a product runs a gcd only
     across non-constant factors, and a sum runs Henrici's two gcds (of
     the denominators, then of the new numerator with their gcd; P.
-    Henrici, J. ACM 3, 1956)."""
+    Henrici, J. ACM 3, 1956).  Values come from `const`, `monomial` and
+    the operations; no constructor reduces arbitrary tuples."""
 
     __slots__ = ("N", "D")
-
-    def __init__(self, N, D):
-        """N/D for int coefficient sequences, little-endian, D nonzero."""
-        N, D = _trim(N), _trim(D)
-        if not D:
-            raise ZeroDivisionError("zero denominator")
-        if not N:
-            D = (1,)
-        elif len(N) > 1 and len(D) > 1:
-            g = _gcd(N, D)
-            if len(g) > 1:
-                N, D = _quo(N, g), _quo(D, g)
-        out = _lowest(N, D)
-        self.N, self.D = out.N, out.D
 
     @staticmethod
     def _of(N, D):
@@ -330,7 +317,8 @@ class QRational:
         return hash((self.N, self.D))
 
     def evaluate(self, t):
-        """Exact value at a rational T = t; raises at poles with a report."""
+        """Exact value at a rational T = t; raises at a pole, naming its
+        order."""
         t = Fraction(t)
         a, b = t.numerator, t.denominator
         d = _homogeneous(self.D, a, b)
@@ -339,10 +327,7 @@ class QRational:
             while not _homogeneous(den, a, b):
                 order += 1
                 den = _derivative(den)
-            raise PoleAtEvaluationPoint(
-                f"pole of order {order} at T={t}",
-                report={"T": t, "order": order},
-            )
+            raise PoleAtEvaluationPoint(f"pole of order {order} at T={t}")
         # N(t)/D(t) = b^-deg N * n / (b^-deg D * d)
         n, k = _homogeneous(self.N, a, b), len(self.D) - len(self.N)
         if k >= 0:

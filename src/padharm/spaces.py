@@ -96,9 +96,6 @@ class Space:
             and self.pairing == other.pairing
         )
 
-    def __hash__(self):
-        return hash((self.F, self.psi, self.weights, self.pairing))
-
     def pair(self, x, y):
         # the sum n / d of c x_i y_j on numerators and denominators; d
         # grows only when a term's denominator differs from it
@@ -560,9 +557,6 @@ class WavePacket:
         if len(a) != len(b) or any(s[1:] != t[1:] for s, t in zip(a, b)):
             return False
         return all((s[0] - t[0]).is_zero() for s, t in zip(a, b))
-
-    def __repr__(self):
-        return f"WavePacket({len(self.rows)} terms on dim {self.space.dim})"
 
 
 def riemann_fourier(f, w):

@@ -30,6 +30,9 @@ another way:
   T^2 - s0 and Sturm chain, against ``qrational.QRational`` on coprime
   int numerator and denominator tuples, which ``monic_view`` reads into
   the oracle's form;
+* ``qrational`` reduces any int numerator and denominator to the normal
+  form with one polynomial gcd, against the operations of
+  ``qrational.QRational``, which build each value in normal form;
 * ``passing_cells`` is the rank-2 cell walk that yields each passing
   cell with its hits, its coset tests as ``all``/``any`` generators,
   and ``cell_counts_of`` counts its cells, against ``cells.cell_counts``,
@@ -55,6 +58,7 @@ from padharm.orbital import (
     c_psi_plus,
 )
 from padharm.padic import strip_p, val_p
+from padharm.qrational import _gcd, _lowest, _quo, _trim
 from padharm.spaces import e_space, f_space, matrix_space_e
 
 
@@ -87,7 +91,7 @@ def f_natural_direct(ext, psi, eta_prime, r, X):
         if not ok:
             continue
         dh = h[0][0] * h[1][1] - h[0][1] * h[1][0]
-        total = total + eta_prime(det1X * dh) * cellvol
+        total = total + eta_prime(det1X * ext.scalar(dh)) * cellvol
     return c2 * total
 
 
@@ -147,7 +151,7 @@ def f_psi_natural_direct(ext, psi, eta_prime, phi_data, r, X):
             weight = q ** (2 * val_p(dh, p))  # 1 / |det h|^2
             total = total + (
                 phival
-                * eta_prime(det1X * dh)  # eta'(det((1 + tau X) h))
+                * eta_prime(det1X * ext.scalar(dh))  # eta'(det((1 + tau X) h))
                 * hvol
                 * CyclotomicScalar.from_rational(jac * weight)
                 * uvol
@@ -217,6 +221,21 @@ def monic_view(x):
     the form `FractionQRational`'s `num.c` and `den.c` hold."""
     lc = x.D[-1]
     return [Fraction(c, lc) for c in x.N], [Fraction(c, lc) for c in x.D]
+
+
+def qrational(N, D):
+    """The QRational N/D for int coefficient sequences, little-endian, D
+    nonzero."""
+    N, D = _trim(N), _trim(D)
+    if not D:
+        raise ZeroDivisionError("zero denominator")
+    if not N:
+        D = (1,)
+    elif len(N) > 1 and len(D) > 1:
+        g = _gcd(N, D)
+        if len(g) > 1:
+            N, D = _quo(N, g), _quo(D, g)
+    return _lowest(N, D)
 
 
 def result_difference(a, b):
@@ -547,8 +566,7 @@ class FractionQRational:
             while den.eval(t) == 0:
                 order += 1
                 den = den.derivative()
-            raise PoleAtEvaluationPoint(f"pole of order {order} at T={t}",
-                                        report={"T": t, "order": order})
+            raise PoleAtEvaluationPoint(f"pole of order {order} at T={t}")
         return self.num.eval(t) / d
 
     def substitute_reciprocal(self):

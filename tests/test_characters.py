@@ -134,4 +134,4 @@ def test_inert_residue_character_of_E(p):
         z, w = unit(), unit()
         assert chi.phase(z * w) == (chi.phase(z) + chi.phase(w)) % 1
         t = ext.scalar(rng.randrange(-9, 9), rng.randrange(-9, 9))
-        assert chi.phase(z + t * p) == chi.phase(z)
+        assert chi.phase(z + t * ext.scalar(p)) == chi.phase(z)

@@ -350,7 +350,10 @@ def test_bad_config_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("command, payload", [
     ("oi-nilpotent", {"n": 1}),
     ("transfer-factor", {}),
-], ids=["field-first", "extension-first"])
+    ("local-factors", {}),
+    ("invariants", {"matrix": [[0, 1], [2, 0]]}),
+], ids=["field-first", "extension-first", "neither-local-factors",
+        "neither-invariants"])
 @pytest.mark.parametrize("config, pointer", [
     ({"p": 4, "budgets": {"max_p": 5}}, "/p"),
     ({"delta": 4}, "/delta"),
@@ -358,9 +361,9 @@ def test_bad_config_exit_code(tmp_path, capsys):
 ], ids=["p-not-prime", "delta-square", "delta-valuation-2"])
 def test_a_field_or_extension_refusal_names_its_pointer(
         config, pointer, command, payload, tmp_path, capsys):
-    # the field and extension contexts are built when a command first asks
-    # for them, and a refusal of either is a schema error at its own field,
-    # whichever of the two the command asks for first
+    # the configuration builds the field and then the extension before the
+    # command runs, so a refusal of either is a schema error at its own
+    # field, whichever of the two the command uses, if any
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     code, _ = run_cli(["--config", str(cfg), command], payload, tmp_path)

@@ -1,5 +1,6 @@
 """Run-configuration validation: defaults, JSON-pointer error messages,
-lazy context construction, and the coset limit of a run."""
+the contexts built once with the configuration, and the coset limit of a
+run."""
 
 import itertools
 import json

@@ -31,7 +31,7 @@ KERNELS = {
         "geometric_tail", "_coerce", "_poly_repr")
 } | {
     ("QRational", name) for name in (
-        "__init__", "__add__", "__neg__", "__sub__", "__rsub__", "__mul__",
+        "__add__", "__neg__", "__sub__", "__rsub__", "__mul__",
         "inverse", "__truediv__", "__eq__", "substitute_reciprocal",
         "pole_order_at_sqrt", "real_pole_count")
 }

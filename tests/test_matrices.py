@@ -205,7 +205,7 @@ def test_det_over_E_multiplicative(A, B, ext):
     assert det(RE, mat_mul(A, B)) == det(RE, A) * det(RE, B)
     # z conj(z) is the norm x^2 - delta y^2
     z = A[0][0]
-    assert z * z.conj() == z.x * z.x - ext.delta * z.y * z.y
+    assert z * z.conj() == ext.scalar(z.x * z.x - ext.delta * z.y * z.y)
 
 
 @settings(max_examples=30, deadline=None)

@@ -15,11 +15,21 @@ a parameter counts as passed when any call of that name passes it.  That
 is a gap: a method that nothing outside tests calls still passes while
 another class has a used method of the same name.  ``WavePacket.zero``,
 which nothing called, passed on the calls of ``CyclotomicScalar.zero``.
+Underscore names and dunders are not checked here at all.
+
+A CI step closes the gap by execution: ``tests/reach.py`` runs the pinned
+inputs (the suites, the README commands and perfbench cycles) and prints
+every def of src/padharm, methods and dunders included, that none of
+them entered.  The output must equal the names of
+``.github/unreached.txt``, which gives each a reason to stay; the last
+test here checks that list without running the scan.
 """
 
 import ast
 import re
 from pathlib import Path
+
+from reach import package_defs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -214,3 +224,17 @@ def test_every_defaulted_parameter_is_passed():
                     unset.append(f"{path.name}:{node.lineno} "
                                  f"{callee}({name})")
     assert unset == [], "\n".join(unset)
+
+
+def test_every_unreached_entry_is_a_def_with_a_reason():
+    # the list CI diffs against tests/reach.py: one def per line, sorted
+    # as the script prints them, each followed by why it stays
+    defs = set(package_defs().values())
+    lines = [line for line in (ROOT / ".github" / "unreached.txt")
+             .read_text().splitlines() if not line.startswith("#")]
+    names = [line.partition(" ")[0] for line in lines]
+    assert names == sorted(set(names))
+    bad = [line for line in lines
+           if line.partition(" ")[0] not in defs
+           or not line.partition(" ")[2].strip()]
+    assert bad == [], "\n".join(bad)
