@@ -9,6 +9,7 @@ the residue field, evaluated through a discrete-log table.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -91,22 +92,17 @@ def _dlog_table_Fp2(p, d0):
         return ((a[0] * b[0] + d0 * a[1] * b[1]) % p,
                 (a[0] * b[1] + a[1] * b[0]) % p)
 
-    for gx in range(p):
-        for gy in range(p):
-            g = (gx, gy)
-            if g == (0, 0):
-                continue
-            seen = {}
-            x = (1, 0)
-            ok = True
-            for k in range(order):
-                if x in seen:
-                    ok = False
-                    break
-                seen[x] = k
-                x = mul(x, g)
-            if ok and len(seen) == order:
-                return g, seen
+    # the powers of g until one repeats: g generates when all are distinct
+    for g in itertools.product(range(p), repeat=2):
+        seen = {}
+        x = (1, 0)
+        for k in range(order):
+            if x in seen:
+                break
+            seen[x] = k
+            x = mul(x, g)
+        if len(seen) == order:
+            return g, seen
     raise ArithmeticError("no generator found")
 
 
@@ -211,12 +207,8 @@ class ExtCharacter:
 
 
 def _ext_pow(z, n):
-    out = z.ext.one()
-    base = z
-    if n < 0:
-        base = z.inverse()
-        n = -n
-    for _ in range(n):
+    out, base = z.ext.one(), z if n >= 0 else z.inverse()
+    for _ in range(abs(n)):
         out = out * base
     return out
 

@@ -60,6 +60,8 @@ from .dagger import (
     shell_valuation,
 )
 from .orbital import (
+    GERM_POINTS,
+    default_germ_level,
     germ_constant_check,
     orbital_nilpotent,
     orbital_rs,
@@ -67,7 +69,7 @@ from .orbital import (
 )
 from .lfactors import lfactor_table
 from .padic import val_p
-from .suites import GERM_POINTS, SUITES, run_suite, suite_flags
+from .suites import SUITES, run_suite, suite_flags
 from . import __version__
 
 
@@ -442,8 +444,7 @@ def cmd_oi_rs(config, payload):
         raise SchemaError(f"/X: expected {f.space.dim} coordinates, "
                           "the dimension of /f")
     config.check_rank(k - 1, "/X")
-    slack = read_int(payload.get("slack", 0), "/slack", low=0)
-    res = orbital_rs(X, f, config.eta(), slack=slack)
+    res = orbital_rs(X, f, config.eta())
     return _orbital_json_in_measure(res, config, k - 1)
 
 
@@ -475,7 +476,7 @@ def cmd_oi_nilpotent(config, payload):
 def cmd_germ_check(config, payload):
     ext, psi = config.ext(), config.psi()
     m = read_int(payload.get("m", 1), "/m", low=1)
-    r = read_int(payload.get("r", 2 * m + 1), "/r", low=1)
+    r = read_int(payload.get("r", default_germ_level(m)), "/r", low=1)
     points = parse_list(payload.get("points", [list(pt) for pt in GERM_POINTS]),
                         "/points", functools.partial(parse_list, length=3))
     if not points:
@@ -501,7 +502,7 @@ def cmd_germ_check(config, payload):
 def cmd_theorem_germ_gl(config, payload):
     ext, psi = config.ext(), config.psi()
     m = read_int(payload.get("m", 1), "/m", low=1)
-    r = read_int(payload.get("r", 2 * m + 1), "/r", low=1)
+    r = read_int(payload.get("r", default_germ_level(m)), "/r", low=1)
     omega_tau = read_int(payload.get("omega_tau", 1), "/omega_tau")
     if omega_tau not in (1, -1):
         raise SchemaError("/omega_tau: expected 1 or -1")

@@ -12,6 +12,7 @@ here by independent finite methods.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -85,10 +86,7 @@ def make_dagger_column(ext, psi, m, k):
 def column_packet(ext, psi, k, entries):
     """The tensor product of the k column entries, on the concatenated
     space, which equals e_space(ext, psi, k)."""
-    packet = entries[0]
-    for i in range(1, k):
-        packet = tensor(packet, entries[i])
-    return packet
+    return functools.reduce(tensor, [entries[i] for i in range(k)])
 
 
 def make_dagger_matrix(ext, psi, m, k):

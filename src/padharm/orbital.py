@@ -12,7 +12,8 @@ Three computation routes live here, each exact:
   delta_+ section (rank 2; the walk over the cells is in ``cells``).
   Rank-1 shells take their range from ``support_floor`` and are summed
   by ``WavePacket.shell_integrals``, which charges their cosets first;
-  ``config.charge`` meters the rank-2 cells first.
+  ``config.charge`` meters the rank-2 cells first.  Both ranks read
+  their levels off the packet rows with ``WavePacket.level``.
 * the descent pipeline ``f_natural`` -> ``f_psi_natural`` ->
   ``mu_via_nilpotent`` / ``spherical_rhs``, used for the germ-constancy
   and spherical identities in rank 1.
@@ -255,7 +256,7 @@ def orbital_nilpotent(sign, f, eta):
 # regular semisimple integrals, rank 1
 
 
-def orbital_rs_n1(X, f, eta, slack=0):
+def orbital_rs_n1(X, f, eta):
     """O(X, f, s) for 2x2 coordinates X = (x11, x12, x21, x22) regular
     semisimple (x12 x21 != 0), by exact enumeration of torus shells and
     unit cosets.  Returns an OrbitalResult in T = q^(-s); raises
@@ -278,7 +279,7 @@ def orbital_rs_n1(X, f, eta, slack=0):
     # h enters x12 as x12 h and x21 as x21 / h
     shells = range(lo, hi + 1)
     sums = f.shell_integrals(X, ((1, x12, 1), (2, x21, -1)), eta, shells,
-                             "rank-1 unit-coset budget", slack)
+                             "rank-1 unit-coset budget")
     pairs = [(shell, QRational.monomial(1, v))
              for v, shell in zip(shells, sums) if not shell.is_zero()]
     return OrbitalResult(pairs, {"n": 1, "shells": [lo, hi], "variable": "q^-s"})
@@ -328,19 +329,19 @@ def _delta_plus_val_window(f, X, p):
     return windows, vdX, lo_adj, min(floors)
 
 
-def orbital_rs(X, f, eta, slack=0):
+def orbital_rs(X, f, eta):
     """O(X, f, s) for 3x3 coordinates (rank-2 group H = GL_2(F)) by additive
     cell enumeration of h over a box certified through the delta_+ section.
 
     The support of f must have certified-constant Delta_+ valuations; the
     determinant of h is then pinned to a finite window, the box of entry
     valuations is rigorous, and exactness is certified by computing at two
-    granularities.  The run's coset limit is charged for the nominal box of
-    the larger pass, whatever the cell walk prunes."""
+    granularities (`_orbital_rs_cells`).  The run's coset limit is charged
+    for the nominal box of the larger pass, whatever the cell walk prunes."""
     _require_quadratic(eta)
     k = _matrix_dim(f.space)
     if k == 2:
-        return orbital_rs_n1(X, f, eta, slack=slack)
+        return orbital_rs_n1(X, f, eta)
     if k != 3:
         raise NotInDomain("cell enumeration is implemented for ranks 1 and 2")
     X = tuple(Fraction(t) for t in X)
@@ -351,8 +352,9 @@ def orbital_rs(X, f, eta, slack=0):
     det_window = {vd - vdX for vd in windows}
     mu = min(0, m0)
     lo = (m0 + mu) + lo_adj - vdX  # h = delta_+(Y) adj(delta_+(X)) / Delta_+(X)
-    a_max = max(max(r[2]) for r in f.rows)
-    M = max(lo + 1, a_max + max(0, -2 * lo), max(det_window) + 1) + slack
+    # every coordinate but x33, which diag(h, 1) fixes
+    L = max(f.level(t) for t in range(8))
+    M = max(lo + 1, L + max(0, -2 * lo), max(det_window) + 1)
     # the certificate pass at M + 1 is the larger one: refuse before either
     charge(p, [4 * (M + 1 - lo)], "rank-2 cell budget")
     first = _orbital_rs_cells(X, f, eta, lo, M, det_window)
@@ -378,33 +380,43 @@ def _orbital_rs_cells(X, f, eta, lo, M, det_window):
     collected by v(det h) in det_window.
 
     `cells.cell_counts` counts the cells of nonzero value on which terms
-    of f pass their coset tests, per int key (v(det J), u0, term, n, k):
-    psi's phase n / p^k of each passing term, and the residue u0 mod p
-    of the unit part of det J; its docstring proves that dropping a
-    residue class mod p^l as it does loses no such cell.  The value of f
-    at a cell is sum_t coeff_t e(n_t / p^k_t) (`cells.cell_value`).  eta
-    is tame, so eta(det h) depends only on v(det J) and u0.  The pass
-    builds eta's phase, the root of unity of the summed phase (on ints,
-    by `root_of_unity_ratio`) and the product once per distinct key;
-    each cell has the volume `_cell_volume`.
+    of f pass their exact coset tests, per int key (v(det J), u0, term,
+    n, k): psi's phase n / p^k of each passing term, and the unit part u0
+    of det J mod p; its docstring proves that the classes it drops hold
+    no such cell.  f at a cell is sum_t coeff_t e(n_t / p^k_t)
+    (`cells.cell_value`), and eta is tame, so eta(det h) depends only on
+    v(det J) and u0.  Per distinct key the pass builds eta's phase, the
+    root of unity of the summed phase (`root_of_unity_ratio`, on ints) and
+    the product; each cell has the volume `_cell_volume`.  So a pass adds
+    exactly the nonzero cell values of a Fraction enumeration of the box.
 
     Bytes.  A CyclotomicScalar prints as its exponents k / n and
     coefficients c / den in lowest terms: an element of the group ring
-    Q[Q/Z], which no stored conductor enters, and + and * act on it as in
-    that ring: + merges coefficients per exponent, * adds exponents, and
-    neither reduces modulo a cyclotomic polynomial.  So the printed form
-    of a sum does not depend on the order or the grouping of its
-    summands, and the counts give that of the cell-by-cell sum: neither
-    the cell order of the walk nor the keys the cells are counted under
-    (two keys may name one phase, as (n, k) and (pn, k + 1) do) change
-    the bytes.  The one step that is not a group-ring operation is
-    dropping a cell whose value is zero, which the walk does with the
-    is_zero test that a cell-by-cell sum of f.evaluate values runs.
+    Q[Q/Z], on which + and * act as in that ring, with no stored conductor
+    and no reduction modulo a cyclotomic polynomial.  So the printed sum
+    depends neither on the order or grouping of the cells nor on the keys
+    they are counted under ((n, k) and (pn, k + 1) name one phase).  The
+    one step outside the ring, dropping a cell of value zero, runs the
+    is_zero test of a cell-by-cell sum of f.evaluate values.
 
-    The certificate is unchanged: the coset tests are exact, so each pass
-    adds exactly the nonzero cell values of an enumeration in Fraction
-    arithmetic over the whole box, and orbital_rs still compares the M and
-    M + 1 passes exactly."""
+    Level.  The pass is the integral when f(Y), eta(det h) and |det h| are
+    constant on each cell.  Lemma: let h be in p^lo M_2(O), vd = v(det h),
+    M > max(lo, vd - lo), and the entries of the block A = (x11, x12; x21,
+    x22), the column b = (x13, x23) and the row c = (x31, x32) of X in
+    p^vA O, p^vb O and p^vc O.  On h + p^M M_2(O), v(det h) and
+    det h / p^vd mod p are constant, and a coordinate t of A, b or c moves
+    in p^(M - k_t) O, k_t = 2 vd - 3 lo - vA, -vb or 2 vd - 2 lo - vc (x33
+    is fixed); so the cell is one of constancy once M >= level(t) + k_t
+    for those t (`WavePacket.level`).  Proof: for E in p^M M_2(O),
+    det(h + E) - det h = tr(adj(h) E) + det E is in p^(M + lo) O; h^-1 and
+    h'^-1 = (h + E)^-1 are in p^(lo - vd) M_2(O) and differ by
+    h'^-1 E h^-1, so h A h^-1, h b and c h^-1 move by E A h'^-1 +
+    h A (h'^-1 - h^-1), E b and c (h'^-1 - h^-1); and vd >= 2 lo.  A cell
+    with det J = 0 or v(det J) off the window keeps det J mod p^(M - lo),
+    and M - lo exceeds every window value vd - 2 lo, so f vanishes there.
+    orbital_rs's M meets the lemma when lo = 0, det_window = {0} and A, b,
+    c are integral, as at every pinned input; elsewhere the M + 1 pass
+    checks it."""
     p = f.space.F.p
     q = Fraction(p)
     counts = cell_counts(X, f, lo, M, det_window)
@@ -474,6 +486,16 @@ def c_psi_plus(ext, psi, m):
     """int phi+ dx for the normalized plus factor: the self-dual volume of
     p^m O_F."""
     return f_space(ext.F, psi, 1).vol_lattice((m,))
+
+
+# the germ defaults of the CLI and the suites: points (x1, y1, y0) of varrho
+GERM_POINTS = ((0, 1, 0), (1, 1, 0), (0, 1, 1), (1, 1, 1), (0, 2, 0),
+               (3, 1, 0))
+
+
+def default_germ_level(m):
+    """The descent level r of a level-m dagger scalar when none is given."""
+    return 2 * m + 1
 
 
 def _check_descent_level(m, r):

@@ -32,9 +32,10 @@ pairing on numerators and denominators, the phase by
 `characters.frac_part_ratio`).  A point lies in a term's coset exactly
 when its representative modulo the term's lattice is the center, so
 `evaluate` and the product compare pairs, and `equals` compares rows.
-`support_floor` and `shell_level` read a torus shell's range and
-unit-coset level off the rows, and `shell_integrals`, the one rank-1
-shell integral of the library, charges and sums at that level.
+`support_floor` and `level` read a coordinate's least valuation on the
+support and its constancy level off the rows; `shell_integrals`, the one
+rank-1 shell integral, and the rank-2 cells of `orbital.orbital_rs` take
+their levels from `level`, and no caller sets one.
 psi's values are built from the int pair of `frac_part_ratio` by
 `CyclotomicScalar.root_of_unity_ratio`, and the coefficients compute on
 ints, so the calculus on rows builds no `Fraction`.  Fractions appear
@@ -49,7 +50,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from operator import itemgetter
 
 from .characters import frac_part_ratio
@@ -464,39 +465,35 @@ class WavePacket:
         return min([val_pair(C[t], p) if C[t][0] else a[t]
                     for _, C, a, _ in self.rows])
 
-    def shell_level(self, line, v):
-        """The least lam >= 0 at which the bounds below make every row
-        constant on the cosets h(1 + p^lam O) of the shell v(h) = v, along
-        the line whose coordinate t is c h^e for each (t, c, e) in `line`
-        (e = +-1; other coordinates fixed).  There x_t moves inside
-        x_t p^lam O, so a row's coset test is constant once
-        lam >= a_t - v(x_t), and its phase psi(w_j G_j x_t), j paired
-        with t, once lam >= -d - v(w_j G_j) - v(x_t)."""
+    def level(self, t):
+        """The least l at which every row is constant on the cosets
+        x + p^l O of coordinate t: the largest max(a_t, -d - v(w_j G_j))
+        over the (nonempty) rows, j paired with t and the second term only
+        where G_j != 0, as the coset test needs l >= a_t and the phase
+        psi(w_j G_j x_t) needs w_j G_j p^l O in the kernel p^-d O."""
         sp = self.space
         p = sp.F.p
-        d = sp.psi.d
-        lam = 0
-        for t, c, e in line:
-            vx = val_p(c, p) + e * v
-            j = sp.pairing[t]
-            for _, _, a, G in self.rows:
-                lam = max(lam, a[t] - vx)
-                if G[j][0]:
-                    lam = max(lam, -d - sp._wv[j] - val_pair(G[j], p) - vx)
-        return lam
+        j = sp.pairing[t]
+        top = -sp.psi.d - sp._wv[j]
+        return max([max(a[t], top - val_pair(G[j], p)) if G[j][0] else a[t]
+                    for _, _, a, G in self.rows])
 
-    def shell_integrals(self, point, line, eta, shells, what, slack=0):
+    def shell_integrals(self, point, line, eta, shells, what):
         """The integrals of f(x(h)) eta(h) d*h (unnormalized) over the
         shells v(h) = v, v in `shells`, x(h) being `point` with x_t = c h^e
-        for each (t, c, e) in `line`.  `config.charge` refuses under `what`
-        first at p per shell, which needs no level, then at p^lam per
-        shell, lam = max(1, conductor of eta, `shell_level`) + slack.  An
-        integral is q^-lam times the sum over h = u p^v, u in [1, p^lam)
-        prime to p, skipping the cells where f vanishes."""
+        for each (t, c, e) in `line` (e = +-1).  On h(1 + p^lam O), x_t
+        moves in x_t p^lam O, so f is constant once lam >= level(t) - v(c)
+        - e v for each t.  `config.charge` refuses under `what` first at p
+        per shell, which needs no level, then at p^lam per shell, lam =
+        max(1, conductor of eta, those bounds).  An integral is q^-lam
+        times the sum over h = u p^v, u in [1, p^lam) prime to p, skipping
+        the cells where f vanishes."""
         p = self.space.F.p
         charge(p, [1] * len(shells), what)
         floor = max(1, eta.conductor_exponent())
-        lams = [max(floor, self.shell_level(line, v)) + slack for v in shells]
+        tops = [(self.level(t) - val_p(c, p), e) for t, c, e in line]
+        lams = [max([floor] + [top - e * v for top, e in tops])
+                for v in shells]
         charge(p, lams, what)
         x = list(point)
         q = Fraction(p)
@@ -571,24 +568,16 @@ def riemann_fourier(f, w):
     w = tuple(Fraction(t) for t in w)
     total = CyclotomicScalar.zero()
     for coeff, x0, a, f0 in f.terms:
-        # constancy level per coordinate: psi(<f0 + w-dual, x>) must be
-        # constant on cells of p^L O
+        # constancy level per coordinate i: psi(<f0, x> + <x, w>) pairs
+        # x_i with g = f0_j + w_j, j = pairing[i], and must be constant on
+        # cells of p^L O
         levels = []
-        for i in range(sp.dim):
-            xi = f0[i] + w[i]
-            need = a[i]
-            for j in range(sp.dim):
-                if sp.pairing[j] == i:
-                    g = f0[j] + w[j]
-                    if g != 0:
-                        need = max(need, -d - sp._wv[j] - val_p(g, p))
-            levels.append(need)
-        levels = tuple(levels)
-        counts = [p ** (levels[i] - a[i]) for i in range(sp.dim)]
-        cells = 1
-        for c in counts:
-            cells *= c
-        if cells > DEFAULT_TERM_BUDGET:
+        for i, j in enumerate(sp.pairing):
+            g = f0[j] + w[j]
+            levels.append(max(a[i], -d - sp._wv[j] - val_p(g, p)) if g
+                          else a[i])
+        counts = [p ** (L - ai) for L, ai in zip(levels, a)]
+        if prod(counts) > DEFAULT_TERM_BUDGET:
             raise ScaleExceeded("riemann_fourier cell budget")
         vol = sp.vol_lattice(levels)
         ranges = [

@@ -74,6 +74,8 @@ from .dagger import (
     make_dagger_scalar,
 )
 from .orbital import (
+    GERM_POINTS,
+    default_germ_level,
     germ_constant_check,
     orbital_nilpotent,
     orbital_rs,
@@ -441,17 +443,13 @@ def suite_dagger(ctx):
 # germ identities
 
 
-GERM_POINTS = ((0, 1, 0), (1, 1, 0), (0, 1, 1), (1, 1, 1), (0, 2, 0),
-               (3, 1, 0))
-
-
 def suite_germ(ctx, m=1, r=None):
     """Local constancy near the minus nilpotent: the regular semisimple
     integrals of the smoothed descent agree at every point of
     GERM_POINTS and equal the germ constant, with the transfer factor
     constant on the slice and equal to its value at the nilpotent
-    representative.  The level r defaults to 2m + 1."""
-    r = 2 * m + 1 if r is None else r
+    representative.  The level r defaults to `default_germ_level(m)`."""
+    r = default_germ_level(m) if r is None else r
     psi, ext = ctx.psi(), ctx.ext()
     eta, eta_prime = ctx.eta(), ctx.eta_prime()
     phi = make_dagger_scalar(ext, psi, m)
@@ -470,8 +468,9 @@ def suite_germ(ctx, m=1, r=None):
 
 def suite_theorem_germ_gl(ctx, m=1, r=None):
     """The rank-1 spectral/geometric germ identity for the trivial central
-    datum and one nontrivial sign, at the level r (default 2m + 1)."""
-    r = 2 * m + 1 if r is None else r
+    datum and one nontrivial sign, at the level r (default
+    `default_germ_level(m)`)."""
+    r = default_germ_level(m) if r is None else r
     psi, ext, eta = ctx.psi(), ctx.ext(), ctx.eta()
     phi = make_dagger_scalar(ext, psi, m)
     stats = {}
@@ -594,7 +593,8 @@ def _parameters(fn):
 
 def suite_flags(name):
     """{flag: default} of suite `name`, in parameter order.  A default of
-    None is derived from the other flags (the germ level r = 2m + 1)."""
+    None is derived from the other flags (the germ level r,
+    `orbital.default_germ_level`)."""
     return _parameters(SUITES[name])[1]
 
 

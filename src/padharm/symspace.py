@@ -11,6 +11,7 @@ e the last standard basis row vector.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .characters import eta_for_extension
 from .errors import NotInDomain, NotRegularSemisimple
@@ -53,10 +54,7 @@ class HermitianForm:
 
     def disc(self):
         """Discriminant in F^* (class in F^*/Norms is what matters)."""
-        d = Fraction(1)
-        for x in self.diag:
-            d *= x
-        return d
+        return prod(self.diag, start=Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -91,21 +89,18 @@ def transfer_factor_S(ext, s, eta_prime):
     R = QuadExtRing(ext)
     m = len(s)
     k = m // 2
-    e = tuple(R.one() if j == m - 1 else R.zero() for j in range(m))
+    cur = tuple(R.one() if j == m - 1 else R.zero() for j in range(m))
     rows = []
-    cur = e
     for _ in range(m):
         rows.append(cur)
         cur = vec_mat(cur, s)
     D = det(R, mat(rows))
     if D.is_zero():
         raise NotRegularSemisimple("transfer factor undefined: det(e s^i) = 0")
-    ds = det(R, s)
-    val = D
-    inv = ds.inverse()
+    inv = det(R, s).inverse()
     for _ in range(k):
-        val = val * inv
-    return eta_prime(val)
+        D = D * inv
+    return eta_prime(D)
 
 
 def transfer_factor_group(ext, gamma1, gamma2, eta_prime):

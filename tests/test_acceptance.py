@@ -9,10 +9,10 @@ import pytest
 from padharm.padic import FieldContext
 from padharm.characters import AdditiveCharacter, eta_for_extension
 from padharm.padic import QuadExtContext
-from padharm.orbital import orbital_nilpotent
+from padharm.orbital import GERM_POINTS, orbital_nilpotent
 from padharm.qrational import QRational, geometric_tail
 from padharm.spaces import WavePacket, matrix_space_f
-from padharm.suites import GERM_POINTS, run_suite
+from padharm.suites import run_suite
 
 
 def run_within(name, budget_seconds, **flags):

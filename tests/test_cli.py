@@ -16,7 +16,6 @@ from padharm.cli import main
 from padharm.config import RunConfig
 from padharm.dagger import make_dagger_scalar
 from padharm.errors import ScaleExceeded, SchemaError
-from padharm.matrices import FractionRing, section_sigma
 from padharm.suites import SUITES, run_suite, suite_flags
 
 
@@ -728,7 +727,7 @@ def test_run_suite_rejects_unknown_names_and_the_seed_flag():
 CONTRACT_PAYLOADS = {
     "invariants": {"matrix": [[0, 1], [2, 0]]},
     "section": {"kind": "sigma", "a": ["1/2"], "b": [2, 3]},
-    "oi-rs": {"X": [0, 1, 1, 0], "slack": 0,
+    "oi-rs": {"X": [0, 1, 1, 0],
               "f": {"space": {"kind": "matrix-f", "k": 2},
                     "terms": [{"coeff": 1}]}},
     "oi-nilpotent": {"n": 2, "sign": "plus"},
@@ -798,8 +797,8 @@ def test_every_payload_field_ends_in_a_json_exit(command, tmp_path, capsys):
     ("dagger-gen", "/m"), ("dagger-gen", "/k"), ("germ-check", "/m"),
     ("germ-check", "/r"), ("theorem-germ-gl", "/m"), ("theorem-germ-gl", "/r"),
     ("oi-nilpotent", "/n"), ("local-factors", "/q"),
-    ("local-factors", "/n_max"), ("oi-rs", "/slack"),
-    ("fourier", "/packet/space/dim"), ("fourier", "/packet/terms/0/exps/0")])
+    ("local-factors", "/n_max"), ("fourier", "/packet/space/dim"),
+    ("fourier", "/packet/terms/0/exps/0")])
 def test_a_boolean_is_not_an_integer(command, pointer, tmp_path, capsys):
     payload = _replaced(CONTRACT_PAYLOADS[command], pointer, True)
     code, doc = _call(command, payload, tmp_path, capsys)
@@ -932,14 +931,6 @@ def test_frac_str_bound_reads_bit_length():
         cli.frac_str(Fraction(1, big))
 
 
-def test_rank1_oi_rs_slack_is_bounded_before_the_shells(tmp_path, capsys):
-    payload = dict(CONTRACT_PAYLOADS["oi-rs"], slack=13)
-    start = time.perf_counter()
-    code, doc = _call("oi-rs", payload, tmp_path, capsys)
-    assert code == 3 and doc["error"]["type"] == "ScaleExceeded"
-    assert time.perf_counter() - start < 5
-
-
 @pytest.mark.parametrize("matrix, invariants", [
     # a fuzzy zero of the truncated arithmetic: now an exact answer
     ([[[0, 1], [0, 1], [0, 0]], [[0, 1], [0, 1], [0, 1]],
@@ -956,15 +947,3 @@ def test_transfer_factor_prints_exact_invariants(matrix, invariants, tmp_path,
     code, doc = _call("transfer-factor", {"matrix": matrix}, tmp_path, capsys)
     assert code == 0
     assert doc["result"]["invariants"] == invariants
-
-
-def test_rank2_oi_rs_slack_is_bounded_before_the_cells(tmp_path, capsys):
-    S = section_sigma(FractionRing(), (1, 2), (1, 1, 2))
-    X = [str(Fraction(e)) for row in S for e in row]
-    payload = {"X": X, "slack": 10 ** 7,
-               "f": {"space": {"kind": "matrix-f", "k": 3},
-                     "terms": [{"coeff": 1, "exps": [1] * 9, "center": X}]}}
-    start = time.perf_counter()
-    code, doc = _call("oi-rs", payload, tmp_path, capsys)
-    assert code == 3 and doc["error"]["message"] == "rank-2 cell budget"
-    assert time.perf_counter() - start < 1

@@ -1,11 +1,12 @@
-"""One work budget: no function in padharm takes a `budget` parameter, and
+"""One work budget: no function in padharm takes a `budget` parameter, nor
+a `slack` that would raise a level derived from the packet rows, and
 ScaleExceeded is raised only by `config.charge` (the coset limit of the
 run), by the print bound of the CLI and by the packet-size caps of
 `spaces`.  `charge` is called by the rank-1 shell integral, the rank-2
-cell enumeration and the suite driver alone, and the shell level is
-read only where the shell integral is.  A threaded budget, a second
+cell enumeration and the suite driver alone, and `WavePacket.level` is
+read only by the first two.  A threaded budget, a level knob, a second
 inline comparison against the coset limit, or a caller that charges or
-derives a shell level itself fails here.
+reads a level elsewhere fails here.
 """
 
 import ast
@@ -27,6 +28,11 @@ CHARGERS = {
     ("spaces.py", "shell_integrals"),
     ("orbital.py", "orbital_rs"),
     ("suites.py", "run_suite"),
+}
+
+LEVEL_READERS = {
+    ("spaces.py", "shell_integrals"),
+    ("orbital.py", "orbital_rs"),
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -79,7 +85,8 @@ def test_no_function_takes_a_budget():
                 args = node.args
                 found += [f"{name}:{node.lineno} {arg.arg}"
                           for arg in args.posonlyargs + args.args
-                          + args.kwonlyargs if arg.arg == "budget"]
+                          + args.kwonlyargs
+                          if arg.arg in ("budget", "slack")]
     assert found == [], "\n".join(found)
 
 
@@ -89,8 +96,8 @@ def test_scale_exceeded_is_raised_only_by_the_known_bounds():
     assert places <= RAISERS, sorted(places - RAISERS)
 
 
-def test_charge_and_shell_level_have_one_caller_each():
+def test_charge_and_level_have_known_callers():
     charges = _places(_calls("charge"))
     assert charges == CHARGERS, sorted(charges ^ CHARGERS)
-    levels = _places(_calls("shell_level"))
-    assert {file for file, _ in levels} == {"spaces.py"}, sorted(levels)
+    levels = _places(_calls("level"))
+    assert levels == LEVEL_READERS, sorted(levels ^ LEVEL_READERS)

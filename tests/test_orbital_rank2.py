@@ -3,8 +3,10 @@ Fraction enumeration, the integer enumeration of the whole box without
 pruning, and the per-cell walk whose cells are counted outside it.  Also
 each cell value against f.evaluate, the Delta_+ window against the
 matrix route, a frozen value at the local-constancy base point, and the
-cell budget refusal."""
+cell budget refusal, and the granularity that `WavePacket.level` reads off
+frequencies against the coordinates h moves."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -18,6 +20,7 @@ from padharm import orbital
 from padharm.cells import cell_counts, cell_value
 from padharm.characters import AdditiveCharacter, eta_for_extension
 from padharm.cli import main
+from padharm.config import RunConfig
 from padharm.cyclotomic import CyclotomicScalar
 from padharm.errors import ScaleExceeded
 from padharm.matrices import Delta_plus, FractionRing, delta_plus, section_sigma
@@ -580,3 +583,76 @@ def test_cli_queries_over_budget_request_exits_3(a, b, tmp_path, capsys):
     assert main(["--payload", str(path), "--out", str(out), "oi-rs"]) == 3
     assert "rank-2 cell budget" in json.loads(out.read_text())["error"][
         "message"]
+
+
+# ---------------------------------------------------------------------------
+# the level reads the frequencies against the coordinates h moves
+
+# the README's rank-2 point and packet with exps 1, a frequency 1/9 stored
+# at one position of `freq`: position 0 oscillates against x11 and 5
+# against x32, which h moves, and 8 against x33, which diag(h, 1) fixes
+README_X = (1, 1, 0, 2, 0, 1, 2, 1, 1)
+RAISED = {"budgets": {"max_cosets": 600000}}  # above 3^12
+
+
+def readme_call(position, tmp_path, config=None):
+    """(exit code, output document) of `oi-rs` on the README packet with
+    frequency 1/9 at `position`."""
+    freq = [0] * 9
+    freq[position] = "1/9"
+    payload = {"X": [list(README_X[i:i + 3]) for i in (0, 3, 6)],
+               "f": {"space": {"kind": "matrix-f", "k": 3},
+                     "terms": [{"coeff": 1, "exps": [1] * 9,
+                                "center": list(README_X), "freq": freq}]}}
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    argv = ["--payload", str(path), "--out", str(out)]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = ["--config", str(tmp_path / "config.json")] + argv
+    return main(argv + ["oi-rs"]), out.read_text()
+
+
+@pytest.mark.parametrize("position", [0, 5])
+def test_a_frequency_against_a_moved_coordinate_refines_the_cells(
+        position, tmp_path):
+    # level 2 at the coordinate: M = 2 charges 3^12 cells for its M + 1
+    # pass, over the default budget; the refinement check, which once
+    # failed at M = 1, is never reached
+    code, text = readme_call(position, tmp_path)
+    assert code == 3
+    assert json.loads(text)["error"]["message"] == "rank-2 cell budget"
+    code, text = readme_call(position, tmp_path, RAISED)
+    assert code == 0
+    assert json.loads(text)["result"]["metadata"]["granularity"] == "2"
+    X = tuple(map(Fraction, README_X))
+    freq = [0] * 9
+    freq[position] = Fraction(1, 9)
+    f = WavePacket.indicator(SPACE, 1, center=X, freq=freq)
+    with RunConfig(RAISED).scope():
+        got = orbital_rs(X, f, ETA[2])
+    assert got.metadata["granularity"] == 2
+    assert got == reference_cells(X, f, ETA[2], 0, 2, {0}, 10 ** 6)
+    # the old granularity 1 is too coarse: its sum differs
+    assert got != reference_cells(X, f, ETA[2], 0, 1, {0}, 10 ** 6)
+
+
+def test_a_frequency_against_x33_keeps_its_bytes(tmp_path):
+    # the bytes printed at granularity 1 before the level read the
+    # frequencies: a frequency against x33 does not move them
+    code, text = readme_call(8, tmp_path)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a9a5666c60f359642dd745497903ed0020fcb839cbab31b900c433636b9777fa")
+
+
+def test_an_exponent_at_x33_does_not_refine_the_cells():
+    # the largest exponent sits at x33, which no cell moves: granularity 1,
+    # where the largest exponent over all coordinates would take 2
+    X = tuple(map(Fraction, README_X))
+    f = WavePacket.indicator(SPACE, (1,) * 8 + (2,), center=X)
+    got = orbital_rs(X, f, ETA[2])
+    assert got.metadata["granularity"] == 1
+    assert got.pairs
+    assert got == reference_cells(X, f, ETA[2], 0, 2, {0}, 10 ** 6)

@@ -4,10 +4,10 @@ CyclotomicScalar has no unique normal form, so the reprs below (which the
 CLI prints) pin the representation of each value as well as the value.
 They were frozen from the per-caller loops that the shell sum replaced.
 Each caller is one call of `WavePacket.shell_integrals`, which takes its
-unit-coset level from `WavePacket.shell_level` and the conductor of eta;
-the last tests check each caller against that method two levels up and
-against the oracle enumeration `shell_sum` at a fixed finer level, at
-three primes and extensions and three conductors of psi.
+unit-coset level from `WavePacket.level` and the conductor of eta; the
+last tests check each caller against the oracle enumeration `shell_sum`
+at a fixed finer level, at three primes and extensions and three
+conductors of psi.
 """
 
 from fractions import Fraction
@@ -54,8 +54,7 @@ def test_shell_measure(v, lam):
     # the packet 1 on p^-5 O is one on the shell, constant at level 1
     ones = WavePacket.indicator(f_space(F, psi, 1), -5)
     for e, want in ((eta, expected), (eta_ram, 0)):
-        (got,) = ones.shell_integrals((0,), ((0, 1, 1),), e, [v], "test",
-                                      slack=lam - 1)
+        (got,) = ones.shell_integrals((0,), ((0, 1, 1),), e, [v], "test")
         assert got.as_rational() == want
 
 
@@ -110,10 +109,10 @@ def test_orbital_rs_n1_refuses_many_shells_before_any_level(monkeypatch):
     F, psi, _, eta = setup_ctx(2)
     f = WavePacket.indicator(matrix_space_f(F, psi, 2), 0)
 
-    def shell_level(*args):
-        raise AssertionError("a shell level was computed")
+    def level(*args):
+        raise AssertionError("a level was computed")
 
-    monkeypatch.setattr(WavePacket, "shell_level", shell_level)
+    monkeypatch.setattr(WavePacket, "level", level)
     with RunConfig({"budgets": {"max_cosets": 10}}).scope():
         with pytest.raises(ScaleExceeded, match="rank-1 unit-coset budget"):
             orbital_rs_n1((0, 1, 3 ** 5, 0), f, eta)
@@ -150,9 +149,9 @@ def test_compactness_direct_is_pinned(delta):
     assert repr(got) == W[delta]
 
 
-# Each caller at its derived level against the method two levels up and
-# against the oracle enumeration at ORACLE_LEVEL.  The rule derives
-# levels 1 to 3 for these cases, so the oracle is at least one finer.
+# Each caller at its derived level against the oracle enumeration at
+# ORACLE_LEVEL.  The rule derives levels 1 to 3 for these cases, so the
+# oracle is at least one finer.
 LEVEL_CASES = [(p, delta, d) for p, delta in ((3, 2), (3, 3), (5, 5))
                for d in (0, 1, 2)]
 LEVEL_IDS = [f"p{p}-delta{delta}-d{d}" for p, delta, d in LEVEL_CASES]
@@ -175,13 +174,10 @@ def test_orbital_rs_n1_level_is_stable_under_slack(p, delta, d):
     assert exact.pairs
     lo, hi = exact.metadata["shells"]
     shells = range(lo, hi + 1)
-    finer = f.shell_integrals(X, ((1, 1, 1), (2, p, -1)), eta, shells,
-                              "test", slack=2)
     oracle = [shell_sum(lambda h: f.evaluate((0, h, p / h, 0)),
                         eta, v, ORACLE_LEVEL, p) for v in shells]
-    for got in (finer, oracle):
-        pairs = [(s, QRational.monomial(1, v)) for v, s in zip(shells, got)]
-        assert repr(OrbitalResult(pairs).pairs) == repr(exact.pairs)
+    pairs = [(s, QRational.monomial(1, v)) for v, s in zip(shells, oracle)]
+    assert repr(OrbitalResult(pairs).pairs) == repr(exact.pairs)
 
 
 @pytest.mark.parametrize("p, delta, d", LEVEL_CASES, ids=LEVEL_IDS)
@@ -193,11 +189,9 @@ def test_spherical_rhs_level_is_stable(p, delta, d):
     s0 = -4 - d - val_p(ext.delta, p)
     got = spherical_rhs(ext, psi, eta, phi)
     assert not got.is_zero()
-    (finer,) = hat.shell_integrals((0, 0), ((1, -1, 1),), eta, [s0], "test",
-                                   slack=2)
     oracle = shell_sum(lambda y: hat.evaluate((Fraction(0), -y)),
                        eta, s0, ORACLE_LEVEL, p)
-    assert cyc_terms(got) == cyc_terms(finer) == cyc_terms(oracle)
+    assert cyc_terms(got) == cyc_terms(oracle)
 
 
 @pytest.mark.parametrize("p, delta, d", LEVEL_CASES, ids=LEVEL_IDS)
@@ -211,9 +205,6 @@ def test_compactness_direct_level_is_stable(p, delta, d):
     hat = riemann_fourier(theta.packet, (Fraction(0), -y))
     got = compactness_W_direct(ext, psi, eta, theta, y)
     assert not got.is_zero()
-    (finer,) = varphi1.shell_integrals((0, 0), ((0, 1 / y, 1),), eta, [v],
-                                       "test", slack=2)
     oracle = shell_sum(lambda h: varphi1.evaluate((h / y, Fraction(0))),
                        eta, v, ORACLE_LEVEL, p)
-    assert cyc_terms(got) == cyc_terms(hat * finer) == cyc_terms(
-        hat * oracle)
+    assert cyc_terms(got) == cyc_terms(hat * oracle)

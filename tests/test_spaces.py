@@ -1,16 +1,20 @@
 """Schwartz functions as wave packets: evaluation, integration, Fourier
-calculus, and the independent Riemann-sum transform oracle."""
+calculus, the constancy level read off the rows, and the independent
+Riemann-sum transform oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from padharm.config import RunConfig
 from padharm.cyclotomic import CyclotomicScalar
 from padharm.padic import FieldContext, QuadExtContext
 from padharm.characters import AdditiveCharacter
 from padharm.errors import SchemaError
+from padharm.suites import _random_packet
 from padharm.padic import val_p
 from padharm.spaces import (
     WavePacket,
@@ -294,3 +298,38 @@ def test_integral_is_the_transform_at_zero(p, delta, which, data):
     for h in (f, f * g, f.fourier(), f.convolve_add(g)):
         assert cyc_terms(h.integral()) == cyc_terms(
             h.fourier().evaluate(zero))
+
+
+# the spaces of the fourier suite, in its fixed context
+_CTX = RunConfig()
+_F, _PSI, _EXT = _CTX.field(), _CTX.psi(), _CTX.ext()
+FOURIER_SPACES = [
+    f_space(_F, _PSI, 1), f_space(_F, _PSI, 2),
+    f_space(_F, _PSI, 3), f_space(_F, _PSI, 4),
+    e_space(_EXT, _PSI, 1), e_space(_EXT, _PSI, 2),
+    matrix_space_f(_F, _PSI, 2), s_space(_EXT, _PSI, 1),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(which=st.integers(min_value=0, max_value=len(FOURIER_SPACES) - 1),
+       seed=st.integers(min_value=0, max_value=2 ** 32),
+       data=st.data())
+def test_a_packet_is_constant_on_its_level_cosets(which, seed, data):
+    # the fourier suite's packets and their transforms: moving one
+    # coordinate by a multiple of p^level(t) leaves every value unchanged
+    sp = FOURIER_SPACES[which]
+    p = sp.F.p
+    f = _random_packet(sp, random.Random(seed), p)
+    assume(f.rows)
+    coord = st.builds(lambda j, k: Fraction(j, p ** k),
+                      st.integers(min_value=-p ** 3, max_value=p ** 3),
+                      st.integers(min_value=0, max_value=2))
+    for g in (f, f.fourier()):
+        x = data.draw(st.lists(coord, min_size=sp.dim, max_size=sp.dim))
+        value = g.evaluate(x)
+        for t in range(sp.dim):
+            u = data.draw(st.integers(min_value=-p ** 2, max_value=p ** 2))
+            y = list(x)
+            y[t] += u * Fraction(p) ** g.level(t)
+            assert (g.evaluate(y) - value).is_zero(), (t, g.level(t))
