@@ -129,18 +129,24 @@ class MultiplicativeCharacter:
         return MultiplicativeCharacter(self.F, self.r_pi * n, self.k * n)
 
     def phase(self, x):
+        """The phase of chi(x) in [0, 1), for a nonzero int or Fraction x:
+        v and the unit residue u0 are read from the numerator and the
+        denominator on ints, and the phase is built as one Fraction."""
         p = self.F.p
-        x = Fraction(x)
-        if x == 0:
+        num, den = x.numerator, x.denominator
+        if num == 0:
             raise NotInDomain("multiplicative character at 0")
-        v = val_p(x, p)
-        u = x / Fraction(p) ** v
-        u0 = u.numerator * pow(u.denominator, -1, p) % p
-        r = (self.r_pi * v) % 1
-        if self.k:
-            _, table = _dlog_table_F(p)
-            r = (r + Fraction(self.k * table[u0], p - 1)) % 1
-        return r
+        v, num = strip_p(num, p)
+        w, den = strip_p(den, p)
+        v -= w
+        a, b = self.r_pi.numerator, self.r_pi.denominator
+        if not self.k:
+            return Fraction(a * v % b, b)
+        _, table = _dlog_table_F(p)
+        u0 = num * pow(den, -1, p) % p
+        # v r_pi + k dlog(u0) / (p - 1) over the one denominator b (p - 1)
+        d = b * (p - 1)
+        return Fraction((a * v * (p - 1) + self.k * table[u0] * b) % d, d)
 
     def __call__(self, x):
         return CyclotomicScalar.root_of_unity(self.phase(x))

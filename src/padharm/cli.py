@@ -291,6 +291,9 @@ def cmd_transfer_factor(config, payload):
         g1 = parse_matrix(payload.get("gamma1"), "/gamma1", e_entry(ext))
         g2 = parse_matrix(payload.get("gamma2"), "/gamma2", e_entry(ext))
         config.check_rank(len(g1), "/gamma1")
+        if len(g2) != len(g1) + 1:
+            raise SchemaError(f"/gamma2: expected a matrix of size "
+                              f"{len(g1) + 1}, one more than /gamma1")
         omega = transfer_factor_group(ext, g1, g2, eta_prime)
         return {"omega": cyc_json(omega), "side": "group"}
     X = parse_matrix(payload.get("matrix"), "/matrix", e_entry(ext))

@@ -311,14 +311,15 @@ def _delta_plus_val_window(f, X, p):
     windows = set()
     floors = []
     for _, C, exps, _ in f.rows:
-        # the least valuation of an entry on this term's coset, as in
-        # `WavePacket.support_floor`
-        c_min = min([val_pair(x, p) if x[0] else a for x, a in zip(C, exps)])
-        floors.append(c_min)
-        a_min = min(exps)
+        # the least valuation of each entry on this term's coset, as in
+        # `WavePacket.support_floor`; the box floor reads all nine
+        vals = [val_pair(x, p) if x[0] else a for x, a in zip(C, exps)]
+        floors.append(min(vals))
         _, dY = _delta_plus_2x2([Fraction(n, d) for n, d in C])
-        # integer-coefficient polynomial of degree 3 in the entries:
-        # perturbing by p^a_min moves Delta_+ inside p^(a_min + 2 min(0, c_min))
+        # Delta_+ is an integer-coefficient cubic in the six entries of A
+        # and u alone: perturbing them by p^a_min moves it inside
+        # p^(a_min + 2 min(0, c_min)), c_min their least valuation
+        a_min, c_min = min(exps[:6]), min(vals[:6])
         bound = a_min + 2 * min(0, c_min)
         vdY = val_p(dY, p) if dY else bound
         if vdY >= bound:

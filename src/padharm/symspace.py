@@ -22,7 +22,6 @@ from .matrices import (
     FractionRing,
     QuadExtRing,
     det,
-    embed_h,
     mat,
     mat_inv,
     mat_mul,
@@ -104,12 +103,15 @@ def transfer_factor_S(ext, s, eta_prime):
 
 
 def transfer_factor_group(ext, gamma1, gamma2, eta_prime):
-    """Omega(gamma) for gamma = (gamma_1, gamma_2) in H_n(E) x H_{n+1}(E)."""
+    """Omega(gamma) for gamma = (gamma_1, gamma_2) in H_n(E) x H_{n+1}(E),
+    through rel = diag(gamma_1^-1, 1) gamma_2: its first n rows are
+    gamma_1^-1 times those of gamma_2, its last row is gamma_2's."""
     R = QuadExtRing(ext)
     m = len(gamma2)
     n = m - 1
-    g1 = embed_h(R, gamma1, m)
-    rel = mat_mul(mat_inv(R, g1), gamma2)
+    if len(gamma1) != n:
+        raise NotInDomain("gamma_1 must be n x n for gamma_2 of size n + 1")
+    rel = mat_mul(mat_inv(R, gamma1), gamma2[:n]) + mat([gamma2[n]])
     s = nu_map(ext, rel)
     omega_s = transfer_factor_S(ext, s, eta_prime)
     if n % 2 == 1:

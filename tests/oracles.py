@@ -36,7 +36,16 @@ another way:
 * ``passing_cells`` is the rank-2 cell walk that yields each passing
   cell with its hits, its coset tests as ``all``/``any`` generators,
   and ``cell_counts_of`` counts its cells, against ``cells.cell_counts``,
-  which counts inside the walk with early-exit loops.
+  which counts inside the walk with early-exit loops;
+* ``charpoly_plus_leibniz`` expands det(T*1 + A) by Leibniz over R[T],
+  signing each permutation by its cycles, against Berkowitz's recursion
+  in ``matrices.charpoly_plus``; ``det_laplace`` expands along the first
+  row, against ``matrices.det``, Leibniz over its cached table of
+  signed permutations up to 4 x 4 and Berkowitz above; ``adjugate`` builds adj(A) from ``det_laplace``
+  cofactors, so adj(A) / det(A) checks the Gauss-Jordan
+  ``matrices.mat_inv``; ``conjugate_embedded`` is h X h^-1 as the full
+  (n+1) x (n+1) product with diag(h, 1), against the blockwise
+  ``matrices.conjugate``.
 """
 
 import itertools
@@ -747,3 +756,99 @@ def cell_counts_of(X, f, lo, M, det_window):
         for t, (n, k) in hits:
             counts[vj, u0, t, n, k] += 1
     return counts
+
+
+def _perm_sign(perm):
+    """The sign of a permutation, from the parity of its even cycles."""
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        clen = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            clen += 1
+        if clen % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def charpoly_plus_leibniz(R, A):
+    """Coefficients (c_0=1, c_1, ..., c_n) of det(T*1 + A) in descending
+    powers of T, computed by Leibniz expansion over R[T]."""
+    n = len(A)
+    zero, one = R.zero(), R.one()
+
+    def padd(p, q):
+        k = max(len(p), len(q))
+        return [
+            (p[i] if i < len(p) else zero) + (q[i] if i < len(q) else zero)
+            for i in range(k)
+        ]
+
+    def pmul(p, q):
+        out = [zero] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] = out[i + j] + a * b
+        return out
+
+    total = [zero] * (n + 1)
+    for perm in itertools.permutations(range(n)):
+        term = [one]
+        for i in range(n):
+            entry = A[i][perm[i]]
+            if perm[i] == i:
+                term = pmul(term, [entry, one])  # entry + T
+            else:
+                term = pmul(term, [entry])
+        if _perm_sign(perm) < 0:
+            term = [-x for x in term]
+        total = padd(total, term)
+    # total is little-endian in T of degree n; return descending
+    total = total + [zero] * (n + 1 - len(total))
+    return tuple(reversed(total))
+
+
+def _minor(A, i, j):
+    return [row[:j] + row[j + 1:] for k, row in enumerate(A) if k != i]
+
+
+def det_laplace(R, A):
+    """det(A) by cofactor expansion along the first row; 1 when A is
+    0 x 0."""
+    A = [list(row) for row in A]
+    if not A:
+        return R.one()
+    total = R.zero()
+    for j, x in enumerate(A[0]):
+        term = x * det_laplace(R, _minor(A, 0, j))
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def adjugate(R, A):
+    """adj(A): the transpose of the cofactor matrix, so A adj(A) =
+    det(A) 1 over any commutative ring."""
+    A = [list(row) for row in A]
+    n = len(A)
+    cof = [[det_laplace(R, _minor(A, i, j)) for j in range(n)]
+           for i in range(n)]
+    return mat([[cof[j][i] if (i + j) % 2 == 0 else -cof[j][i]
+                 for j in range(n)] for i in range(n)])
+
+
+def conjugate_embedded(R, h, X, h_inv):
+    """diag(h, 1) X diag(h, 1)^-1 as two full (n+1) x (n+1) products, with
+    h_inv the inverse of h."""
+    m = len(X)
+
+    def embed(g):
+        return mat([[g[i][j] if i < m - 1 and j < m - 1
+                     else (R.one() if i == j else R.zero())
+                     for j in range(m)] for i in range(m)])
+
+    return mat_mul(mat_mul(embed(h), X), embed(h_inv))

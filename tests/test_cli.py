@@ -522,6 +522,37 @@ def test_rank_zero_is_refused_at_its_pointer(command, payload, pointer,
     assert error["message"].startswith(pointer + ":")
 
 
+GAMMA_2X2 = [[[1, 0], [3, 1]], [[1, 1], [2, 0]]]
+MISMATCHED_GAMMAS = [
+    ("1x1-under-2x2", GAMMA_2X2, [[[2, 0]]]),
+    ("equal-sizes", [[[2, 1]]], [[[3, 0]]]),
+    ("equal-sizes-2x2", GAMMA_2X2, GAMMA_2X2),
+]
+
+
+@pytest.mark.parametrize("gamma1, gamma2",
+                         [case[1:] for case in MISMATCHED_GAMMAS],
+                         ids=[case[0] for case in MISMATCHED_GAMMAS])
+def test_transfer_factor_group_refuses_mismatched_shapes(gamma1, gamma2,
+                                                          tmp_path, capsys):
+    # the group transfer factor is defined on H_n(E) x H_(n+1)(E)
+    code, _ = run_cli(["transfer-factor"], {"setting": "group",
+                                            "gamma1": gamma1,
+                                            "gamma2": gamma2}, tmp_path)
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "SchemaError"
+    assert error["message"].startswith("/gamma2:")
+
+
+def test_transfer_factor_group_answers_at_n_and_n_plus_one(tmp_path):
+    code, text = run_cli(["transfer-factor"], {"setting": "group",
+                                               "gamma1": [[[2, 1]]],
+                                               "gamma2": GAMMA_2X2}, tmp_path)
+    assert code == 0
+    assert json.loads(text)["result"]["side"] == "group"
+
+
 def test_rank_zero_answers_where_it_means_something(tmp_path):
     for command, payload in (("invariants", {"matrix": [[3]]}),
                              ("section", {"kind": "sigma", "a": [],

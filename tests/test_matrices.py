@@ -4,6 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    adjugate,
+    charpoly_plus_leibniz,
+    conjugate_embedded,
+    det_laplace,
+)
 from padharm.errors import NotInDomain, NotRegular
 from padharm.padic import FieldContext, QuadExtContext
 from padharm.matrices import (
@@ -214,3 +220,64 @@ def test_det_multiplicative(c, a, b):
     A = section_sigma(R, a, b)
     B = mat([[Fraction(1), c, 0], [0, Fraction(1), c], [0, 0, Fraction(1)]])
     assert det(R, mat_mul(A, B)) == det(R, A) * det(R, B)
+
+
+def _entries(R):
+    """Entries over R, with non-units drawn often over Z/p^k."""
+    if isinstance(R, QuadExtRing):
+        return st.tuples(small_frac, small_frac).map(
+            lambda xy: R.ext.scalar(*xy))
+    if isinstance(R, IntModRing):
+        return st.one_of(st.integers(0, R.m - 1),
+                         st.integers(0, R.m // R.p - 1).map(lambda x: R.p * x))
+    return small_frac
+
+
+# Q, Z/3^5, Z/5^2, and E inert (delta = 2) and ramified (delta = 3) at p = 3
+KERNEL_RINGS = [R, IntModRing(3, 5), IntModRing(5, 2), QuadExtRing(EXTS[0]),
+                QuadExtRing(EXTS[1])]
+
+
+def _square(data, R, n):
+    return mat(data.draw(st.lists(st.lists(_entries(R), min_size=n,
+                                           max_size=n),
+                                  min_size=n, max_size=n)))
+
+
+def _same(R, A, B):
+    return all(R.is_zero(x - y) for x, y in zip(
+        (x for row in A for x in row), (y for row in B for y in row)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(KERNEL_RINGS), st.integers(0, 5))
+def test_matrix_kernels_match_their_oracles(data, Rk, n):
+    # Berkowitz's charpoly_plus against the Leibniz expansion over R[T],
+    # det against cofactor expansion (both exact, on ints at Z/p^k too),
+    # and, up to R's zero test, mat_inv against adj(A) / det(A) and the
+    # blockwise conjugate against the full product with diag(h, 1)
+    A = _square(data, Rk, n)
+    assert charpoly_plus(Rk, A) == charpoly_plus_leibniz(Rk, A)
+    d = det_laplace(Rk, A)
+    if n:
+        assert det(Rk, A) == d
+    X = _square(data, Rk, n + 1)
+    if not Rk.is_unit(d):
+        with pytest.raises(NotInDomain):
+            mat_inv(Rk, A)
+        if n:
+            with pytest.raises(NotInDomain):
+                conjugate(Rk, A, X)
+        return
+    inv = Rk.inv(d)
+    A_inv = mat([[inv * x for x in row] for row in adjugate(Rk, A)])
+    assert _same(Rk, mat_inv(Rk, A), A_inv)
+    if n:
+        assert _same(Rk, conjugate(Rk, A, X),
+                     conjugate_embedded(Rk, A, X, A_inv))
+
+
+def test_conjugate_needs_h_one_size_smaller():
+    X = xi_plus(R, 3)
+    with pytest.raises(NotInDomain):
+        conjugate(R, identity(R, 3), X)

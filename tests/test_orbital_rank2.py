@@ -240,6 +240,24 @@ def test_kernel_matches_reference_across_box_floors(lo, delta, twisted,
                           ETA[delta], lo, lo + 1, WINDOW)
 
 
+def test_delta_plus_certificate_reads_only_a_and_u():
+    # the README rank-2 packet with its last row widened to O: Delta_+ is
+    # a cubic in A and u alone, so the widened v and w do not enter its
+    # certificate, while the box floor still reads all nine coordinates
+    f = WavePacket.indicator(SPACE, (1,) * 6 + (0,) * 3, center=BASE,
+                             freq=TWIST)
+    got = orbital_rs(BASE, f, ETA[2])
+    assert (got.metadata["box_floor"], got.metadata["granularity"],
+            got.metadata["det_window"]) == (0, 1, [0])
+    want = assert_same_cells(BASE, f, ETA[2], 0, 1, {0})
+    assert repr(got.pairs) == repr(want.pairs)
+    assert got.pairs == ((CyclotomicScalar.root_of_unity(Fraction(2, 3))
+                          * CyclotomicScalar.from_rational(Fraction(1, 81)),
+                          QRational.monomial(1, 0)),)
+    # the certificate pass agrees with the oracle too
+    assert_same_cells(BASE, f, ETA[2], 0, 2, {0})
+
+
 @pytest.mark.parametrize("lo", [-1, 0, 1])
 def test_kernel_matches_reference_nonzero_at_every_box_floor(lo):
     # inert eta is 1 on units, so the wide-support sums do not cancel; the

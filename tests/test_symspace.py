@@ -189,3 +189,14 @@ def test_matching_dichotomy_against_the_hilbert_symbol(p, delta):
                         == hilbert_symbol(forms[side].disc(), delta, p))
                 sides.append(side)
     assert set(sides) == {0, 1}
+
+
+def test_transfer_factor_group_needs_sizes_n_and_n_plus_one():
+    ext = make_ext()
+    eta_prime = eta_prime_default(ext)
+    one, two = ext.one(), ext.scalar(2)
+    g2 = mat([[one, two], [two, one]])
+    for gamma1, gamma2 in ((g2, mat([[two]])), (g2, g2),
+                           (mat([[two]]), mat([[one]]))):
+        with pytest.raises(NotInDomain):
+            transfer_factor_group(ext, gamma1, gamma2, eta_prime)
