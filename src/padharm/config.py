@@ -20,8 +20,10 @@ configuration never partially executes.  The constructor builds the
 field and then the extension, so a p or delta that they refuse is a
 SchemaError at /p or /delta whatever the command.
 
-`charge` checks every enumeration against `budgets.max_cosets` of the
-`with config.scope()` block the CLI or `run_suite` runs in (else the default).
+`charge` is the one limit on work: every enumeration of shells, unit
+cosets or cells, and every loop that builds packet rows, is charged
+against `budgets.max_cosets` of the `with config.scope()` block the CLI
+or `run_suite` runs in (else the default), before it starts.
 
 `read_int` and `read_fraction` are the readers of every value from
 outside the program: the CLI reads its payload fields and its
@@ -59,12 +61,21 @@ _MAX_COSETS = ContextVar("max_cosets", default=DEFAULTS["budgets"]["max_cosets"]
 
 
 def charge(p, lams, what):
-    """ScaleExceeded(what) when p^lam summed over `lams` exceeds the
-    run's coset limit; an enumeration calls it once, before it starts."""
+    """ScaleExceeded when p^lam summed over the iterable `lams` exceeds
+    the run's coset limit; the message is `what` and the limit.  A loop
+    calls it once, before it starts; a count n of rows or pairs is
+    charged as n^1.  The sum stops at the first term past the limit, so
+    a lazy `lams` of terms p^lam >= 1 costs at most limit + 1 of them to
+    refuse, however long it is."""
     limit = _MAX_COSETS.get()
     # p^lam > limit once lam reaches the limit's bit length
-    if sum(p ** min(lam, limit.bit_length()) for lam in lams) > limit:
-        raise ScaleExceeded(what)
+    cap = limit.bit_length()
+    total = 0
+    for lam in lams:
+        total += p ** min(lam, cap)
+        if total > limit:
+            raise ScaleExceeded(
+                f"{what} exceeds budgets/max_cosets = {limit}")
 
 
 def _fail(pointer, message):

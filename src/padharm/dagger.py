@@ -15,7 +15,9 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from math import prod
 
+from .config import charge
 from .cyclotomic import CyclotomicScalar
 from .errors import InvalidLevel, SchemaError
 from .padic import val_p
@@ -115,9 +117,12 @@ def matrix_packet(ext, psi, k, entries):
     because the space pairing is tr(XY).  Both positions have the weights
     of the entry's space, and the lattice at (i,j) is the entry's, so the
     dual lattice at (j,i) is too: the rows built from canonical entry rows
-    are canonical."""
+    are canonical.  One row per combination of entry rows, charged
+    before any is built."""
     slots = [(i, j) for i in range(k) for j in range(k)]
     size = 2 * k * k
+    charge(prod(len(entries[ij].rows) for ij in slots), [1],
+           "matrix packet budget")
     keyed = []
     for combo in itertools.product(*[entries[ij].rows for ij in slots]):
         coeff = CyclotomicScalar.one()

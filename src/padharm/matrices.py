@@ -117,7 +117,7 @@ def identity(R, n):
 
 
 def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
+    n, k, m = len(A), len(B), len(B[0]) if B else 0
     out = []
     for i in range(n):
         row = []
@@ -143,9 +143,10 @@ def det(R, A):
     ring operations only either way, so exact over any commutative ring.
     Leibniz is the faster at n <= 4 (24 terms); at n = 5 Berkowitz takes
     half its time over Q, and the gap grows like n! / n^4, as would the
-    table (the 10! signed permutations of n = 10 take about 0.6 GB)."""
+    table (the 10! signed permutations of n = 10 take about 0.6 GB).
+    The 0 x 0 determinant, the empty product 1, is Berkowitz's too."""
     n = len(A)
-    if n > _LEIBNIZ_MAX_N:
+    if n > _LEIBNIZ_MAX_N or not n:
         return charpoly_plus(R, A)[n]
     total = R.zero()
     for perm, sign in _signed_permutations(n):

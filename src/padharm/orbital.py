@@ -10,8 +10,9 @@ Three computation routes live here, each exact:
   finite enumeration of torus shells (rank 1) or of additive matrix
   cells with a determinant-valuation window certified through the
   delta_+ section (rank 2; the walk over the cells is in ``cells``).
-  Rank-1 shells take their range from ``support_floor`` and are summed
-  by ``WavePacket.shell_integrals``, which charges their cosets first;
+  Rank-1 shells take their range from the packet rows' windows of v(h)
+  and are summed by ``WavePacket.shell_integrals``, which charges their
+  cosets first;
   ``config.charge`` meters the rank-2 cells first.  Both ranks read
   their levels off the packet rows with ``WavePacket.level``.
 * the descent pipeline ``f_natural`` -> ``f_psi_natural`` ->
@@ -261,7 +262,21 @@ def orbital_rs_n1(X, f, eta):
     semisimple (x12 x21 != 0), by exact enumeration of torus shells and
     unit cosets.  Returns an OrbitalResult in T = q^(-s); raises
     ScaleExceeded before enumerating when the unit cosets of all shells
-    exceed the run's coset limit."""
+    exceed the run's coset limit.
+
+    The shells are the hull [lo, hi] of the rows' windows of v(h).  f is
+    a sum of rows, each supported on its coset C + prod p^a_t O, so
+    f(x(h)) != 0 puts x(h) in some row's coset.  At coordinate 1, x12 h
+    lies in C_1 + p^a_1 O: a nonzero C_1 is a representative, so
+    v(C_1) < a_1 and v(x12 h) = v(C_1); a zero C_1 gives v(x12 h) >= a_1.
+    So v(h) >= s_1 - v(x12), s_1 = v(C_1) or a_1, with equality when
+    C_1 != 0.  Likewise x21 / h gives v(h) <= v(x21) - s_2, with equality
+    when C_2 != 0.  A row's window is the greatest of its lower bounds to
+    the least of its upper bounds; f(x(h)) = 0 on every shell outside all
+    the windows, so every nonzero shell lies in their hull, which lies in
+    [min s_1 - v(x12), v(x21) - min s_2], the range of the support floors.
+    Empty windows stay in the hull, so a packet whose centers are zero at
+    both coordinates keeps that range, and the printed shells with it."""
     _require_quadratic(eta)
     if _matrix_dim(f.space) != 2:
         raise NotInDomain("rank-1 path needs 2x2 coordinates")
@@ -273,10 +288,16 @@ def orbital_rs_n1(X, f, eta):
     if not f.rows:
         return OrbitalResult([], {"n": 1, "shells": []})
 
-    # shell range from the support of f at the off-diagonal coordinates
-    lo = f.support_floor(1) - val_p(x12, p)
-    hi = val_p(x21, p) - f.support_floor(2)
-    # h enters x12 as x12 h and x21 as x21 / h
+    # h enters x12 as x12 h and x21 as x21 / h: each row's window of v(h)
+    v12, v21 = val_p(x12, p), val_p(x21, p)
+    lows, highs = [], []
+    for _, C, a, _ in f.rows:
+        s1 = val_pair(C[1], p) if C[1][0] else a[1]
+        s2 = val_pair(C[2], p) if C[2][0] else a[2]
+        low, high = s1 - v12, v21 - s2
+        lows.append(max(low, high) if C[2][0] else low)
+        highs.append(min(low, high) if C[1][0] else high)
+    lo, hi = min(lows), max(highs)
     shells = range(lo, hi + 1)
     sums = f.shell_integrals(X, ((1, x12, 1), (2, x21, -1)), eta, shells,
                              "rank-1 unit-coset budget")

@@ -43,6 +43,12 @@ only at its edges: the points read from outside (`evaluate`, `shift`),
 the points `shell_integrals` moves along a line, and `riemann_fourier`,
 the one reader of the `terms` view, which it reads with `Space.pair`
 and psi, so it stays an independent route.
+
+Work is priced by `config.charge` alone, before the loop that does it:
+the public constructor charges its input terms, the product and
+`tensor` their row pairs, `refined` its offsets, `riemann_fourier` its
+cells over all terms and `shell_integrals` its shells and unit cosets.
+`_merged` then only sorts and sums.
 """
 
 from __future__ import annotations
@@ -50,16 +56,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, prod
+from math import gcd
 from operator import itemgetter
 
 from .characters import frac_part_ratio
 from .config import charge
 from .cyclotomic import CyclotomicScalar, sqrt_rational_power
-from .errors import ScaleExceeded, SchemaError
+from .errors import SchemaError
 from .padic import strip_p, val_p
-
-DEFAULT_TERM_BUDGET = 300000
 
 _new = object.__new__
 _by_key = itemgetter(0)
@@ -290,11 +294,8 @@ def _merged(keyed):
         else:
             out.append([coeff, key])
             last = key
-    rows = tuple((coeff, C, exps, G) for coeff, (exps, C, G) in out
+    return tuple((coeff, C, exps, G) for coeff, (exps, C, G) in out
                  if not coeff.is_zero())
-    if len(rows) > DEFAULT_TERM_BUDGET:
-        raise ScaleExceeded(f"wave packet with {len(rows)} terms")
-    return rows
 
 
 def val_pair(x, p):
@@ -316,6 +317,7 @@ class WavePacket:
     def __init__(self, space, terms):
         dim = space.dim
         p = space.F.p
+        charge(len(terms), [1], "wave packet term budget")
         keyed = []
         for coeff, center, exps, freq in terms:
             if len(center) != dim or len(exps) != dim or len(freq) != dim:
@@ -387,6 +389,8 @@ class WavePacket:
             return NotImplemented
         sp = self.space
         p = sp.F.p
+        charge(len(self.rows) * len(other.rows), [1],
+               "wave packet product budget")
         keyed = []
         for c1, x1, a1, f1 in self.rows:
             for c2, x2, a2, f2 in other.rows:
@@ -484,12 +488,13 @@ class WavePacket:
         for each (t, c, e) in `line` (e = +-1).  On h(1 + p^lam O), x_t
         moves in x_t p^lam O, so f is constant once lam >= level(t) - v(c)
         - e v for each t.  `config.charge` refuses under `what` first at p
-        per shell, which needs no level, then at p^lam per shell, lam =
+        per shell, one count that needs no level and no per-shell term, so
+        a long range is refused at once; then at p^lam per shell, lam =
         max(1, conductor of eta, those bounds).  An integral is q^-lam
         times the sum over h = u p^v, u in [1, p^lam) prime to p, skipping
         the cells where f vanishes."""
         p = self.space.F.p
-        charge(p, [1] * len(shells), what)
+        charge(p * len(shells), [1], what)
         floor = max(1, eta.conductor_exponent())
         tops = [(self.level(t) - val_p(c, p), e) for t, c, e in line]
         lams = [max([floor] + [top - e * v for top, e in tops])
@@ -518,19 +523,17 @@ class WavePacket:
         """The same function written over the finer product lattice p^exps."""
         sp = self.space
         p = sp.F.p
+        deltas = [[max(e - ai, 0) for e, ai in zip(exps, a)]
+                  for _, _, a, _ in self.rows]
+        # a row splits into p^(sum of its deltas) offsets
+        charge(p, map(sum, deltas), "refinement offset budget")
         keyed = []
-        total = 0
-        for c, C, a, G in self.rows:
-            deltas = [max(e - ai, 0) for e, ai in zip(exps, a)]
-            count = p ** sum(deltas)
-            total += count
-            if total > DEFAULT_TERM_BUDGET:
-                raise ScaleExceeded("refinement blows the term budget")
+        for (c, C, a, G), row_deltas in zip(self.rows, deltas):
             na = tuple(map(max, exps, a))
             # the offsets in prod p^{a_i} O / p^{na_i} O are representatives
             # modulo p^na; the frequency moves once for all of them
             ranges = [_offsets(*x, ai, p ** di, p) if di else (x,)
-                      for x, ai, di in zip(C, a, deltas)]
+                      for x, ai, di in zip(C, a, row_deltas)]
             R, lam = _freq_moved(sp, G, sp.dual_exps(na))
             cells = itertools.product(*ranges)
             if lam is None:
@@ -566,7 +569,7 @@ def riemann_fourier(f, w):
     p = sp.F.p
     d = sp.psi.d
     w = tuple(Fraction(t) for t in w)
-    total = CyclotomicScalar.zero()
+    leveled = []
     for coeff, x0, a, f0 in f.terms:
         # constancy level per coordinate i: psi(<f0, x> + <x, w>) pairs
         # x_i with g = f0_j + w_j, j = pairing[i], and must be constant on
@@ -576,9 +579,13 @@ def riemann_fourier(f, w):
             g = f0[j] + w[j]
             levels.append(max(a[i], -d - sp._wv[j] - val_p(g, p)) if g
                           else a[i])
+        leveled.append((coeff, x0, a, f0, levels))
+    # a term has p^(sum of L - a) cells
+    charge(p, (sum(levels) - sum(a) for _, _, a, _, levels in leveled),
+           "riemann_fourier cell budget")
+    total = CyclotomicScalar.zero()
+    for coeff, x0, a, f0, levels in leveled:
         counts = [p ** (L - ai) for L, ai in zip(levels, a)]
-        if prod(counts) > DEFAULT_TERM_BUDGET:
-            raise ScaleExceeded("riemann_fourier cell budget")
         vol = sp.vol_lattice(levels)
         ranges = [
             [x0[i] + Fraction(j * p ** a[i]) for j in range(counts[i])]
@@ -594,6 +601,7 @@ def riemann_fourier(f, w):
 def tensor(p1, p2):
     """Exterior product on the concatenated space, whose dual exponents
     are those of the factors, so concatenated rows stay canonical."""
+    charge(len(p1.rows) * len(p2.rows), [1], "wave packet tensor budget")
     return WavePacket._of(p1.space.concat(p2.space), [
         ((a1 + a2, x1 + x2, f1 + f2), c1 * c2)
         for c1, x1, a1, f1 in p1.rows for c2, x2, a2, f2 in p2.rows])

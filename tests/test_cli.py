@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -373,13 +374,16 @@ def test_a_field_or_extension_refusal_names_its_pointer(
 
 
 def test_germ_check_obeys_the_coset_budget(tmp_path, capsys):
+    # m = 1 reaches one shell of p = 3 unit cosets
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"budgets": {"max_cosets": 10}}))
+    cfg.write_text(json.dumps({"budgets": {"max_cosets": 2}}))
     code, _ = run_cli(["--config", str(cfg), "germ-check"],
                       {"m": 1, "r": 3}, tmp_path)
     assert code == 3
     doc = json.loads(capsys.readouterr().err)
-    assert doc["error"]["type"] == "ScaleExceeded"
+    assert doc["error"] == {"type": "ScaleExceeded",
+                            "message": "rank-1 unit-coset budget exceeds"
+                            " budgets/max_cosets = 2"}
     # the default budget answers the same request
     code, text = run_cli(["germ-check"], {"m": 1, "r": 3}, tmp_path)
     assert code == 0 and json.loads(text)["result"]["all_equal"]
@@ -424,13 +428,48 @@ def test_large_germ_levels_are_charged_before_mu(argv, payload, tmp_path,
     assert code == 3
     doc = json.loads(capsys.readouterr().err)
     assert doc["error"] == {"type": "ScaleExceeded",
-                            "message": "rank-1 unit-coset budget"}
+                            "message": "rank-1 unit-coset budget exceeds"
+                            " budgets/max_cosets = 500000"}
+
+
+def test_a_long_rank_1_shell_range_is_refused_in_bounded_memory(tmp_path,
+                                                                capsys):
+    # exps -10^7 at x12 gives 10^7 + 1 shells; the first charge counts p
+    # cosets per shell as one product instead of one term per shell
+    def payload(exp):
+        return {"X": [0, 1, 1, 0],
+                "f": {"space": {"kind": "matrix-f", "k": 2},
+                      "terms": [{"coeff": 1, "exps": [0, exp, 0, 0]}]}}
+
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(["oi-rs"], payload(-10 ** 7), tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 5 * 2 ** 20
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"]["message"].startswith("rank-1 unit-coset budget")
+    # nor does the refusal take time that grows with the limit
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budgets": {"max_cosets": 10 ** 8}}))
+    start = time.perf_counter()
+    code, _ = run_cli(["--config", str(cfg), "oi-rs"], payload(-10 ** 9),
+                      tmp_path)
+    assert code == 3
+    assert time.perf_counter() - start < 1
 
 
 def test_germ_check_refuses_a_low_level_before_any_shell_work(
         tmp_path, capsys, monkeypatch):
-    def charge(*args):
-        raise AssertionError("a shell sum was charged")
+    real = spaces.charge
+
+    def charge(p, lams, what):
+        # the packets are built and charged; no shell may be
+        if "unit-coset" in what:
+            raise AssertionError("a shell sum was charged")
+        real(p, lams, what)
 
     monkeypatch.setattr(orbital, "charge", charge)
     monkeypatch.setattr(spaces, "charge", charge)
@@ -464,7 +503,8 @@ def test_verify_suite_charges_a_given_sample_count(suite, flag, tmp_path,
     assert time.perf_counter() - start < 1
     doc = json.loads(capsys.readouterr().err)
     assert doc["error"] == {"type": "ScaleExceeded",
-                            "message": f"{suite} {flag} budget"}
+                            "message": f"{suite} {flag} budget exceeds"
+                            " budgets/max_cosets = 500000"}
 
 
 def test_verify_suite_obeys_the_coset_budget(tmp_path, capsys):

@@ -124,7 +124,8 @@ def _refuses(p, lams):
     try:
         charge(p, lams, "test budget")
     except ScaleExceeded as exc:
-        assert str(exc) == "test budget"
+        assert re.fullmatch(
+            r"test budget exceeds budgets/max_cosets = \d+", str(exc))
         return True
     return False
 

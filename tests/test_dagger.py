@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from padharm.config import RunConfig
+from padharm.errors import ScaleExceeded
 from padharm.padic import FieldContext, QuadExtContext
 from padharm.characters import AdditiveCharacter, eta_for_extension
 from padharm.dagger import (
@@ -20,6 +22,7 @@ from padharm.dagger import (
     make_dagger_column,
     make_dagger_matrix,
     make_dagger_scalar,
+    matrix_packet,
     shell_valuation,
 )
 from padharm.spaces import WavePacket, e_space
@@ -84,6 +87,19 @@ def test_a_level_2_matrix_packet_on_level_1_entries_is_not_admissible():
     data = make_dagger_matrix(ext, psi, 1, 2)
     finer = make_dagger_matrix(ext, psi, 2, 2).packet
     assert not is_admissible_matrix(with_packet(data, finer))
+
+
+def test_a_matrix_packet_charges_its_row_combinations():
+    # four entries of two rows each: 2^4 = 16 rows, charged before any
+    ext, psi = setup_ctx()
+    entry = WavePacket(e_space(ext, psi, 1), [(1, (0, 0), (1, 1), (0, 0)),
+                                             (1, (1, 0), (1, 1), (0, 0))])
+    entries = {(i, j): entry for i in range(2) for j in range(2)}
+    with RunConfig({"budgets": {"max_cosets": 15}}).scope():
+        with pytest.raises(ScaleExceeded, match="matrix packet budget"):
+            matrix_packet(ext, psi, 2, entries)
+    with RunConfig({"budgets": {"max_cosets": 16}}).scope():
+        assert len(matrix_packet(ext, psi, 2, entries).rows) == 16
 
 
 def test_a_scaled_column_packet_is_not_admissible():

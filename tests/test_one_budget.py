@@ -1,12 +1,14 @@
 """One work budget: no function in padharm takes a `budget` parameter, nor
 a `slack` that would raise a level derived from the packet rows, and
 ScaleExceeded is raised only by `config.charge` (the coset limit of the
-run), by the print bound of the CLI and by the packet-size caps of
-`spaces`.  `charge` is called by the rank-1 shell integral, the rank-2
-cell enumeration and the suite driver alone, and `WavePacket.level` is
-read only by the first two.  A threaded budget, a level knob, a second
-inline comparison against the coset limit, or a caller that charges or
-reads a level elsewhere fails here.
+run) and by the print bound of the CLI.  `charge` is called by the
+rank-1 shell integral, the rank-2 cell enumeration, the suite driver and
+the loops that build packet rows (the public packet constructor, the
+product, the tensor, the dagger matrix packet, refinement and the
+Riemann-sum oracle) alone, and `WavePacket.level` is read only by the
+first two.  A threaded budget, a level knob, a second inline comparison
+against a limit, or a caller that charges or reads a level elsewhere
+fails here.
 """
 
 import ast
@@ -19,15 +21,18 @@ RAISERS = {
     ("cli.py", "ratio_str"),
     ("cli.py", "cmd_dagger_gen"),
     ("cli.py", "cmd_fourier"),
-    ("spaces.py", "_merged"),
-    ("spaces.py", "refined"),
-    ("spaces.py", "riemann_fourier"),
 }
 
 CHARGERS = {
     ("spaces.py", "shell_integrals"),
     ("orbital.py", "orbital_rs"),
     ("suites.py", "run_suite"),
+    ("spaces.py", "__init__"),
+    ("spaces.py", "__mul__"),
+    ("spaces.py", "tensor"),
+    ("spaces.py", "refined"),
+    ("spaces.py", "riemann_fourier"),
+    ("dagger.py", "matrix_packet"),
 }
 
 LEVEL_READERS = {

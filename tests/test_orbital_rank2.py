@@ -640,7 +640,8 @@ def test_a_frequency_against_a_moved_coordinate_refines_the_cells(
     # failed at M = 1, is never reached
     code, text = readme_call(position, tmp_path)
     assert code == 3
-    assert json.loads(text)["error"]["message"] == "rank-2 cell budget"
+    assert json.loads(text)["error"]["message"] == (
+        "rank-2 cell budget exceeds budgets/max_cosets = 500000")
     code, text = readme_call(position, tmp_path, RAISED)
     assert code == 0
     assert json.loads(text)["result"]["metadata"]["granularity"] == "2"

@@ -180,6 +180,29 @@ def test_orbital_rs_n1_level_is_stable_under_slack(p, delta, d):
     assert repr(OrbitalResult(pairs).pairs) == repr(exact.pairs)
 
 
+@pytest.mark.parametrize("delta", [2, 3])
+@pytest.mark.parametrize("r", [3, 10, 50])
+def test_orbital_rs_n1_sums_only_the_shells_its_rows_pin(delta, r):
+    # x21 = p^r.  The first row pins v(h) = 1 through x12 h, the second
+    # v(h) = 2 through x21 / h, so two shells are summed where the support
+    # floors gave r + 1; the oracle sums every shell from -2 to r + 2
+    p = 3
+    F, psi, _, eta = setup_ctx(delta)
+    x21 = Fraction(p) ** r
+    f = WavePacket(matrix_space_f(F, psi, 2), [
+        (1, (0, p, 0, 0), (0, 2, 0, 0), (0, 0, 0, 0)),
+        (2, (0, 0, x21 / p ** 2, 0), (0, 0, r - 1, 0), (0, 0, 0, 0)),
+    ])
+    exact = orbital_rs_n1((0, 1, x21, 0), f, eta)
+    assert exact.metadata["shells"] == [1, 2]
+    assert len(exact.pairs) == 2
+    shells = range(-2, r + 3)
+    oracle = [shell_sum(lambda h: f.evaluate((0, h, x21 / h, 0)),
+                        eta, v, ORACLE_LEVEL, p) for v in shells]
+    pairs = [(s, QRational.monomial(1, v)) for v, s in zip(shells, oracle)]
+    assert repr(OrbitalResult(pairs).pairs) == repr(exact.pairs)
+
+
 @pytest.mark.parametrize("p, delta, d", LEVEL_CASES, ids=LEVEL_IDS)
 def test_spherical_rhs_level_is_stable(p, delta, d):
     _, psi, ext, eta = setup_ctx(delta, p, d)

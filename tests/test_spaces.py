@@ -3,6 +3,7 @@ calculus, the constancy level read off the rows, and the independent
 Riemann-sum transform oracle."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,10 @@ from padharm.config import RunConfig
 from padharm.cyclotomic import CyclotomicScalar
 from padharm.padic import FieldContext, QuadExtContext
 from padharm.characters import AdditiveCharacter
-from padharm.errors import SchemaError
+from padharm.errors import ScaleExceeded, SchemaError
 from padharm.suites import _random_packet
 from padharm.padic import val_p
+from padharm import spaces
 from padharm.spaces import (
     WavePacket,
     _mod_lattice,
@@ -333,3 +335,60 @@ def test_a_packet_is_constant_on_its_level_cosets(which, seed, data):
             y = list(x)
             y[t] += u * Fraction(p) ** g.level(t)
             assert (g.evaluate(y) - value).is_zero(), (t, g.level(t))
+
+
+# Every loop that builds packet rows is charged against the run's coset
+# limit before it starts, in time that does not grow with the refusal.
+
+
+def test_a_far_refinement_is_refused_at_once():
+    # refining p^0 O to p^(10^7) O needs 3^(10^7) offsets; the charge
+    # caps the exponent instead of building that power
+    F, psi = setup_field()
+    sp = f_space(F, psi, 1)
+    near, far = WavePacket.indicator(sp, 0), WavePacket.indicator(sp, 10 ** 7)
+    start = time.perf_counter()
+    with pytest.raises(ScaleExceeded, match="refinement offset budget"):
+        near.equals(far)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_a_large_product_is_refused_before_any_pair(monkeypatch):
+    # 2000 x 2000 row pairs exceed the default limit of 500000; with
+    # different lattices a pair test reads the finer center modulo the
+    # coarser lattice, so none may run
+    F, psi = setup_field()
+    sp = f_space(F, psi, 1)
+    a = WavePacket(sp, [(1, (j,), (8,), (0,)) for j in range(2000)])
+    b = WavePacket(sp, [(1, (2000 + j,), (9,), (0,)) for j in range(2000)])
+
+    def tested(*args):
+        raise AssertionError("a row pair was tested")
+
+    monkeypatch.setattr(spaces, "_mod_lattice", tested)
+    with pytest.raises(ScaleExceeded, match="wave packet product budget"):
+        a * b
+
+
+def test_packet_row_loops_obey_the_coset_limit():
+    F, psi = setup_field()
+    sp = f_space(F, psi, 1)
+    terms = [(1, (j,), (2,), (0,)) for j in range(3)]
+    f = WavePacket(sp, terms)
+    with RunConfig({"budgets": {"max_cosets": 8}}).scope():
+        with pytest.raises(ScaleExceeded, match="wave packet term budget"):
+            WavePacket(sp, terms * 3)
+        with pytest.raises(ScaleExceeded, match="wave packet product budget"):
+            f * f
+        with pytest.raises(ScaleExceeded, match="wave packet tensor budget"):
+            tensor(f, f)
+        with pytest.raises(ScaleExceeded, match="refinement offset budget"):
+            f.refined((3,))
+        with pytest.raises(ScaleExceeded, match="riemann_fourier cell budget"):
+            riemann_fourier(f, (Fraction(1, 27),))
+    # each answers at the limit
+    with RunConfig({"budgets": {"max_cosets": 9}}).scope():
+        assert WavePacket(sp, terms * 3).equals(f.scale(3))
+        assert len((f * f).rows) == 3 and len(tensor(f, f).rows) == 9
+        assert len(f.refined((3,)).rows) == 9
+        riemann_fourier(f, (Fraction(1, 27),))
