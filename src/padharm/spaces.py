@@ -31,7 +31,8 @@ the constant value of psi(<lam, .>) on the coset (`_psi_pair`: the
 pairing on numerators and denominators, the phase by
 `characters.frac_part_ratio`).  A point lies in a term's coset exactly
 when its representative modulo the term's lattice is the center, so
-`evaluate` and the product compare pairs, and `equals` compares rows.
+`evaluate` and the product compare pairs.  `equals` merges the rows of
+f and of -g, so rows that agree cancel, and refines only the rows left.
 `support_floor` and `level` read a coordinate's least valuation on the
 support and its constancy level off the rows; `shell_integrals`, the one
 rank-1 shell integral, and the rank-2 cells of `orbital.orbital_rs` take
@@ -364,6 +365,8 @@ class WavePacket:
         sp = self.space
         p = sp.F.p
         x = tuple(map(_as_pair, x))
+        if len(x) != sp.dim:
+            raise SchemaError("evaluate dimension mismatch")
         total = CyclotomicScalar.zero()
         # x is in a term's coset exactly when its representative modulo
         # that term's lattice is the term's center
@@ -544,19 +547,31 @@ class WavePacket:
         return WavePacket._of(sp, keyed)
 
     def equals(self, other):
-        """Exact function equality via refinement to a common lattice."""
+        """Exact function equality, decided on the canonical rows of f - g.
+
+        `_merged` sums the rows of f and the negated rows of g that share a
+        key, so rows that agree cancel before anything is refined.  The
+        rows left are refined to the componentwise max of their own exps,
+        and f = g exactly when that refinement has no rows.
+
+        Proof.  The rows left are the canonical rows of f - g; with none
+        left, f - g is the empty sum.  Refined to one lattice prod p^a_i
+        O, they are canonical rows sharing that lattice, and such rows
+        with distinct keys are linearly independent functions: distinct
+        centers are disjoint cosets, and on one coset, frequencies that
+        differ modulo the dual lattice are distinct characters.  A sum of
+        them with nonzero coefficients is therefore not the zero
+        function, so f - g = 0 has no canonical rows at any lattice its
+        rows refine to, and a refinement with rows is a nonzero f - g."""
         if not isinstance(other, WavePacket) or other.space != self.space:
             return False
-        allrows = self.rows + other.rows
-        if not allrows:
+        diff = WavePacket._of(self.space, [
+            ((a, C, G), c) for c, C, a, G in self.rows] + [
+            ((a, C, G), -c) for c, C, a, G in other.rows])
+        if not diff.rows:
             return True
-        exps = tuple(map(max, zip(*(r[2] for r in allrows))))
-        # both refinements are canonical: sorted, one row per key
-        a = self.refined(exps).rows
-        b = other.refined(exps).rows
-        if len(a) != len(b) or any(s[1:] != t[1:] for s, t in zip(a, b)):
-            return False
-        return all((s[0] - t[0]).is_zero() for s, t in zip(a, b))
+        exps = tuple(map(max, zip(*(r[2] for r in diff.rows))))
+        return not diff.refined(exps).rows
 
 
 def riemann_fourier(f, w):
@@ -569,6 +584,8 @@ def riemann_fourier(f, w):
     p = sp.F.p
     d = sp.psi.d
     w = tuple(Fraction(t) for t in w)
+    if len(w) != sp.dim:
+        raise SchemaError("riemann_fourier dimension mismatch")
     leveled = []
     for coeff, x0, a, f0 in f.terms:
         # constancy level per coordinate i: psi(<f0, x> + <x, w>) pairs

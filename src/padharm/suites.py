@@ -273,8 +273,9 @@ def _random_packet(space, rng, p):
             Fraction(rng.randrange(-4, 5) or 1, rng.randrange(1, 4)))
         center = tuple(Fraction(rng.randrange(-p, p + 1), p)
                        for _ in range(dim))
-        # wide lattices on high-dimensional spaces make the exact equality
-        # refinement exponentially large; keep exps >= 0 when dim > 2
+        # wide lattices on high-dimensional spaces make any refinement
+        # exponentially large (FFf = f(-x) builds none, as its rows
+        # cancel); keep exps >= 0 when dim > 2
         lo = 0 if dim > 2 else -1
         exps = tuple(rng.randrange(lo, 2) for _ in range(dim))
         freq = tuple(Fraction(rng.randrange(-p, p + 1), p)

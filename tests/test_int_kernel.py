@@ -439,9 +439,15 @@ def test_refinement_and_equality_against_the_fraction_formulas(
     def total(*packets):
         return WavePacket(space, [t for h in packets for t in h.terms])
 
+    # partly cancelling pairs: the rows of f cancel, those of g against
+    # its refinement are left, as is a changed coefficient among them
+    gr = list(g.refined(common).terms)
+    changed = [(gr[0][0] + 1,) + gr[0][1:]] + gr[1:] if gr else []
     for a, b in ((f, g), (ff, f.reflect()), (f, f.refined(common)),
                  (f, total(f, g, g.scale(-1))),
-                 (total(f, g), total(g, f.scale(2), f.scale(-1)))):
+                 (total(f, g), total(g, f.scale(2), f.scale(-1))),
+                 (total(f, g), WavePacket(space, list(f.terms) + gr)),
+                 (total(f, g), WavePacket(space, list(f.terms) + changed))):
         assert a.equals(b) == ref_equals(space, list(a.terms), list(b.terms))
     assert ff.equals(f.reflect())
     assert f.equals(f.refined(common))

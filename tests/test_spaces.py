@@ -88,6 +88,20 @@ def test_shift_phase_covariance():
         f.shift((1, 0))
 
 
+def test_a_point_of_the_wrong_length_is_refused():
+    # the indicator of O^2 would read 1 at (0, 0, 1/3) and 0 at (0,) if
+    # the point were zipped against the rows
+    F, psi = setup_field()
+    f = WavePacket.indicator(f_space(F, psi, 2), 0)
+    for x in ((0,), (0, 0, Fraction(1, 3))):
+        with pytest.raises(SchemaError, match="evaluate dimension mismatch"):
+            f.evaluate(x)
+        with pytest.raises(SchemaError,
+                           match="riemann_fourier dimension mismatch"):
+            riemann_fourier(f, x)
+    assert f.evaluate((0, 0)).as_rational() == 1
+
+
 def test_convolution_indicator():
     F, psi = setup_field()
     sp = f_space(F, psi, 1)
@@ -179,6 +193,24 @@ def test_refinement_of_a_wide_lattice_is_exact():
     assert not thirds[0].equals(thirds[1])
     assert [t[1] for t in wide.refined((0,)).terms] == [
         (Fraction(0),), (Fraction(1, 3),), (Fraction(2, 3),)]
+
+
+def test_a_partly_cancelling_pair_refines_the_rest():
+    # the rows of f cancel; h against its refinement is decided on the
+    # rows left, which must be refined to be compared
+    F, psi = setup_field()
+    sp = f_space(F, psi, 2)
+    f = WavePacket(sp, [(2, (Fraction(1, 3), 0), (0, 1), (Fraction(1, 3), 0)),
+                        (-1, (0, 0), (-1, 0), (0, 0))])
+    h = WavePacket(sp, [(1, (0, Fraction(2, 3)), (0, -1), (0, Fraction(2, 3)))])
+    refined = h.refined((1, 1))
+    assert len(refined.rows) == 27
+    left = WavePacket(sp, list(f.terms + h.terms))
+    assert left.equals(WavePacket(sp, list(f.terms + refined.terms)))
+    (c, x, a, g), *rest = refined.terms
+    changed = WavePacket(sp, list(f.terms) + [(c + 1, x, a, g)] + rest)
+    assert not left.equals(changed)
+    assert not changed.equals(left)
 
 
 def _pinned_cases():
@@ -337,6 +369,20 @@ def test_a_packet_is_constant_on_its_level_cosets(which, seed, data):
             assert (g.evaluate(y) - value).is_zero(), (t, g.level(t))
 
 
+def test_equal_packets_cancel_without_a_refinement(monkeypatch):
+    # FFf and f(-x) have the same canonical rows, so their difference
+    # merges to nothing and no refinement is built
+    def refused(*args):
+        raise AssertionError("a refinement was built")
+
+    monkeypatch.setattr(WavePacket, "refined", refused)
+    rng = random.Random(7)
+    for _ in range(3):
+        for sp in FOURIER_SPACES:
+            f = _random_packet(sp, rng, sp.F.p)
+            assert f.fourier().fourier().equals(f.reflect())
+
+
 # Every loop that builds packet rows is charged against the run's coset
 # limit before it starts, in time that does not grow with the refusal.
 
@@ -350,6 +396,20 @@ def test_a_far_refinement_is_refused_at_once():
     start = time.perf_counter()
     with pytest.raises(ScaleExceeded, match="refinement offset budget"):
         near.equals(far)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_far_rows_that_cancel_are_never_refined():
+    # 1_O + 1_{p^(10^7) O}: the rows of the two orders cancel, and with
+    # the far coefficient changed only that row is left, at its own
+    # lattice; refining either packet to p^(10^7) would be refused
+    F, psi = setup_field()
+    sp = f_space(F, psi, 1)
+    terms = [(1, (0,), (0,), (0,)), (1, (0,), (10 ** 7,), (0,))]
+    f = WavePacket(sp, terms)
+    start = time.perf_counter()
+    assert f.equals(WavePacket(sp, terms[::-1]))
+    assert not f.equals(WavePacket(sp, [terms[0], (2,) + terms[1][1:]]))
     assert time.perf_counter() - start < 0.1
 
 
