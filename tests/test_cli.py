@@ -1,9 +1,12 @@
 """Command-line interface: JSON in/out, determinism, exit codes."""
 
 import copy
+import errno
 import hashlib
 import inspect
+import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -18,6 +21,7 @@ from padharm.config import RunConfig
 from padharm.dagger import make_dagger_scalar
 from padharm.errors import ScaleExceeded, SchemaError
 from padharm.suites import SUITES, run_suite, suite_flags
+from reach import readme_commands
 
 
 def run_cli(argv, payload=None, tmp_path=None):
@@ -336,6 +340,127 @@ def test_an_out_path_that_cannot_be_written_is_a_schema_error(
     error = json.loads(captured.err)["error"]
     assert error["type"] == "SchemaError"
     assert error["message"].startswith(f"/out: cannot write {out}: ")
+
+
+def _local_factors(tmp_path, capsys):
+    """argv of a small local-factors request, and the bytes it prints."""
+    payload = tmp_path / "payload.json"
+    payload.write_text(json.dumps({"q": 3, "n_max": 2}))
+    argv = ["--payload", str(payload), "local-factors"]
+    assert main(argv) == 0
+    return argv, capsys.readouterr().out.encode()
+
+
+def test_out_holds_the_bytes_stdout_prints(tmp_path, capsys, monkeypatch):
+    # --out is rewritten in place: a longer prior file is trimmed to the
+    # answer and a shorter one is overwritten, and neither leaves a byte
+    # that stdout would not print
+    commands = readme_commands()
+    printed = []
+    for argv, stdin in commands:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert main(argv) == 0, argv
+        printed.append(capsys.readouterr().out.encode())
+    cases = [(argv, stdin, b"junk\n" * (len(text) // 4), text)
+             for (argv, stdin), text in zip(commands, printed)]
+    cases += [(argv, stdin, b"{", text) for argv, stdin, _, text in cases[::6]]
+    out = tmp_path / "out.json"
+    for argv, stdin, prior, text in cases:
+        out.write_bytes(prior)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert main(["--out", str(out)] + argv) == 0, argv
+        assert out.read_bytes() == text, argv
+    assert capsys.readouterr().out == ""
+
+
+def test_an_existing_out_file_is_not_emptied_first(tmp_path, capsys,
+                                                   monkeypatch):
+    argv, printed = _local_factors(tmp_path, capsys)
+    out = tmp_path / "out.json"
+    out.write_bytes(b"x" * 20000)
+    flags, real_open = [], os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        if os.fspath(path) == str(out):
+            flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    assert main(["--out", str(out)] + argv) == 0
+    assert flags and not any(flag & os.O_TRUNC for flag in flags)
+    assert out.read_bytes() == printed
+
+
+@pytest.mark.parametrize("target", ["devnull", "fifo"])
+def test_out_to_a_device_or_a_fifo_exits_0(target, tmp_path, capsys):
+    # neither can be trimmed: a truncate there would fail, and exit 2
+    argv, printed = _local_factors(tmp_path, capsys)
+    if target == "devnull":
+        assert main(["--out", os.devnull] + argv) == 0
+        return
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # the read end is open first, and the answer fits the pipe's buffer,
+    # so the write neither blocks nor needs a second thread
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["--out", str(fifo)] + argv) == 0
+        assert os.read(reader, 1 << 16) == printed
+    finally:
+        os.close(reader)
+
+
+class _UnwritableStream(io.StringIO):
+    """A standard stream whose descriptor was closed and then reused by a
+    file open for reading, as fd 2 is when a shell script started the
+    interpreter with 2>&-: every write fails with EBADF."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
+def test_a_closed_stdin_reads_as_no_payload(tmp_path, capsys, monkeypatch):
+    payload = tmp_path / "payload.json"
+    payload.write_text("{}")
+    assert main(["--payload", str(payload), "local-factors"]) == 0
+    printed = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", None)
+    assert main(["local-factors"]) == 0
+    assert capsys.readouterr().out == printed
+
+
+@pytest.mark.parametrize("stdout", [None, _UnwritableStream()],
+                         ids=["none", "unwritable"])
+def test_a_closed_stdout_is_an_out_schema_error(stdout, tmp_path, capsys,
+                                                monkeypatch):
+    payload = tmp_path / "payload.json"
+    payload.write_text("{}")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["--payload", str(payload), "local-factors"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "SchemaError"
+    assert error["message"] == (
+        f"/out: cannot write stdout: [Errno {errno.EBADF}] "
+        f"{os.strerror(errno.EBADF)}")
+
+
+@pytest.mark.parametrize("stderr", [None, _UnwritableStream()],
+                         ids=["none", "unwritable"])
+def test_a_closed_stderr_keeps_the_exit_code(stderr, tmp_path, capsys,
+                                             monkeypatch):
+    payload = tmp_path / "payload.json"
+    payload.write_text("{}")
+    refused = ["--payload", str(payload), "invariants"]
+    out = tmp_path / "out.json"
+    monkeypatch.setattr(sys, "stderr", stderr)
+    # the error document still reaches --out; only its echo is lost
+    assert main(["--out", str(out)] + refused) == 2
+    error = json.loads(out.read_text())["error"]
+    assert error["message"].startswith("/matrix: ")
+    assert main(refused) == 2
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["--payload", str(payload), "local-factors"]) == 2
+    assert capsys.readouterr() == ("", "")
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
