@@ -1,11 +1,21 @@
 """The cell walk of the rank-2 regular semisimple orbital integral.
 
 `orbital.orbital_rs` integrates over h in GL_2(F) by cells: the cosets
-h + p^M M_2(O) with h = p^lo J in a box of integer matrices J.  This
-module counts, on ints, the cells on which terms of the packet pass
-their coset tests, by a depth-first walk of J's residues that drops a
-residue class as soon as no cell in it can pass;
-`orbital._orbital_rs_cells` builds the scalars from the counts.
+h + p^M M_2(O) with h = p^lo J in a box of integer matrices J, at two
+granularities M and M + 1, the finer one to certify the coarser.  This
+module counts, on ints, the cells of both passes on which terms of the
+packet pass their coset tests, in one depth-first walk of J's residues
+that drops a residue class as soon as no cell in it can pass;
+`orbital._orbital_rs_cells` builds one pass's scalars from its counts.
+
+One walk serves both passes.  With e = M - lo, a cell p^lo J + p^M M_2(O)
+of the M pass is the class of J mod p^e, and a cell of the M + 1 pass
+the class of J mod p^(e + 1); so the cells of the M pass are the
+level-e classes of the M + 1 walk.  The coset tests and the drop rule at
+a level l read l and not M, so every level below e drops the same
+classes in both walks.  Each level-e class is tested twice from one set
+of coordinates: by the full test of the M pass and by the drop rule of
+the M + 1 pass, whose survivors go on to level e + 1 and its full test.
 """
 
 from __future__ import annotations
@@ -32,19 +42,20 @@ def cell_value(f, hits):
     return total
 
 
-def cell_counts(X, f, lo, M, det_window):
-    """The cells J in [0, p^e)^4, e = M - lo, of one pass on which some
-    term of f passes its coset test, with v(det h) = 2 lo + v(det J) in
-    det_window, counted per int key (v(det J), u0, t, n, k): u0 is the
-    unit part of det J mod p, and each passing term t adds 1 under psi's
-    phase n / p^k at the cell, 0 <= n < p^k ((0, 0) for a term with no
-    frequency, or with S = 0 or k <= 0 below).  One term's value
-    coeff_t e(n / p^k) is never zero; a cell on which several pass is
-    dropped when its value (`cell_value`) is zero in Q(zeta).  No
-    Fraction is built per cell.
+def cell_counts(Xi, D, f, lo, M, det_window):
+    """The cells of the passes at granularities M and M + 1, as two
+    Counters: the cells J in [0, p^e)^4, e = M - lo, and in
+    [0, p^(e + 1))^4 on which some term of f passes its coset test, with
+    v(det h) = 2 lo + v(det J) in det_window, each counted per int key
+    (v(det J), u0, t, n, k): u0 is the unit part of det J mod p, and each
+    passing term t adds 1 under psi's phase n / p^k at the cell,
+    0 <= n < p^k ((0, 0) for a term with no frequency, or with S = 0 or
+    k <= 0 below).  One term's value coeff_t e(n / p^k) is never zero; a
+    cell on which several pass is dropped when its value (`cell_value`) is
+    zero in Q(zeta).  No Fraction is built per cell.
 
-    Integer model.  With X = Xi / D (D the positive common denominator of
-    the coordinates) and L = |lo|, every coordinate of
+    Integer model.  X = Xi / D, with D the positive common denominator of
+    the coordinates, and L = |lo|: every coordinate of
     Y = diag(h, 1) X diag(h, 1)^(-1) is an integer N_t over the common
     denominator Den = D det(J) p^L.  The coset test v(Y_t - c_t) >= a_t of
     a packet term with center c_t = cn_t / cd_t becomes the divisibility
@@ -57,7 +68,8 @@ def cell_counts(X, f, lo, M, det_window):
     formula on ints: with G Den = p^w U and k = w - d, the phase is
     n / p^k with n = S U^-1 mod p^k, counted as the pair (n, k) when
     S != 0 and k > 0.  The pair need not be in lowest terms (p may divide
-    n); n / p^k is the phase all the same.
+    n); n / p^k is the phase all the same.  None of this reads M, so the
+    tests and phases are compiled once for both passes.
 
     Pruning.  J is found one residue level at a time, depth first: the
     classes below r mod p^l are r + p^l d mod p^(l + 1), d in [0, p)^4.
@@ -69,14 +81,16 @@ def cell_counts(X, f, lo, M, det_window):
     p^min(k, l).  When p^l does not divide det r, every J = r mod p^l has
     v(det J) = v(det r); otherwise v(det J) >= l, so the window values
     from l up are the candidates.  Such a class is dropped with all it
-    contains; at the last level each cell runs the full test.  Every
-    passing cell is counted once, as by a walk over the whole box, and
-    the walk holds at most e p^4 classes."""
+    contains.  The rule reads the level and not the pass, so the levels
+    below e drop alike for both passes; at level e each class is a cell of
+    the M pass and runs its full test, and the rule decides whether it is
+    refined to level e + 1, where each cell of the M + 1 pass runs its
+    full test.  Every passing cell of each pass is counted once, as by a
+    walk over that pass's whole box, and the walk holds at most
+    (e + 1) p^4 classes."""
     p = f.space.F.p
     e = M - lo
     L = abs(lo)
-    D = lcm(*(x.denominator for x in X))
-    Xi = [x.numerator * (D // x.denominator) for x in X]
     a00, a01, b0, a10, a11, b1, c0, c1, x22 = Xi
     pL = p ** L
     sb = p ** (lo + L)  # scale of the h X column
@@ -146,7 +160,7 @@ def cell_counts(X, f, lo, M, det_window):
         pk = p ** k
         return S * pow(uGD * u, -1, pk) % pk, k
 
-    counts = Counter()
+    passes = (Counter(), Counter())  # the M pass at level e, M + 1 at e + 1
     stack = [(0, (0, 0, 0, 0))]  # (level l, J mod p^l) still to refine
     while stack:
         l, (r11, r12, r21, r22) = stack.pop()
@@ -157,24 +171,27 @@ def cell_counts(X, f, lo, M, det_window):
                                                      repeat=4):
             j11, j12, j21, j22 = r11 + d11, r12 + d12, r21 + d21, r22 + d22
             dJ = j11 * j22 - j12 * j21
-            if l < e:
+            N = None
+            if l <= e:
+                # the drop rule of the M + 1 walk, and of the M walk below e
                 dl = dJ % pl
                 if dl:
                     candidates = tests.get(val_p(dl, p))
                 else:
                     candidates = [cs for vj, c in tests.items() if vj >= l
                                   for cs in c]
-                if not candidates:
-                    continue
-                N = coords(j11, j12, j21, j22, dJ)
-                for checks in candidates:
-                    for t, cd, cnD, m in checks:
-                        if (N[t] * cd - cnD * dJ) % (m if m < pl else pl):
+                if candidates:
+                    N = coords(j11, j12, j21, j22, dJ)
+                    for checks in candidates:
+                        for t, cd, cnD, m in checks:
+                            if (N[t] * cd - cnD * dJ) % (m if m < pl else pl):
+                                break
+                        else:
+                            stack.append((l, (j11, j12, j21, j22)))
                             break
-                    else:
-                        stack.append((l, (j11, j12, j21, j22)))
-                        break
-                continue
+                if l < e:
+                    continue
+            # a cell of the pass at level l: the M pass at e, M + 1 at e + 1
             if dJ == 0:
                 # singular J: v(det J) is past the window by the choice of M
                 continue
@@ -182,7 +199,8 @@ def cell_counts(X, f, lo, M, det_window):
             compiled = tests.get(vj)
             if compiled is None:
                 continue
-            N = coords(j11, j12, j21, j22, dJ)
+            if N is None:
+                N = coords(j11, j12, j21, j22, dJ)
             hits = []
             for t, checks in enumerate(compiled):
                 for s, cd, cnD, m in checks:
@@ -192,6 +210,7 @@ def cell_counts(X, f, lo, M, det_window):
                     hits.append((t, phase(t, N, vj, u)))
             if not hits or len(hits) > 1 and cell_value(f, hits).is_zero():
                 continue
+            counts = passes[l - e]
             for t, (n, k) in hits:
                 counts[vj, u % p, t, n, k] += 1
-    return counts
+    return passes

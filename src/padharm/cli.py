@@ -63,6 +63,7 @@ from .dagger import (
 )
 from .orbital import (
     GERM_POINTS,
+    check_descent_level,
     default_germ_level,
     germ_constant_check,
     orbital_nilpotent,
@@ -486,6 +487,8 @@ def cmd_germ_check(config, payload):
                         "/points", functools.partial(parse_list, length=3))
     if not points:
         raise SchemaError("/points: expected a nonempty list of [x1, y1, y0]")
+    # the level rule before the dagger scalar, whose p^(2m) grows with m
+    check_descent_level(m, r)
     phi = make_dagger_scalar(ext, psi, m)
     rep = germ_constant_check(ext, psi, config.eta(), config.eta_prime(),
                               phi, r, points)
@@ -511,6 +514,8 @@ def cmd_theorem_germ_gl(config, payload):
     omega_tau = read_int(payload.get("omega_tau", 1), "/omega_tau")
     if omega_tau not in (1, -1):
         raise SchemaError("/omega_tau: expected 1 or -1")
+    # the level rule before the dagger scalar, whose p^(2m) grows with m
+    check_descent_level(m, r)
     phi = make_dagger_scalar(ext, psi, m)
     rep = theorem_germ_gl(ext, psi, config.eta(), phi, r, omega_tau=omega_tau)
     return {

@@ -31,7 +31,7 @@ the entry x_ij is stored at position (j,i).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .cells import cell_counts
 from .config import charge
@@ -43,7 +43,7 @@ from .errors import (
     NotRegularSemisimple,
 )
 from .matrices import mat
-from .padic import val_p
+from .padic import strip_p, val_p
 from .qrational import QRational, geometric_tail
 from .spaces import (
     WavePacket,
@@ -318,16 +318,24 @@ def _delta_plus_2x2(x):
     return (au0, u0, au1, u1), au0 * u1 - u0 * au1
 
 
-def _delta_plus_val_window(f, X, p):
+def _delta_plus_val_window(f, Xi, D, p):
     """Certify that Delta_+ has constant valuation on each term of supp f
     and return {v(Delta_+(X)) - vd} U entry bounds via the section
     delta_+: h = delta_+(Y) delta_+(X)^(-1), det h = Delta_+(Y)/Delta_+(X).
-    delta_+(X) is 2x2, so its adjugate has its entries up to sign."""
-    entries, dX = _delta_plus_2x2(X)
+    delta_+(X) is 2x2, so its adjugate has its entries up to sign.
+
+    On ints: X = Xi / D, and Delta_+ is a cubic in the six entries of A
+    and u, so delta_+(Xi) holds (Au)_i D^2 and u_i D, and
+    Delta_+(Xi) = D^3 Delta_+(X); a term's center is read the same way
+    over the common denominator of its six entries."""
+    entries, dX = _delta_plus_2x2(Xi)
     if dX == 0:
         raise NotRegularSemisimple("Delta_+(X) = 0")
-    vdX = val_p(dX, p)
-    lo_adj = min(val_p(t, p) for t in entries if t != 0)
+    vD, _ = strip_p(D, p)
+    vdX = val_p(dX, p) - 3 * vD
+    # (Au)_i at even positions carry D^2, u_i at odd ones D
+    lo_adj = min(val_p(t, p) - (2 - i % 2) * vD
+                 for i, t in enumerate(entries) if t != 0)
 
     windows = set()
     floors = []
@@ -336,13 +344,14 @@ def _delta_plus_val_window(f, X, p):
         # `WavePacket.support_floor`; the box floor reads all nine
         vals = [val_pair(x, p) if x[0] else a for x, a in zip(C, exps)]
         floors.append(min(vals))
-        _, dY = _delta_plus_2x2([Fraction(n, d) for n, d in C])
+        Dc = lcm(*(d for _, d in C[:6]))
+        _, dY = _delta_plus_2x2([n * (Dc // d) for n, d in C[:6]])
         # Delta_+ is an integer-coefficient cubic in the six entries of A
         # and u alone: perturbing them by p^a_min moves it inside
         # p^(a_min + 2 min(0, c_min)), c_min their least valuation
         a_min, c_min = min(exps[:6]), min(vals[:6])
         bound = a_min + 2 * min(0, c_min)
-        vdY = val_p(dY, p) if dY else bound
+        vdY = val_p(dY, p) - 3 * strip_p(Dc, p)[0] if dY else bound
         if vdY >= bound:
             raise NotInDomain(
                 "Delta_+ valuation is not certified constant on the support"
@@ -358,8 +367,12 @@ def orbital_rs(X, f, eta):
     The support of f must have certified-constant Delta_+ valuations; the
     determinant of h is then pinned to a finite window, the box of entry
     valuations is rigorous, and exactness is certified by computing at two
-    granularities (`_orbital_rs_cells`).  The run's coset limit is charged
-    for the nominal box of the larger pass, whatever the cell walk prunes."""
+    granularities M and M + 1 and comparing the two sums.  X is read once
+    as int numerators Xi over one denominator D, which the Delta_+
+    certificate and the cell walk share; one walk (`cells.cell_counts`)
+    counts the cells of both passes, and `_orbital_rs_cells` builds each
+    pass from its counts.  The run's coset limit is charged for the
+    nominal box of the larger pass, whatever the cell walk prunes."""
     _require_quadratic(eta)
     k = _matrix_dim(f.space)
     if k == 2:
@@ -370,17 +383,20 @@ def orbital_rs(X, f, eta):
     p = f.space.F.p
     if not f.rows:
         return OrbitalResult([], {"n": 2})
-    windows, vdX, lo_adj, m0 = _delta_plus_val_window(f, X, p)
+    D = lcm(*(x.denominator for x in X))
+    Xi = [x.numerator * (D // x.denominator) for x in X]
+    windows, vdX, lo_adj, m0 = _delta_plus_val_window(f, Xi, D, p)
     det_window = {vd - vdX for vd in windows}
     mu = min(0, m0)
     lo = (m0 + mu) + lo_adj - vdX  # h = delta_+(Y) adj(delta_+(X)) / Delta_+(X)
     # every coordinate but x33, which diag(h, 1) fixes
     L = max(f.level(t) for t in range(8))
     M = max(lo + 1, L + max(0, -2 * lo), max(det_window) + 1)
-    # the certificate pass at M + 1 is the larger one: refuse before either
+    # the certificate pass at M + 1 is the larger one: refuse before the walk
     charge(p, [4 * (M + 1 - lo)], "rank-2 cell budget")
-    first = _orbital_rs_cells(X, f, eta, lo, M, det_window)
-    second = _orbital_rs_cells(X, f, eta, lo, M + 1, det_window)
+    counts, finer = cell_counts(Xi, D, f, lo, M, det_window)
+    first = _orbital_rs_cells(f, eta, lo, M, counts)
+    second = _orbital_rs_cells(f, eta, lo, M + 1, finer)
     if not (first == second):
         raise NotInDomain("cell enumeration failed the refinement check")
     first.metadata.update({"n": 2, "box_floor": lo, "granularity": M,
@@ -395,22 +411,31 @@ def _cell_volume(p, d, M):
     return sqrt_rational_power(p, -8 * M - 4 * d)
 
 
-def _orbital_rs_cells(X, f, eta, lo, M, det_window):
-    """One granularity pass of the rank-2 cell enumeration: the cells of h
-    are p^M M_2(O) cosets of h = p^lo J with J an integer matrix in
-    [0, p^(M - lo))^4, each weighted by eta(det h) |det h|^(-2) and
-    collected by v(det h) in det_window.
+def _times_p_power(c, p, v):
+    """c p^v for an int c: an int when v >= 0, else a Fraction over
+    p^-v."""
+    return c * p ** v if v >= 0 else Fraction(c, p ** -v)
 
-    `cells.cell_counts` counts the cells of nonzero value on which terms
-    of f pass their exact coset tests, per int key (v(det J), u0, term,
-    n, k): psi's phase n / p^k of each passing term, and the unit part u0
-    of det J mod p; its docstring proves that the classes it drops hold
-    no such cell.  f at a cell is sum_t coeff_t e(n_t / p^k_t)
-    (`cells.cell_value`), and eta is tame, so eta(det h) depends only on
-    v(det J) and u0.  Per distinct key the pass builds eta's phase, the
-    root of unity of the summed phase (`root_of_unity_ratio`, on ints) and
-    the product; each cell has the volume `_cell_volume`.  So a pass adds
-    exactly the nonzero cell values of a Fraction enumeration of the box.
+
+def _orbital_rs_cells(f, eta, lo, M, counts):
+    """One granularity pass of the rank-2 cell enumeration, built from its
+    cell counts: the cells of h are p^M M_2(O) cosets of h = p^lo J with J
+    an integer matrix in [0, p^(M - lo))^4, each weighted by
+    eta(det h) |det h|^(-2) and collected by v(det h) in the window.
+
+    `counts` is this pass's Counter from `cells.cell_counts`, which counts
+    the cells of nonzero value on which terms of f pass their exact coset
+    tests, per int key (v(det J), u0, term, n, k): psi's phase n / p^k of
+    each passing term, and the unit part u0 of det J mod p; its docstring
+    proves that the classes it drops hold no such cell.  f at a cell is
+    sum_t coeff_t e(n_t / p^k_t) (`cells.cell_value`), and eta is tame, so
+    eta(det h) depends only on vd = v(det h) = 2 lo + v(det J) and u0.
+    Per distinct key the pass builds eta's phase at the int or p-power
+    Fraction u0 p^vd, the root of unity of the summed phase
+    (`root_of_unity_ratio`, on ints) and the product with the weight
+    count p^(2 vd); each cell has the volume `_cell_volume`.  So a pass
+    adds exactly the nonzero cell values of a Fraction enumeration of the
+    box.
 
     Bytes.  A CyclotomicScalar prints as its exponents k / n and
     coefficients c / den in lowest terms: an element of the group ring
@@ -440,8 +465,6 @@ def _orbital_rs_cells(X, f, eta, lo, M, det_window):
     c are integral, as at every pinned input; elsewhere the M + 1 pass
     checks it."""
     p = f.space.F.p
-    q = Fraction(p)
-    counts = cell_counts(X, f, lo, M, det_window)
     vol = _cell_volume(p, f.space.psi.d, M)
     eta_phases = {}
     pairs = {}
@@ -449,13 +472,13 @@ def _orbital_rs_cells(X, f, eta, lo, M, det_window):
         vd = 2 * lo + vj
         r = eta_phases.get((vj, u0))
         if r is None:
-            r = eta_phases[vj, u0] = eta.phase(u0 * q ** vd)
+            r = eta_phases[vj, u0] = eta.phase(_times_p_power(u0, p, vd))
         # e(n / p^k + r) on ints: r = a / b is eta's phase
         pk, b = p ** k, r.denominator
         c = (f.rows[t][0]
              * CyclotomicScalar.root_of_unity_ratio(
                  n * b + r.numerator * pk, pk * b)
-             * (count * q ** (2 * vd)))
+             * _times_p_power(count, p, 2 * vd))
         pairs[vd] = pairs.get(vd, CyclotomicScalar.zero()) + c
     out = []
     for vd, c in pairs.items():
@@ -520,8 +543,10 @@ def default_germ_level(m):
     return 2 * m + 1
 
 
-def _check_descent_level(m, r):
-    """The descent of a level-m dagger scalar needs the level r >= 2m."""
+def check_descent_level(m, r):
+    """The descent of a level-m dagger scalar needs the level r >= 2m.
+    Cheap in m and r, so a command checks it before it builds the dagger
+    scalar, whose coefficients hold p^(2m)."""
     if r < max(2 * m, m + 1):
         raise InvalidLevel("need r >= 2m for translation invariance")
 
@@ -535,7 +560,7 @@ def f_psi_natural(ext, psi, phi_data, r):
     int phi-(w) 1_{p^r}(x12 + w) dw in the (1,2) slot, all times
     c(Psi+) and the descent normalization."""
     m = phi_data.m
-    _check_descent_level(m, r)
+    check_descent_level(m, r)
     base = f_natural(ext, psi, r)
     (c0, _, _, _), = base.rows
     phi_minus = _phi_minus_packet(phi_data)
@@ -616,7 +641,7 @@ def theorem_germ_gl(ext, psi, eta, phi_data, r, omega_tau=1):
     machinery with all descent constants)."""
     # the level rule first, then the charged shell sum of the spectral
     # side, then mu, which nothing charges
-    _check_descent_level(phi_data.m, r)
+    check_descent_level(phi_data.m, r)
     lhs = spherical_rhs(ext, psi, eta, phi_data, omega_tau=omega_tau)
     mu = mu_via_nilpotent(ext, psi, eta, phi_data, r)
     rhs = mu * Fraction(omega_tau)

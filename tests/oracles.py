@@ -37,6 +37,10 @@ another way:
   cell with its hits, its coset tests as ``all``/``any`` generators,
   and ``cell_counts_of`` counts its cells, against ``cells.cell_counts``,
   which counts inside the walk with early-exit loops;
+* ``delta_plus_val_window_of`` is the Delta_+ certificate of rank-2
+  ``orbital_rs`` in Fraction arithmetic, against
+  ``orbital._delta_plus_val_window``, which reads X and each center as
+  int numerators over one denominator;
 * ``charpoly_plus_leibniz`` expands det(T*1 + A) by Leibniz over R[T],
   signing each permutation by its cycles, against Berkowitz's recursion
   in ``matrices.charpoly_plus``; ``det_laplace`` expands along the first
@@ -57,10 +61,15 @@ from math import gcd, lcm
 from padharm.cells import cell_value
 from padharm.cyclotomic import CyclotomicScalar
 from padharm.dagger import shell_valuation
-from padharm.errors import NotInDomain, PoleAtEvaluationPoint
+from padharm.errors import (
+    NotInDomain,
+    NotRegularSemisimple,
+    PoleAtEvaluationPoint,
+)
 from padharm.matrices import QuadExtRing, det, mat, mat_mul
 from padharm.orbital import (
     OrbitalResult,
+    _delta_plus_2x2,
     _inv_vol,
     _phi_minus_packet,
     _require_quadratic,
@@ -68,7 +77,7 @@ from padharm.orbital import (
 )
 from padharm.padic import strip_p, val_p
 from padharm.qrational import _gcd, _lowest, _quo, _trim
-from padharm.spaces import e_space, f_space, matrix_space_e
+from padharm.spaces import e_space, f_space, matrix_space_e, val_pair
 
 
 def f_natural_direct(ext, psi, eta_prime, r, X):
@@ -756,6 +765,36 @@ def cell_counts_of(X, f, lo, M, det_window):
         for t, (n, k) in hits:
             counts[vj, u0, t, n, k] += 1
     return counts
+
+
+def delta_plus_val_window_of(f, X, p):
+    """The Delta_+ certificate of rank-2 `orbital_rs` on Fractions: the
+    windows {v(Delta_+(Y))} over the terms, v(Delta_+(X)), the least
+    valuation of a nonzero entry of delta_+(X) and the least row floor,
+    or the refusal `NotRegularSemisimple` (Delta_+(X) = 0) or
+    `NotInDomain` (a term's Delta_+ valuation is not certified
+    constant)."""
+    entries, dX = _delta_plus_2x2(X)
+    if dX == 0:
+        raise NotRegularSemisimple("Delta_+(X) = 0")
+    vdX = val_p(dX, p)
+    lo_adj = min(val_p(t, p) for t in entries if t != 0)
+
+    windows = set()
+    floors = []
+    for _, C, exps, _ in f.rows:
+        vals = [val_pair(x, p) if x[0] else a for x, a in zip(C, exps)]
+        floors.append(min(vals))
+        _, dY = _delta_plus_2x2([Fraction(n, d) for n, d in C])
+        a_min, c_min = min(exps[:6]), min(vals[:6])
+        bound = a_min + 2 * min(0, c_min)
+        vdY = val_p(dY, p) if dY else bound
+        if vdY >= bound:
+            raise NotInDomain(
+                "Delta_+ valuation is not certified constant on the support"
+            )
+        windows.add(vdY)
+    return windows, vdX, lo_adj, min(floors)
 
 
 def _perm_sign(perm):

@@ -586,6 +586,23 @@ def test_a_long_rank_1_shell_range_is_refused_in_bounded_memory(tmp_path,
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("command", ["germ-check", "theorem-germ-gl"])
+def test_germ_commands_refuse_a_low_level_before_the_dagger_scalar(
+        command, p, tmp_path, capsys):
+    # m = 10^6: the dagger scalar holds p^(2m), which took 18-39 s to build
+    # before the rule r >= max(2m, m + 1) was checked
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": p}))
+    start = time.perf_counter()
+    code, _ = run_cli(["--config", str(cfg), command],
+                      {"m": 10 ** 6, "r": 3}, tmp_path)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["message"] == "need r >= 2m for translation invariance"
+
+
 def test_germ_check_refuses_a_low_level_before_any_shell_work(
         tmp_path, capsys, monkeypatch):
     real = spaces.charge

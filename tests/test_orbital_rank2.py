@@ -1,10 +1,13 @@
 """The rank-2 cell kernel of orbital_rs against three oracles: the
 Fraction enumeration, the integer enumeration of the whole box without
-pruning, and the per-cell walk whose cells are counted outside it.  Also
-each cell value against f.evaluate, the Delta_+ window against the
-matrix route, a frozen value at the local-constancy base point, and the
-cell budget refusal, and the granularity that `WavePacket.level` reads off
-frequencies against the coordinates h moves."""
+pruning, and the per-cell walk whose cells are counted outside it, which
+checks the counts of both passes of the one walk, each at its own
+granularity.  Also each cell value against f.evaluate, the Delta_+
+window against the matrix route and the integer certificate against the
+Fraction one, the residue classes the walk tests, a frozen value at the
+local-constancy base point, and the cell budget refusal, and the
+granularity that `WavePacket.level` reads off frequencies against the
+coordinates h moves."""
 
 import hashlib
 import itertools
@@ -12,24 +15,30 @@ import json
 import random
 from fractions import Fraction
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padharm import orbital
+from padharm import cells, orbital
 from padharm.cells import cell_counts, cell_value
 from padharm.characters import AdditiveCharacter, eta_for_extension
 from padharm.cli import main
 from padharm.config import RunConfig
 from padharm.cyclotomic import CyclotomicScalar
-from padharm.errors import ScaleExceeded
+from padharm.errors import NotInDomain, NotRegularSemisimple, ScaleExceeded
 from padharm.matrices import Delta_plus, FractionRing, delta_plus, section_sigma
 from padharm.orbital import OrbitalResult, _orbital_rs_cells, orbital_rs
 from padharm.padic import FieldContext, QuadExtContext, val_p
 from padharm.qrational import QRational
 from padharm.spaces import WavePacket, f_space, matrix_space_f
 
-from oracles import cell_counts_of, passing_cells, result_difference
+from oracles import (
+    cell_counts_of,
+    delta_plus_val_window_of,
+    passing_cells,
+    result_difference,
+)
 
 P = 3
 F = FieldContext(P)
@@ -171,16 +180,25 @@ def integer_cells(X, f, eta, lo, M, det_window, budget):
     return OrbitalResult(out, {"variable": "q^-s"})
 
 
+def over_one_denominator(X):
+    """(Xi, D): X as int numerators over its least common denominator."""
+    D = lcm(*(x.denominator for x in X))
+    return [x.numerator * (D // x.denominator) for x in X], D
+
+
 def assert_same_counts(X, f, lo, M, det_window):
-    # the walk's counts against those of the per-cell oracle's cells
-    got = cell_counts(X, f, lo, M, det_window)
-    assert got == cell_counts_of(X, f, lo, M, det_window)
+    # the one walk's counts of the M and M + 1 passes, each against those
+    # of the per-cell oracle's cells at its own granularity
+    got = cell_counts(*over_one_denominator(X), f, lo, M, det_window)
+    assert len(got) == 2
+    for counts, g in zip(got, (M, M + 1)):
+        assert counts == cell_counts_of(X, f, lo, g, det_window)
     return got
 
 
 def assert_same_cells(X, f, eta, lo, M, det_window, oracle=reference_cells):
-    assert_same_counts(X, f, lo, M, det_window)
-    got = _orbital_rs_cells(X, f, eta, lo, M, det_window)
+    counts, _ = assert_same_counts(X, f, lo, M, det_window)
+    got = _orbital_rs_cells(f, eta, lo, M, counts)
     want = oracle(X, f, eta, lo, M, det_window, 10 ** 6)
     assert repr(got.pairs) == repr(want.pairs)
     assert got.metadata == want.metadata
@@ -443,11 +461,20 @@ def test_cell_volume_is_the_four_dim_lattice_volume(p, d):
 @settings(max_examples=50, deadline=None)
 @given(X=st.tuples(*[small_rationals] * 9))
 def test_closed_form_delta_plus_is_the_matrix_route(X):
+    # on the int numerators Xi = D X: (Au)_i carries D^2, u_i carries D
+    # and Delta_+ carries D^3
     R = FractionRing()
     Xm = [list(X[0:3]), list(X[3:6]), list(X[6:9])]
-    entries, dX = orbital._delta_plus_2x2(X)
-    assert entries == tuple(e for row in delta_plus(R, Xm) for e in row)
-    assert dX == Delta_plus(R, Xm)
+    Xi, D = over_one_denominator(X)
+    entries, dX = orbital._delta_plus_2x2(Xi)
+    assert all(type(e) is int for e in entries) and type(dX) is int
+    scaled = tuple(Fraction(e, D ** (2 - i % 2)) for i, e in enumerate(entries))
+    assert scaled == tuple(e for row in delta_plus(R, Xm) for e in row)
+    assert Fraction(dX, D ** 3) == Delta_plus(R, Xm)
+
+
+def delta_plus_window(f, X):
+    return orbital._delta_plus_val_window(f, *over_one_denominator(X), P)
 
 
 def test_box_floor_is_the_least_row_floor():
@@ -455,11 +482,52 @@ def test_box_floor_is_the_least_row_floor():
     # diag(1/p, 1) has x12 = 1/p; each row's Delta_+ is certified
     twisted = _conjugate_by([[Fraction(1, P), 0], [0, 1]], BASE)
     rows = [(1, BASE, (1,) * 9, (0,) * 9), (1, twisted, (2,) * 9, (0,) * 9)]
-    floors = [orbital._delta_plus_val_window(WavePacket(SPACE, [row]), BASE,
-                                             P)[3] for row in rows]
+    floors = [delta_plus_window(WavePacket(SPACE, [row]), BASE)[3]
+              for row in rows]
     assert floors == [0, -1]
-    got = orbital._delta_plus_val_window(WavePacket(SPACE, rows), BASE, P)
+    got = delta_plus_window(WavePacket(SPACE, rows), BASE)
     assert got == ({0, -1}, 0, 0, -1)
+
+
+def certificate_outcome(window, *args):
+    """The certificate's return value, or the class and message of its
+    refusal."""
+    try:
+        return window(*args)
+    except (NotRegularSemisimple, NotInDomain) as exc:
+        return type(exc), str(exc)
+
+
+def certificate_rationals(low):
+    # n / d p^k with d prime to p or not, so that D is a unit, a power of
+    # p or neither; n = 0 now and then, so that Delta_+(X) or a center's
+    # Delta_+ may vanish
+    return st.builds(lambda n, d, k: Fraction(n, d) * Fraction(P) ** k,
+                     st.integers(-9, 9), st.sampled_from((1, 2)),
+                     st.integers(low, 2))
+
+
+# integral points and points with p^-2 in them; a row's exponents one
+# value, as at the suites' packets, or one per coordinate.  About one case
+# in ten is certified; the rest meet one of the two refusals
+certificate_points = st.one_of(st.tuples(*[certificate_rationals(0)] * 9),
+                               st.tuples(*[certificate_rationals(-2)] * 9))
+certificate_exps = st.one_of(st.integers(-1, 6).map(lambda a: (a,) * 9),
+                             st.tuples(*[st.integers(0, 5)] * 9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(X=certificate_points,
+       rows=st.lists(st.tuples(certificate_points, certificate_exps),
+                     min_size=1, max_size=3))
+def test_integer_certificate_is_the_fraction_one(X, rows):
+    # the same windows, v(Delta_+(X)), lo_adj and floor, or the same
+    # refusal, from ints over one denominator as from Fractions
+    f = WavePacket(SPACE, [(1, C, exps, (0,) * 9) for C, exps in rows])
+    if not f.rows:
+        return
+    got = certificate_outcome(delta_plus_window, f, X)
+    assert got == certificate_outcome(delta_plus_val_window_of, f, X, P)
 
 
 # OrbitalResult equality against the difference that `result_difference`
@@ -544,8 +612,8 @@ def test_local_constancy_at_other_extensions(p, delta, twisted):
     base = orbital_rs(BASE, f, eta)
     assert base.pairs
     assert base.metadata["granularity"] == 1
-    for M in (1, 2):
-        assert_same_counts(BASE, f, 0, M, set(base.metadata["det_window"]))
+    # the walk's two passes, at granularities 1 and 2
+    assert_same_counts(BASE, f, 0, 1, set(base.metadata["det_window"]))
     want = reference_cells(BASE, f, eta, 0, 1, set(base.metadata["det_window"]),
                            10 ** 6)
     assert repr(base.pairs) == repr(want.pairs)
@@ -563,6 +631,7 @@ def test_certificate_pass_refused_before_any_cell(monkeypatch):
         calls.append(args)
         raise AssertionError("no cell pass may run")
 
+    monkeypatch.setattr(orbital, "cell_counts", counting_cells)
     monkeypatch.setattr(orbital, "_orbital_rs_cells", counting_cells)
     f = WavePacket.indicator(SPACE, 2, center=BASE)
     # M = 2: 3^8 = 6561 cells in the answer pass, 3^12 = 531441 in the
@@ -573,8 +642,8 @@ def test_certificate_pass_refused_before_any_cell(monkeypatch):
 
 
 def test_cli_refuses_lattice_exponent_two_with_exit_3(tmp_path, monkeypatch):
-    monkeypatch.setattr(orbital, "_orbital_rs_cells",
-                        lambda *args: pytest.fail("a cell pass ran"))
+    monkeypatch.setattr(orbital, "cell_counts",
+                        lambda *args: pytest.fail("the cell walk ran"))
     X = [str(x) for x in BASE]
     payload = {"X": X, "f": {"space": {"kind": "matrix-f", "k": 3},
                              "terms": [{"coeff": 1, "exps": [2] * 9,
@@ -583,6 +652,24 @@ def test_cli_refuses_lattice_exponent_two_with_exit_3(tmp_path, monkeypatch):
     path.write_text(json.dumps(payload))
     assert main(["--payload", str(path), "--out", str(tmp_path / "out.json"),
                  "oi-rs"]) == 3
+
+
+def test_the_readme_point_tests_162_residue_classes(monkeypatch):
+    # the README rank-2 packet at M = 1: one walk tests the 81 level-1
+    # classes once, for the M-pass cells and the M + 1 drop rule, and the
+    # 81 classes below the one that survives; a walk per pass tested the
+    # level-1 classes twice, 243 in all
+    tested = []
+
+    def product(*args, **kwargs):
+        for residue in itertools.product(*args, **kwargs):
+            tested.append(residue)
+            yield residue
+
+    monkeypatch.setattr(cells, "itertools", SimpleNamespace(product=product))
+    got = orbital_rs(BASE, packet(BASE, 1, True), ETA[2])
+    assert got.metadata["granularity"] == 1
+    assert len(tested) == 162
 
 
 # cli-queries' planned refusal: rank-2 oi-rs with exps [2] * 9 at a

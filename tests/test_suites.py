@@ -114,8 +114,8 @@ def test_the_readme_suite_table_matches_the_registry():
 @pytest.mark.parametrize("suite", ["germ", "theorem-germ-gl"])
 def test_the_germ_suites_default_to_level_2m_plus_1(suite, monkeypatch):
     levels = []
-    check = orbital._check_descent_level
-    monkeypatch.setattr(orbital, "_check_descent_level",
+    check = orbital.check_descent_level
+    monkeypatch.setattr(orbital, "check_descent_level",
                         lambda m, r: levels.append(r) or check(m, r))
     assert run_suite(suite, m=2)["passed"]
     assert set(levels) == {5}
