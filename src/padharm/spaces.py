@@ -43,7 +43,9 @@ ints, so the calculus on rows builds no `Fraction`.  Fractions appear
 only at its edges: the points read from outside (`evaluate`, `shift`),
 the points `shell_integrals` moves along a line, and `riemann_fourier`,
 the one reader of the `terms` view, which it reads with `Space.pair`
-and psi, so it stays an independent route.
+and psi, so it stays an independent route.  As psi is additive, it adds
+a cell's two pairings, counts the cells of a term per sum, and
+multiplies by coeff * volume once per term.
 
 Work is priced by `config.charge` alone, before the loop that does it:
 the public constructor charges its input terms, the product and
@@ -55,8 +57,9 @@ cells over all terms and `shell_integrals` its shells and unit cosets.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import itemgetter
 
@@ -70,24 +73,35 @@ _new = object.__new__
 _by_key = itemgetter(0)
 
 
+@lru_cache(maxsize=256)
+def _checked_pairing(p, weights, pairing):
+    """(weights, pairing, _wv, _w) of a Space over a field of residue
+    characteristic p, checked once per distinct input: the weights as
+    Fractions, the pairing (the identity when None), the valuations and
+    the int pairs of the weights.  A bad input raises SchemaError, which
+    the cache does not keep, so it raises on every call."""
+    weights = tuple(Fraction(c) for c in weights)
+    n = len(weights)
+    pairing = pairing if pairing is not None else tuple(range(n))
+    if sorted(pairing) != list(range(n)):
+        raise SchemaError("pairing is not a permutation")
+    for i, j in enumerate(pairing):
+        if pairing[j] != i or weights[j] != weights[i]:
+            raise SchemaError("pairing must be a weight-preserving involution")
+    if any(c == 0 for c in weights):
+        raise SchemaError("pairing weights must be nonzero")
+    return (weights, pairing, tuple(val_p(c, p) for c in weights),
+            tuple((c.numerator, c.denominator) for c in weights))
+
+
 class Space:
     __slots__ = ("F", "psi", "weights", "pairing", "_wv", "_w")
 
     def __init__(self, F, psi, weights, pairing=None):
         self.F = F
         self.psi = psi
-        self.weights = tuple(Fraction(c) for c in weights)
-        n = len(self.weights)
-        self.pairing = tuple(pairing) if pairing is not None else tuple(range(n))
-        if sorted(self.pairing) != list(range(n)):
-            raise SchemaError("pairing is not a permutation")
-        for i, j in enumerate(self.pairing):
-            if self.pairing[j] != i or self.weights[j] != self.weights[i]:
-                raise SchemaError("pairing must be a weight-preserving involution")
-        if any(c == 0 for c in self.weights):
-            raise SchemaError("pairing weights must be nonzero")
-        self._wv = tuple(val_p(c, F.p) for c in self.weights)
-        self._w = tuple((c.numerator, c.denominator) for c in self.weights)
+        self.weights, self.pairing, self._wv, self._w = _checked_pairing(
+            F.p, tuple(weights), None if pairing is None else tuple(pairing))
 
     @property
     def dim(self):
@@ -151,12 +165,12 @@ class Space:
 
 
 def f_space(F, psi, dim):
-    return Space(F, psi, (Fraction(1),) * dim)
+    return Space(F, psi, (1,) * dim)
 
 
 def e_space(ext, psi, dim):
     """E^dim: coordinates come in (plus, minus) pairs with weights (1, delta)."""
-    return Space(ext.F, psi, (Fraction(1), ext.delta) * dim)
+    return Space(ext.F, psi, (1, ext.delta) * dim)
 
 
 def e_minus_space(ext, psi, dim):
@@ -171,14 +185,14 @@ def transposition(k):
 
 def matrix_space_f(F, psi, k):
     """M_k(F) with pairing tr(XY): couples (i,j) with (j,i)."""
-    return Space(F, psi, (Fraction(1),) * (k * k), transposition(k))
+    return Space(F, psi, (1,) * (k * k), transposition(k))
 
 
 def matrix_space_e(ext, psi, k):
     """M_k(E) with pairing psi_E(tr(XY)): per entry (plus, minus) weight
     (1, delta), transposition on both parts."""
     pairing = tuple(2 * t + h for t in transposition(k) for h in (0, 1))
-    return Space(ext.F, psi, (Fraction(1), ext.delta) * (k * k), pairing)
+    return Space(ext.F, psi, (1, ext.delta) * (k * k), pairing)
 
 
 def s_space(ext, psi, k):
@@ -579,6 +593,11 @@ def riemann_fourier(f, w):
 
     Independent oracle for WavePacket.fourier: chops each term's coset into
     cells on which the integrand is constant and adds cell value * volume.
+    psi is additive, so a cell's value is psi(<f0, x> + <x, w>): a term
+    counts its cells per sum, kept as an unreduced int pair (a Fraction
+    sum and its hash per cell cost as much as the two values of psi they
+    replace), and adds psi of each sum times its count, times coeff *
+    volume once.
     """
     sp = f.space
     p = sp.F.p
@@ -608,10 +627,15 @@ def riemann_fourier(f, w):
             [x0[i] + Fraction(j * p ** a[i]) for j in range(counts[i])]
             for i in range(sp.dim)
         ]
-        cv = coeff * vol
+        sums = Counter()
         for pt in itertools.product(*ranges):
-            phase = sp.psi(sp.pair(f0, pt)) * sp.psi(sp.pair(pt, w))
-            total = total + cv * phase
+            x, y = sp.pair(f0, pt), sp.pair(pt, w)
+            sums[x.numerator * y.denominator + y.numerator * x.denominator,
+                 x.denominator * y.denominator] += 1
+        cells = CyclotomicScalar.zero()
+        for (num, den), count in sums.items():
+            cells = cells + sp.psi(Fraction(num, den)) * count
+        total = total + coeff * vol * cells
     return total
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: JSON in/out, determinism, exit codes."""
 
+import contextlib
 import copy
 import errno
 import hashlib
@@ -14,6 +15,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padharm import cli, orbital, spaces
 from padharm.cli import main
@@ -1160,3 +1163,46 @@ def test_transfer_factor_prints_exact_invariants(matrix, invariants, tmp_path,
     code, doc = _call("transfer-factor", {"matrix": matrix}, tmp_path, capsys)
     assert code == 0
     assert doc["result"]["invariants"] == invariants
+
+
+# str with quotes, backslashes, control characters, DEL, non-ASCII, a
+# line separator, an astral character and a lone surrogate, mixed with
+# arbitrary text
+_TEXT = st.text(alphabet=st.sampled_from(
+    '"\\/\x00\x01\x08\t\n\x0c\r\x1f\x7f\xe9\u2028\U0001f600\ud800ab')
+    | st.characters(), max_size=12)
+_LEAVES = (st.none() | st.booleans() | _TEXT | st.integers()
+           | st.integers(min_value=-10 ** 60, max_value=10 ** 60))
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_TEXT, kids, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_the_json_writer_is_json_dumps(obj):
+    # the printed text is json.dumps(sort_keys=True, indent=2) byte for
+    # byte: nested and empty containers, tuples, escapes, bignums
+    want = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert cli.json_text(obj) + "\n" == want
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._emit(obj, None)
+    assert out.getvalue() == want
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, float("nan"), Fraction(1, 2), {1, 2}, object(), b"bytes",
+    [0, 0.5], {"a": {"b": 2.0}}, {1: "int key"}, {None: "null key"},
+    {"a": 1, 2: "mixed keys"}],
+    ids=["float", "nan", "Fraction", "set", "object", "bytes", "nested-float",
+         "deep-float", "int-key", "None-key", "mixed-keys"])
+def test_the_json_writer_refuses_any_other_type(obj):
+    # no command builds a float or a non-str key, and the writer takes
+    # none: json.dumps would print a float's repr and stringify the keys,
+    # the writer raises TypeError instead, as json.dumps does for a type
+    # it does not know
+    with pytest.raises(TypeError):
+        cli.json_text(obj)

@@ -149,6 +149,58 @@ def test_extension_space_double_transform():
         assert f.fourier().fourier().equals(f.reflect())
 
 
+def _fresh_space_fields(p, weights, pairing):
+    """weights, pairing, _wv and _w as Space once computed them on every
+    call, with no cache."""
+    weights = tuple(Fraction(c) for c in weights)
+    pairing = tuple(pairing) if pairing is not None else tuple(
+        range(len(weights)))
+    return (weights, pairing, tuple(val_p(c, p) for c in weights),
+            tuple((c.numerator, c.denominator) for c in weights))
+
+
+@pytest.mark.parametrize("p, delta", [(3, 2), (3, Fraction(3, 2)), (5, 10)])
+def test_a_cached_space_is_a_fresh_one(p, delta):
+    F, psi = setup_field(p)
+    ext = QuadExtContext(F, delta)
+    builders = [lambda: f_space(F, psi, 3), lambda: e_space(ext, psi, 2),
+                lambda: spaces.e_minus_space(ext, psi, 2),
+                lambda: matrix_space_f(F, psi, 3),
+                lambda: spaces.matrix_space_e(ext, psi, 2),
+                lambda: s_space(ext, psi, 2)]
+    for build in builders:
+        first, second = build(), build()
+        fresh = _fresh_space_fields(p, first.weights, first.pairing)
+        for sp in (first, second):
+            assert (sp.weights, sp.pairing, sp._wv, sp._w) == fresh
+            assert all(type(c) is Fraction for c in sp.weights)
+        assert first == second
+    # int, str and Fraction weights name one space; the valuations are
+    # those of its own p
+    for weights in ((1, 3), (Fraction(1), Fraction(3)), ("1", "3/1")):
+        sp = spaces.Space(F, psi, weights, [0, 1])
+        assert (sp.weights, sp.pairing, sp._wv, sp._w) == \
+            _fresh_space_fields(p, (1, 3), (0, 1))
+        assert sp._wv == ((0, 1) if p == 3 else (0, 0))
+
+
+def test_a_bad_space_is_refused_after_a_good_one():
+    # the checks run once per distinct input, and a refusal is not kept
+    F, psi = setup_field()
+    good = spaces.Space(F, psi, (1, 1, 2), (1, 0, 2))
+    assert good._wv == (0, 0, 0)
+    bad = [((1, 2, 2), (1, 0, 2), "weight-preserving involution"),
+           ((1, 1, 2), (1, 2, 0), "weight-preserving involution"),
+           ((1, 1, 2), (0, 0, 2), "not a permutation"),
+           ((1, 1, 2), (1, 0, 3), "not a permutation"),
+           ((1, 1, 0), (1, 0, 2), "weights must be nonzero")]
+    for _ in range(2):
+        for weights, pairing, message in bad:
+            with pytest.raises(SchemaError, match=message):
+                spaces.Space(F, psi, weights, pairing)
+        assert spaces.Space(F, psi, (1, 1, 2), (1, 0, 2)) == good
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.fractions(min_value=-20, max_value=20, max_denominator=200),
        st.integers(min_value=-3, max_value=3), st.sampled_from([2, 3, 5]))

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from padharm import lfactors, orbital, suites
+from padharm.config import RunConfig
 from padharm.cyclotomic import CyclotomicScalar
 from padharm.qrational import QRational
 from padharm.spaces import WavePacket
@@ -119,3 +120,20 @@ def test_the_germ_suites_default_to_level_2m_plus_1(suite, monkeypatch):
                         lambda m, r: levels.append(r) or check(m, r))
     assert run_suite(suite, m=2)["passed"]
     assert set(levels) == {5}
+
+
+# a ramified delta at p = 3 and at p = 5, and an unramified eta with
+# eta(p) = +1 where the default inert one has eta(p) = -1
+@pytest.mark.parametrize("doc, ramified", [
+    ({"p": 3, "delta": 3}, True), ({"p": 5, "delta": 5}, True),
+    ({"eta": {"r_pi": 0, "k": 0}}, False)],
+    ids=["p3-ramified", "p5-ramified", "eta-p-plus-one"])
+def test_the_n1_oracle_reads_eta(doc, ramified):
+    # the oracle once fixed eta(p) = -1 and an unramified eta: at a
+    # ramified delta the library's 0 failed against 2/3 / (1 + T)
+    ctx = RunConfig(doc)
+    assert ctx.eta().is_unramified is not ramified
+    label, got, want = next(suites.suite_oi_nilpotent(ctx))
+    assert label == "n=1 closed form disagrees with the series oracle"
+    assert got == want
+    assert (got == QRational.const(0)) is ramified
