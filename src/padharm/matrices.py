@@ -12,10 +12,14 @@ The moment matrices are delta_plus(X) = (A^(n-1)u, ..., Au, u) as
 columns and delta_minus(X) = rows (v; vA; ...; vA^(n-1)).
 
 The kernels use ring operations only, so they are exact over every
-adapter: `charpoly_plus` is Berkowitz's recursion, which is division-free
-over any commutative ring; `det` is the Leibniz expansion over a cached
-table of signed permutations up to 4 x 4, and Berkowitz's constant term
-above; `conjugate` acts by blocks, h in GL_n on X in M_{n+1} through
+adapter.  They work on rows and on `zip(*B)` columns through one dot
+product, `_dot`, which adds the products left to right from the first,
+as the entry-by-entry loops did: every value is identical to theirs, the
+same unreduced ints over Z/p^k, the same Fractions and E-scalars.
+`charpoly_plus` is Berkowitz's recursion, which is division-free over
+any commutative ring; `det` is the Leibniz expansion over a cached table
+of signed permutations up to 4 x 4, and Berkowitz's constant term above;
+`conjugate` reads X's rows, h in GL_n acting on X in M_{n+1} through
 diag(h, 1), and inverts h alone.
 """
 
@@ -25,6 +29,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import NotInDomain, NotRegular
 
@@ -107,7 +112,7 @@ class QuadExtRing:
 
 
 def mat(rows):
-    return tuple(tuple(r) for r in rows)
+    return tuple(map(tuple, rows))
 
 
 def identity(R, n):
@@ -117,17 +122,18 @@ def identity(R, n):
 
 
 def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0]) if B else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = A[i][0] * B[0][j]
-            for t in range(1, k):
-                s = s + A[i][t] * B[t][j]
-            row.append(s)
-        out.append(row)
-    return mat(out)
+    """A B from A's rows and B's columns; a row longer than B's columns
+    meets only their length."""
+    cols = tuple(zip(*B))
+    return tuple([tuple([_dot(row, c) for c in cols]) for row in A])
+
+
+def _dot(v, u):
+    """v_0 u_0 + v_1 u_1 + ..., added left to right from the first
+    product, over the shorter of v and u (never empty): the one sum of
+    the kernels."""
+    terms = map(mul, v, u)
+    return sum(terms, next(terms))
 
 
 def transpose(A):
@@ -176,21 +182,24 @@ def mat_inv(R, A):
     the reduction of A is singular and A has no inverse."""
     n = len(A)
     zero, one = R.zero(), R.one()
+    is_unit, is_zero, inv = R.is_unit, R.is_zero, R.inv
     aug = [list(A[i]) + [one if j == i else zero for j in range(n)]
            for i in range(n)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if R.is_unit(aug[r][col])),
-                   None)
-        if piv is None:
+        for piv in range(col, n):
+            if is_unit(aug[piv][col]):
+                break
+        else:
             raise NotInDomain("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pinv = R.inv(aug[col][col])
-        aug[col] = [pinv * x for x in aug[col]]
+        prow = aug[piv]
+        aug[piv] = aug[col]
+        pinv = inv(prow[col])
+        aug[col] = prow = [pinv * x for x in prow]
         for r in range(n):
             c = aug[r][col]
-            if r != col and not R.is_zero(c):
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return mat([row[n:] for row in aug])
+            if r != col and not is_zero(c):
+                aug[r] = [x - c * y for x, y in zip(aug[r], prow)]
+    return tuple([tuple(row[n:]) for row in aug])
 
 
 def charpoly_plus(R, A):
@@ -210,12 +219,13 @@ def charpoly_plus(R, A):
     B = [[-x for x in row] for row in A]
     q = [R.one()]
     for k in range(n):
-        b, r, col = B[k][k], B[k][:k], [row[k] for row in B[:k]]
+        top = B[:k]
+        b, r, col = B[k][k], B[k][:k], [row[k] for row in top]
         s = []
         for j in range(k):
             if j:
-                col = _mat_vec(B[:k], col)
-            s.append(_dot(r, col, R))
+                col = _mat_vec(top, col)
+            s.append(_dot(r, col))
         new = q + [R.zero()]
         for m in range(1, k + 2):
             t = new[m] - b * q[m - 1]
@@ -232,11 +242,9 @@ def charpoly_plus(R, A):
 
 def blocks(X):
     n = len(X) - 1
-    A = mat([row[:n] for row in X[:n]])
-    u = tuple(X[i][n] for i in range(n))
-    v = tuple(X[n][:n])
-    w = X[n][n]
-    return A, u, v, w
+    top = X[:n]
+    return (tuple([row[:n] for row in top]), tuple([row[n] for row in top]),
+            X[n][:n], X[n][n])
 
 
 def assemble(A, u, v, w):
@@ -254,48 +262,29 @@ def invariants_of(R, X):
     a = tuple(cp[i] if i % 2 == 1 else -cp[i] for i in range(1, n + 1))
     b = [w]
     row = v
-    for _ in range(n):
-        b.append(_dot(row, u, R))
-        row = vec_mat(row, A)
+    for j in range(n):
+        if j:
+            row = vec_mat(row, A)
+        b.append(_dot(row, u))
     return a, tuple(b)
 
 
-def _dot(v, u, R):
-    s = R.zero()
-    for a, b in zip(v, u):
-        s = s + a * b
-    return s
-
-
 def vec_mat(v, A):
-    n = len(A)
-    return tuple(
-        _sum_terms([v[i] * A[i][j] for i in range(n)]) for j in range(n)
-    )
+    return tuple([_dot(v, c) for c in zip(*A)])
 
 
 def _mat_vec(A, u):
-    return tuple(_sum_terms([A[i][j] * u[j] for j in range(len(u))]) for i in range(len(A)))
-
-
-def _sum_terms(terms):
-    s = terms[0]
-    for t in terms[1:]:
-        s = s + t
-    return s
+    return tuple([_dot(row, u) for row in A])
 
 
 def delta_plus(R, X):
     """Columns (A^(n-1)u, ..., Au, u)."""
     A, u, _, _ = blocks(X)
-    n = len(A)
     cols = [u]
-    cur = u
-    for _ in range(n - 1):
-        cur = _mat_vec(A, cur)
-        cols.append(cur)
+    for _ in range(len(A) - 1):
+        cols.append(_mat_vec(A, cols[-1]))
     cols.reverse()
-    return transpose(mat(cols))
+    return tuple(zip(*cols))
 
 
 def delta_minus(R, X):
@@ -337,15 +326,18 @@ def xi_minus(R, m):
 
 
 def conjugate(R, h, X):
-    """h X h^-1 for h in GL_n acting on X in M_{n+1} as diag(h, 1), by
-    blocks: X = [[A, u], [v, w]] goes to [[h A h^-1, h u], [v h^-1, w]],
-    so only h itself is inverted."""
-    A, u, v, w = blocks(X)
-    if len(h) != len(A):
+    """h X h^-1 for h in GL_n acting on X in M_{n+1} as diag(h, 1), on
+    X's rows: h X[:n] is (h A | h u), its first n columns times h^-1's
+    columns give h A h^-1, and the last row is (v h^-1, w).  Only h
+    itself is inverted."""
+    n = len(h)
+    if n != len(X) - 1:
         raise NotInDomain("conjugate needs h in GL_n for X in M_(n+1)")
-    hinv = mat_inv(R, h)
-    return assemble(mat_mul(mat_mul(h, A), hinv), _mat_vec(h, u),
-                    vec_mat(v, hinv), w)
+    cols = tuple(zip(*mat_inv(R, h)))
+    last = X[n]
+    return tuple([tuple([_dot(row, c) for c in cols]) + (row[n],)
+                  for row in mat_mul(h, X[:n])]
+                 + [tuple([_dot(last, c) for c in cols]) + (last[n],)])
 
 
 def is_nilpotent(R, X):
@@ -493,7 +485,6 @@ def triangular_check(phi, m, p, Npow, samples=10000, seed=0):
 def nilpotent_cone_Fp(p):
     """All nilpotent X in M_3(F_p) for the invariant map (n = 2),
     enumerated from the constraint equations."""
-    R = IntModRing(p, 1)
     out = []
     for entries in itertools.product(range(p), repeat=4):
         A = mat([entries[:2], entries[2:]])
@@ -504,7 +495,7 @@ def nilpotent_cone_Fp(p):
         for u in itertools.product(range(p), repeat=2):
             Au = _mat_vec(A, u)
             for v in itertools.product(range(p), repeat=2):
-                if _dot(v, u, R) % p or _dot(v, Au, R) % p:
+                if _dot(v, u) % p or _dot(v, Au) % p:
                     continue
                 out.append(assemble(A, u, v, 0))
     return out

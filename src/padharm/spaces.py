@@ -170,11 +170,11 @@ def f_space(F, psi, dim):
 
 def e_space(ext, psi, dim):
     """E^dim: coordinates come in (plus, minus) pairs with weights (1, delta)."""
-    return Space(ext.F, psi, (1, ext.delta) * dim)
+    return _delta_space(ext, psi, dim, True, None)
 
 
 def e_minus_space(ext, psi, dim):
-    return Space(ext.F, psi, (ext.delta,) * dim)
+    return _delta_space(ext, psi, dim, False, None)
 
 
 def transposition(k):
@@ -191,14 +191,38 @@ def matrix_space_f(F, psi, k):
 def matrix_space_e(ext, psi, k):
     """M_k(E) with pairing psi_E(tr(XY)): per entry (plus, minus) weight
     (1, delta), transposition on both parts."""
-    pairing = tuple(2 * t + h for t in transposition(k) for h in (0, 1))
-    return Space(ext.F, psi, (1, ext.delta) * (k * k), pairing)
+    return _delta_space(ext, psi, k * k, True, k)
 
 
 def s_space(ext, psi, k):
     """The -1 eigenspace in M_k(E) (entries tau*y): weight-delta
     coordinates with transposition pairing."""
-    return Space(ext.F, psi, (ext.delta,) * (k * k), transposition(k))
+    return _delta_space(ext, psi, k * k, False, k)
+
+
+def _delta_space(ext, psi, dim, plus, k):
+    """The space over ext.F of dim coordinates of weight delta, each after
+    one of weight 1 when plus, paired by the transposition of k x k
+    matrices (on both parts) or, when k is None, by the identity."""
+    sp = _new(Space)
+    sp.F = ext.F
+    sp.psi = psi
+    sp.weights, sp.pairing, sp._wv, sp._w = _delta_fields(
+        ext.F.p, ext.delta, dim, plus, k)
+    return sp
+
+
+@lru_cache(maxsize=256)
+def _delta_fields(p, delta, dim, plus, k):
+    """`_checked_pairing` of a `_delta_space`, keyed on delta once: its key
+    would hash the dim copies of delta, a Fraction hash each."""
+    weights = (1, delta) * dim if plus else (delta,) * dim
+    pairing = None
+    if k is not None:
+        pairing = transposition(k)
+        if plus:
+            pairing = tuple(2 * t + h for t in pairing for h in (0, 1))
+    return _checked_pairing.__wrapped__(p, weights, pairing)
 
 
 # -- wave packets -------------------------------------------------------------

@@ -48,8 +48,13 @@ another way:
   signed permutations up to 4 x 4 and Berkowitz above; ``adjugate`` builds adj(A) from ``det_laplace``
   cofactors, so adj(A) / det(A) checks the Gauss-Jordan
   ``matrices.mat_inv``; ``conjugate_embedded`` is h X h^-1 as the full
-  (n+1) x (n+1) product with diag(h, 1), against the blockwise
-  ``matrices.conjugate``.
+  (n+1) x (n+1) product with diag(h, 1), against ``matrices.conjugate``,
+  which reads X's rows;
+* ``mat_mul_entries``, ``vec_mat_entries`` and ``conjugate_by_blocks``
+  build each entry by index and conjugate by the four blocks, against
+  ``matrices.mat_mul``, ``matrices.vec_mat`` and ``matrices.conjugate`` on
+  rows and columns: the same ring operations in the same order, so the
+  values are identical, not just equal up to the ring's zero test.
 """
 
 import itertools
@@ -66,7 +71,7 @@ from padharm.errors import (
     NotRegularSemisimple,
     PoleAtEvaluationPoint,
 )
-from padharm.matrices import QuadExtRing, det, mat, mat_mul
+from padharm.matrices import QuadExtRing, det, mat, mat_inv, mat_mul
 from padharm.orbital import (
     OrbitalResult,
     _delta_plus_2x2,
@@ -890,4 +895,44 @@ def conjugate_embedded(R, h, X, h_inv):
                      else (R.one() if i == j else R.zero())
                      for j in range(m)] for i in range(m)])
 
-    return mat_mul(mat_mul(embed(h), X), embed(h_inv))
+    return mat_mul_entries(mat_mul_entries(embed(h), X), embed(h_inv))
+
+
+def _sum_from_first(terms):
+    s = terms[0]
+    for t in terms[1:]:
+        s = s + t
+    return s
+
+
+def mat_mul_entries(A, B):
+    """A B entry by entry: A[i][0] B[0][j] + A[i][1] B[1][j] + ..., added
+    left to right."""
+    n, k, m = len(A), len(B), len(B[0]) if B else 0
+    return tuple(
+        tuple(_sum_from_first([A[i][t] * B[t][j] for t in range(k)])
+              for j in range(m))
+        for i in range(n))
+
+
+def vec_mat_entries(v, A):
+    """The row v A entry by entry, added left to right."""
+    k, m = len(A), len(A[0]) if A else 0
+    return tuple(_sum_from_first([v[i] * A[i][j] for i in range(k)])
+                 for j in range(m))
+
+
+def conjugate_by_blocks(R, h, X):
+    """h X h^-1 for h in GL_n and X = [[A, u], [v, w]] in M_{n+1}, as
+    [[h A h^-1, h u], [v h^-1, w]] from the four blocks."""
+    n = len(X) - 1
+    if len(h) != n:
+        raise NotInDomain("conjugate needs h in GL_n for X in M_(n+1)")
+    A = [row[:n] for row in X[:n]]
+    u = [row[n] for row in X[:n]]
+    hinv = mat_inv(R, h)
+    hAh = mat_mul_entries(mat_mul_entries(h, A), hinv)
+    hu = [_sum_from_first([h[i][j] * u[j] for j in range(n)])
+          for i in range(n)]
+    return tuple([hAh[i] + (hu[i],) for i in range(n)]
+                 + [vec_mat_entries(X[n][:n], hinv) + (X[n][n],)])

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,11 @@ from hypothesis import strategies as st
 from oracles import (
     adjugate,
     charpoly_plus_leibniz,
+    conjugate_by_blocks,
     conjugate_embedded,
     det_laplace,
+    mat_mul_entries,
+    vec_mat_entries,
 )
 from padharm.errors import NotInDomain, NotRegular
 from padharm.padic import FieldContext, QuadExtContext
@@ -36,6 +40,7 @@ from padharm.matrices import (
     section_sigma_prime,
     triangular_check,
     varrho,
+    vec_mat,
     xi_minus,
     xi_plus,
 )
@@ -278,3 +283,130 @@ def test_conjugate_needs_h_one_size_smaller():
     X = xi_plus(R, 3)
     with pytest.raises(NotInDomain):
         conjugate(R, identity(R, 3), X)
+
+
+def _typed(X):
+    """X's nested tuples with each entry as (type, value): an int is not a
+    Fraction, and over Z/p^k two ints differ unless they are equal, not
+    merely congruent."""
+    if type(X) is tuple:
+        return tuple(map(_typed, X))
+    return type(X), X
+
+
+def _rect(data, R, n, m):
+    # over Q, ints among the Fractions: a kernel that added a Fraction
+    # zero would change a type
+    entry = (st.one_of(st.integers(-4, 4), small_frac)
+             if isinstance(R, FractionRing) else _entries(R))
+    return mat(data.draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                                  min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(KERNEL_RINGS), st.integers(0, 3),
+       st.integers(0, 3), st.integers(0, 3))
+def test_row_kernels_are_the_entry_by_entry_ones(data, Rk, n, k, m):
+    # identical values, not congruent ones: the same unreduced ints over
+    # Z/p^k and the same Fractions and E-scalars, on rectangular products
+    # (ranks 0 and 1 among them), the n x (n+1) product h X[:n] that
+    # conjugate makes, and conjugate itself
+    A, B = _rect(data, Rk, n, k), _rect(data, Rk, k, m)
+    assert _typed(mat_mul(A, B)) == _typed(mat_mul_entries(A, B))
+    v = _rect(data, Rk, 1, k)[0]
+    assert _typed(vec_mat(v, B)) == _typed(vec_mat_entries(v, B))
+    # h over Q as Fractions: FractionRing.inv of an int is a float
+    h, X = _square(data, Rk, n), _rect(data, Rk, n + 1, n + 1)
+    assert _typed(mat_mul(h, X[:n])) == _typed(mat_mul_entries(h, X[:n]))
+    try:
+        want = conjugate_by_blocks(Rk, h, X)
+    except NotInDomain:
+        with pytest.raises(NotInDomain):
+            conjugate(Rk, h, X)
+        return
+    assert _typed(conjugate(Rk, h, X)) == _typed(want)
+
+
+class FormalRing:
+    """The free ring on named entries: each element is a node of an
+    expression graph, interned in the ring's table, so two elements are
+    equal exactly when the same ring operations built them in the same
+    order.  Every element but zero counts as a unit."""
+
+    def __init__(self):
+        self.nodes = {}
+
+    def node(self, *key):
+        return Formal(self, key)
+
+    def zero(self):
+        return self.node("0")
+
+    def one(self):
+        return self.node("1")
+
+    def is_zero(self, x):
+        return x == self.zero()
+
+    def is_unit(self, x):
+        return not self.is_zero(x)
+
+    def inv(self, x):
+        return x._op("inv")
+
+
+class Formal:
+    __slots__ = ("ring", "key")
+    __hash__ = None
+
+    def __init__(self, ring, node):
+        self.ring = ring
+        self.key = ring.nodes.setdefault(node, len(ring.nodes))
+
+    def _op(self, op, *others):
+        return Formal(self.ring, (op, self.key, *(o.key for o in others)))
+
+    def __add__(self, other):
+        return self._op("+", other)
+
+    def __sub__(self, other):
+        return self._op("-", other)
+
+    def __mul__(self, other):
+        return self._op("*", other)
+
+    def __neg__(self):
+        return self._op("neg")
+
+    def __eq__(self, other):
+        return (type(other) is Formal and other.ring is self.ring
+                and other.key == self.key)
+
+
+def _formal(F, name, n, m):
+    return tuple(tuple(F.node(name, i, j) for j in range(m))
+                 for i in range(n))
+
+
+def test_the_formal_ring_tells_orders_apart():
+    F = FormalRing()
+    a, b, c = (F.node(x) for x in "abc")
+    assert (a + b) + c == (a + b) + c
+    assert (a + b) + c != a + (b + c)
+    assert a * b != b * a
+    assert F.zero() + a != a
+
+
+def test_row_kernels_keep_the_order_of_operations():
+    # over the free ring, equal values are equal expressions: each sum is
+    # added left to right from its first product, as entry by entry
+    for n, k, m in itertools.product(range(4), repeat=3):
+        F = FormalRing()
+        A, B = _formal(F, "A", n, k), _formal(F, "B", k, m)
+        assert _typed(mat_mul(A, B)) == _typed(mat_mul_entries(A, B))
+        v = _formal(F, "v", 1, k)[0]
+        assert _typed(vec_mat(v, B)) == _typed(vec_mat_entries(v, B))
+        if n == k:
+            h, X = A, _formal(F, "X", n + 1, n + 1)
+            assert _typed(conjugate(F, h, X)) == _typed(
+                conjugate_by_blocks(F, h, X))

@@ -184,6 +184,35 @@ def test_a_cached_space_is_a_fresh_one(p, delta):
         assert sp._wv == ((0, 1) if p == 3 else (0, 0))
 
 
+@pytest.mark.parametrize("p, delta", [(3, 2), (3, 3), (5, 2), (5, 5),
+                                      (3, Fraction(3, 2))])
+def test_a_cached_e_space_is_a_fresh_one(p, delta):
+    # the E-space constructors key their cache on delta once: each space is
+    # the Space of its weights and pairing, over the caller's F and psi,
+    # from a new extension object as from the first
+    F, psi = setup_field(p)
+    for k in (1, 2, 3):
+        t = spaces.transposition(k)
+        shapes = {
+            e_space: ((1, delta) * k, None),
+            spaces.e_minus_space: ((delta,) * k, None),
+            spaces.matrix_space_e: ((1, delta) * (k * k),
+                                    [2 * i + h for i in t for h in (0, 1)]),
+            s_space: ((delta,) * (k * k), t),
+        }
+        for build, (weights, pairing) in shapes.items():
+            fresh = _fresh_space_fields(p, weights, pairing)
+            for _ in range(2):
+                ext = QuadExtContext(F, delta)
+                sp = build(ext, psi, k)
+                assert (sp.weights, sp.pairing, sp._wv, sp._w) == fresh
+                assert sp.F is ext.F and sp.psi is psi
+                assert sp == spaces.Space(F, psi, weights, pairing)
+            # a bad space is still refused after the good ones
+            with pytest.raises(SchemaError, match="weight-preserving"):
+                spaces.Space(F, psi, (1, delta, delta), (1, 0, 2))
+
+
 def test_a_bad_space_is_refused_after_a_good_one():
     # the checks run once per distinct input, and a refusal is not kept
     F, psi = setup_field()
